@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffusion import decode, encode, sample
-from .errors import CompositionOrderError, CraftError
+from .errors import CompositionOrderError, CraftError, InputError
 from .facegen import (
     StyleOp,
     embed_prompt,
@@ -89,6 +89,18 @@ class Command:
     config: PipelineConfig
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers; argparse turns a ValueError into a usage error."""
+    return tuple(float(v) for v in text.split(","))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="craftfaces", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("ablate-order", help="sweep both composition orders"))
     p.add_argument("--faces", type=int, default=100)
-    p.add_argument("--intensities", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--sweep-seeds", type=int, default=1, help="seeds per cell")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--timing", action="store_true", help="write measured ms into the report")
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"))
@@ -204,8 +216,11 @@ def _write_matrix_csv(path, matrix) -> None:
 
 
 def _read_vector_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        cells = [float(c) for row in csv.reader(fh) for c in row if c.strip()]
+    try:
+        with open(path, newline="") as fh:
+            cells = [float(c) for row in csv.reader(fh) for c in row if c.strip()]
+    except ValueError as exc:
+        raise InputError(f"{path}: not a numeric vector CSV: {exc}") from None
     return np.array(cells, dtype=np.float64)
 
 
@@ -280,9 +295,8 @@ def execute(cmd: Command) -> int:
 
     if cmd.name == "ablate-order":
         faces = face_grid(cmd.args.faces, seed=cfg.seed)
-        intensities = tuple(float(v) for v in cmd.args.intensities.split(","))
         seeds = tuple(cfg.seed + i for i in range(cmd.args.sweep_seeds))
-        report = ablate_order(faces, cfg, sweeps=intensities, seeds=seeds, jobs=cmd.args.jobs)
+        report = ablate_order(faces, cfg, sweeps=cmd.args.intensities, seeds=seeds, jobs=cmd.args.jobs)
         path = os.path.join(out_dir, "order_report.csv")
         _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=cmd.args.timing))
         e = report.extras

@@ -29,6 +29,7 @@ attributes.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,14 +385,24 @@ def write_ppm(path, img: np.ndarray) -> None:
         fh.write(raw.tobytes())
 
 
+_PPM_SEP = rb"(?:\s|#[^\r\n]*)+"  # whitespace and "#" comments running to the end of a line
+_PPM_HEADER = re.compile(rb"P6" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)\s")
+
+
 def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 file back as (3, H, W) floats in [0, 1]."""
+    """Read a binary P6 file back as (3, H, W) floats in [0, 1].
+
+    Header fields may be separated by any whitespace and interleaved with
+    ``#`` comments; one whitespace byte separates the header from the raster.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P6":
+    header = _PPM_HEADER.match(data)
+    if header is None:
         raise InputError(f"{path}: not a binary PPM file")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    raw = np.frombuffer(parts[3][: w * h * 3], dtype=np.uint8).reshape(h, w, 3)
+    w, h, maxval = (int(v) for v in header.groups())
+    raster = data[header.end() : header.end() + w * h * 3]
+    if w * h == 0 or not 1 <= maxval <= 255 or len(raster) != w * h * 3:
+        raise InputError(f"{path}: unsupported or truncated PPM ({w}x{h}, maxval {maxval})")
+    raw = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3)
     return raw.transpose(2, 0, 1).astype(np.float64) / maxval

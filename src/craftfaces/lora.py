@@ -3,21 +3,23 @@
 An adapter holds factors A (d x r) and B (r x k); merging adds
 alpha * A @ B onto a frozen base matrix. B starts at zero so a freshly
 initialized adapter leaves the merged model identical to the base.
-Training updates only the factors, by finite-difference gradient descent
-on the squared noise-prediction error (cheap at these sizes).
+Training updates only the factors, by gradient descent on the squared
+noise-prediction error. The denoiser's backward pass gives the gradient
+G_W of each merged matrix, and the chain rule through W + alpha * A @ B
+gives the factor gradients alpha * G_W @ B^T and alpha * A^T @ G_W.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import AttentionWeights, ExtendedAttentionWeights
-from .diffusion import DenoiserModel
+from .diffusion import DenoiserModel, _denoise_loss, _denoise_loss_and_grad
 from .errors import ConfigError, ShapeError, TrainingError
-from .numerics import RngStream, gaussian, tensor
+from .numerics import RngStream, _flatten, _unflatten, gaussian, tensor
 
 __all__ = [
     "LoRAAdapter",
@@ -105,7 +107,6 @@ class LoRATrainConfig:
     lr: float = 0.1
     steps: int = 200
     targets: tuple[str, ...] = TARGET_MATRICES
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.steps < 0:
@@ -119,43 +120,38 @@ class LoRATrainConfig:
             raise ConfigError(f"unknown targets {sorted(bad)}")
 
 
-def _pack(adapters: dict[str, LoRAAdapter], targets) -> np.ndarray:
-    return np.concatenate(
-        [adapters[t].a.ravel() for t in targets] + [adapters[t].b.ravel() for t in targets]
-    )
+def _factors(adapters: dict[str, LoRAAdapter]) -> dict:
+    """The trained parameters in packed order: every A, then every B."""
+    return {(name, t): getattr(ad, name.lower()) for name in "AB" for t, ad in adapters.items()}
 
 
-def _unpack(
-    vec: np.ndarray, template: dict[str, LoRAAdapter], targets
-) -> dict[str, LoRAAdapter]:
-    out = dict(template)
-    pos = 0
-    parts: dict[str, list[np.ndarray]] = {t: [] for t in targets}
-    for t in targets:
-        n = template[t].a.size
-        parts[t].append(vec[pos : pos + n].reshape(template[t].a.shape))
-        pos += n
-    for t in targets:
-        n = template[t].b.size
-        parts[t].append(vec[pos : pos + n].reshape(template[t].b.shape))
-        pos += n
-    for t in targets:
-        a, b = parts[t]
-        out[t] = LoRAAdapter(a=a, b=b, alpha=template[t].alpha, rank=template[t].rank)
-    return out
+def _with_factors(adapters: dict[str, LoRAAdapter], factors: dict) -> dict[str, LoRAAdapter]:
+    """The adapters carrying ``factors``, keyed as by ``_factors``."""
+    return {t: replace(ad, a=factors["A", t], b=factors["B", t]) for t, ad in adapters.items()}
 
 
-def _adapted_loss(
-    model: DenoiserModel,
-    data,
-    adapters: dict[str, LoRAAdapter],
-) -> float:
+def _batch(model: DenoiserModel, data) -> list:
+    """(latent, cond, target) triples as backward items carrying the model's identity."""
+    return [
+        (tensor(latent), tensor(cond).reshape(-1), tensor(target), model.identity)
+        for latent, cond, target in data
+    ]
+
+
+def _adapted_loss(model: DenoiserModel, data, adapters: dict[str, LoRAAdapter]) -> float:
     merged = model.with_attention(apply_to_attention(model.attention, adapters))
-    total = 0.0
-    for latent, cond, target in data:
-        err = merged.predict_noise(latent, cond) - tensor(target)
-        total += float(np.mean(err * err))
-    return total / len(data)
+    return _denoise_loss(merged, _batch(model, data))
+
+
+def _factor_grad(model: DenoiserModel, batch, adapters: dict[str, LoRAAdapter]) -> np.ndarray:
+    """Exact gradient of the adapted loss over the packed factors: with
+    G_W the gradient of the merged matrix, alpha * G_W @ B^T for A and
+    alpha * A^T @ G_W for B."""
+    merged = model.with_attention(apply_to_attention(model.attention, adapters))
+    _, g = _denoise_loss_and_grad(merged, batch)
+    ga = {("A", t): ad.alpha * (g["w_" + t] @ ad.b.T) for t, ad in adapters.items()}
+    gb = {("B", t): ad.alpha * (ad.a.T @ g["w_" + t]) for t, ad in adapters.items()}
+    return _flatten({**ga, **gb})
 
 
 def train_lora(
@@ -167,18 +163,15 @@ def train_lora(
     """Gradient descent on squared noise-prediction error, through the
     adapter factors only. Base weights are never written.
 
-    ``data`` is a list of (latent, cond, target) triples. Gradients are
-    central finite differences over the packed factor vector.
+    ``data`` is a list of (latent, cond, target) triples, scored with the
+    model's own identity. Each step takes one exact gradient: the
+    backward pass through the merged model, chained onto A and B.
     """
     if rng is None:
         rng = RngStream(seed=0)
-    shapes = {
-        "q": model.attention.base.w_q.shape,
-        "k": model.attention.base.w_k.shape,
-        "v": model.attention.base.w_v.shape,
-    }
+    base = model.attention.base
     adapters = {
-        t: init_adapter(shapes[t][0], shapes[t][1], cfg.rank, cfg.alpha, rng.split(t))
+        t: init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
         for t in cfg.targets
     }
     if cfg.steps == 0:
@@ -186,27 +179,15 @@ def train_lora(
     if not data:
         raise ConfigError("train_lora: no training data with steps > 0")
 
-    targets = cfg.targets
-    vec = _pack(adapters, targets)
-    h = cfg.fd_step
-
-    def loss_of(v: np.ndarray) -> float:
-        return _adapted_loss(model, data, _unpack(v, adapters, targets))
-
+    batch = _batch(model, data)
+    layout = _factors(adapters)
+    vec = _flatten(layout)
     for _ in range(cfg.steps):
-        grad = np.zeros_like(vec)
-        for i in range(vec.size):
-            orig = vec[i]
-            vec[i] = orig + h
-            fp = loss_of(vec)
-            vec[i] = orig - h
-            fm = loss_of(vec)
-            vec[i] = orig
-            grad[i] = (fp - fm) / (2.0 * h)
-        vec -= cfg.lr * grad
+        current = _with_factors(adapters, _unflatten(vec, layout))
+        vec = vec - cfg.lr * _factor_grad(model, batch, current)
         if not np.all(np.isfinite(vec)):
             raise TrainingError("train_lora: parameters became non-finite")
-    return _unpack(vec, adapters, targets)
+    return _with_factors(adapters, _unflatten(vec, layout))
 
 
 def save_adapters(path, adapters: dict[str, LoRAAdapter]) -> None:

@@ -20,6 +20,7 @@ from .diffusion import (
     DenoiserModel,
     LatentCodec,
     NoiseSchedule,
+    _denoise_loss_and_grad,
     build_schedule,
     decode,
     encode,
@@ -38,7 +39,7 @@ from .identity import (
     ffc,
 )
 from .lora import LoRATrainConfig, train_lora
-from .numerics import RngStream
+from .numerics import RngStream, _flatten, _unflatten
 
 __all__ = [
     "PipelineConfig",
@@ -318,113 +319,6 @@ def ablate_order(
     return report
 
 
-def _pack_model(m: DenoiserModel) -> np.ndarray:
-    a = m.attention
-    return np.concatenate(
-        [
-            a.base.w_q.ravel(), a.base.w_k.ravel(), a.base.w_v.ravel(),
-            a.u_q.ravel(), a.u_k.ravel(),
-            m.head_w.ravel(), m.head_b.ravel(),
-            m.cond_w.ravel(), m.cond_b.ravel(),
-        ]
-    )
-
-
-def _unpack_model(vec: np.ndarray, template: DenoiserModel) -> DenoiserModel:
-    from .attention import AttentionWeights, ExtendedAttentionWeights
-
-    a = template.attention
-    parts = []
-    pos = 0
-    for ref in (a.base.w_q, a.base.w_k, a.base.w_v, a.u_q, a.u_k,
-                template.head_w, template.head_b, template.cond_w, template.cond_b):
-        parts.append(vec[pos : pos + ref.size].reshape(ref.shape))
-        pos += ref.size
-    ext = ExtendedAttentionWeights(
-        base=AttentionWeights(w_q=parts[0], w_k=parts[1], w_v=parts[2]),
-        u_q=parts[3],
-        u_k=parts[4],
-    )
-    return replace(
-        template, attention=ext, head_w=parts[5], head_b=parts[6], cond_w=parts[7], cond_b=parts[8]
-    )
-
-
-def _denoise_loss(model: DenoiserModel, batch) -> float:
-    total = 0.0
-    for x_t, cond, eps, ident in batch:
-        err = model.with_identity(ident).predict_noise(x_t, cond) - eps
-        total += float(np.mean(err * err))
-    return total / len(batch)
-
-
-def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, np.ndarray]:
-    """Mean squared noise-prediction error and its gradient over the packed
-    weight vector, by hand-rolled backprop through the attention block.
-    Verified against the finite-difference oracle in the test suite."""
-    a = model.attention
-    w_q, w_k, w_v = a.base.w_q, a.base.w_k, a.base.w_v
-    d = float(w_q.shape[1])
-    scale = 1.0 / np.sqrt(d)
-    g_wq = np.zeros_like(w_q)
-    g_wk = np.zeros_like(w_k)
-    g_wv = np.zeros_like(w_v)
-    g_uq = np.zeros_like(a.u_q)
-    g_uk = np.zeros_like(a.u_k)
-    g_hw = np.zeros_like(model.head_w)
-    g_hb = np.zeros_like(model.head_b)
-    g_cw = np.zeros_like(model.cond_w)
-    g_cb = np.zeros_like(model.cond_b)
-    total = 0.0
-
-    for x_t, cond, eps, ident in batch:
-        toks = x_t.reshape(model.n_tokens, model.token_dim)
-        t_in = toks + (cond @ model.cond_w + model.cond_b)
-        q = t_in @ w_q
-        k = t_in @ w_k
-        if ident is not None:
-            q = q + ident @ a.u_q
-            k = k + ident @ a.u_k
-        v = t_in @ w_v
-        s = (q @ k.T) * scale
-        s = s - s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        att = e / e.sum(axis=1, keepdims=True)
-        o = att @ v
-        y = o @ model.head_w + model.head_b
-        err = y - eps.reshape(y.shape)
-        total += float(np.mean(err * err))
-
-        dy = (2.0 / err.size) * err
-        g_hw += o.T @ dy
-        g_hb += dy.sum(axis=0)
-        do = dy @ model.head_w.T
-        datt = do @ v.T
-        dv = att.T @ do
-        rowdot = (att * datt).sum(axis=1, keepdims=True)
-        ds = att * (datt - rowdot)
-        dq = (ds @ k) * scale
-        dk = (ds.T @ q) * scale
-        g_wq += t_in.T @ dq
-        g_wk += t_in.T @ dk
-        g_wv += t_in.T @ dv
-        if ident is not None:
-            g_uq += np.outer(ident, dq.sum(axis=0))
-            g_uk += np.outer(ident, dk.sum(axis=0))
-        dt = dq @ w_q.T + dk @ w_k.T + dv @ w_v.T
-        g_cw += np.outer(cond, dt.sum(axis=0))
-        g_cb += dt.sum(axis=0)
-
-    n = len(batch)
-    grad = np.concatenate(
-        [
-            g_wq.ravel(), g_wk.ravel(), g_wv.ravel(), g_uq.ravel(), g_uk.ravel(),
-            g_hw.ravel(), g_hb.ravel(), g_cw.ravel(), g_cb.ravel(),
-        ]
-    ) / n
-    return total / n, grad
-
-
 def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream,
                     with_identity: bool, noised_per_face: int = 2):
     """Fixed batch of (noised latent, cond, noise, identity) tuples."""
@@ -444,11 +338,9 @@ def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStrea
 
 def _identity_block_mask(model: DenoiserModel) -> np.ndarray:
     """1.0 on the packed coordinates of U_q/U_k, 0.0 elsewhere."""
-    a = model.attention
-    mask = np.zeros(_pack_model(model).size)
-    start = a.base.w_q.size + a.base.w_k.size + a.base.w_v.size
-    mask[start : start + a.u_q.size + a.u_k.size] = 1.0
-    return mask
+    return _flatten(
+        {name: np.full(w.shape, float(name in ("u_q", "u_k"))) for name, w in model.params().items()}
+    )
 
 
 def _sgd_train(
@@ -469,7 +361,8 @@ def _sgd_train(
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     latents = [encode(render_face(p, cfg.image_size), runtime.codec) for p in faces]
     idents = [attribute_embedding(p.attributes()) if with_identity else None for p in faces]
-    vec = _pack_model(model)
+    params = model.params()
+    vec = _flatten(params)
     for i in range(steps):
         fidx = rng.integers(0, len(faces), (batch_size,))
         ts = rng.integers(1, cfg.steps + 1, (batch_size,))
@@ -478,15 +371,16 @@ def _sgd_train(
             eps = rng.normal(latents[f].shape)
             ab = runtime.sched.alpha_bar[t - 1]
             batch.append((np.sqrt(ab) * latents[f] + np.sqrt(1.0 - ab) * eps, cond, eps, idents[f]))
-        loss, grad = _denoise_loss_and_grad(_unpack_model(vec, model), batch)
+        loss, grads = _denoise_loss_and_grad(model.with_params(_unflatten(vec, params)), batch)
         if not np.isfinite(loss):
             raise TrainingError("toy denoiser training: loss became non-finite")
+        grad = _flatten(grads)
         if mask is not None:
             grad = grad * mask
         vec = vec - lr * (1.0 - 0.9 * i / steps) * grad
         if not np.all(np.isfinite(vec)):
             raise TrainingError("toy denoiser training: parameters became non-finite")
-    return _unpack_model(vec, model)
+    return model.with_params(_unflatten(vec, params))
 
 
 def train_toy_denoiser(

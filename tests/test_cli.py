@@ -57,6 +57,17 @@ class TestParse:
         bad.write_text(json.dumps({"stepz": 10}))
         assert run(["render", "--config", str(bad)], capsys)[0] == 2
 
+    def test_malformed_intensities_rejected(self, capsys):
+        code, _, err = run(["ablate-order", "--faces", "1", "--intensities", "0.3,abc"], capsys)
+        assert code == 2
+        assert "error:" in err and "--intensities" in err
+
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"), ("--sweep-seeds", "0")])
+    def test_counts_below_one_rejected(self, flag, value, capsys):
+        code, _, err = run(["ablate-order", "--faces", "1", flag, value], capsys)
+        assert code == 2
+        assert "error:" in err and flag in err
+
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("CRAFT_SEED", "41")
         assert parse(["render"]).config.seed == 41
@@ -89,6 +100,15 @@ class TestExecute:
         code, out, _ = run(["ffc", str(emb), str(emb)], capsys)
         assert code == 0
         assert out.strip().splitlines()[-1] == "1.0"
+
+    def test_ffc_non_numeric_cell_rejected(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("0.25,0.5,0.8\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.25,abc,0.8\n")
+        code, _, err = run(["ffc", str(good), str(bad)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "bad.csv" in err
 
     def test_diffuse_deterministic(self, tmp_path, capsys):
         args = [

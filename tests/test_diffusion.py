@@ -5,6 +5,8 @@ from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.diffusion import (
     DenoiserModel,
     NoiseSchedule,
+    _denoise_loss,
+    _denoise_loss_and_grad,
     build_schedule,
     decode,
     encode,
@@ -16,7 +18,7 @@ from craftfaces.diffusion import (
     sample,
 )
 from craftfaces.errors import ConfigError, ShapeError, StepError
-from craftfaces.numerics import RngStream
+from craftfaces.numerics import RngStream, _flatten, _unflatten, finite_diff_grad
 
 
 def noiseless_schedule(T=1):
@@ -286,3 +288,24 @@ class TestDenoiserModel:
             model.predict_noise(np.ones(7), np.zeros(3))
         with pytest.raises(ShapeError):
             model.predict_noise(np.ones(8), np.zeros(2))
+
+    def test_backward_matches_finite_differences(self):
+        """Every weight's gradient, over a batch mixing the plain and the
+        identity path."""
+        rng = RngStream(seed=32)
+        model = make_denoiser(4, 3, 5, 6, rng.split("model"))
+        batch = [
+            (rng.normal((12,)), rng.normal((5,)), rng.normal((12,)), ident)
+            for ident in (None, rng.normal((6,)), None, rng.normal((6,)))
+        ]
+        params = model.params()
+        loss, grads = _denoise_loss_and_grad(model, batch)
+        assert abs(loss - _denoise_loss(model, batch)) <= 1e-12
+        assert list(grads) == list(params)
+        analytic = _flatten(grads)
+        numeric = finite_diff_grad(
+            lambda v: _denoise_loss(model.with_params(_unflatten(v, params)), batch),
+            _flatten(params),
+        )
+        rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
+        assert rel <= 1e-6

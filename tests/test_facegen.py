@@ -151,6 +151,27 @@ class TestImageIO:
         # red channel carries geometry up to 8-bit quantization
         assert np.max(np.abs(rgb[0] - img[0])) <= 0.5 / 255.0 + 1e-12
 
+    def test_ppm_commented_header(self, tmp_path):
+        img = render_face(BASE, 48)
+        path = tmp_path / "face.ppm"
+        write_ppm(path, img)
+        raster = path.read_bytes()[len(b"P6\n48 48\n255\n"):]
+        commented = tmp_path / "commented.ppm"
+        commented.write_bytes(
+            b"P6 # binary\n#size follows\n48\t48\r\n# depth\n  255\n" + raster
+        )
+        assert np.array_equal(read_ppm(commented), read_ppm(path))
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P6\n2 2\n255\n" + bytes(11), b"P6\n2 # no height\n", b"P3\n2 2\n255\n" + bytes(12)],
+    )
+    def test_ppm_malformed_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(InputError):
+            read_ppm(path)
+
     def test_histogram_normalized(self):
         h = chroma_histogram(render_face(BASE, 64))
         assert abs(h.sum() - 1.0) <= 1e-12

@@ -8,6 +8,8 @@ from craftfaces.lora import (
     LoRAAdapter,
     LoRATrainConfig,
     _adapted_loss,
+    _batch,
+    _factor_grad,
     apply_to_attention,
     init_adapter,
     load_adapters,
@@ -15,7 +17,7 @@ from craftfaces.lora import (
     save_adapters,
     train_lora,
 )
-from craftfaces.numerics import RngStream
+from craftfaces.numerics import RngStream, finite_diff_grad
 
 
 def toy_linear_task(seed):
@@ -152,6 +154,35 @@ class TestTrainLora:
         model, _ = toy_linear_task(2)
         with pytest.raises(ConfigError):
             train_lora(model, [], LoRATrainConfig(rank=2, steps=5), RngStream(seed=2))
+
+    @pytest.mark.parametrize("targets", [("q", "k", "v"), ("q", "v")])
+    @pytest.mark.parametrize("with_identity", [False, True])
+    def test_factor_gradient_matches_finite_differences(self, targets, with_identity):
+        model, data = toy_linear_task(3)
+        rng = RngStream(seed=4)
+        if with_identity:
+            model = model.with_identity(rng.normal((6,)))
+        adapters = {
+            t: LoRAAdapter(a=0.2 * rng.normal((4, 2)), b=0.2 * rng.normal((2, 4)), alpha=8.0, rank=2)
+            for t in targets
+        }
+        # packed order: every A (4x2), then every B (2x4), targets in order
+        packed = np.concatenate(
+            [adapters[t].a.ravel() for t in targets] + [adapters[t].b.ravel() for t in targets]
+        )
+
+        def loss_of(vec):
+            a_parts, b_parts = vec.reshape(2, len(targets), 8)
+            merged = model.with_attention(apply_to_attention(model.attention, {
+                t: LoRAAdapter(a=a.reshape(4, 2), b=b.reshape(2, 4), alpha=8.0, rank=2)
+                for t, a, b in zip(targets, a_parts, b_parts)
+            }))
+            return np.mean([np.mean((merged.predict_noise(x, c) - y) ** 2) for x, c, y in data])
+
+        analytic = _factor_grad(model, _batch(model, data), adapters)
+        numeric = finite_diff_grad(loss_of, packed)
+        rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
+        assert rel <= 1e-6
 
     def test_full_scale_config_accepted(self):
         cfg = LoRATrainConfig(rank=64, alpha=128.0)

@@ -1,6 +1,7 @@
 import pytest
 
 import craftfaces.pipeline as pl
+from craftfaces.diffusion import _denoise_loss
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.numerics import RngStream
@@ -12,7 +13,6 @@ from craftfaces.pipeline import (
     run_identity_first,
     run_style_first,
     train_toy_denoiser,
-    _denoise_loss,
     _make_runtime,
     _training_batch,
 )
