@@ -3,82 +3,4 @@ preservation: toy denoising diffusion, low-rank adapters, identity-aware
 attention, Gram style losses, and a synthetic face oracle whose attribute
 extractor inverts the renderer exactly."""
 
-from .errors import (
-    CompositionOrderError,
-    ConfigError,
-    CraftError,
-    EvaluationError,
-    ExtractionError,
-    InputError,
-    ProjectionError,
-    ShapeError,
-    StepError,
-    TrainingError,
-)
-from .numerics import RngStream, finite_diff_grad, gaussian, matmul, softmax_rows, tensor
-from .attention import (
-    AttentionWeights,
-    ExtendedAttentionWeights,
-    attention_map,
-    cross_attention,
-    identity_self_attention,
-    self_attention,
-)
-from .diffusion import (
-    DenoiserModel,
-    LatentCodec,
-    NoiseSchedule,
-    build_schedule,
-    decode,
-    encode,
-    forward_marginal,
-    forward_step,
-    make_codec,
-    make_denoiser,
-    reverse_step,
-    sample,
-)
-from .lora import LoRAAdapter, LoRATrainConfig, apply_to_attention, init_adapter, merge, train_lora
-from .style import (
-    FeatureExtractor,
-    StyleLossConfig,
-    content_loss,
-    gram,
-    make_extractor,
-    style_loss,
-    total_loss,
-    total_loss_grad,
-)
-from .facegen import (
-    ATTRIBUTE_NAMES,
-    FaceParams,
-    RendererConfig,
-    StyleOp,
-    embed_prompt,
-    face_grid,
-    graffiti_stylize,
-    render_face,
-    write_ppm,
-)
-from .identity import (
-    CompositionReport,
-    Projector,
-    attr_loss,
-    attribute_embedding,
-    extract_attributes,
-    ffc,
-    project,
-    verify_composition,
-)
-from .pipeline import (
-    ExperimentReport,
-    PipelineConfig,
-    ReportRow,
-    ablate_attention,
-    ablate_order,
-    run_identity_first,
-    run_style_first,
-    train_toy_denoiser,
-)
-
 __version__ = "0.1.0"

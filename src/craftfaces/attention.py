@@ -12,7 +12,9 @@ Single head, no positional encoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,29 +88,54 @@ def _check_tokens(tokens: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
     return tokens
 
 
-def _scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    d = q.shape[1]
-    return (q @ k.T) / np.sqrt(float(d))
+def _softmax_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The attention map softmax(Q K^T / sqrt(d)), row by row."""
+    return softmax_rows((q @ k.T) / math.sqrt(q.shape[1]))
+
+
+class _Forward(NamedTuple):
+    """What one attention forward computes; the backward in
+    ``diffusion._denoise_loss_and_grad`` reads all of it."""
+
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    att: np.ndarray
+
+    @property
+    def out(self) -> np.ndarray:
+        return self.att @ self.v
+
+
+def _forward(
+    tokens: np.ndarray,
+    identity: np.ndarray | None,
+    w: AttentionWeights | ExtendedAttentionWeights,
+) -> _Forward:
+    """Self-attention on ``tokens``; with an identity embedding, Q and K
+    gain ``identity @ U_q`` and ``identity @ U_k``. With ``identity=None``
+    only the base weights are used."""
+    base = w.base if isinstance(w, ExtendedAttentionWeights) else w
+    tokens = _check_tokens(tokens, base.w_q, "attention")
+    q = tokens @ base.w_q
+    k = tokens @ base.w_k
+    if identity is not None:
+        if not isinstance(w, ExtendedAttentionWeights):
+            raise ShapeError("attention: identity embedding requires extended weights")
+        identity = tensor(identity).reshape(-1)
+        if identity.shape[0] != w.id_dim:
+            raise ShapeError(
+                f"identity embedding dim {identity.shape[0]} vs identity block {w.u_q.shape}"
+            )
+        q = q + identity @ w.u_q
+        k = k + identity @ w.u_k
+    v = tokens @ base.w_v
+    return _Forward(q, k, v, _softmax_scores(q, k))
 
 
 def self_attention(tokens: np.ndarray, w: AttentionWeights) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V with Q, K, V projected from ``tokens``."""
-    tokens = _check_tokens(tokens, w.w_q, "self_attention")
-    q = tokens @ w.w_q
-    k = tokens @ w.w_k
-    v = tokens @ w.w_v
-    return softmax_rows(_scores(q, k)) @ v
-
-
-def _augmented_qk(tokens: np.ndarray, identity: np.ndarray, w: ExtendedAttentionWeights):
-    identity = tensor(identity).reshape(-1)
-    if identity.shape[0] != w.id_dim:
-        raise ShapeError(
-            f"identity embedding dim {identity.shape[0]} vs identity block {w.u_q.shape}"
-        )
-    q = tokens @ w.base.w_q + identity @ w.u_q
-    k = tokens @ w.base.w_k + identity @ w.u_k
-    return q, k
+    return _forward(tokens, None, w).out
 
 
 def identity_self_attention(
@@ -121,10 +148,7 @@ def identity_self_attention(
     A zero embedding reduces exactly to ``self_attention`` on the base
     weights.
     """
-    tokens = _check_tokens(tokens, w.base.w_q, "identity_self_attention")
-    q, k = _augmented_qk(tokens, identity, w)
-    v = tokens @ w.base.w_v
-    return softmax_rows(_scores(q, k)) @ v
+    return _forward(tokens, identity, w).out
 
 
 def cross_attention(
@@ -133,10 +157,7 @@ def cross_attention(
     """Queries from ``tokens``, keys and values from ``cond_tokens``."""
     tokens = _check_tokens(tokens, w.w_q, "cross_attention")
     cond_tokens = _check_tokens(cond_tokens, w.w_k, "cross_attention (conditioning)")
-    q = tokens @ w.w_q
-    k = cond_tokens @ w.w_k
-    v = cond_tokens @ w.w_v
-    return softmax_rows(_scores(q, k)) @ v
+    return _softmax_scores(tokens @ w.w_q, cond_tokens @ w.w_k) @ (cond_tokens @ w.w_v)
 
 
 def attention_map(
@@ -149,14 +170,4 @@ def attention_map(
     With ``identity=None`` the base weights are used; an
     ExtendedAttentionWeights argument then contributes only its base.
     """
-    if identity is None:
-        base = w.base if isinstance(w, ExtendedAttentionWeights) else w
-        tokens = _check_tokens(tokens, base.w_q, "attention_map")
-        q = tokens @ base.w_q
-        k = tokens @ base.w_k
-    else:
-        if not isinstance(w, ExtendedAttentionWeights):
-            raise ShapeError("attention_map: identity embedding requires extended weights")
-        tokens = _check_tokens(tokens, w.base.w_q, "attention_map")
-        q, k = _augmented_qk(tokens, identity, w)
-    return softmax_rows(_scores(q, k))
+    return _forward(tokens, identity, w).att

@@ -15,7 +15,8 @@ Common flags: ``--seed`` (fallback: env CRAFT_SEED, then 0), ``--out-dir``,
 file values). All files are written atomically (temp file + rename), so
 failures never leave partial outputs.
 
-Config file schema (JSON object; all keys optional):
+Config file schema (JSON object; all keys optional; a value of the wrong JSON
+type, such as ``"10"`` for ``steps``, is a usage error):
     guidance_scale, subject_guidance, style_intensity, steps,
     composition_window, lora_rank, lora_alpha, seed, image_size,
     latent_tokens, token_dim, cond_dim, use_diffusion
@@ -41,9 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import decode, encode, sample
+from .attention import attention_map
+from .diffusion import encode
 from .errors import CompositionOrderError, CraftError, InputError
 from .facegen import (
+    ATTRIBUTE_NAMES,
     StyleOp,
     embed_prompt,
     face_grid,
@@ -51,7 +54,6 @@ from .facegen import (
     render_face,
     write_ppm,
 )
-from .attention import attention_map
 from .identity import attr_loss, attribute_embedding, extract_attributes, ffc
 from .lora import save_adapters
 from .numerics import RngStream
@@ -60,6 +62,7 @@ from .pipeline import (
     ablate_attention,
     ablate_order,
     train_toy_denoiser,
+    _diffuse,
     _make_runtime,
 )
 
@@ -127,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("train", help="train the toy denoiser"))
     p.add_argument("--faces", type=int, default=4)
-    p.add_argument("--train-steps", type=int, default=200)
+    p.add_argument("--train-steps", type=_positive_int, default=200)
     p.add_argument("--lora", action="store_true", help="train LoRA adapters over a frozen base")
 
     p = common(sub.add_parser("ablate-order", help="sweep both composition orders"))
@@ -139,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"))
     p.add_argument("--faces", type=int, default=8)
-    p.add_argument("--arm-seeds", type=int, default=25, help="sampling seeds per face")
-    p.add_argument("--train-steps", type=int, default=2000)
+    p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
+    p.add_argument("--train-steps", type=_positive_int, default=2000)
     p.add_argument("--timing", action="store_true")
 
     p = common(sub.add_parser("ffc", help="cosine similarity of two embedding CSVs"))
@@ -218,129 +221,127 @@ def _write_matrix_csv(path, matrix) -> None:
 def _read_vector_csv(path) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
-            cells = [float(c) for row in csv.reader(fh) for c in row if c.strip()]
+            cells = np.array([float(c) for row in csv.reader(fh) for c in row if c.strip()])
     except ValueError as exc:
         raise InputError(f"{path}: not a numeric vector CSV: {exc}") from None
-    return np.array(cells, dtype=np.float64)
+    if not np.all(np.isfinite(cells)):
+        raise InputError(f"{path}: non-finite cell in vector CSV")
+    return cells
 
 
 def _print_header(cmd: Command) -> None:
     print(f"# config {json.dumps(cmd.config.to_dict(), sort_keys=True)}")
 
 
+def _face(cmd: Command) -> np.ndarray:
+    """Render face ``--face-id`` of the seed's face grid."""
+    faces = face_grid(cmd.args.face_id + 1, seed=cmd.config.seed)
+    return render_face(faces[cmd.args.face_id], cmd.config.image_size)
+
+
+def _render(cmd: Command) -> None:
+    face_id, img = cmd.args.face_id, _face(cmd)
+    ppm = os.path.join(cmd.args.out_dir, f"face_{face_id}.ppm")
+    _atomic_write(ppm, lambda tmp: write_ppm(tmp, img))
+    attrs = os.path.join(cmd.args.out_dir, f"face_{face_id}_attrs.csv")
+    _write_attrs_csv(attrs, ATTRIBUTE_NAMES, extract_attributes(img))
+    print(f"render: face {face_id} -> {ppm}")
+
+
+def _stylize(cmd: Command) -> None:
+    cfg, img = cmd.config, _face(cmd)
+    styled = graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity))
+    ppm = os.path.join(cmd.args.out_dir, f"face_{cmd.args.face_id}_styled.ppm")
+    _atomic_write(ppm, lambda tmp: write_ppm(tmp, styled))
+    drift = attr_loss(styled, img)
+    print(f"stylize: intensity={cfg.style_intensity} attr_drift={drift!r} -> {ppm}")
+
+
+def _diffuse_face(cmd: Command) -> None:
+    cfg, face_id, img = cmd.config, cmd.args.face_id, _face(cmd)
+    runtime = _make_runtime(cfg)
+    styled = graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity))
+    model = runtime.model.with_identity(attribute_embedding(extract_attributes(img)))
+    rng = RngStream(seed=cfg.seed).split("diffuse").split(face_id)
+    out = _diffuse(styled, embed_prompt(cmd.args.prompt, cfg.cond_dim), cfg, runtime, model, rng)
+    ppm = os.path.join(cmd.args.out_dir, f"face_{face_id}_diffused.ppm")
+    _atomic_write(ppm, lambda tmp: write_ppm(tmp, out))
+    print(f"diffuse: steps={cfg.steps} window={cfg.composition_window} -> {ppm}")
+
+
+def _train(cmd: Command) -> None:
+    cfg, args = cmd.config, cmd.args
+    faces = face_grid(args.faces, seed=cfg.seed)
+    rng = RngStream(seed=cfg.seed).split("train")
+    _, adapters = train_toy_denoiser(faces, cfg, rng, steps=args.train_steps, lora=args.lora)
+    msg = f"train: steps={args.train_steps} lora={args.lora}"
+    if adapters is not None:
+        path = os.path.join(cmd.args.out_dir, "adapters.csv")
+        _atomic_write(path, lambda tmp: save_adapters(tmp, adapters))
+        msg += f" -> {path}"
+    print(msg)
+
+
+def _ablate_order(cmd: Command) -> None:
+    cfg, args = cmd.config, cmd.args
+    faces = face_grid(args.faces, seed=cfg.seed)
+    seeds = tuple(cfg.seed + i for i in range(args.sweep_seeds))
+    report = ablate_order(faces, cfg, sweeps=args.intensities, seeds=seeds, jobs=args.jobs)
+    path = os.path.join(cmd.args.out_dir, "order_report.csv")
+    _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=args.timing))
+    e = report.extras
+    print(
+        f"ablate-order: cells={len(report.rows) // 2} win_rate={e['win_rate']!r} "
+        f"mean_loss_ps={e['mean_loss_ps']!r} mean_loss_sp={e['mean_loss_sp']!r} -> {path}"
+    )
+
+
+def _ablate_attention(cmd: Command) -> None:
+    cfg, args = cmd.config, cmd.args
+    faces = face_grid(args.faces, seed=cfg.seed)
+    report = ablate_attention(faces, cfg, seeds=range(args.arm_seeds), train_steps=args.train_steps)
+    path = os.path.join(cmd.args.out_dir, "attention_report.csv")
+    _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=args.timing))
+    e = report.extras
+    print(
+        f"ablate-attention: mean_ffc_id={e['mean_ffc_id']!r} "
+        f"mean_ffc_base={e['mean_ffc_base']!r} mean_mass_id={e['mean_mass_id']!r} "
+        f"mean_mass_base={e['mean_mass_base']!r} -> {path}"
+    )
+
+
+def _ffc(cmd: Command) -> None:
+    print(f"{ffc(_read_vector_csv(cmd.args.emb1), _read_vector_csv(cmd.args.emb2))!r}")
+
+
+def _attn_map(cmd: Command) -> None:
+    cfg, img = cmd.config, _face(cmd)
+    runtime = _make_runtime(cfg)
+    tokens = encode(img, runtime.codec).reshape(cfg.latent_tokens, cfg.token_dim)
+    ident = attribute_embedding(extract_attributes(img)) if cmd.args.with_identity else None
+    path = os.path.join(cmd.args.out_dir, f"attn_map_{cmd.args.face_id}.csv")
+    _write_matrix_csv(path, attention_map(tokens, ident, runtime.model.attention))
+    print(f"attn-map: identity={cmd.args.with_identity} -> {path}")
+
+
+_COMMANDS = {
+    "render": _render,
+    "stylize": _stylize,
+    "diffuse": _diffuse_face,
+    "train": _train,
+    "ablate-order": _ablate_order,
+    "ablate-attention": _ablate_attention,
+    "ffc": _ffc,
+    "attn-map": _attn_map,
+}
+
+
 def execute(cmd: Command) -> int:
     """Dispatch a parsed command; returns the process exit code."""
-    cfg = cmd.config
-    out_dir = cmd.args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cmd.args.out_dir, exist_ok=True)
     _print_header(cmd)
-
-    if cmd.name == "render":
-        faces = face_grid(cmd.args.face_id + 1, seed=cfg.seed)
-        img = render_face(faces[cmd.args.face_id], cfg.image_size)
-        ppm = os.path.join(out_dir, f"face_{cmd.args.face_id}.ppm")
-        _atomic_write(ppm, lambda tmp: write_ppm(tmp, img))
-        from .facegen import ATTRIBUTE_NAMES
-
-        _write_attrs_csv(
-            os.path.join(out_dir, f"face_{cmd.args.face_id}_attrs.csv"),
-            ATTRIBUTE_NAMES,
-            extract_attributes(img),
-        )
-        print(f"render: face {cmd.args.face_id} -> {ppm}")
-        return 0
-
-    if cmd.name == "stylize":
-        faces = face_grid(cmd.args.face_id + 1, seed=cfg.seed)
-        img = render_face(faces[cmd.args.face_id], cfg.image_size)
-        styled = graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity))
-        ppm = os.path.join(out_dir, f"face_{cmd.args.face_id}_styled.ppm")
-        _atomic_write(ppm, lambda tmp: write_ppm(tmp, styled))
-        drift = attr_loss(styled, img)
-        print(f"stylize: intensity={cfg.style_intensity} attr_drift={drift!r} -> {ppm}")
-        return 0
-
-    if cmd.name == "diffuse":
-        faces = face_grid(cmd.args.face_id + 1, seed=cfg.seed)
-        img = render_face(faces[cmd.args.face_id], cfg.image_size)
-        runtime = _make_runtime(cfg)
-        styled = graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity))
-        guide = encode(styled, runtime.codec) if cfg.composition_window > 0 else None
-        model = runtime.model.with_identity(attribute_embedding(extract_attributes(img)))
-        rng = RngStream(seed=cfg.seed).split("diffuse").split(cmd.args.face_id)
-        z = sample(
-            model, embed_prompt(cmd.args.prompt, cfg.cond_dim), runtime.sched,
-            window=cfg.composition_window, guide=guide, rng=rng,
-            subject_guidance=cfg.subject_guidance, guidance_scale=cfg.guidance_scale,
-        )
-        out = np.clip(decode(z, runtime.codec), 0.0, 1.0)
-        ppm = os.path.join(out_dir, f"face_{cmd.args.face_id}_diffused.ppm")
-        _atomic_write(ppm, lambda tmp: write_ppm(tmp, out))
-        print(f"diffuse: steps={cfg.steps} window={cfg.composition_window} -> {ppm}")
-        return 0
-
-    if cmd.name == "train":
-        faces = face_grid(cmd.args.faces, seed=cfg.seed)
-        rng = RngStream(seed=cfg.seed).split("train")
-        model, adapters = train_toy_denoiser(
-            faces, cfg, rng, steps=cmd.args.train_steps, lora=cmd.args.lora
-        )
-        msg = f"train: steps={cmd.args.train_steps} lora={cmd.args.lora}"
-        if adapters is not None:
-            path = os.path.join(out_dir, "adapters.csv")
-            _atomic_write(path, lambda tmp: save_adapters(tmp, adapters))
-            msg += f" -> {path}"
-        print(msg)
-        return 0
-
-    if cmd.name == "ablate-order":
-        faces = face_grid(cmd.args.faces, seed=cfg.seed)
-        seeds = tuple(cfg.seed + i for i in range(cmd.args.sweep_seeds))
-        report = ablate_order(faces, cfg, sweeps=cmd.args.intensities, seeds=seeds, jobs=cmd.args.jobs)
-        path = os.path.join(out_dir, "order_report.csv")
-        _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=cmd.args.timing))
-        e = report.extras
-        print(
-            f"ablate-order: cells={len(report.rows) // 2} win_rate={e['win_rate']!r} "
-            f"mean_loss_ps={e['mean_loss_ps']!r} mean_loss_sp={e['mean_loss_sp']!r} -> {path}"
-        )
-        return 0
-
-    if cmd.name == "ablate-attention":
-        faces = face_grid(cmd.args.faces, seed=cfg.seed)
-        report = ablate_attention(
-            faces, cfg, seeds=range(cmd.args.arm_seeds), train_steps=cmd.args.train_steps
-        )
-        path = os.path.join(out_dir, "attention_report.csv")
-        _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=cmd.args.timing))
-        e = report.extras
-        print(
-            f"ablate-attention: mean_ffc_id={e['mean_ffc_id']!r} "
-            f"mean_ffc_base={e['mean_ffc_base']!r} mean_mass_id={e['mean_mass_id']!r} "
-            f"mean_mass_base={e['mean_mass_base']!r} -> {path}"
-        )
-        return 0
-
-    if cmd.name == "ffc":
-        value = ffc(_read_vector_csv(cmd.args.emb1), _read_vector_csv(cmd.args.emb2))
-        print(f"{value!r}")
-        return 0
-
-    if cmd.name == "attn-map":
-        faces = face_grid(cmd.args.face_id + 1, seed=cfg.seed)
-        img = render_face(faces[cmd.args.face_id], cfg.image_size)
-        runtime = _make_runtime(cfg)
-        tokens = encode(img, runtime.codec).reshape(cfg.latent_tokens, cfg.token_dim)
-        ident = (
-            attribute_embedding(extract_attributes(img)) if cmd.args.with_identity else None
-        )
-        amap = attention_map(tokens, ident, runtime.model.attention)
-        path = os.path.join(out_dir, f"attn_map_{cmd.args.face_id}.csv")
-        _write_matrix_csv(path, amap)
-        print(f"attn-map: identity={cmd.args.with_identity} -> {path}")
-        return 0
-
-    raise CraftError(f"unknown command {cmd.name}")  # unreachable after argparse
+    _COMMANDS[cmd.name](cmd)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionWeights, ExtendedAttentionWeights, identity_self_attention, self_attention
+from .attention import (
+    AttentionWeights,
+    ExtendedAttentionWeights,
+    _forward,
+    identity_self_attention,
+    self_attention,
+)
 from .errors import ConfigError, ShapeError, StepError
-from .numerics import RngStream, gaussian, tensor
+from .numerics import RngStream, tensor
 
 __all__ = [
     "NoiseSchedule",
@@ -76,7 +82,7 @@ def forward_step(
     _check_step(t, sched)
     x_prev = tensor(x_prev)
     b = sched.beta[t - 1]
-    return np.sqrt(1.0 - b) * x_prev + np.sqrt(b) * gaussian(rng, x_prev.shape)
+    return np.sqrt(1.0 - b) * x_prev + np.sqrt(b) * rng.normal(x_prev.shape)
 
 
 def forward_marginal(
@@ -87,7 +93,7 @@ def forward_marginal(
     _check_step(t, sched)
     x0 = tensor(x0)
     ab = sched.alpha_bar[t - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * gaussian(rng, x0.shape)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.normal(x0.shape)
 
 
 @dataclass(frozen=True)
@@ -174,27 +180,19 @@ def _denoise_loss(model: DenoiserModel, batch) -> float:
 def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, dict[str, np.ndarray]]:
     """``_denoise_loss`` and its exact gradient for every weight, keyed as
     in ``DenoiserModel.params``, by hand-rolled backprop through the
-    attention block of ``predict_noise``. Verified against the
+    attention block of ``predict_noise``. The forward is
+    ``attention._forward``, the one ``predict_noise`` samples with, so
+    training fits the same function. Verified against the
     finite-difference oracle in the test suite."""
     p = model.params()
-    w_q, w_k, w_v = p["w_q"], p["w_k"], p["w_v"]
-    scale = 1.0 / np.sqrt(float(w_q.shape[1]))
+    scale = 1.0 / np.sqrt(float(model.attention.base.head_dim))
     g = {name: np.zeros_like(w) for name, w in p.items()}
     total = 0.0
 
     for x_t, cond, eps, ident in batch:
         toks = x_t.reshape(model.n_tokens, model.token_dim)
         t_in = toks + (cond @ model.cond_w + model.cond_b)
-        q = t_in @ w_q
-        k = t_in @ w_k
-        if ident is not None:
-            q = q + ident @ p["u_q"]
-            k = k + ident @ p["u_k"]
-        v = t_in @ w_v
-        s = (q @ k.T) * scale
-        s = s - s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        att = e / e.sum(axis=1, keepdims=True)
+        q, k, v, att = _forward(t_in, ident, model.attention)
         o = att @ v
         y = o @ model.head_w + model.head_b
         err = y - eps.reshape(y.shape)
@@ -216,7 +214,7 @@ def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, dict[str
         if ident is not None:
             g["u_q"] += np.outer(ident, dq.sum(axis=0))
             g["u_k"] += np.outer(ident, dk.sum(axis=0))
-        dt = dq @ w_q.T + dk @ w_k.T + dv @ w_v.T
+        dt = dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T
         g["cond_w"] += np.outer(cond, dt.sum(axis=0))
         g["cond_b"] += dt.sum(axis=0)
 
@@ -256,7 +254,7 @@ def reverse_step(
     eps_hat = _predict_guided(model, x_t, cond, guidance_scale)
     mu = (x_t - b / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
     if t > 1:
-        mu = mu + np.sqrt(b) * gaussian(rng, x_t.shape)
+        mu = mu + np.sqrt(b) * rng.normal(x_t.shape)
     return mu
 
 
@@ -288,7 +286,7 @@ def sample(
     if init is not None:
         x = tensor(init).copy()
     else:
-        x = gaussian(rng, (model.latent_size,))
+        x = rng.normal((model.latent_size,))
     for t in range(sched.T, 0, -1):
         if window > 0 and t > sched.T - window:
             guide_t = forward_marginal(guide, t, sched, rng)
@@ -321,7 +319,7 @@ def make_codec(image_shape, z_dim: int, rng: RngStream) -> LatentCodec:
     n = int(np.prod(image_shape))
     if not 1 <= z_dim <= n:
         raise ConfigError(f"latent dim {z_dim} must be in 1..{n}")
-    q, _ = np.linalg.qr(gaussian(rng, (n, z_dim)))
+    q, _ = np.linalg.qr(rng.normal((n, z_dim)))
     return LatentCodec(enc=q.T.copy(), dec=q.copy(), image_shape=image_shape)
 
 
@@ -350,7 +348,7 @@ def make_denoiser(
     """Seeded random toy denoiser. ``weight_scale=0`` gives the zero model."""
 
     def w(shape):
-        return weight_scale * gaussian(rng, shape)
+        return weight_scale * rng.normal(shape)
 
     base = AttentionWeights(
         w_q=w((token_dim, token_dim)),

@@ -274,14 +274,13 @@ def _jitter_units(img: np.ndarray) -> dict[str, float]:
     return units
 
 
-def graffiti_stylize(img: np.ndarray, op: StyleOp, rng: RngStream | None = None) -> np.ndarray:
+def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
     """Apply the graffiti surrogate: chroma edge boost + palette
     quantization, geometry contrast warp, and intensity-scaled landmark
     jitter.
 
-    Output depends only on (img, op); the ``rng`` argument is accepted for
-    call-site uniformity but unused, since the jitter stream is derived
-    from the image content to keep repeated applications reproducible.
+    Output depends only on (img, op): the jitter stream is derived from
+    the image content to keep repeated applications reproducible.
     """
     img = tensor(img)
     if img.ndim != 3 or img.shape[0] != 2:

@@ -1,5 +1,5 @@
-"""Attribute extraction, attribute-restoring projection, composition-order
-verification, and the facial-feature cosine metric.
+"""Attribute extraction, attribute-restoring projection, and the
+facial-feature cosine metric.
 
 The extractor inverts the renderer: each attribute is read back as the
 intensity centroid of its landmark band, so extraction is exact on clean
@@ -10,10 +10,6 @@ image (decoration, chroma, background) untouched, which makes the
 restored attributes exact. An optimization mode is kept as a slower,
 approximate alternative to show how the order argument behaves when the
 projector is only accurate to a tolerance.
-
-Composition order: stylize-then-project pins the attributes back to the
-reference exactly, while project-then-stylize leaves whatever drift the
-stylizer causes, so the first order can never lose to the second.
 """
 
 from __future__ import annotations
@@ -27,10 +23,8 @@ from .facegen import (
     ATTRIBUTE_NAMES,
     DEFAULT_RENDERER,
     RendererConfig,
-    StyleOp,
     band_rows,
     draw_landmarks,
-    graffiti_stylize,
 )
 from .numerics import tensor
 
@@ -40,8 +34,6 @@ __all__ = [
     "attribute_embedding",
     "Projector",
     "project",
-    "CompositionReport",
-    "verify_composition",
     "ffc",
 ]
 
@@ -204,32 +196,6 @@ def project(img: np.ndarray, target: np.ndarray, p: Projector) -> np.ndarray:
         return out  # attributes already present; nothing to restore
     draw_landmarks(out[0], target, p.renderer)
     return out
-
-
-@dataclass(frozen=True)
-class CompositionReport:
-    loss_ps: float  # attr loss of project(stylize(I))
-    loss_sp: float  # attr loss of stylize(project(I))
-    holds: bool
-
-
-def verify_composition(
-    i_img: np.ndarray,
-    style_op: StyleOp,
-    projector: Projector,
-    cfg: RendererConfig = DEFAULT_RENDERER,
-) -> CompositionReport:
-    """Compare both composition orders against the clean image.
-
-    loss_ps measures stylize-then-project, loss_sp project-then-stylize;
-    ``holds`` records loss_ps <= loss_sp. For a clean render, projecting
-    first is a no-op, so the second order equals plain stylization.
-    """
-    styled_first = projector.apply(graffiti_stylize(i_img, style_op))
-    loss_ps = attr_loss(styled_first, i_img, cfg)
-    projected_first = graffiti_stylize(projector.apply(i_img), style_op)
-    loss_sp = attr_loss(projected_first, i_img, cfg)
-    return CompositionReport(loss_ps=loss_ps, loss_sp=loss_sp, holds=loss_ps <= loss_sp)
 
 
 def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .attention import AttentionWeights, ExtendedAttentionWeights
 from .diffusion import DenoiserModel, _denoise_loss, _denoise_loss_and_grad
 from .errors import ConfigError, ShapeError, TrainingError
-from .numerics import RngStream, _flatten, _unflatten, gaussian, tensor
+from .numerics import RngStream, _flatten, _unflatten, tensor
 
 __all__ = [
     "LoRAAdapter",
@@ -63,7 +63,7 @@ def init_adapter(
 ) -> LoRAAdapter:
     """A ~ small Gaussian, B = 0, so the initial update vanishes."""
     return LoRAAdapter(
-        a=a_scale * gaussian(rng, (d, rank)),
+        a=a_scale * rng.normal((d, rank)),
         b=np.zeros((rank, k)),
         alpha=alpha,
         rank=rank,

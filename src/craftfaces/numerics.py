@@ -16,11 +16,8 @@ from .errors import EvaluationError, ShapeError
 
 __all__ = [
     "tensor",
-    "assert_finite",
     "RngStream",
-    "matmul",
     "softmax_rows",
-    "gaussian",
     "finite_diff_grad",
 ]
 
@@ -30,12 +27,6 @@ DEFAULT_FD_STEP = 1e-4  # central differences at f64: truncation ~ h^2, rounding
 def tensor(data) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float64 array."""
     return np.ascontiguousarray(data, dtype=np.float64)
-
-
-def assert_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError(f"{what} contains non-finite entries")
-    return x
 
 
 def _mix64(*parts: int) -> int:
@@ -81,15 +72,6 @@ class RngStream:
         return self._generator().integers(low, high, size=shape)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = tensor(a)
-    b = tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     m = tensor(m)
@@ -98,11 +80,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def gaussian(stream: RngStream, shape) -> np.ndarray:
-    """I.i.d. standard normal draws; advances the stream counter."""
-    return stream.normal(shape)
 
 
 def _flatten(params: dict) -> np.ndarray:

@@ -43,7 +43,6 @@ from .numerics import RngStream, _flatten, _unflatten
 
 __all__ = [
     "PipelineConfig",
-    "FULL_SCALE_CONFIG",
     "ReportRow",
     "ExperimentReport",
     "REPORT_COLUMNS",
@@ -54,11 +53,9 @@ __all__ = [
     "train_toy_denoiser",
 ]
 
-# Full-scale adapter settings, kept for reference; the desk defaults below
-# are what the test grid actually runs.
-FULL_SCALE_CONFIG = {"lora_rank": 64, "lora_alpha": 128.0}
-
 DEFAULT_PROMPT = "graffiti portrait guitarist pose"
+
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -104,10 +101,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """Build from JSON-style values: an int field takes an int, a float
+        field an int or a float, a bool field a bool."""
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            kind = fields[key].type  # a string, under postponed annotations
+            if type(value) not in _VALUE_TYPES[kind]:
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
         return cls(**d)
 
 

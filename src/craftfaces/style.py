@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import RngStream, gaussian, tensor
+from .numerics import RngStream, tensor
 
 __all__ = [
     "FeatureExtractor",
@@ -77,8 +77,8 @@ def make_extractor(
     biases = []
     prev = in_channels
     for c in layer_channels:
-        weights.append(weight_scale / np.sqrt(prev) * gaussian(rng, (c, prev)))
-        biases.append(0.1 * gaussian(rng, (c,)))
+        weights.append(weight_scale / np.sqrt(prev) * rng.normal((c, prev)))
+        biases.append(0.1 * rng.normal((c,)))
         prev = c
     return FeatureExtractor(
         in_channels=in_channels, weights=tuple(weights), biases=tuple(biases)

@@ -62,11 +62,29 @@ class TestParse:
         assert code == 2
         assert "error:" in err and "--intensities" in err
 
-    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"), ("--sweep-seeds", "0")])
-    def test_counts_below_one_rejected(self, flag, value, capsys):
-        code, _, err = run(["ablate-order", "--faces", "1", flag, value], capsys)
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            pytest.param("ablate-order", "--jobs", "0", id="--jobs-0"),
+            pytest.param("ablate-order", "--jobs", "-3", id="--jobs--3"),
+            pytest.param("ablate-order", "--sweep-seeds", "0", id="--sweep-seeds-0"),
+            pytest.param("ablate-attention", "--arm-seeds", "0", id="--arm-seeds-0"),
+            pytest.param("ablate-attention", "--train-steps", "0", id="ablate-attention--train-steps-0"),
+            pytest.param("train", "--train-steps", "-5", id="train--train-steps--5"),
+        ],
+    )
+    def test_counts_below_one_rejected(self, command, flag, value, capsys):
+        code, _, err = run([command, "--faces", "1", flag, value], capsys)
         assert code == 2
         assert "error:" in err and flag in err
+
+    @pytest.mark.parametrize("values", [{"steps": "10"}, {"seed": "abc"}, {"use_diffusion": 1}])
+    def test_config_value_of_wrong_type(self, values, tmp_path, capsys):
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(values))
+        code, _, err = run(["render", "--config", str(bad)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and next(iter(values)) in err
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("CRAFT_SEED", "41")
@@ -109,6 +127,17 @@ class TestExecute:
         code, _, err = run(["ffc", str(good), str(bad)], capsys)
         assert code == 2
         assert err.startswith("error:") and "bad.csv" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_ffc_non_finite_cell_rejected(self, cell, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("0.25,0.5,0.8\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0.25,{cell},0.8\n")
+        code, out, err = run(["ffc", str(good), str(bad)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "bad.csv" in err
+        assert out.splitlines()[-1].startswith("# config ")
 
     def test_diffuse_deterministic(self, tmp_path, capsys):
         args = [

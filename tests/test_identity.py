@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
 from craftfaces.facegen import FaceParams, StyleOp, chroma_histogram, face_grid, graffiti_stylize, render_face
@@ -11,8 +13,8 @@ from craftfaces.identity import (
     extract_attributes,
     ffc,
     project,
-    verify_composition,
 )
+from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig, run_identity_first, run_style_first
 
 FACE = FaceParams(
     eye_spacing=0.35,
@@ -115,31 +117,58 @@ class TestProject:
             assert np.max(np.abs(extract_attributes(fixed) - FACE.attributes())) <= 1e-9
 
 
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit
+    ),
+    _unit,
+    st.integers(32, 96),
+)
+def test_project_after_stylize_restores_attributes(params, intensity, size):
+    styled = graffiti_stylize(render_face(params, size), StyleOp(intensity=intensity))
+    restored = project(styled, params.attributes(), Projector(reference_attrs=params.attributes()))
+    assert np.max(np.abs(extract_attributes(restored) - params.attributes())) <= 1e-9
+
+
 class TestVerifyComposition:
+    """Both composition orders, through the pipeline's one implementation of
+    each: ``run_style_first`` (stylize, then project) and
+    ``run_identity_first`` (project, then stylize)."""
+
+    @staticmethod
+    def losses(img, intensity, proj):
+        cfg = PipelineConfig(style_intensity=intensity)
+        _, ps = run_style_first(img, DEFAULT_PROMPT, cfg, projector=proj)
+        _, sp = run_identity_first(img, DEFAULT_PROMPT, cfg, projector=proj)
+        return ps.attr_loss, sp.attr_loss
+
     def test_identity_style_ties(self):
         img = render_face(FACE, 64)
         proj = Projector(reference_attrs=FACE.attributes())
-        report = verify_composition(img, StyleOp(intensity=0.0), proj)
-        assert report.loss_ps == 0.0
-        assert report.loss_sp == 0.0
-        assert report.holds
+        loss_ps, loss_sp = self.losses(img, 0.0, proj)
+        assert loss_ps == 0.0
+        assert loss_sp == 0.0
 
     def test_default_intensity_strict(self):
         img = render_face(FACE, 64)
         proj = Projector(reference_attrs=FACE.attributes())
-        report = verify_composition(img, StyleOp(intensity=0.7), proj)
-        assert report.loss_ps <= 1e-9
-        assert report.loss_sp > 0.0
-        assert report.holds
+        loss_ps, loss_sp = self.losses(img, 0.7, proj)
+        assert loss_ps <= 1e-9
+        assert loss_sp > 0.0
+        assert loss_ps <= loss_sp
 
     def test_small_sweep(self):
         for p in face_grid(10, seed=4):
             img = render_face(p, 64)
             proj = Projector(reference_attrs=p.attributes())
             for i in range(1, 11):
-                report = verify_composition(img, StyleOp(intensity=i / 10), proj)
-                assert report.holds
-                assert report.loss_ps <= 1e-9
+                loss_ps, loss_sp = self.losses(img, i / 10, proj)
+                assert loss_ps <= loss_sp
+                assert loss_ps <= 1e-9
 
     def test_approximate_projector_still_wins(self):
         # with the optimize-mode projector the restored attrs are only
@@ -147,9 +176,9 @@ class TestVerifyComposition:
         # not exceed the unprojected drift
         img = render_face(FACE, 64)
         proj = Projector(reference_attrs=FACE.attributes(), mode="optimize", tol=1e-4)
-        report = verify_composition(img, StyleOp(intensity=0.7), proj)
-        assert report.loss_ps <= 6 * (1e-4) ** 2
-        assert report.holds
+        loss_ps, loss_sp = self.losses(img, 0.7, proj)
+        assert loss_ps <= 6 * (1e-4) ** 2
+        assert loss_ps <= loss_sp
 
 
 class TestFfc:

@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.diffusion import make_denoiser
@@ -214,3 +220,35 @@ def test_adapter_csv_round_trip(tmp_path):
         assert np.array_equal(loaded[key].b, adapters[key].b)
         assert loaded[key].alpha == adapters[key].alpha
         assert loaded[key].rank == adapters[key].rank
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _adapters(draw):
+    out = {}
+    for target in draw(st.sets(st.sampled_from(("q", "k", "v")), min_size=1)):
+        d, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        rank = draw(st.integers(1, min(d, k)))
+        out[target] = LoRAAdapter(
+            a=draw(arrays(np.float64, (d, rank), elements=_finite)),
+            b=draw(arrays(np.float64, (rank, k), elements=_finite)),
+            alpha=draw(st.floats(min_value=1e-300, max_value=1e300)),
+            rank=rank,
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adapters())
+def test_adapter_csv_round_trip_is_bit_exact(adapters):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "adapters.csv")
+        save_adapters(path, adapters)
+        loaded = load_adapters(path)
+    assert set(loaded) == set(adapters)
+    for key, ad in adapters.items():
+        assert loaded[key].a.tobytes() == ad.a.tobytes() and loaded[key].a.shape == ad.a.shape
+        assert loaded[key].b.tobytes() == ad.b.tobytes() and loaded[key].b.shape == ad.b.shape
+        assert (loaded[key].alpha, loaded[key].rank) == (ad.alpha, ad.rank)
