@@ -82,15 +82,17 @@ class ExtendedAttentionWeights:
 
 
 def _check_tokens(tokens: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
+    """Tokens ``(n, d)`` or a batch ``(B, n, d)`` whose d matches ``w``."""
     tokens = tensor(tokens)
-    if tokens.ndim != 2 or tokens.shape[1] != w.shape[0]:
+    if tokens.ndim not in (2, 3) or tokens.shape[-1] != w.shape[0]:
         raise ShapeError(f"{what}: tokens {tokens.shape} vs weight {w.shape}")
     return tokens
 
 
 def _softmax_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The attention map softmax(Q K^T / sqrt(d)), row by row."""
-    return softmax_rows((q @ k.T) / math.sqrt(q.shape[1]))
+    """The attention map softmax(Q K^T / sqrt(d)), row by row, for one
+    (n, d) pair or a stack of them."""
+    return softmax_rows((q @ np.swapaxes(k, -1, -2)) / math.sqrt(q.shape[-1]))
 
 
 class _Forward(NamedTuple):
@@ -112,9 +114,12 @@ def _forward(
     identity: np.ndarray | None,
     w: AttentionWeights | ExtendedAttentionWeights,
 ) -> _Forward:
-    """Self-attention on ``tokens``; with an identity embedding, Q and K
-    gain ``identity @ U_q`` and ``identity @ U_k``. With ``identity=None``
-    only the base weights are used."""
+    """Self-attention on tokens ``(n, d)``, or on a batch ``(B, n, d)``
+    item by item; with an identity embedding (``(id,)``, or ``(B, id)``
+    for a batch), Q and K gain ``identity @ U_q`` and ``identity @ U_k``.
+    With ``identity=None`` only the base weights are used. A batch gives
+    each item the same bits as its own 2-D call: every product is the
+    per-item matrix (or row-times-matrix) product, stacked."""
     base = w.base if isinstance(w, ExtendedAttentionWeights) else w
     tokens = _check_tokens(tokens, base.w_q, "attention")
     q = tokens @ base.w_q
@@ -122,13 +127,18 @@ def _forward(
     if identity is not None:
         if not isinstance(w, ExtendedAttentionWeights):
             raise ShapeError("attention: identity embedding requires extended weights")
-        identity = tensor(identity).reshape(-1)
-        if identity.shape[0] != w.id_dim:
+        identity = tensor(identity)
+        if tokens.ndim == 2:
+            identity = identity.reshape(-1)
+        if identity.shape != tokens.shape[:-2] + (w.id_dim,):
             raise ShapeError(
-                f"identity embedding dim {identity.shape[0]} vs identity block {w.u_q.shape}"
+                f"identity embedding {identity.shape} vs identity block {w.u_q.shape} "
+                f"and tokens {tokens.shape}"
             )
-        q = q + identity @ w.u_q
-        k = k + identity @ w.u_k
+        # One (1, id) row per item: (B, id) @ U would round differently.
+        rows = identity[..., None, :]
+        q = q + rows @ w.u_q
+        k = k + rows @ w.u_k
     v = tokens @ base.w_v
     return _Forward(q, k, v, _softmax_scores(q, k))
 

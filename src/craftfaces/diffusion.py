@@ -183,43 +183,64 @@ def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, dict[str
     attention block of ``predict_noise``. The forward is
     ``attention._forward``, the one ``predict_noise`` samples with, so
     training fits the same function. Verified against the
-    finite-difference oracle in the test suite."""
+    finite-difference oracle in the test suite.
+
+    The items are stacked into one ``(B, n, d)`` batch and go through one
+    forward and one backward. Every per-item product keeps its 2-D shape
+    (a row ``(1, k)`` times a matrix, never ``(B, k) @ W``, which BLAS
+    rounds differently), and the per-item losses and gradients are summed
+    over the batch axis in item order, so the result has the bits of
+    summing single-item results in a loop. An item whose identity is
+    ``None`` gets a zero identity row, which leaves its forward unchanged.
+    """
     p = model.params()
     scale = 1.0 / np.sqrt(float(model.attention.base.head_dim))
-    g = {name: np.zeros_like(w) for name, w in p.items()}
-    total = 0.0
-
-    for x_t, cond, eps, ident in batch:
-        toks = x_t.reshape(model.n_tokens, model.token_dim)
-        t_in = toks + (cond @ model.cond_w + model.cond_b)
-        q, k, v, att = _forward(t_in, ident, model.attention)
-        o = att @ v
-        y = o @ model.head_w + model.head_b
-        err = y - eps.reshape(y.shape)
-        total += float(np.mean(err * err))
-
-        dy = (2.0 / err.size) * err
-        g["head_w"] += o.T @ dy
-        g["head_b"] += dy.sum(axis=0)
-        do = dy @ model.head_w.T
-        datt = do @ v.T
-        dv = att.T @ do
-        rowdot = (att * datt).sum(axis=1, keepdims=True)
-        ds = att * (datt - rowdot)
-        dq = (ds @ k) * scale
-        dk = (ds.T @ q) * scale
-        g["w_q"] += t_in.T @ dq
-        g["w_k"] += t_in.T @ dk
-        g["w_v"] += t_in.T @ dv
-        if ident is not None:
-            g["u_q"] += np.outer(ident, dq.sum(axis=0))
-            g["u_k"] += np.outer(ident, dk.sum(axis=0))
-        dt = dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T
-        g["cond_w"] += np.outer(cond, dt.sum(axis=0))
-        g["cond_b"] += dt.sum(axis=0)
-
     n = len(batch)
-    return total / n, {name: grad / n for name, grad in g.items()}
+    x_ts, conds, epss, idents = zip(*batch)
+    toks = tensor(np.reshape(x_ts, (n, model.n_tokens, model.token_dim)))
+    cond = tensor(np.reshape(conds, (n, 1, -1)))
+    ident = None
+    if any(i is not None for i in idents):
+        zero = np.zeros(model.attention.id_dim)
+        ident = tensor([zero if i is None else np.reshape(i, -1) for i in idents])
+
+    t_in = toks + (cond @ model.cond_w + model.cond_b)
+    q, k, v, att = _forward(t_in, ident, model.attention)
+    o = att @ v
+    y = o @ model.head_w + model.head_b
+    err = y - np.reshape(epss, y.shape)
+    sq = (err * err).reshape(n, -1)
+    # accumulate adds in item order, as the loop over items did
+    total = float(np.add.accumulate(np.mean(sq, axis=1))[-1])
+
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    def items(per_item):
+        return 0.0 + np.add.reduce(per_item, axis=0)
+
+    dy = (2.0 / sq.shape[1]) * err
+    g = {"head_w": items(t(o) @ dy), "head_b": items(dy.sum(axis=1))}
+    do = dy @ model.head_w.T
+    datt = do @ t(v)
+    dv = t(att) @ do
+    rowdot = (att * datt).sum(axis=-1, keepdims=True)
+    ds = att * (datt - rowdot)
+    dq = (ds @ k) * scale
+    dk = (t(ds) @ q) * scale
+    g["w_q"] = items(t(t_in) @ dq)
+    g["w_k"] = items(t(t_in) @ dk)
+    g["w_v"] = items(t(t_in) @ dv)
+    if ident is None:
+        g["u_q"], g["u_k"] = np.zeros_like(p["u_q"]), np.zeros_like(p["u_k"])
+    else:
+        g["u_q"] = items(ident[:, :, None] * dq.sum(axis=1)[:, None, :])
+        g["u_k"] = items(ident[:, :, None] * dk.sum(axis=1)[:, None, :])
+    dt = dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T
+    dts = dt.sum(axis=1)
+    g["cond_w"] = items(t(cond) * dts[:, None, :])
+    g["cond_b"] = items(dts)
+    return total / n, {name: g[name] / n for name in p}
 
 
 def _predict_guided(

@@ -8,6 +8,7 @@ normalizing constructor and every public operation keeps outputs finite.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +38,40 @@ def _mix64(*parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+_THREAD = threading.local()
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def _keyed_generator(key: int) -> np.random.Generator:
+    """This thread's one Philox generator, put in the exact state that
+    ``Philox(key=key)`` starts in: the key, a zero counter and an empty
+    output buffer. Re-keying skips building a generator (and the OS-entropy
+    seed sequence it always draws) per draw."""
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": np.array([key, 0], dtype=np.uint64)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 @dataclass
 class RngStream:
     """Counter-based deterministic random stream.
 
-    Every draw derives a fresh Philox generator from (seed, counter) and
-    advances the counter, so the value sequence depends only on the draw
-    order, never on draw sizes. ``split`` creates statistically independent
+    Draw number ``counter`` of the stream at split path ``path`` is the
+    first output of ``Generator(Philox(key=_mix64(seed, *path, counter)))``,
+    and every draw advances the counter, so the value sequence depends only
+    on the draw order, never on draw sizes. The generator object is one
+    per thread, re-keyed for each draw (Salmon et al., SC 2011: a
+    counter-based stream is a key and a counter), so streams on separate
+    threads stay independent. ``split`` creates statistically independent
     child streams; workers must each own their own stream.
     """
 
@@ -60,7 +88,7 @@ class RngStream:
     def _generator(self) -> np.random.Generator:
         key = _mix64(self.seed, *self._path, self.counter)
         self.counter += 1
-        return np.random.Generator(np.random.Philox(key=key))
+        return _keyed_generator(key)
 
     def normal(self, shape) -> np.ndarray:
         return self._generator().standard_normal(size=shape, dtype=np.float64)
@@ -73,13 +101,14 @@ class RngStream:
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
+    """Softmax over the last axis of a matrix or a stack of matrices,
+    stabilized by subtracting each row's max."""
     m = tensor(m)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
+    shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _flatten(params: dict) -> np.ndarray:

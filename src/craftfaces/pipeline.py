@@ -10,6 +10,7 @@ does not depend on worker count or completion order.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -75,6 +76,10 @@ class PipelineConfig:
     use_diffusion: bool = False
 
     def __post_init__(self):
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.composition_window <= self.steps:
@@ -361,19 +366,18 @@ def _sgd_train(
     """Noise-prediction SGD with a fresh (face, t, eps) batch every step
     and a linear decay to 10% of the initial rate. ``mask`` restricts the
     update to a weight subset (used for identity-blocks-only training)."""
-    cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
-    latents = [encode(render_face(p, cfg.image_size), runtime.codec) for p in faces]
+    conds = [embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)] * batch_size
+    latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
     idents = [attribute_embedding(p.attributes()) if with_identity else None for p in faces]
     params = model.params()
     vec = _flatten(params)
     for i in range(steps):
         fidx = rng.integers(0, len(faces), (batch_size,))
         ts = rng.integers(1, cfg.steps + 1, (batch_size,))
-        batch = []
-        for f, t in zip(fidx, ts):
-            eps = rng.normal(latents[f].shape)
-            ab = runtime.sched.alpha_bar[t - 1]
-            batch.append((np.sqrt(ab) * latents[f] + np.sqrt(1.0 - ab) * eps, cond, eps, idents[f]))
+        eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
+        ab = runtime.sched.alpha_bar[ts - 1][:, None]
+        x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
+        batch = list(zip(x_t, conds, eps, [idents[f] for f in fidx]))
         loss, grads = _denoise_loss_and_grad(model.with_params(_unflatten(vec, params)), batch)
         if not np.isfinite(loss):
             raise TrainingError("toy denoiser training: loss became non-finite")

@@ -4,6 +4,7 @@ import pytest
 from craftfaces.attention import (
     AttentionWeights,
     ExtendedAttentionWeights,
+    _forward,
     attention_map,
     cross_attention,
     identity_self_attention,
@@ -116,6 +117,33 @@ class TestIdentitySelfAttention:
         w = random_weights(RngStream(seed=8))
         with pytest.raises(ShapeError):
             identity_self_attention(np.ones((2, 3)), np.ones(3), w)
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    @pytest.mark.parametrize("with_identity", [False, True])
+    def test_batch_equals_separate_calls_bit_for_bit(self, d, with_identity):
+        rng = RngStream(seed=14).split(d)
+        w = random_weights(rng, d_model=d, d=d, d_id=6)
+        for b in range(1, 17):
+            tokens = rng.normal((b, 16, d))
+            ident = rng.normal((b, 6)) if with_identity else None
+            batched = _forward(tokens, ident, w)
+            for i in range(b):
+                single = _forward(tokens[i], None if ident is None else ident[i], w)
+                for got, want in zip(batched, single):
+                    assert got[i].tobytes() == want.tobytes()
+                assert batched.out[i].tobytes() == single.out.tobytes()
+
+    def test_batch_shape_errors(self):
+        w = random_weights(RngStream(seed=15))
+        tokens = np.ones((3, 2, 3))
+        with pytest.raises(ShapeError):
+            _forward(tokens, np.ones((2, 4)), w)  # one identity row short
+        with pytest.raises(ShapeError):
+            _forward(tokens, np.ones((3, 5)), w)  # wrong id dim
+        with pytest.raises(ShapeError):
+            _forward(np.ones((1, 3, 2, 3)), None, w)
 
 
 class TestCrossAttention:

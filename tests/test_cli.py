@@ -86,6 +86,28 @@ class TestParse:
         assert code == 2
         assert err.startswith("error:") and next(iter(values)) in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--guidance-scale", "nan"), ("--guidance-scale", "inf"), ("--lora-alpha", "nan"),
+         ("--lora-alpha", "inf")],
+    )
+    def test_non_finite_flag_rejected(self, flag, value, tmp_path, capsys):
+        argv = ["diffuse", flag, value, "--steps", "3", "--window", "1", "--image-size", "32"]
+        code, _, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "text", ['{"lora_alpha": NaN}', '{"guidance_scale": Infinity}', '{"style_intensity": -Infinity}']
+    )
+    def test_non_finite_config_value_rejected(self, text, tmp_path, capsys):
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(text)
+        code, _, err = run(["render", "--config", str(bad), "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and json.loads(text).popitem()[0] in err
+
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("CRAFT_SEED", "41")
         assert parse(["render"]).config.seed == 41

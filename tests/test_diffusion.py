@@ -309,3 +309,32 @@ class TestDenoiserModel:
         )
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         assert rel <= 1e-6
+
+    @pytest.mark.parametrize("token_dim", [3, 4, 8])
+    @pytest.mark.parametrize("with_identity", [False, True])
+    def test_batched_backward_equals_in_order_item_sum(self, token_dim, with_identity):
+        """One stacked backward gives the bytes of summing single-item
+        results in item order and dividing by the batch size; its loss has
+        the bytes of the per-item ``predict_noise`` loss."""
+        rng = RngStream(seed=33).split(token_dim)
+        model = make_denoiser(16, token_dim, 8, 6, rng.split("model"))
+        size = model.latent_size
+        for b in range(1, 17):
+            r = rng.split(b)
+            batch = [
+                (r.normal((size,)), r.normal((8,)), r.normal((size,)),
+                 r.normal((6,)) if with_identity else None)
+                for _ in range(b)
+            ]
+            loss, grads = _denoise_loss_and_grad(model, batch)
+            singles = [_denoise_loss_and_grad(model, [item]) for item in batch]
+            want_loss = 0.0
+            want = {name: np.zeros_like(w) for name, w in model.params().items()}
+            for item_loss, item_grads in singles:
+                want_loss += item_loss
+                for name in want:
+                    want[name] += item_grads[name]
+            assert loss == want_loss / b == _denoise_loss(model, batch)
+            assert list(grads) == list(want)
+            for name in want:
+                assert grads[name].tobytes() == (want[name] / b).tobytes(), (b, name)

@@ -181,6 +181,29 @@ class TestVerifyComposition:
         assert loss_ps <= loss_sp
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit
+    ),
+    st.integers(32, 96),
+)
+def test_extract_inverts_render(params, size):
+    assert np.max(np.abs(extract_attributes(render_face(params, size)) - params.attributes())) <= 1e-9
+
+
+_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_nonzero = st.lists(_coords, min_size=6, max_size=6).map(np.array).filter(
+    lambda u: np.linalg.norm(u) >= 1e-3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonzero, _nonzero, st.floats(min_value=1e-6, max_value=1e6))
+def test_ffc_is_scale_invariant(u, v, c):
+    assert abs(ffc(c * u, v) - ffc(u, v)) <= 1e-12
+
+
 class TestFfc:
     def test_identical(self):
         u = np.array([0.2, 0.5, 0.8])

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from craftfaces.errors import EvaluationError, ShapeError
 from craftfaces.numerics import (
     RngStream,
+    _mix64,
     finite_diff_grad,
     softmax_rows,
     tensor,
@@ -39,6 +43,12 @@ class TestSoftmaxRows:
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):
             softmax_rows(np.zeros(4))
+
+    def test_stack_equals_each_matrix(self):
+        m = RngStream(seed=12).normal((5, 16, 16)) * 4.0
+        out = softmax_rows(m)
+        for b in range(5):
+            assert out[b].tobytes() == softmax_rows(m[b]).tobytes()
 
 
 class TestGaussian:
@@ -74,6 +84,88 @@ class TestGaussian:
         x = RngStream(seed=7).normal((n,))
         assert abs(x.mean()) <= 3.0 / np.sqrt(n)
         assert abs(x.var() - 1.0) <= 3.0 * np.sqrt(2.0 / n)
+
+
+_seeds = st.integers(0, 2**63 - 1)
+_paths = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=3)
+_shapes = st.lists(st.integers(0, 5), max_size=3).map(tuple)
+_kinds = st.sampled_from(["normal", "uniform", "integers"])
+
+
+def _draw(source, kind: str, shape):
+    """One draw of ``kind`` from an RngStream or from a numpy Generator."""
+    if isinstance(source, RngStream):
+        args = {"normal": (shape,), "uniform": (shape, -2.0, 3.0), "integers": (-7, 1000, shape)}
+        return getattr(source, kind)(*args[kind])
+    if kind == "normal":
+        return source.standard_normal(size=shape, dtype=np.float64)
+    if kind == "uniform":
+        return source.uniform(-2.0, 3.0, size=shape)
+    return source.integers(-7, 1000, size=shape)
+
+
+def _stream(seed: int, path) -> RngStream:
+    s = RngStream(seed=seed)
+    for key in path:
+        s = s.split(key)
+    return s
+
+
+def _fresh(seed: int, path, counter: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=_mix64(seed, *path, counter)))
+
+
+class TestStreamContract:
+    """Draw ``counter`` of a stream is the first draw of a fresh
+    ``Philox(key=_mix64(seed, *path, counter))`` generator, whatever was
+    drawn before, from which stream and on which thread."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_seeds, _paths, st.integers(0, 2**40), st.lists(st.tuples(_kinds, _shapes), min_size=1, max_size=6))
+    def test_draw_is_the_fresh_philox_draw(self, seed, path, counter, draws):
+        s = _stream(seed, path)
+        s.counter = counter
+        for i, (kind, shape) in enumerate(draws):
+            got = _draw(s, kind, shape)
+            want = _draw(_fresh(seed, path, counter + i), kind, shape)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert s.counter == counter + len(draws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_seeds, st.lists(st.tuples(st.booleans(), _kinds, _shapes), min_size=1, max_size=12))
+    def test_interleaved_streams_keep_their_sequences(self, seed, schedule):
+        a, b = _stream(seed, [0]), _stream(seed, [1])
+        interleaved = [(left, _draw(a if left else b, kind, shape)) for left, kind, shape in schedule]
+        a_alone, b_alone = _stream(seed, [0]), _stream(seed, [1])
+        for (left, got), (_, kind, shape) in zip(interleaved, schedule):
+            want = _draw(a_alone if left else b_alone, kind, shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_streams_on_two_threads_keep_their_sequences(self):
+        kinds = ["normal", "uniform", "integers"] * 100
+
+        def run(stream, out, barrier):
+            barrier.wait()
+            out.extend(_draw(stream, kind, (7,)).tobytes() for kind in kinds)
+
+        barrier = threading.Barrier(2)
+        results = [[], []]
+        threads = [
+            threading.Thread(target=run, args=(_stream(5, [key]), results[key], barrier))
+            for key in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between draws, not only between runs
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for key in (0, 1):
+            alone = _stream(5, [key])
+            assert results[key] == [_draw(alone, kind, (7,)).tobytes() for kind in kinds]
 
 
 class TestFiniteDiffGrad:
