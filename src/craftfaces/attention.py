@@ -115,8 +115,9 @@ def _forward(
     w: AttentionWeights | ExtendedAttentionWeights,
 ) -> _Forward:
     """Self-attention on tokens ``(n, d)``, or on a batch ``(B, n, d)``
-    item by item; with an identity embedding (``(id,)``, or ``(B, id)``
-    for a batch), Q and K gain ``identity @ U_q`` and ``identity @ U_k``.
+    item by item; with an identity embedding (``(id,)``, shared by a
+    batch, or ``(B, id)``), Q and K gain ``identity @ U_q`` and
+    ``identity @ U_k``.
     With ``identity=None`` only the base weights are used. A batch gives
     each item the same bits as its own 2-D call: every product is the
     per-item matrix (or row-times-matrix) product, stacked."""
@@ -130,7 +131,7 @@ def _forward(
         identity = tensor(identity)
         if tokens.ndim == 2:
             identity = identity.reshape(-1)
-        if identity.shape != tokens.shape[:-2] + (w.id_dim,):
+        if identity.shape not in ((w.id_dim,), tokens.shape[:-2] + (w.id_dim,)):
             raise ShapeError(
                 f"identity embedding {identity.shape} vs identity block {w.u_q.shape} "
                 f"and tokens {tokens.shape}"

@@ -44,7 +44,7 @@ import numpy as np
 
 from .attention import attention_map
 from .diffusion import encode
-from .errors import CompositionOrderError, CraftError, InputError
+from .errors import CompositionOrderError, ConfigError, CraftError, InputError
 from .facegen import (
     ATTRIBUTE_NAMES,
     StyleOp,
@@ -175,7 +175,11 @@ def parse(argv) -> Command:
     if args.seed is not None:
         overrides["seed"] = args.seed
     elif "seed" not in file_values:
-        overrides["seed"] = int(os.environ.get("CRAFT_SEED", "0"))
+        env_seed = os.environ.get("CRAFT_SEED", "0")
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"CRAFT_SEED must be an integer, got {env_seed!r}") from None
     if getattr(args, "intensity", None) is not None:
         overrides["style_intensity"] = args.intensity
     if overrides:

@@ -10,6 +10,7 @@ blends the running latent with a noised guide latent during the first
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,14 +87,15 @@ def forward_step(
 
 
 def forward_marginal(
-    x0: np.ndarray, t: int, sched: NoiseSchedule, rng: RngStream
+    x0: np.ndarray, t: int, sched: NoiseSchedule, rng: RngStream | Sequence[RngStream]
 ) -> np.ndarray:
     """Closed form of t iterated noising steps:
-    sqrt(abar_t) x0 + sqrt(1-abar_t) eps."""
+    sqrt(abar_t) x0 + sqrt(1-abar_t) eps. ``rng`` is one stream, or one
+    stream per row of a batch ``x0``."""
     _check_step(t, sched)
     x0 = tensor(x0)
     ab = sched.alpha_bar[t - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.normal(x0.shape)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * _normal(rng, x0.shape)
 
 
 @dataclass(frozen=True)
@@ -148,36 +150,69 @@ class DenoiserModel:
             head_w=p["head_w"], head_b=p["head_b"], cond_w=p["cond_w"], cond_b=p["cond_b"],
         )
 
+    def _items(self, latent: np.ndarray) -> tuple[int, ...]:
+        """``()`` for one latent, which may have any shape of
+        ``latent_size`` entries, or ``(B,)`` for a batch ``(B, latent_size)``."""
+        if latent.size == self.latent_size:
+            return ()
+        if latent.ndim == 2 and latent.shape[1] == self.latent_size:
+            return latent.shape[:1]
+        raise ShapeError(
+            f"latent {latent.shape} is neither {self.latent_size} entries "
+            f"nor a batch (B, {self.latent_size})"
+        )
+
+    def _cond(self, cond: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
+        """``cond`` as ``(cond_dim,)``, shared by every item, or ``items + (cond_dim,)``."""
+        cond = tensor(cond)
+        if cond.size == self.cond_dim:
+            return cond.reshape(-1)
+        if cond.shape != items + (self.cond_dim,):
+            raise ShapeError(f"cond {cond.shape} vs cond dim {self.cond_dim} and {items} items")
+        return cond
+
+    def _tokens_in(self, latent: np.ndarray, cond: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
+        """Latent tokens, ``items + (n_tokens, token_dim)``, shifted by the
+        projected conditioning. Each cond row is projected as its own
+        ``(1, cond_dim)`` product, because ``(B, cond_dim) @ cond_w`` is one
+        GEMM that rounds differently from B row products."""
+        cond = self._cond(cond, items)
+        shift = cond[..., None, :] @ self.cond_w + self.cond_b
+        return latent.reshape(items + (self.n_tokens, self.token_dim)) + shift
+
     def predict_noise(self, latent: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        """Predicted noise for one latent, or for each latent of a batch
+        ``(B, latent_size)`` with the bits of its own call. ``cond`` is
+        ``(cond_dim,)``, shared, or ``(B, cond_dim)``; the identity is
+        ``None``, ``(id,)``, shared, or ``(B, id)``."""
         latent = tensor(latent)
-        if latent.size != self.latent_size:
-            raise ShapeError(
-                f"latent size {latent.size} != model size {self.latent_size}"
-            )
-        cond = tensor(cond).reshape(-1)
-        if cond.shape[0] != self.cond_dim:
-            raise ShapeError(f"cond dim {cond.shape[0]} != model cond dim {self.cond_dim}")
-        tokens = latent.reshape(self.n_tokens, self.token_dim)
-        tokens = tokens + (cond @ self.cond_w + self.cond_b)
+        tokens = self._tokens_in(latent, cond, self._items(latent))
         if self.identity is None:
             attended = self_attention(tokens, self.attention.base)
         else:
             attended = identity_self_attention(tokens, self.identity, self.attention)
-        out = attended @ self.head_w + self.head_b
-        return out.reshape(latent.shape)
+        return (attended @ self.head_w + self.head_b).reshape(latent.shape)
 
 
-def _denoise_loss(model: DenoiserModel, batch) -> float:
-    """Mean squared noise-prediction error over (latent, cond, noise,
-    identity) items; each item's identity replaces ``model.identity``."""
+def _denoise_loss(model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> float:
+    """Mean squared noise-prediction error of the latents ``x_t`` against
+    the noise ``eps`` (both ``(B, latent_size)``), with ``cond`` and the
+    model's identity as in ``predict_noise``. One ``predict_noise`` call
+    per item: the loop that ``_denoise_loss_and_grad`` is checked against."""
+    n = len(x_t)
+    conds = np.broadcast_to(cond, (n, model.cond_dim))
+    ident = model.identity
     total = 0.0
-    for x_t, cond, eps, ident in batch:
-        err = model.with_identity(ident).predict_noise(x_t, cond) - eps
+    for i in range(n):
+        item = model if np.ndim(ident) < 2 else model.with_identity(ident[i])
+        err = item.predict_noise(x_t[i], conds[i]) - eps[i]
         total += float(np.mean(err * err))
-    return total / len(batch)
+    return total / n
 
 
-def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, dict[str, np.ndarray]]:
+def _denoise_loss_and_grad(
+    model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
     """``_denoise_loss`` and its exact gradient for every weight, keyed as
     in ``DenoiserModel.params``, by hand-rolled backprop through the
     attention block of ``predict_noise``. The forward is
@@ -185,30 +220,25 @@ def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, dict[str
     training fits the same function. Verified against the
     finite-difference oracle in the test suite.
 
-    The items are stacked into one ``(B, n, d)`` batch and go through one
-    forward and one backward. Every per-item product keeps its 2-D shape
-    (a row ``(1, k)`` times a matrix, never ``(B, k) @ W``, which BLAS
-    rounds differently), and the per-item losses and gradients are summed
-    over the batch axis in item order, so the result has the bits of
-    summing single-item results in a loop. An item whose identity is
-    ``None`` gets a zero identity row, which leaves its forward unchanged.
+    The batch goes through one ``(B, n, d)`` forward and one backward.
+    Every per-item product keeps its 2-D shape (a row ``(1, k)`` times a
+    matrix, never ``(B, k) @ W``, which BLAS rounds differently), and the
+    per-item losses and gradients are summed over the batch axis in item
+    order, so the result has the bits of summing single-item results in a
+    loop.
     """
     p = model.params()
     scale = 1.0 / np.sqrt(float(model.attention.base.head_dim))
-    n = len(batch)
-    x_ts, conds, epss, idents = zip(*batch)
-    toks = tensor(np.reshape(x_ts, (n, model.n_tokens, model.token_dim)))
-    cond = tensor(np.reshape(conds, (n, 1, -1)))
-    ident = None
-    if any(i is not None for i in idents):
-        zero = np.zeros(model.attention.id_dim)
-        ident = tensor([zero if i is None else np.reshape(i, -1) for i in idents])
+    x_t = tensor(x_t)
+    n = len(x_t)
+    cond = model._cond(cond, (n,))
+    ident = None if model.identity is None else tensor(model.identity)
 
-    t_in = toks + (cond @ model.cond_w + model.cond_b)
+    t_in = model._tokens_in(x_t, cond, (n,))
     q, k, v, att = _forward(t_in, ident, model.attention)
     o = att @ v
     y = o @ model.head_w + model.head_b
-    err = y - np.reshape(epss, y.shape)
+    err = y - np.reshape(eps, y.shape)
     sq = (err * err).reshape(n, -1)
     # accumulate adds in item order, as the loop over items did
     total = float(np.add.accumulate(np.mean(sq, axis=1))[-1])
@@ -234,23 +264,46 @@ def _denoise_loss_and_grad(model: DenoiserModel, batch) -> tuple[float, dict[str
     if ident is None:
         g["u_q"], g["u_k"] = np.zeros_like(p["u_q"]), np.zeros_like(p["u_k"])
     else:
-        g["u_q"] = items(ident[:, :, None] * dq.sum(axis=1)[:, None, :])
-        g["u_k"] = items(ident[:, :, None] * dk.sum(axis=1)[:, None, :])
+        g["u_q"] = items(ident[..., :, None] * dq.sum(axis=1)[:, None, :])
+        g["u_k"] = items(ident[..., :, None] * dk.sum(axis=1)[:, None, :])
     dt = dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T
     dts = dt.sum(axis=1)
-    g["cond_w"] = items(t(cond) * dts[:, None, :])
+    g["cond_w"] = items(cond[..., :, None] * dts[:, None, :])
     g["cond_b"] = items(dts)
     return total / n, {name: g[name] / n for name in p}
+
+
+def _normal(rng: RngStream | Sequence[RngStream], shape) -> np.ndarray:
+    """Standard normals of ``shape``: one draw from a single stream, or,
+    from a sequence of streams, one draw of ``shape[1:]`` per stream,
+    stacked in stream order, which is the draw each stream's own
+    single-trajectory call makes."""
+    if isinstance(rng, RngStream):
+        return rng.normal(shape)
+    if len(rng) != shape[0]:
+        raise ShapeError(f"{len(rng)} streams for a batch of {shape[0]}")
+    return np.array([r.normal(shape[1:]) for r in rng]).reshape(shape)
 
 
 def _predict_guided(
     model: DenoiserModel, x: np.ndarray, cond: np.ndarray, guidance_scale: float
 ) -> np.ndarray:
-    eps_c = model.predict_noise(x, cond)
+    """Classifier-free guidance, eps_u + s * (eps_c - eps_u), with both
+    branches in one ``predict_noise`` call on ``[x; x]`` and ``[cond; 0]``
+    (Ho & Salimans, arXiv 2207.12598). Every item is its own product, so
+    each branch has the bits of a call of its own."""
     if guidance_scale == 1.0:
-        return eps_c
-    eps_u = model.predict_noise(x, np.zeros(model.cond_dim))
-    return eps_u + guidance_scale * (eps_c - eps_u)
+        return model.predict_noise(x, cond)
+    x = tensor(x)
+    b = (model._items(x) or (1,))[0]
+    rows = x.reshape(b, model.latent_size)
+    conds = np.zeros((2 * b, model.cond_dim))
+    conds[:b] = model._cond(cond, (b,))
+    if np.ndim(model.identity) == 2:
+        model = model.with_identity(np.concatenate([model.identity, model.identity]))
+    both = model.predict_noise(np.concatenate([rows, rows]), conds)
+    eps_c, eps_u = both[:b], both[b:]
+    return (eps_u + guidance_scale * (eps_c - eps_u)).reshape(x.shape)
 
 
 def reverse_step(
@@ -259,13 +312,15 @@ def reverse_step(
     cond: np.ndarray,
     model: DenoiserModel,
     sched: NoiseSchedule,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
     guidance_scale: float = 1.0,
 ) -> np.ndarray:
     """One ancestral denoising step from the model's noise prediction.
 
     mu = (x_t - beta_t / sqrt(1-abar_t) * eps_hat) / sqrt(alpha_t), plus
-    sqrt(beta_t) * z for t > 1; the final step is deterministic.
+    sqrt(beta_t) * z for t > 1; the final step is deterministic. ``x_t`` is
+    one latent, with one RngStream ``rng``, or a batch ``(B, latent_size)``
+    with a sequence of B streams (see ``sample``).
     """
     _check_step(t, sched)
     x_t = tensor(x_t)
@@ -275,7 +330,7 @@ def reverse_step(
     eps_hat = _predict_guided(model, x_t, cond, guidance_scale)
     mu = (x_t - b / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
     if t > 1:
-        mu = mu + np.sqrt(b) * rng.normal(x_t.shape)
+        mu = mu + np.sqrt(b) * _normal(rng, x_t.shape)
     return mu
 
 
@@ -286,11 +341,21 @@ def sample(
     init: np.ndarray | None = None,
     window: int = 0,
     guide: np.ndarray | None = None,
-    rng: RngStream | None = None,
+    rng: RngStream | Sequence[RngStream] | None = None,
     subject_guidance: float = 0.95,
     guidance_scale: float = 1.0,
 ) -> np.ndarray:
-    """Run reverse steps from t=T down to 1.
+    """Run reverse steps from t=T down to 1, for one trajectory or for a
+    batch advanced together.
+
+    ``rng`` is one RngStream, for one latent, or a sequence of B streams,
+    for a batch ``(B, latent_size)`` whose item i has the bits of a single
+    call with stream i: each stream makes that call's draws in its order
+    (the initial latent unless ``init`` is given, then per step the guide
+    noise inside the window and the reverse-step noise for t > 1). A batch
+    takes ``init`` as ``(B, latent_size)``, ``guide`` as ``(latent_size,)``,
+    shared, or ``(B, latent_size)``, and the model's identity as
+    ``predict_noise`` does.
 
     During the first ``window`` steps the running latent is blended with
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
@@ -304,10 +369,23 @@ def sample(
         raise ConfigError(f"composition window must be >= 0, got {window}")
     if window > 0 and guide is None:
         raise ConfigError("composition window > 0 requires a guide latent")
+    batch = not isinstance(rng, RngStream)
+    if batch:
+        rng = list(rng)
+        if np.ndim(model.identity) == 2 and len(model.identity) != len(rng):
+            raise ShapeError(f"identity batch of {len(model.identity)} for {len(rng)} streams")
+    shape = ((len(rng),) if batch else ()) + (model.latent_size,)
     if init is not None:
-        x = tensor(init).copy()
-    else:
-        x = rng.normal((model.latent_size,))
+        init = tensor(init)
+        if batch and init.shape != shape:
+            raise ShapeError(f"init {init.shape} for {len(rng)} streams, expected {shape}")
+        shape = init.shape
+    if window > 0:
+        try:
+            guide = tensor(np.broadcast_to(guide, shape))
+        except ValueError:
+            raise ShapeError(f"guide {np.shape(guide)} does not fit latents {shape}") from None
+    x = _normal(rng, shape) if init is None else init.copy()
     for t in range(sched.T, 0, -1):
         if window > 0 and t > sched.T - window:
             guide_t = forward_marginal(guide, t, sched, rng)

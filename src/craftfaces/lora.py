@@ -130,25 +130,23 @@ def _with_factors(adapters: dict[str, LoRAAdapter], factors: dict) -> dict[str, 
     return {t: replace(ad, a=factors["A", t], b=factors["B", t]) for t, ad in adapters.items()}
 
 
-def _batch(model: DenoiserModel, data) -> list:
-    """(latent, cond, target) triples as backward items carrying the model's identity."""
-    return [
-        (tensor(latent), tensor(cond).reshape(-1), tensor(target), model.identity)
-        for latent, cond, target in data
-    ]
+def _batch(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(latent, cond, target) triples stacked into the (latents, conds,
+    targets) arrays that ``_denoise_loss_and_grad`` takes."""
+    return tuple(tensor([np.ravel(item[j]) for item in data]) for j in range(3))
 
 
 def _adapted_loss(model: DenoiserModel, data, adapters: dict[str, LoRAAdapter]) -> float:
     merged = model.with_attention(apply_to_attention(model.attention, adapters))
-    return _denoise_loss(merged, _batch(model, data))
+    return _denoise_loss(merged, *_batch(data))
 
 
 def _factor_grad(model: DenoiserModel, batch, adapters: dict[str, LoRAAdapter]) -> np.ndarray:
     """Exact gradient of the adapted loss over the packed factors: with
     G_W the gradient of the merged matrix, alpha * G_W @ B^T for A and
-    alpha * A^T @ G_W for B."""
+    alpha * A^T @ G_W for B. ``batch`` is ``_batch(data)``."""
     merged = model.with_attention(apply_to_attention(model.attention, adapters))
-    _, g = _denoise_loss_and_grad(merged, batch)
+    _, g = _denoise_loss_and_grad(merged, *batch)
     ga = {("A", t): ad.alpha * (g["w_" + t] @ ad.b.T) for t, ad in adapters.items()}
     gb = {("B", t): ad.alpha * (ad.a.T @ g["w_" + t]) for t, ad in adapters.items()}
     return _flatten({**ga, **gb})
@@ -179,7 +177,7 @@ def train_lora(
     if not data:
         raise ConfigError("train_lora: no training data with steps > 0")
 
-    batch = _batch(model, data)
+    batch = _batch(data)
     layout = _factors(adapters)
     vec = _flatten(layout)
     for _ in range(cfg.steps):

@@ -30,12 +30,17 @@ def tensor(data) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
 
 
-def _mix64(*parts: int) -> int:
-    """Collapse integer parts into one 64-bit key (blake2b, order sensitive)."""
+def _hash_parts(*parts: int):
+    """A blake2b hash fed each integer part, in order."""
     h = hashlib.blake2b(digest_size=8)
     for p in parts:
         h.update(int(p).to_bytes(16, "little", signed=True))
-    return int.from_bytes(h.digest(), "little")
+    return h
+
+
+def _mix64(*parts: int) -> int:
+    """Collapse integer parts into one 64-bit key (blake2b, order sensitive)."""
+    return int.from_bytes(_hash_parts(*parts).digest(), "little")
 
 
 _THREAD = threading.local()
@@ -73,11 +78,20 @@ class RngStream:
     counter-based stream is a key and a counter), so streams on separate
     threads stay independent. ``split`` creates statistically independent
     child streams; workers must each own their own stream.
+
+    The seed and split path are hashed once per stream, on its first draw;
+    each draw copies that hash and adds only the counter, which gives the
+    key ``_mix64`` would.
     """
 
     seed: int
     counter: int = 0
     _path: tuple[int, ...] = field(default=(), repr=False)
+    _prefix: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # blake2b objects do not pickle; the copy re-hashes on its first draw
+        return {**self.__dict__, "_prefix": None}
 
     def split(self, key: int | str) -> "RngStream":
         """Independent child stream identified by an integer or label."""
@@ -85,10 +99,18 @@ class RngStream:
             key = _mix64(int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little"))
         return RngStream(seed=self.seed, _path=self._path + (int(key),))
 
+    def _key(self) -> int:
+        """``_mix64(seed, *path, counter)`` for the current counter."""
+        if self._prefix is None:
+            self._prefix = _hash_parts(self.seed, *self._path)
+        h = self._prefix.copy()
+        h.update(int(self.counter).to_bytes(16, "little", signed=True))
+        return int.from_bytes(h.digest(), "little")
+
     def _generator(self) -> np.random.Generator:
-        key = _mix64(self.seed, *self._path, self.counter)
+        gen = _keyed_generator(self._key())
         self.counter += 1
-        return _keyed_generator(key)
+        return gen
 
     def normal(self, shape) -> np.ndarray:
         return self._generator().standard_normal(size=shape, dtype=np.float64)

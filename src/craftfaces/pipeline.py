@@ -328,19 +328,18 @@ def ablate_order(
 
 
 def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream,
-                    with_identity: bool, noised_per_face: int = 2):
-    """Fixed batch of (noised latent, cond, noise, identity) tuples."""
+                    noised_per_face: int = 2):
+    """Fixed batch of (noised latent, cond, noise) triples."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     batch = []
     for params in faces:
         x0 = encode(render_face(params, cfg.image_size), runtime.codec)
-        ident = attribute_embedding(params.attributes()) if with_identity else None
         for _ in range(noised_per_face):
             t = int(rng.integers(1, cfg.steps + 1))
             eps = rng.normal(x0.shape)
             ab = runtime.sched.alpha_bar[t - 1]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-            batch.append((x_t, cond, eps, ident))
+            batch.append((x_t, cond, eps))
     return batch
 
 
@@ -366,9 +365,9 @@ def _sgd_train(
     """Noise-prediction SGD with a fresh (face, t, eps) batch every step
     and a linear decay to 10% of the initial rate. ``mask`` restricts the
     update to a weight subset (used for identity-blocks-only training)."""
-    conds = [embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)] * batch_size
+    cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
-    idents = [attribute_embedding(p.attributes()) if with_identity else None for p in faces]
+    idents = np.stack([attribute_embedding(p.attributes()) for p in faces]) if with_identity else None
     params = model.params()
     vec = _flatten(params)
     for i in range(steps):
@@ -377,8 +376,9 @@ def _sgd_train(
         eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
         ab = runtime.sched.alpha_bar[ts - 1][:, None]
         x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
-        batch = list(zip(x_t, conds, eps, [idents[f] for f in fidx]))
-        loss, grads = _denoise_loss_and_grad(model.with_params(_unflatten(vec, params)), batch)
+        current = model.with_params(_unflatten(vec, params))
+        current = current.with_identity(None if idents is None else idents[fidx])
+        loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps)
         if not np.isfinite(loss):
             raise TrainingError("toy denoiser training: loss became non-finite")
         grad = _flatten(grads)
@@ -413,8 +413,7 @@ def train_toy_denoiser(
     model = runtime.model
 
     if lora:
-        batch = _training_batch(faces, cfg, runtime, rng.split("batch"), with_identity=False)
-        data = [(x_t, cond, eps) for x_t, cond, eps, _ in batch]
+        data = _training_batch(faces, cfg, runtime, rng.split("batch"))
         lcfg = LoRATrainConfig(rank=cfg.lora_rank, alpha=cfg.lora_alpha, lr=lr, steps=steps)
         adapters = train_lora(model, data, lcfg, rng.split("lora"))
         return model, adapters
@@ -434,9 +433,11 @@ def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int, k: int | None
     return np.sort(np.argsort(-norms)[:k])
 
 
-def _attention_mass(model: DenoiserModel, latent: np.ndarray, tokens_of_interest: np.ndarray) -> float:
+def _attention_mass(
+    model: DenoiserModel, latent: np.ndarray, identity: np.ndarray | None, tokens_of_interest: np.ndarray
+) -> float:
     tokens = latent.reshape(model.n_tokens, model.token_dim)
-    amap = attention_map(tokens, model.identity, model.attention)
+    amap = attention_map(tokens, identity, model.attention)
     return float(amap[:, tokens_of_interest].sum(axis=1).mean())
 
 
@@ -457,10 +458,19 @@ def ablate_attention(
     seed-matched across arms. With ``zero_identity=True`` both arms share
     one untrained model and the identity arm feeds a zero embedding, which
     must reproduce the baseline exactly.
+
+    Each arm samples all its (face, seed) trajectories as one batch, in
+    (face, seed) order, each on its own stream, so every trajectory has
+    the bits of sampling it alone. Decoding and scoring stay per
+    trajectory. With timing on, a row's ``ms`` is the arm's batched
+    sampling time divided by its trajectory count, plus that row's own
+    decode and scoring.
     """
     if not faces:
         raise ConfigError("ablate_attention needs a nonempty face grid")
     seeds = tuple(int(s) for s in (seeds if seeds is not None else range(20)))
+    if not seeds:
+        raise ConfigError("ablate_attention needs at least one seed")
     runtime = _make_runtime(cfg)
     a0 = runtime.model.attention
     start = runtime.model.with_attention(
@@ -480,36 +490,43 @@ def ablate_attention(
         )
 
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
+    refs, guides, interests, idents = [], [], [], []
+    for params in faces:
+        img = render_face(params, cfg.image_size)
+        refs.append(extract_attributes(img))
+        guides.append(encode(img, runtime.codec))
+        interests.append(_face_tokens(guides[-1], cfg.latent_tokens, cfg.token_dim))
+        idents.append(np.zeros(6) if zero_identity else attribute_embedding(refs[-1]))
+    items = [(fid, seed) for fid in range(len(faces)) for seed in seeds]
+    item_guides = np.array([guides[fid] for fid, _ in items])
+    item_idents = np.array([idents[fid] for fid, _ in items])
     report = ExperimentReport()
     masses = {"ID": [], "BASE": []}
-    for fid, params in enumerate(faces):
-        img = render_face(params, cfg.image_size)
-        ref = extract_attributes(img)
-        guide = encode(img, runtime.codec)
-        interest = _face_tokens(guide, cfg.latent_tokens, cfg.token_dim)
-        ident = np.zeros(6) if zero_identity else attribute_embedding(ref)
-        arms = (("BASE", base_model.with_identity(None)), ("ID", id_model.with_identity(ident)))
-        for seed in seeds:
-            for order, model in arms:
-                t0 = time.perf_counter()
-                rng = RngStream(seed=seed).split("attn-sample").split(fid)
-                z = sample(
-                    model, cond, runtime.sched,
-                    window=cfg.composition_window, guide=guide, rng=rng,
-                    subject_guidance=cfg.subject_guidance,
-                    guidance_scale=cfg.guidance_scale,
+    for order, model in (("BASE", base_model.with_identity(None)), ("ID", id_model.with_identity(item_idents))):
+        t0 = time.perf_counter()
+        zs = sample(
+            model, cond, runtime.sched,
+            window=cfg.composition_window,
+            guide=item_guides,
+            rng=[RngStream(seed=seed).split("attn-sample").split(fid) for fid, seed in items],
+            subject_guidance=cfg.subject_guidance,
+            guidance_scale=cfg.guidance_scale,
+        )
+        share = (time.perf_counter() - t0) / len(items)
+        for i, ((fid, seed), z) in enumerate(zip(items, zs)):
+            t1 = time.perf_counter()
+            ref = refs[fid]
+            attrs = extract_attributes(np.clip(decode(z, runtime.codec), 0.0, 1.0))
+            ident = None if model.identity is None else model.identity[i]
+            masses[order].append(_attention_mass(model, z, ident, interests[fid]))
+            report.rows.append(
+                ReportRow(
+                    face_id=fid, order=order, intensity=cfg.style_intensity,
+                    attr_loss=float(np.sum((attrs - ref) ** 2)),
+                    ffc=ffc(attrs, ref), seed=seed,
+                    ms=(share + time.perf_counter() - t1) * 1e3,
                 )
-                out = np.clip(decode(z, runtime.codec), 0.0, 1.0)
-                attrs = extract_attributes(out)
-                masses[order].append(_attention_mass(model, z, interest))
-                report.rows.append(
-                    ReportRow(
-                        face_id=fid, order=order, intensity=cfg.style_intensity,
-                        attr_loss=float(np.sum((attrs - ref) ** 2)),
-                        ffc=ffc(attrs, ref), seed=seed,
-                        ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                )
+            )
     report.rows = report.sorted_rows()
     report.extras = {
         "mean_ffc_id": report.mean_ffc("ID"),

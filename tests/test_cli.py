@@ -118,6 +118,13 @@ class TestParse:
         monkeypatch.setenv("CRAFT_SEED", "41")
         assert parse(["render", "--seed", "3"]).config.seed == 3
 
+    def test_non_integer_seed_env_rejected(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("CRAFT_SEED", "abc")
+        code, _, err = run(["render", "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "CRAFT_SEED" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestExecute:
     def test_render_writes_artifacts(self, tmp_path, capsys):

@@ -290,25 +290,25 @@ class TestDenoiserModel:
             model.predict_noise(np.ones(8), np.zeros(2))
 
     def test_backward_matches_finite_differences(self):
-        """Every weight's gradient, over a batch mixing the plain and the
-        identity path."""
+        """Every weight's gradient, on the plain path, with one identity
+        for the batch, and with one identity per item (zero rows included)."""
         rng = RngStream(seed=32)
-        model = make_denoiser(4, 3, 5, 6, rng.split("model"))
-        batch = [
-            (rng.normal((12,)), rng.normal((5,)), rng.normal((12,)), ident)
-            for ident in (None, rng.normal((6,)), None, rng.normal((6,)))
-        ]
-        params = model.params()
-        loss, grads = _denoise_loss_and_grad(model, batch)
-        assert abs(loss - _denoise_loss(model, batch)) <= 1e-12
-        assert list(grads) == list(params)
-        analytic = _flatten(grads)
-        numeric = finite_diff_grad(
-            lambda v: _denoise_loss(model.with_params(_unflatten(v, params)), batch),
-            _flatten(params),
-        )
-        rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-        assert rel <= 1e-6
+        plain = make_denoiser(4, 3, 5, 6, rng.split("model"))
+        x_t, cond, eps = rng.normal((4, 12)), rng.normal((4, 5)), rng.normal((4, 12))
+        per_item = rng.normal((4, 6)) * np.array([[0.0], [1.0], [0.0], [1.0]])
+        for ident in (None, rng.normal((6,)), per_item):
+            model = plain.with_identity(ident)
+            params = model.params()
+            loss, grads = _denoise_loss_and_grad(model, x_t, cond, eps)
+            assert abs(loss - _denoise_loss(model, x_t, cond, eps)) <= 1e-12
+            assert list(grads) == list(params)
+            analytic = _flatten(grads)
+            numeric = finite_diff_grad(
+                lambda v: _denoise_loss(model.with_params(_unflatten(v, params)), x_t, cond, eps),
+                _flatten(params),
+            )
+            rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
+            assert rel <= 1e-6
 
     @pytest.mark.parametrize("token_dim", [3, 4, 8])
     @pytest.mark.parametrize("with_identity", [False, True])
@@ -321,20 +321,133 @@ class TestDenoiserModel:
         size = model.latent_size
         for b in range(1, 17):
             r = rng.split(b)
-            batch = [
-                (r.normal((size,)), r.normal((8,)), r.normal((size,)),
-                 r.normal((6,)) if with_identity else None)
-                for _ in range(b)
+            x_t, cond, eps = r.normal((b, size)), r.normal((b, 8)), r.normal((b, size))
+            ident = r.normal((b, 6)) if with_identity else None
+            batched = model.with_identity(ident)
+            loss, grads = _denoise_loss_and_grad(batched, x_t, cond, eps)
+            singles = [
+                _denoise_loss_and_grad(
+                    model.with_identity(None if ident is None else ident[i : i + 1]),
+                    x_t[i : i + 1], cond[i : i + 1], eps[i : i + 1],
+                )
+                for i in range(b)
             ]
-            loss, grads = _denoise_loss_and_grad(model, batch)
-            singles = [_denoise_loss_and_grad(model, [item]) for item in batch]
             want_loss = 0.0
             want = {name: np.zeros_like(w) for name, w in model.params().items()}
             for item_loss, item_grads in singles:
                 want_loss += item_loss
                 for name in want:
                     want[name] += item_grads[name]
-            assert loss == want_loss / b == _denoise_loss(model, batch)
+            assert loss == want_loss / b == _denoise_loss(batched, x_t, cond, eps)
             assert list(grads) == list(want)
             for name in want:
                 assert grads[name].tobytes() == (want[name] / b).tobytes(), (b, name)
+
+
+def _streams(seed, b):
+    return [RngStream(seed=seed).split(i) for i in range(b)]
+
+
+def _identity(kind, rng, b):
+    """None, one identity for the batch, or one per item; and item i's own."""
+    ident = {"none": None, "shared": rng.normal((6,)), "per-item": rng.normal((b, 6))}[kind]
+    return ident, (lambda i: ident if ident is None or ident.ndim == 1 else ident[i])
+
+
+class TestBatch:
+    """A batch of B items, each on its own stream, has the bytes of B
+    single calls, and each stream ends where its single call left it."""
+
+    def setup_method(self):
+        self.model = make_denoiser(16, 8, 8, 6, RngStream(seed=40))
+        self.size = self.model.latent_size
+
+    @pytest.mark.parametrize("identity", ["none", "shared", "per-item"])
+    @pytest.mark.parametrize("guidance", [1.0, 7.5])
+    @pytest.mark.parametrize("window", [0, 4])
+    def test_sample_equals_single_calls(self, window, guidance, identity):
+        sched = build_schedule(8)
+        for b in range(1, 17):
+            r = RngStream(seed=41).split(b)
+            cond = r.normal((8,))
+            ident, own = _identity(identity, r, b)
+            guides = r.normal((b, self.size))
+            forms = [(guides, lambda i: guides[i]), (guides[0], lambda i: guides[0])]  # per item, shared
+            for guide, guide_of in forms if window else [(None, lambda i: None)]:
+                streams = _streams(b, b)
+                batched = sample(
+                    self.model.with_identity(ident), cond, sched, window=window, guide=guide,
+                    rng=streams, subject_guidance=0.9, guidance_scale=guidance,
+                )
+                assert batched.shape == (b, self.size)
+                for i, single_rng in enumerate(_streams(b, b)):
+                    single = sample(
+                        self.model.with_identity(own(i)), cond, sched, window=window,
+                        guide=guide_of(i), rng=single_rng,
+                        subject_guidance=0.9, guidance_scale=guidance,
+                    )
+                    assert batched[i].tobytes() == single.tobytes(), (b, i)
+                    assert streams[i].counter == single_rng.counter
+
+    @pytest.mark.parametrize("identity", ["none", "shared", "per-item"])
+    @pytest.mark.parametrize("guidance", [1.0, 7.5])
+    def test_reverse_step_and_predict_noise_equal_single_calls(self, guidance, identity):
+        sched = build_schedule(10)
+        for b in range(1, 17):
+            r = RngStream(seed=42).split(b)
+            x = r.normal((b, self.size))
+            ident, own = _identity(identity, r, b)
+            model = self.model.with_identity(ident)
+            for cond in (r.normal((8,)), r.normal((b, 8))):  # shared, per item
+                eps = model.predict_noise(x, cond)
+                for i in range(b):
+                    c = cond[i] if cond.ndim == 2 else cond
+                    single = self.model.with_identity(own(i)).predict_noise(x[i], c)
+                    assert eps[i].tobytes() == single.tobytes(), (b, i)
+            cond = r.normal((8,))
+            for t in (1, 6):
+                streams = _streams(b + t, b)
+                out = reverse_step(x, t, cond, model, sched, streams, guidance)
+                for i, single_rng in enumerate(_streams(b + t, b)):
+                    single = reverse_step(
+                        x[i], t, cond, self.model.with_identity(own(i)), sched, single_rng, guidance
+                    )
+                    assert out[i].tobytes() == single.tobytes(), (b, i, t)
+                    assert streams[i].counter == single_rng.counter
+
+    def test_length_mismatch_raises_shape_error(self):
+        sched = build_schedule(5)
+        model, size, cond = self.model, self.size, np.zeros(8)
+        streams = _streams(43, 3)
+        cases = [
+            dict(model=model, window=2, guide=np.zeros((2, size))),
+            dict(model=model.with_identity(np.zeros((2, 6)))),
+            dict(model=model, init=np.zeros((2, size))),
+        ]
+        for case in cases:
+            with pytest.raises(ShapeError):
+                sample(case.pop("model"), cond, sched, rng=streams, guidance_scale=7.5, **case)
+        assert [s.counter for s in streams] == [0, 0, 0]  # nothing drawn
+        x = np.zeros((2, size))
+        with pytest.raises(ShapeError):
+            reverse_step(x, 3, cond, model, sched, streams)
+        with pytest.raises(ShapeError):
+            reverse_step(x, 3, cond, model.with_identity(np.zeros((3, 6))), sched, _streams(43, 2))
+        with pytest.raises(ShapeError):
+            model.predict_noise(x, np.zeros((3, 8)))
+        with pytest.raises(ShapeError):
+            model.with_identity(np.zeros((3, 6))).predict_noise(x, cond)
+        with pytest.raises(ShapeError):
+            model.predict_noise(np.zeros((2, size + 1)), cond)
+
+    def test_cond_row_product_equals_vector_product(self):
+        """The conditioning projection keeps each row its own product:
+        ``(B, 1, c) @ W`` has the bytes of B ``(c,) @ W`` products."""
+        rng = RngStream(seed=44)
+        for k in range(200):
+            r = rng.split(k)
+            b, c, d = (int(v) for v in r.integers(1, 17, (3,)))
+            cond, w = r.normal((b, c)), r.normal((c, d))
+            rows = cond[:, None, :] @ w
+            for i in range(b):
+                assert rows[i, 0].tobytes() == (cond[i] @ w).tobytes()

@@ -185,7 +185,7 @@ class TestTrainLora:
             }))
             return np.mean([np.mean((merged.predict_noise(x, c) - y) ** 2) for x, c, y in data])
 
-        analytic = _factor_grad(model, _batch(model, data), adapters)
+        analytic = _factor_grad(model, _batch(data), adapters)
         numeric = finite_diff_grad(loss_of, packed)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         assert rel <= 1e-6

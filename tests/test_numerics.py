@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -130,6 +131,31 @@ class TestStreamContract:
             want = _draw(_fresh(seed, path, counter + i), kind, shape)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert s.counter == counter + len(draws)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _seeds, _paths, st.lists(st.integers(-(2**63), 2**63 - 1) | st.text(max_size=4), max_size=3),
+        st.integers(0, 2**40), st.integers(1, 4),
+    )
+    def test_key_hashes_seed_and_path_once(self, seed, path, children, counter, n):
+        """With the seed and path hashed once per stream, every key is still
+        ``_mix64(seed, *path, counter)``, for split children of a stream
+        that has drawn and for a pickled copy; the cached hash is in
+        neither ``==`` nor ``repr``."""
+        s = _stream(seed, path)
+        s.normal((2,))
+        for key in children:
+            s = s.split(key)
+        s.counter = counter
+        for i in range(n):
+            assert s._key() == _mix64(seed, *s._path, counter + i)
+            got = s.normal((3,))
+            assert got.tobytes() == _draw(_fresh(seed, s._path, counter + i), "normal", (3,)).tobytes()
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and repr(copy) == repr(s)
+        assert copy.normal((3,)).tobytes() == s.normal((3,)).tobytes()
+        unused = RngStream(seed=seed, counter=s.counter, _path=s._path)
+        assert unused == s and repr(unused) == repr(s)
 
     @settings(max_examples=60, deadline=None)
     @given(_seeds, st.lists(st.tuples(st.booleans(), _kinds, _shapes), min_size=1, max_size=12))

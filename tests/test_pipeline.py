@@ -1,9 +1,13 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import craftfaces.pipeline as pl
 from craftfaces.diffusion import _denoise_loss
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
 from craftfaces.facegen import face_grid, render_face
+from craftfaces.lora import _batch
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import (
     PipelineConfig,
@@ -163,12 +167,12 @@ class TestTrainToyDenoiser:
         cfg = PipelineConfig(seed=11, image_size=32, latent_tokens=16, token_dim=4)
         runtime = _make_runtime(cfg)
         faces = face_grid(3, seed=11)
-        eval_batch = _training_batch(faces, cfg, runtime, RngStream(seed=99), False, 4)
-        before = _denoise_loss(runtime.model, eval_batch)
+        eval_batch = _batch(_training_batch(faces, cfg, runtime, RngStream(seed=99), 4))
+        before = _denoise_loss(runtime.model, *eval_batch)
         model, _ = train_toy_denoiser(
             faces, cfg, RngStream(seed=11), steps=500, runtime=runtime
         )
-        after = _denoise_loss(model, eval_batch)
+        after = _denoise_loss(model, *eval_batch)
         assert after < before
 
     def test_lora_mode_freezes_base(self):
@@ -207,6 +211,38 @@ class TestAblateAttention:
         for pair in cells.values():
             assert pair["ID"].attr_loss == pair["BASE"].attr_loss
             assert pair["ID"].ffc == pair["BASE"].ffc
+
+    @pytest.mark.parametrize("zero_identity", [False, True])
+    def test_batched_arms_equal_one_sample_per_trajectory(self, zero_identity, monkeypatch):
+        """Rows and extras equal those of a reference that samples each
+        (face, seed) trajectory alone, with its own guide and identity."""
+        cfg = PipelineConfig(
+            seed=16, image_size=32, latent_tokens=16, token_dim=8, steps=20, composition_window=5
+        )
+        kw = dict(seeds=(0, 2), train_steps=10, base_steps=10, zero_identity=zero_identity)
+        batched = ablate_attention(face_grid(3, seed=16), cfg, **kw)
+
+        real_sample, batch_sizes = pl.sample, []
+
+        def one_per_trajectory(model, cond, sched, *, guide, rng, **options):
+            batch_sizes.append(len(rng))
+            ident = model.identity
+            return np.array([
+                real_sample(model.with_identity(None if ident is None else ident[i]), cond, sched,
+                            guide=guide[i], rng=stream, **options)
+                for i, stream in enumerate(rng)
+            ])
+
+        monkeypatch.setattr(pl, "sample", one_per_trajectory)
+        reference = ablate_attention(face_grid(3, seed=16), cfg, **kw)
+        assert batch_sizes == [6, 6]
+        assert [replace(r, ms=0.0) for r in batched.rows] == [replace(r, ms=0.0) for r in reference.rows]
+        assert batched.extras == reference.extras
+
+    def test_no_seeds_rejected(self):
+        cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
+        with pytest.raises(ConfigError):
+            ablate_attention(face_grid(1, seed=17), cfg, seeds=(), train_steps=1, base_steps=1)
 
     def test_report_has_both_arms_and_extras(self):
         cfg = PipelineConfig(seed=15, image_size=32, latent_tokens=16, token_dim=8)
