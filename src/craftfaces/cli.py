@@ -99,6 +99,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     """Comma-separated numbers; argparse turns a ValueError into a usage error."""
     return tuple(float(v) for v in text.split(","))
@@ -118,14 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("render", help="render a synthetic face"))
-    p.add_argument("--face-id", type=int, default=0)
+    p.add_argument("--face-id", type=_nonnegative_int, default=0)
 
     p = common(sub.add_parser("stylize", help="stylize a rendered face"))
-    p.add_argument("--face-id", type=int, default=0)
+    p.add_argument("--face-id", type=_nonnegative_int, default=0)
     p.add_argument("--intensity", type=float, default=None)
 
     p = common(sub.add_parser("diffuse", help="run the guided sampling loop"))
-    p.add_argument("--face-id", type=int, default=0)
+    p.add_argument("--face-id", type=_nonnegative_int, default=0)
     p.add_argument("--prompt", default="graffiti portrait guitarist pose")
 
     p = common(sub.add_parser("train", help="train the toy denoiser"))
@@ -151,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("emb2")
 
     p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"))
-    p.add_argument("--face-id", type=int, default=0)
+    p.add_argument("--face-id", type=_nonnegative_int, default=0)
     p.add_argument("--with-identity", action="store_true")
 
     return parser

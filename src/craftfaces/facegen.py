@@ -50,8 +50,6 @@ __all__ = [
     "band_rows",
     "draw_landmarks",
     "image_hash",
-    "palette_mass",
-    "chroma_histogram",
     "write_ppm",
     "read_ppm",
     "SPRAY_PALETTE",
@@ -285,12 +283,20 @@ def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
     img = tensor(img)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ConfigError(f"expected a (2, H, W) image, got shape {img.shape}")
+    if op.intensity == 0.0:
+        return img.copy()
+    return _stylize(img, op, _jitter_units(img))
+
+
+def _stylize(img: np.ndarray, op: StyleOp, units: dict[str, float]) -> np.ndarray:
+    """``graffiti_stylize`` of a (2, H, W) float64 image whose jitter units
+    ``_jitter_units(img)`` the caller has derived already, so that one image
+    stylized at many ops is hashed once."""
     i = op.intensity
     if i == 0.0:
         return img.copy()
 
     h = img.shape[1]
-    units = _jitter_units(img)
     geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
 
     rows = band_rows(DEFAULT_RENDERER, h)

@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,16 +32,17 @@ from .diffusion import (
 )
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
-from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
+from .facegen import (
+    FaceParams, StyleOp, _jitter_units, _stylize, embed_prompt, graffiti_stylize, render_face,
+)
 from .identity import (
     Projector,
-    attr_loss,
     attribute_embedding,
     extract_attributes,
     ffc,
 )
 from .lora import LoRATrainConfig, train_lora
-from .numerics import RngStream, _flatten, _unflatten
+from .numerics import RngStream, _flatten, _unflatten, tensor
 
 __all__ = [
     "PipelineConfig",
@@ -214,6 +216,74 @@ def _diffuse(
     return np.clip(decode(z, runtime.codec), 0.0, 1.0)
 
 
+@dataclass
+class _Face:
+    """One input face and the per-face work both orders share, each part
+    done at most once however many cells use it."""
+
+    img: np.ndarray
+    ref: np.ndarray
+    projector: Projector
+
+    @classmethod
+    def of(cls, img: np.ndarray, projector: Projector | None = None) -> "_Face":
+        img = tensor(img)
+        ref = extract_attributes(img)
+        return cls(img, ref, projector or Projector(reference_attrs=ref))
+
+    @cached_property
+    def units(self) -> dict[str, float]:
+        return _jitter_units(self.img)
+
+    @cached_property
+    def projected(self) -> np.ndarray | None:
+        """The projected input that the reversed order stylizes, or None
+        when projecting was a bitwise no-op, as it always is under the
+        default projector, whose reference is the image's own attributes."""
+        out = self.projector.apply(self.img)
+        return None if out.tobytes() == self.img.tobytes() else out
+
+    def stylized(self, cfg: PipelineConfig) -> np.ndarray:
+        return _stylize(self.img, StyleOp(intensity=cfg.style_intensity), self.units)
+
+
+def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id: int, t0: float):
+    """Score one output. Its attributes are extracted once and feed both the
+    loss (the bits of ``attr_loss(out, face.img)``) and the FFC."""
+    attrs = extract_attributes(out)
+    d = attrs - face.ref
+    return ReportRow(
+        face_id=face_id, order=order, intensity=cfg.style_intensity,
+        attr_loss=float(d @ d), ffc=ffc(attrs, face.ref), seed=cfg.seed,
+        ms=(time.perf_counter() - t0) * 1e3,
+    )
+
+
+def _style_first(face: _Face, styled: np.ndarray, prompt: str, cfg: PipelineConfig, face_id: int,
+                 t0: float, model: DenoiserModel | None = None, runtime: _Runtime | None = None):
+    """The style-first order after its stylize: the optional guided denoiser
+    pass, then the projection."""
+    if cfg.use_diffusion:
+        runtime = runtime or _make_runtime(cfg)
+        m = (model or runtime.model).with_identity(attribute_embedding(face.ref))
+        rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
+        styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
+    out = face.projector.apply(styled)
+    return out, _row("PS", out, face, cfg, face_id, t0)
+
+
+def _identity_first(face: _Face, cfg: PipelineConfig, face_id: int, t0: float,
+                    styled: np.ndarray | None = None):
+    """The reversed order: stylize the projected input. Stylization is a
+    pure function of (image, op), so when projecting was a no-op the output
+    is the stylized input: ``styled``, if the caller has it already."""
+    if face.projected is not None:
+        out = graffiti_stylize(face.projected, StyleOp(intensity=cfg.style_intensity))
+    else:
+        out = face.stylized(cfg) if styled is None else styled
+    return out, _row("SP", out, face, cfg, face_id, t0)
+
+
 def run_style_first(
     i_img: np.ndarray,
     prompt: str,
@@ -227,25 +297,8 @@ def run_style_first(
     reference attributes. The projection runs last, so the output carries
     the input's attributes whatever the middle stages did."""
     t0 = time.perf_counter()
-    ref = extract_attributes(i_img)
-    styled = graffiti_stylize(i_img, StyleOp(intensity=cfg.style_intensity))
-    if cfg.use_diffusion:
-        runtime = runtime or _make_runtime(cfg)
-        m = (model or runtime.model).with_identity(attribute_embedding(ref))
-        rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
-        styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
-    projector = projector or Projector(reference_attrs=ref)
-    out = projector.apply(styled)
-    row = ReportRow(
-        face_id=face_id,
-        order="PS",
-        intensity=cfg.style_intensity,
-        attr_loss=attr_loss(out, i_img),
-        ffc=ffc(extract_attributes(out), ref),
-        seed=cfg.seed,
-        ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return out, row
+    face = _Face.of(i_img, projector)
+    return _style_first(face, face.stylized(cfg), prompt, cfg, face_id, t0, model, runtime)
 
 
 def run_identity_first(
@@ -259,38 +312,44 @@ def run_identity_first(
     render), then stylize. Whatever drift the stylizer causes stays in the
     output."""
     t0 = time.perf_counter()
-    ref = extract_attributes(i_img)
-    projector = projector or Projector(reference_attrs=ref)
-    out = graffiti_stylize(projector.apply(i_img), StyleOp(intensity=cfg.style_intensity))
-    row = ReportRow(
-        face_id=face_id,
-        order="SP",
-        intensity=cfg.style_intensity,
-        attr_loss=attr_loss(out, i_img),
-        ffc=ffc(extract_attributes(out), ref),
-        seed=cfg.seed,
-        ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return out, row
+    return _identity_first(_Face.of(i_img, projector), cfg, face_id, t0)
 
 
-def _order_cell(args) -> list[ReportRow]:
+def _order_cell(face: _Face, cfg: PipelineConfig, face_id: int, params: FaceParams,
+                runtime: _Runtime | None) -> list[ReportRow]:
+    """Both orders on one (face, intensity, seed) cell, sharing one stylize
+    of the input. Each row's ``ms`` is half that stylize plus its own
+    order's remaining work."""
+    t0 = time.perf_counter()
+    styled = face.stylized(cfg)
+    half = (time.perf_counter() - t0) / 2
+    _, ps = _style_first(face, styled, DEFAULT_PROMPT, cfg, face_id, time.perf_counter() - half,
+                         runtime=runtime)
+    _, sp = _identity_first(face, cfg, face_id, time.perf_counter() - half, styled)
+    if ps.attr_loss > sp.attr_loss:
+        raise CompositionOrderError(
+            "style-then-project lost to the reversed order: "
+            f"face_id={face_id} intensity={cfg.style_intensity} seed={cfg.seed} "
+            f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
+        )
+    return [ps, sp]
+
+
+def _order_seed(face: _Face, cfg: PipelineConfig, face_id: int, params: FaceParams,
+                intensities: tuple[float, ...]) -> list[ReportRow]:
+    """One face's cells at one seed. The runtime depends on the seed and the
+    shapes, not on the intensity, so it is built once here and freed before
+    the next seed's."""
+    runtime = _make_runtime(cfg) if cfg.use_diffusion else None
+    return [row for i in intensities
+            for row in _order_cell(face, replace(cfg, style_intensity=i), face_id, params, runtime)]
+
+
+def _order_face(args) -> list[ReportRow]:
     face_id, params, cfg, intensities, seeds = args
-    img = render_face(params, cfg.image_size)
-    rows = []
-    for intensity in intensities:
-        for seed in seeds:
-            cell_cfg = replace(cfg, style_intensity=float(intensity), seed=int(seed))
-            _, ps = run_style_first(img, DEFAULT_PROMPT, cell_cfg, face_id=face_id)
-            _, sp = run_identity_first(img, DEFAULT_PROMPT, cell_cfg, face_id=face_id)
-            if ps.attr_loss > sp.attr_loss:
-                raise CompositionOrderError(
-                    "style-then-project lost to the reversed order: "
-                    f"face_id={face_id} intensity={intensity} seed={seed} "
-                    f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
-                )
-            rows.extend([ps, sp])
-    return rows
+    face = _Face.of(render_face(params, cfg.image_size))
+    return [row for seed in seeds
+            for row in _order_seed(face, replace(cfg, seed=seed), face_id, params, intensities)]
 
 
 def ablate_order(
@@ -304,20 +363,29 @@ def ablate_order(
 
     Any cell where the style-first order has the larger attribute loss is
     a hard failure (CompositionOrderError carrying the offending case).
+    Intensities and seeds must be distinct, so that no two cells are the same.
+
+    Each face's reference attributes, jitter units and projected input are
+    computed once, and each cell stylizes once for both orders (projecting
+    a render first is a bitwise no-op); the rows have the bits of calling
+    ``run_style_first`` and ``run_identity_first`` per cell.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
     intensities = tuple(float(i) for i in (sweeps if sweeps is not None else np.arange(1, 11) / 10.0))
     seeds = tuple(int(s) for s in (seeds if seeds is not None else (cfg.seed,)))
+    for name, axis in (("intensities", intensities), ("seeds", seeds)):
+        if len(set(axis)) != len(axis):
+            raise ConfigError(f"ablate_order {name} must be distinct, got {axis}")
     tasks = [(fid, p, cfg, intensities, seeds) for fid, p in enumerate(faces)]
     report = ExperimentReport()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for rows in ex.map(_order_cell, tasks):
+            for rows in ex.map(_order_face, tasks):
                 report.rows.extend(rows)
     else:
         for task in tasks:
-            report.rows.extend(_order_cell(task))
+            report.rows.extend(_order_face(task))
     report.rows = report.sorted_rows()
     report.extras = {
         "mean_loss_ps": report.mean_loss("PS"),

@@ -78,6 +78,20 @@ class TestParse:
         assert code == 2
         assert "error:" in err and flag in err
 
+    @pytest.mark.parametrize("command", ["render", "stylize", "diffuse", "attn-map"])
+    def test_negative_face_id_rejected(self, command, capsys):
+        code, _, err = run([command, "--face-id", "-1"], capsys)
+        assert code == 2
+        assert "error:" in err and "--face-id" in err and "got -1" in err
+        assert "grid size" not in err
+
+    def test_duplicate_intensities_rejected(self, tmp_path, capsys):
+        argv = ["ablate-order", "--faces", "1", "--intensities", "0.3,0.3", "--sweep-seeds", "1"]
+        code, _, err = run([*argv, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "error:" in err and "distinct" in err
+        assert not (tmp_path / "order_report.csv").exists()
+
     @pytest.mark.parametrize("values", [{"steps": "10"}, {"seed": "abc"}, {"use_diffusion": 1}])
     def test_config_value_of_wrong_type(self, values, tmp_path, capsys):
         bad = tmp_path / "typed.json"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import craftfaces.pipeline as pl
+from craftfaces import facegen, identity
 from craftfaces.diffusion import _denoise_loss
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
-from craftfaces.facegen import face_grid, render_face
+from craftfaces.facegen import StyleOp, face_grid, graffiti_stylize, render_face
+from craftfaces.identity import attr_loss
 from craftfaces.lora import _batch
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import (
@@ -137,11 +139,11 @@ class TestAblateOrder:
         assert paths[0] == paths[1] == paths[2]
 
     def test_violation_raises_with_case(self, monkeypatch):
-        def fake_style_first(img, prompt, cfg, face_id=0, **kw):
+        def fake_style_first(face, styled, prompt, cfg, face_id, t0, **kw):
             row = ReportRow(face_id, "PS", cfg.style_intensity, 99.0, 1.0, cfg.seed, 0.0)
-            return img, row
+            return styled, row
 
-        monkeypatch.setattr(pl, "run_style_first", fake_style_first)
+        monkeypatch.setattr(pl, "_style_first", fake_style_first)
         cfg = PipelineConfig(seed=9)
         with pytest.raises(CompositionOrderError) as exc:
             ablate_order(face_grid(1, seed=9), cfg, sweeps=(0.5,), seeds=(9,))
@@ -151,6 +153,90 @@ class TestAblateOrder:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             ablate_order([], PipelineConfig())
+
+    @pytest.mark.parametrize(
+        "sweeps, seeds", [((0.3, 0.3), (9,)), ((0.3,), (9, 9))], ids=["intensities", "seeds"]
+    )
+    def test_duplicate_cells_rejected(self, sweeps, seeds):
+        with pytest.raises(ConfigError, match="distinct"):
+            ablate_order(face_grid(1, seed=9), PipelineConfig(seed=9), sweeps=sweeps, seeds=seeds)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_one_call_of_each_order_per_cell(self, jobs):
+        cfg = PipelineConfig(seed=18)
+        faces = face_grid(3, seed=18)
+        report = ablate_order(faces, cfg, sweeps=(0.0, 0.4, 1.0), seeds=(18, 19), jobs=jobs)
+        expected = []
+        for fid, params in enumerate(faces):
+            img = render_face(params, cfg.image_size)
+            for intensity in (0.0, 0.4, 1.0):
+                for seed in (18, 19):
+                    cell = replace(cfg, style_intensity=intensity, seed=seed)
+                    expected.append(run_style_first(img, pl.DEFAULT_PROMPT, cell, face_id=fid)[1])
+                    expected.append(run_identity_first(img, pl.DEFAULT_PROMPT, cell, face_id=fid)[1])
+        key = lambda r: (r.face_id, r.order, r.intensity, r.seed, repr(r.attr_loss), repr(r.ffc))
+        assert list(map(key, report.rows)) == list(map(key, pl.ExperimentReport(expected).sorted_rows()))
+
+    def test_reversed_order_stylizes_the_projected_input_when_projection_moves_it(self):
+        cfg = PipelineConfig(seed=20, style_intensity=0.4)
+        params = face_grid(1, seed=20)[0]
+        img = render_face(params, cfg.image_size)
+        shifted = params.attributes() + np.array([1e-3, 0, 0, 0, 0, 0])
+        projector = pl.Projector(reference_attrs=shifted)
+        face = pl._Face.of(img, projector)
+        assert face.projected is not None  # projecting the input redraws its landmarks
+        ps, sp = pl._order_cell(face, cfg, 0, params, None)
+        _, want_ps = run_style_first(img, pl.DEFAULT_PROMPT, cfg, projector=projector)
+        _, want_sp = run_identity_first(img, pl.DEFAULT_PROMPT, cfg, projector=projector)
+        for got, want in ((ps, want_ps), (sp, want_sp)):
+            assert (repr(got.attr_loss), repr(got.ffc)) == (repr(want.attr_loss), repr(want.ffc))
+        # reusing the stylized input, right only when projecting is a no-op, would differ
+        assert sp.attr_loss != attr_loss(graffiti_stylize(img, StyleOp(intensity=0.4)), img)
+
+    def test_per_face_work_once_and_one_stylize_per_cell(self, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            real, calls[name] = getattr(module, name), 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((facegen, "image_hash"), (identity, "project"), (pl, "extract_attributes"),
+                             (pl, "_stylize"), (pl, "graffiti_stylize")):
+            count(module, name)
+        ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.2, 0.5, 0.9), seeds=(21, 22))
+        faces, cells = 3, 3 * 3 * 2
+        assert calls == {
+            "image_hash": faces,  # the jitter units
+            "project": faces + cells,  # the input once, then each cell's stylized image
+            "extract_attributes": faces + 2 * cells,  # the reference, then each output once
+            "_stylize": cells,
+            "graffiti_stylize": 0,
+        }
+
+    def test_diffusion_sweep_builds_one_runtime_per_seed(self, monkeypatch):
+        cfg = PipelineConfig(seed=22, steps=6, composition_window=2, image_size=32, use_diffusion=True)
+        params = face_grid(1, seed=22)[0]
+        img = render_face(params, cfg.image_size)
+        expected = []
+        for intensity in (0.3, 0.7):
+            for seed in (22, 23):
+                cell = replace(cfg, style_intensity=intensity, seed=seed)
+                expected.append(run_style_first(img, pl.DEFAULT_PROMPT, cell)[1])
+                expected.append(run_identity_first(img, pl.DEFAULT_PROMPT, cell)[1])
+
+        built = []
+        real_make_runtime = pl._make_runtime
+        monkeypatch.setattr(pl, "_make_runtime", lambda c: built.append(c.seed) or real_make_runtime(c))
+        report = ablate_order([params], cfg, sweeps=(0.3, 0.7), seeds=(22, 23))
+        assert built == [22, 23]
+        assert [replace(r, ms=0.0) for r in report.rows] == pl.ExperimentReport(
+            [replace(r, ms=0.0) for r in expected]
+        ).sorted_rows()
 
 
 class TestTrainToyDenoiser:
