@@ -70,18 +70,12 @@ USAGE_EXIT = 2
 IO_EXIT = 2
 ASSERTION_EXIT = 3
 
+# a flag per PipelineConfig field, but seed (it has its own flag, with an
+# env fallback) and use_diffusion (set in a config file only)
 _CONFIG_FLAGS = {
-    "guidance_scale": float,
-    "subject_guidance": float,
-    "style_intensity": float,
-    "steps": int,
-    "composition_window": int,
-    "lora_rank": int,
-    "lora_alpha": float,
-    "image_size": int,
-    "latent_tokens": int,
-    "token_dim": int,
-    "cond_dim": int,
+    name: {"int": int, "float": float}[f.type]
+    for name, f in PipelineConfig.__dataclass_fields__.items()
+    if name not in ("seed", "use_diffusion")
 }
 
 

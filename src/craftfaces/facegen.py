@@ -8,7 +8,8 @@ centroid of the row recovers the continuous landmark position exactly.
 That makes attribute extraction an exact inverse of rendering and keeps
 it consistent across resolutions.
 
-Landmark bands (fractions of image height):
+Landmark bands (``BAND_FRACTIONS``, fractions of image height; the x
+positions use ``X_MARGIN``/``X_SPAN`` and ``EYE_OFFSET``/``EYE_SPAN``):
 
     brow   0.22  eye size          single splat, x = (0.15 + 0.70 a) W
     eyes   0.36  eye spacing       two splats at 0.5 W +- (0.12 + 0.13 a) W
@@ -40,8 +41,6 @@ from .numerics import RngStream, tensor
 __all__ = [
     "ATTRIBUTE_NAMES",
     "FaceParams",
-    "RendererConfig",
-    "DEFAULT_RENDERER",
     "StyleOp",
     "render_face",
     "graffiti_stylize",
@@ -67,7 +66,7 @@ ATTRIBUTE_NAMES = (
 # chroma base tones selectable per face
 FACE_PALETTES = (0.30, 0.45, 0.60, 0.75)
 
-# default spray-paint tone set used by the stylizer
+# spray-paint tone set the stylizer quantizes chroma to
 SPRAY_PALETTE = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 MIN_SIZE = 32
@@ -102,29 +101,23 @@ class FaceParams:
         return self
 
 
-@dataclass(frozen=True)
-class RendererConfig:
-    """Layout constants shared by the renderer and the attribute extractor."""
-
-    band_fractions: tuple[tuple[str, float], ...] = (
-        ("eye_size", 0.22),
-        ("eye_spacing", 0.36),
-        ("nose_length", 0.50),
-        ("mouth_width", 0.64),
-        ("mouth_curve", 0.72),
-        ("face_radius", 0.86),
-    )
-    x_margin: float = 0.15
-    x_span: float = 0.70
-    eye_offset: float = 0.12
-    eye_span: float = 0.13
+# landmark layout shared by the renderer and the attribute extractor
+BAND_FRACTIONS = (
+    ("eye_size", 0.22),
+    ("eye_spacing", 0.36),
+    ("nose_length", 0.50),
+    ("mouth_width", 0.64),
+    ("mouth_curve", 0.72),
+    ("face_radius", 0.86),
+)
+X_MARGIN = 0.15
+X_SPAN = 0.70
+EYE_OFFSET = 0.12
+EYE_SPAN = 0.13
 
 
-DEFAULT_RENDERER = RendererConfig()
-
-
-def band_rows(cfg: RendererConfig, height: int) -> dict[str, int]:
-    return {name: int(round(f * height)) for name, f in cfg.band_fractions}
+def band_rows(height: int) -> dict[str, int]:
+    return {name: int(round(f * height)) for name, f in BAND_FRACTIONS}
 
 
 def _splat(row: np.ndarray, u: float, amp: float = 1.0) -> None:
@@ -136,19 +129,19 @@ def _splat(row: np.ndarray, u: float, amp: float = 1.0) -> None:
         row[x0 + 1] += amp * frac
 
 
-def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray, cfg: RendererConfig) -> None:
+def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
     """Clear the landmark bands of a geometry plane and re-splat them at
     the given attribute values (in place)."""
     h, w = geometry.shape
-    rows = band_rows(cfg, h)
+    rows = band_rows(h)
     a = {name: float(v) for name, v in zip(ATTRIBUTE_NAMES, attrs)}
     for name, r in rows.items():
         geometry[r, :] = 0.0
-    half = (cfg.eye_offset + cfg.eye_span * a["eye_spacing"]) * w
+    half = (EYE_OFFSET + EYE_SPAN * a["eye_spacing"]) * w
     _splat(geometry[rows["eye_spacing"]], 0.5 * w - half)
     _splat(geometry[rows["eye_spacing"]], 0.5 * w + half)
     for name in ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius"):
-        _splat(geometry[rows[name]], (cfg.x_margin + cfg.x_span * a[name]) * w)
+        _splat(geometry[rows[name]], (X_MARGIN + X_SPAN * a[name]) * w)
 
 
 def _decorate(geometry: np.ndarray, p: FaceParams) -> None:
@@ -161,7 +154,7 @@ def _decorate(geometry: np.ndarray, p: FaceParams) -> None:
     geometry[ring] = np.maximum(geometry[ring], 0.45)
 
     pupil_row = int(round(0.31 * h))
-    half = (0.12 + 0.13 * p.eye_spacing) * w
+    half = (EYE_OFFSET + EYE_SPAN * p.eye_spacing) * w
     for x in (int(round(cx - half)), int(round(cx + half))):
         geometry[pupil_row, max(0, min(w - 1, x))] = 0.5
 
@@ -179,7 +172,7 @@ def _decorate(geometry: np.ndarray, p: FaceParams) -> None:
     )
 
 
-def render_face(p: FaceParams, size: int = 64, cfg: RendererConfig = DEFAULT_RENDERER) -> np.ndarray:
+def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     """Deterministic (2, size, size) face image; landmark rows encode the
     attributes exactly."""
     p.validate()
@@ -188,7 +181,7 @@ def render_face(p: FaceParams, size: int = 64, cfg: RendererConfig = DEFAULT_REN
     h = w = int(size)
     geometry = np.zeros((h, w), dtype=np.float64)
     _decorate(geometry, p)
-    draw_landmarks(geometry, p.attributes(), cfg)
+    draw_landmarks(geometry, p.attributes())
 
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     cy, cx = 0.54 * h, 0.5 * w
@@ -217,16 +210,10 @@ class StyleOp:
     operator perturb attributes."""
 
     intensity: float = 0.7
-    palette: tuple[float, ...] = SPRAY_PALETTE
-    edge_gain: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.intensity <= 1.0:
             raise ConfigError(f"style intensity {self.intensity} outside [0, 1]")
-        if self.edge_gain < 0:
-            raise ConfigError(f"edge_gain must be >= 0, got {self.edge_gain}")
-        if len(self.palette) == 0:
-            raise ConfigError("style palette must not be empty")
 
 
 def _smooth_warp(g: np.ndarray) -> np.ndarray:
@@ -299,7 +286,7 @@ def _stylize(img: np.ndarray, op: StyleOp, units: dict[str, float]) -> np.ndarra
     h = img.shape[1]
     geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
 
-    rows = band_rows(DEFAULT_RENDERER, h)
+    rows = band_rows(h)
     w = img.shape[2]
     mid = w // 2
     eye_row = geometry[rows["eye_spacing"]]
@@ -316,8 +303,8 @@ def _stylize(img: np.ndarray, op: StyleOp, units: dict[str, float]) -> np.ndarra
         + np.roll(chroma, 1, axis=1)
         + np.roll(chroma, -1, axis=1)
     )
-    boosted = np.clip(chroma + i * op.edge_gain * lap, 0.0, 1.0)
-    palette = np.asarray(op.palette, dtype=np.float64)
+    boosted = np.clip(chroma + i * lap, 0.0, 1.0)
+    palette = np.asarray(SPRAY_PALETTE, dtype=np.float64)
     nearest = palette[np.argmin(np.abs(boosted[..., None] - palette), axis=-1)]
     chroma_out = (1.0 - i) * boosted + i * nearest
 

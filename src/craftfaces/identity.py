@@ -4,25 +4,25 @@ facial-feature cosine metric.
 The extractor inverts the renderer: each attribute is read back as the
 intensity centroid of its landmark band, so extraction is exact on clean
 renders and degrades continuously (never catastrophically) on stylized
-ones. The projector restores a target attribute vector; in re-render mode
-it re-draws only the landmark bands, leaving every other channel of the
+ones. The projector restores a target attribute vector by re-rendering: it
+re-draws only the landmark bands, leaving every other channel of the
 image (decoration, chroma, background) untouched, which makes the
-restored attributes exact. An optimization mode is kept as a slower,
-approximate alternative to show how the order argument behaves when the
-projector is only accurate to a tolerance.
+restored attributes exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExtractionError, InputError, ProjectionError
 from .facegen import (
     ATTRIBUTE_NAMES,
-    DEFAULT_RENDERER,
-    RendererConfig,
+    EYE_OFFSET,
+    EYE_SPAN,
+    X_MARGIN,
+    X_SPAN,
     band_rows,
     draw_landmarks,
 )
@@ -52,9 +52,7 @@ def _centroid(weights: np.ndarray, offset: int = 0) -> float:
     return float((xs * weights).sum() / mass)
 
 
-def extract_attributes(
-    img: np.ndarray, cfg: RendererConfig = DEFAULT_RENDERER
-) -> np.ndarray:
+def extract_attributes(img: np.ndarray) -> np.ndarray:
     """Recover the six attribute values from the landmark bands.
 
     Values are clamped to [0, 1]; a band with no intensity mass raises
@@ -65,7 +63,7 @@ def extract_attributes(
         raise ExtractionError(f"expected a (2, H, W) image, got shape {img.shape}")
     geometry = img[0]
     h, w = geometry.shape
-    rows = band_rows(cfg, h)
+    rows = band_rows(h)
     out = np.empty(len(ATTRIBUTE_NAMES), dtype=np.float64)
 
     mid = w // 2
@@ -73,20 +71,18 @@ def extract_attributes(
     c_left = _centroid(eye_row[:mid])
     c_right = _centroid(eye_row[mid:], offset=mid)
     half_spacing = (c_right - c_left) / 2.0
-    out[ATTRIBUTE_NAMES.index("eye_spacing")] = (half_spacing / w - cfg.eye_offset) / cfg.eye_span
+    out[ATTRIBUTE_NAMES.index("eye_spacing")] = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
 
     for name in ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius"):
         c = _centroid(geometry[rows[name]])
-        out[ATTRIBUTE_NAMES.index(name)] = (c / w - cfg.x_margin) / cfg.x_span
+        out[ATTRIBUTE_NAMES.index(name)] = (c / w - X_MARGIN) / X_SPAN
 
     return np.clip(out, 0.0, 1.0)
 
 
-def attr_loss(
-    x_img: np.ndarray, i_img: np.ndarray, cfg: RendererConfig = DEFAULT_RENDERER
-) -> float:
+def attr_loss(x_img: np.ndarray, i_img: np.ndarray) -> float:
     """Squared distance between the attribute vectors of two images."""
-    d = extract_attributes(x_img, cfg) - extract_attributes(i_img, cfg)
+    d = extract_attributes(x_img) - extract_attributes(i_img)
     return float(d @ d)
 
 
@@ -99,25 +95,13 @@ def attribute_embedding(attrs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Projector:
-    """Operator restoring a reference attribute vector.
-
-    re-render mode rewrites the landmark bands outright (exact); optimize
-    mode runs gradient descent on the band pixels until the extracted
-    attributes land within ``tol`` of the target.
-    """
+    """Operator restoring a reference attribute vector by rewriting the
+    landmark bands outright (exact)."""
 
     reference_attrs: np.ndarray
-    mode: str = "re-render"
-    tol: float = 1e-9
-    max_iters: int = 300
-    renderer: RendererConfig = field(default=DEFAULT_RENDERER)
-
-    def __post_init__(self):
-        if self.mode not in ("re-render", "optimize"):
-            raise ProjectionError(f"unknown projector mode {self.mode!r}")
 
     def apply(self, img: np.ndarray) -> np.ndarray:
-        return project(img, self.reference_attrs, self)
+        return project(img, self.reference_attrs)
 
 
 def _validate_target(target: np.ndarray) -> np.ndarray:
@@ -131,70 +115,26 @@ def _validate_target(target: np.ndarray) -> np.ndarray:
     return target
 
 
-def _project_optimize(
-    img: np.ndarray, target: np.ndarray, p: Projector
-) -> np.ndarray:
-    """Descend on the landmark-band pixels until attributes match."""
-    out = img.copy()
-    geometry = out[0]
-    h, w = geometry.shape
-    rows = band_rows(p.renderer, h)
-    mid = w // 2
-    xs = np.arange(w, dtype=np.float64)
-
-    for _ in range(p.max_iters):
-        attrs = extract_attributes(out, p.renderer)
-        err = attrs - target
-        if np.max(np.abs(err)) <= p.tol:
-            return out
-        for k, name in enumerate(ATTRIBUTE_NAMES):
-            row = geometry[rows[name]]
-            if name == "eye_spacing":
-                for sl, sign in ((np.s_[:mid], -1.0), (np.s_[mid:], 1.0)):
-                    weights = row[sl]
-                    mass = weights.sum()
-                    c = (xs[sl] * weights).sum() / mass
-                    da_dw = sign * (xs[sl] - c) / (2.0 * mass * w * p.renderer.eye_span)
-                    step = 0.4 / float(da_dw @ da_dw)
-                    weights -= step * 2.0 * err[k] * da_dw
-                    np.clip(weights, 0.0, None, out=weights)
-            else:
-                mass = row.sum()
-                c = (xs * row).sum() / mass
-                da_dw = (xs - c) / (mass * w * p.renderer.x_span)
-                step = 0.4 / float(da_dw @ da_dw)
-                row -= step * 2.0 * err[k] * da_dw
-                np.clip(row, 0.0, None, out=row)
-    attrs = extract_attributes(out, p.renderer)
-    if np.max(np.abs(attrs - target)) <= p.tol:
-        return out
-    raise ProjectionError(
-        f"optimize projector did not reach tol {p.tol} in {p.max_iters} iterations"
-    )
-
-
-def project(img: np.ndarray, target: np.ndarray, p: Projector) -> np.ndarray:
+def project(img: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Return an image whose attributes equal ``target``.
 
-    Re-render mode redraws the landmark bands at the target values and
-    copies everything else through, so stylized texture, palette, and
-    background survive; an image that already carries the target
-    attributes as clean landmarks passes through bit-identical.
+    Redraws the landmark bands at the target values and copies everything
+    else through, so stylized texture, palette, and background survive; an
+    image that already carries the target attributes as clean landmarks
+    passes through bit-identical.
     """
     img = tensor(img)
     target = _validate_target(target)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ProjectionError(f"expected a (2, H, W) image, got shape {img.shape}")
-    if p.mode == "optimize":
-        return _project_optimize(img, target, p)
     out = img.copy()
     try:
-        current = extract_attributes(img, p.renderer)
+        current = extract_attributes(img)
     except ExtractionError:
         current = None
     if current is not None and np.max(np.abs(current - target)) <= _ALREADY_THERE_TOL:
         return out  # attributes already present; nothing to restore
-    draw_landmarks(out[0], target, p.renderer)
+    draw_landmarks(out[0], target)
     return out
 
 

@@ -58,12 +58,10 @@ class LoRAAdapter:
         return self.alpha * (self.a @ self.b)
 
 
-def init_adapter(
-    d: int, k: int, rank: int, alpha: float, rng: RngStream, a_scale: float = 0.2
-) -> LoRAAdapter:
-    """A ~ small Gaussian, B = 0, so the initial update vanishes."""
+def init_adapter(d: int, k: int, rank: int, alpha: float, rng: RngStream) -> LoRAAdapter:
+    """A ~ 0.2 N(0, 1), B = 0, so the initial update vanishes."""
     return LoRAAdapter(
-        a=a_scale * rng.normal((d, rank)),
+        a=0.2 * rng.normal((d, rank)),
         b=np.zeros((rank, k)),
         alpha=alpha,
         rank=rank,
@@ -156,7 +154,7 @@ def train_lora(
     model: DenoiserModel,
     data,
     cfg: LoRATrainConfig,
-    rng: RngStream | None = None,
+    rng: RngStream,
 ) -> dict[str, LoRAAdapter]:
     """Gradient descent on squared noise-prediction error, through the
     adapter factors only. Base weights are never written.
@@ -165,8 +163,6 @@ def train_lora(
     model's own identity. Each step takes one exact gradient: the
     backward pass through the merged model, chained onto A and B.
     """
-    if rng is None:
-        rng = RngStream(seed=0)
     base = model.attention.base
     adapters = {
         t: init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_PROMPT = "graffiti portrait guitarist pose"
+SGD_BATCH = 16  # (face, t, eps) triples per toy-denoiser SGD step
 
 _VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
@@ -82,6 +83,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not -(2**127) <= self.seed < 2**127:  # the 128-bit range RngStream hashes
+            raise ConfigError(f"seed must lie in [-2**127, 2**127 - 1], got {self.seed}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.composition_window <= self.steps:
@@ -151,16 +154,16 @@ class ExperimentReport:
         vals = [r.ffc for r in self.rows if r.order == order]
         return float(np.mean(vals)) if vals else float("nan")
 
-    def win_rate(self, first: str = "PS", second: str = "SP") -> float:
-        """Fraction of (face, intensity, seed) cells where the first
-        order's loss is <= the second's."""
+    def win_rate(self) -> float:
+        """Fraction of (face, intensity, seed) cells where the style-first
+        order's (PS) loss is <= the reversed order's (SP)."""
         by_cell: dict[tuple, dict[str, float]] = {}
         for r in self.rows:
             by_cell.setdefault((r.face_id, r.intensity, r.seed), {})[r.order] = r.attr_loss
-        pairs = [c for c in by_cell.values() if first in c and second in c]
+        pairs = [c for c in by_cell.values() if "PS" in c and "SP" in c]
         if not pairs:
             return float("nan")
-        wins = sum(1 for c in pairs if c[first] <= c[second])
+        wins = sum(1 for c in pairs if c["PS"] <= c["SP"])
         return wins / len(pairs)
 
     def to_csv(self, path, include_timing: bool = False) -> None:
@@ -260,12 +263,12 @@ def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id:
 
 
 def _style_first(face: _Face, styled: np.ndarray, prompt: str, cfg: PipelineConfig, face_id: int,
-                 t0: float, model: DenoiserModel | None = None, runtime: _Runtime | None = None):
+                 t0: float, runtime: _Runtime | None = None):
     """The style-first order after its stylize: the optional guided denoiser
     pass, then the projection."""
     if cfg.use_diffusion:
         runtime = runtime or _make_runtime(cfg)
-        m = (model or runtime.model).with_identity(attribute_embedding(face.ref))
+        m = runtime.model.with_identity(attribute_embedding(face.ref))
         rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
         styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
     out = face.projector.apply(styled)
@@ -289,8 +292,6 @@ def run_style_first(
     prompt: str,
     cfg: PipelineConfig,
     face_id: int = 0,
-    model: DenoiserModel | None = None,
-    runtime: _Runtime | None = None,
     projector: Projector | None = None,
 ) -> tuple[np.ndarray, ReportRow]:
     """Stylize, optionally run the guided denoiser pass, then restore the
@@ -298,7 +299,7 @@ def run_style_first(
     the input's attributes whatever the middle stages did."""
     t0 = time.perf_counter()
     face = _Face.of(i_img, projector)
-    return _style_first(face, face.stylized(cfg), prompt, cfg, face_id, t0, model, runtime)
+    return _style_first(face, face.stylized(cfg), prompt, cfg, face_id, t0)
 
 
 def run_identity_first(
@@ -427,7 +428,6 @@ def _sgd_train(
     steps: int,
     lr: float,
     with_identity: bool,
-    batch_size: int = 16,
     mask: np.ndarray | None = None,
 ) -> DenoiserModel:
     """Noise-prediction SGD with a fresh (face, t, eps) batch every step
@@ -439,8 +439,8 @@ def _sgd_train(
     params = model.params()
     vec = _flatten(params)
     for i in range(steps):
-        fidx = rng.integers(0, len(faces), (batch_size,))
-        ts = rng.integers(1, cfg.steps + 1, (batch_size,))
+        fidx = rng.integers(0, len(faces), (SGD_BATCH,))
+        ts = rng.integers(1, cfg.steps + 1, (SGD_BATCH,))
         eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
         ab = runtime.sched.alpha_bar[ts - 1][:, None]
         x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
@@ -467,7 +467,6 @@ def train_toy_denoiser(
     with_identity: bool = False,
     lora: bool = False,
     runtime: _Runtime | None = None,
-    batch_size: int = 16,
 ):
     """Fit the toy denoiser to predict injected noise on face latents.
 
@@ -487,18 +486,14 @@ def train_toy_denoiser(
         return model, adapters
     if steps == 0:
         return model, None
-    trained = _sgd_train(
-        model, faces, cfg, runtime, rng.split("sgd"), steps, lr, with_identity, batch_size
-    )
-    return trained, None
+    return _sgd_train(model, faces, cfg, runtime, rng.split("sgd"), steps, lr, with_identity), None
 
 
-def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int, k: int | None = None) -> np.ndarray:
-    """Token indices carrying the most guide-latent energy; the toy stand-in
-    for 'tokens covering the face'."""
+def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int) -> np.ndarray:
+    """The quarter of the token indices (at least one) carrying the most
+    guide-latent energy; the toy stand-in for 'tokens covering the face'."""
     norms = np.linalg.norm(guide.reshape(n_tokens, token_dim), axis=1)
-    k = k or max(1, n_tokens // 4)
-    return np.sort(np.argsort(-norms)[:k])
+    return np.sort(np.argsort(-norms)[: max(1, n_tokens // 4)])
 
 
 def _attention_mass(

@@ -69,15 +69,14 @@ class FeatureExtractor:
         return out
 
 
-def make_extractor(
-    in_channels: int, layer_channels, rng: RngStream, weight_scale: float = 0.8
-) -> FeatureExtractor:
-    """Seeded random extractor with the given per-layer channel counts."""
+def make_extractor(in_channels: int, layer_channels, rng: RngStream) -> FeatureExtractor:
+    """Seeded random extractor with the given per-layer channel counts and
+    weights 0.8 N(0, 1) / sqrt(fan-in)."""
     weights = []
     biases = []
     prev = in_channels
     for c in layer_channels:
-        weights.append(weight_scale / np.sqrt(prev) * rng.normal((c, prev)))
+        weights.append(0.8 / np.sqrt(prev) * rng.normal((c, prev)))
         biases.append(0.1 * rng.normal((c,)))
         prev = c
     return FeatureExtractor(

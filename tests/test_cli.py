@@ -132,6 +132,36 @@ class TestParse:
         monkeypatch.setenv("CRAFT_SEED", "41")
         assert parse(["render", "--seed", "3"]).config.seed == 3
 
+    @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_seed_outside_128_bits_rejected(self, source, seed, monkeypatch, tmp_path, capsys):
+        argv = ["render", "--out-dir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        elif source == "env":
+            monkeypatch.setenv("CRAFT_SEED", str(seed))
+        else:
+            (tmp_path / "seed.json").write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(tmp_path / "seed.json")]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err and str(seed) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seeds_at_the_128_bit_bounds_accepted(self):
+        assert parse(["render", "--seed", str(2**127 - 1)]).config.seed == 2**127 - 1
+        assert parse(["render", "--seed", str(-(2**127))]).config.seed == -(2**127)
+
+    def test_sweep_seed_past_128_bits_rejected(self, tmp_path, capsys):
+        (tmp_path / "diffusion.json").write_text(json.dumps({"use_diffusion": True}))
+        argv = ["ablate-order", "--seed", str(2**127 - 1), "--sweep-seeds", "2", "--faces", "1",
+                "--intensities", "0.5", "--steps", "3", "--window", "1", "--image-size", "32",
+                "--config", str(tmp_path / "diffusion.json"), "--out-dir", str(tmp_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and str(2**127) in err
+        assert not (tmp_path / "order_report.csv").exists()
+
     def test_non_integer_seed_env_rejected(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("CRAFT_SEED", "abc")
         code, _, err = run(["render", "--out-dir", str(tmp_path)], capsys)

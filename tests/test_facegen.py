@@ -99,8 +99,6 @@ class TestGraffitiStylize:
     def test_intensity_validation(self):
         with pytest.raises(ConfigError):
             StyleOp(intensity=1.5)
-        with pytest.raises(ConfigError):
-            StyleOp(edge_gain=-1.0)
 
 
 class TestEmbedPrompt:
