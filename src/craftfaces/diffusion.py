@@ -22,7 +22,7 @@ from .attention import (
     identity_self_attention,
     self_attention,
 )
-from .errors import ConfigError, ShapeError, StepError
+from .errors import ConfigError, EvaluationError, ShapeError, StepError
 from .numerics import RngStream, tensor
 
 __all__ = [
@@ -413,13 +413,56 @@ class LatentCodec:
         return self.enc.shape[1]
 
 
+def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with RᵀR = ``gram`` (symmetric positive definite;
+    only its upper triangle is read). Row j of R subtracts the rows above
+    it by one in-order axis-0 sum, so the bits depend on no BLAS or LAPACK
+    thread count. A pivot that is not positive and finite raises
+    EvaluationError rather than turn into NaN."""
+    z = gram.shape[0]
+    r = np.zeros_like(gram)
+    for j in range(z):
+        row = gram[j, j:] - (r[:j, j, None] * r[:j, j:]).sum(axis=0)
+        if not (row[0] > 0.0 and np.isfinite(row[0])):
+            raise EvaluationError(f"Cholesky pivot {j} is {row[0]!r}: Gram matrix not positive definite")
+        r[j, j] = d = np.sqrt(row[0])
+        r[j, j + 1 :] = row[1:] / d
+    return r
+
+
+def _inv_upper(r: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular matrix with a nonzero diagonal, by back
+    substitution row by row, each row one in-order axis-0 sum."""
+    z = r.shape[0]
+    x = np.zeros_like(r)
+    for i in range(z - 1, -1, -1):
+        x[i, i] = 1.0 / r[i, i]
+        x[i, i + 1 :] = -(r[i, i + 1 :, None] * x[i + 1 :, i + 1 :]).sum(axis=0) / r[i, i]
+    return x
+
+
 def make_codec(image_shape, z_dim: int, rng: RngStream) -> LatentCodec:
+    """Random orthonormal codec: the Q factor of a Gaussian (n, z_dim) draw.
+
+    Q comes from CholeskyQR2 (Fukaya et al., "CholeskyQR2: a simple and
+    communication-avoiding algorithm for computing a tall-skinny QR
+    factorization", 2014): two passes of Q <- Q R⁻¹, with R the upper
+    Cholesky factor of QᵀQ. The first pass leaves Q orthonormal to about
+    cond(A)²·eps and the second to machine precision. R's diagonal is
+    positive, so Q is the unique such QR factor. Only the two large
+    products, the Gram matrix and Q R⁻¹, use BLAS, whose gemm/syrk bits
+    do not depend on its thread count (tests check 1, 2 and 4); the
+    z_dim-sized factor and inverse are in-order numpy loops, not LAPACK,
+    so the codec's bytes are the same at any BLAS thread count.
+    """
     image_shape = tuple(int(s) for s in image_shape)
     n = int(np.prod(image_shape))
     if not 1 <= z_dim <= n:
         raise ConfigError(f"latent dim {z_dim} must be in 1..{n}")
-    q, _ = np.linalg.qr(rng.normal((n, z_dim)))
-    return LatentCodec(enc=q.T.copy(), dec=q.copy(), image_shape=image_shape)
+    q = rng.normal((n, z_dim))
+    for _ in range(2):
+        q = q @ _inv_upper(_cholesky_upper(q.T @ q))
+    return LatentCodec(enc=q.T.copy(), dec=q, image_shape=image_shape)
 
 
 def encode(img: np.ndarray, codec: LatentCodec) -> np.ndarray:

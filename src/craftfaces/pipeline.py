@@ -347,10 +347,10 @@ def _order_seed(face: _Face, cfg: PipelineConfig, face_id: int, params: FacePara
 
 
 def _order_face(args) -> list[ReportRow]:
-    face_id, params, cfg, intensities, seeds = args
-    face = _Face.of(render_face(params, cfg.image_size))
-    return [row for seed in seeds
-            for row in _order_seed(face, replace(cfg, seed=seed), face_id, params, intensities)]
+    face_id, params, seed_cfgs, intensities = args
+    face = _Face.of(render_face(params, seed_cfgs[0].image_size))
+    return [row for cfg in seed_cfgs
+            for row in _order_seed(face, cfg, face_id, params, intensities)]
 
 
 def ablate_order(
@@ -378,7 +378,9 @@ def ablate_order(
     for name, axis in (("intensities", intensities), ("seeds", seeds)):
         if len(set(axis)) != len(axis):
             raise ConfigError(f"ablate_order {name} must be distinct, got {axis}")
-    tasks = [(fid, p, cfg, intensities, seeds) for fid, p in enumerate(faces)]
+    # every seed's config is validated here, before any cell is computed
+    seed_cfgs = tuple(replace(cfg, seed=s) for s in seeds)
+    tasks = [(fid, p, seed_cfgs, intensities) for fid, p in enumerate(faces)]
     report = ExperimentReport()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:

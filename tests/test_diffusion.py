@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import craftfaces
 from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.diffusion import (
     DenoiserModel,
     NoiseSchedule,
+    _cholesky_upper,
     _denoise_loss,
     _denoise_loss_and_grad,
     build_schedule,
@@ -17,7 +24,7 @@ from craftfaces.diffusion import (
     reverse_step,
     sample,
 )
-from craftfaces.errors import ConfigError, ShapeError, StepError
+from craftfaces.errors import ConfigError, EvaluationError, ShapeError, StepError
 from craftfaces.numerics import RngStream, _flatten, _unflatten, finite_diff_grad
 
 
@@ -267,6 +274,49 @@ class TestCodec:
     def test_latent_dim_validation(self):
         with pytest.raises(ConfigError):
             make_codec((2, 4, 4), 33, RngStream(seed=29))
+
+    @pytest.mark.parametrize("shape, z", [((2, 64, 64), 64), ((2, 32, 32), 128)])
+    def test_bytes_independent_of_blas_threads(self, shape, z):
+        """The pipeline's codec shapes, built in fresh processes at 1, 2
+        and 4 BLAS threads, give one set of bytes."""
+        code = (
+            "import hashlib, sys; from craftfaces.diffusion import make_codec;"
+            " from craftfaces.numerics import RngStream;"
+            f" c = make_codec({shape}, {z}, RngStream(seed=7).split('codec'));"
+            " sys.stdout.write(hashlib.sha256(c.enc.tobytes() + c.dec.tobytes()).hexdigest())"
+        )
+        src = str(Path(craftfaces.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("shape, z, seed", [((2, 64, 64), 64, 7), ((2, 32, 32), 128, 7),
+                                                ((2, 8, 8), 16, 26), ((2, 4, 4), 32, 23)])
+    def test_q_factor_of_the_draw(self, shape, z, seed):
+        """Q is orthonormal, QᵀA is upper triangular with a positive
+        diagonal, and Q is LAPACK's Q up to column signs, square case
+        (z = n) included. ``A`` is the draw ``make_codec`` factors."""
+        n = int(np.prod(shape))
+        codec = make_codec(shape, z, RngStream(seed=seed))
+        q, a = codec.dec, RngStream(seed=seed).normal((n, z))
+        assert np.array_equal(codec.enc, q.T)
+        assert np.max(np.abs(q.T @ q - np.eye(z))) <= 1e-14
+        r = q.T @ a
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+        assert np.all(np.diag(r) > 0)
+        q_lapack, r_lapack = np.linalg.qr(a)
+        assert np.max(np.abs(q - q_lapack * np.sign(np.diag(r_lapack)))) <= 1e-13
+
+    def test_cholesky_zero_pivot_raises(self):
+        gram = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # pivot 1 is 1 - 1 = 0
+        with pytest.raises(EvaluationError, match="pivot 1"):
+            _cholesky_upper(gram)
 
 
 class TestDenoiserModel:

@@ -2,9 +2,9 @@
 
 A refactor that must keep the bits proves it here; a change that moves a
 digest on purpose updates it and says why in CHANGES.md. Each CLI case runs
-the CLI in a subprocess with the BLAS thread pools pinned to one thread: the
-codec's QR factorisation rounds differently at other thread counts, so the
-bytes are stable for a fixed thread count, not across thread counts.
+the CLI in a subprocess once with the BLAS thread pools pinned to one thread
+and once pinned to two, against the same digest: the bytes must not depend
+on the BLAS thread count.
 
 The PPM outputs are quantized to uint8, so one more digest pins the face
 oracle's float64 bits: renders, stylized images and their attributes.
@@ -33,43 +33,43 @@ GOLDENS = [
     (
         "diffuse --seed 5 --steps 10 --window 3 --image-size 32",
         "face_0_diffused.ppm",
-        "8b021957056d66b106c552ef4980fa1a0b66f5ed258875ed320a33df9e4dee9c",
+        "ee54f0d107924ebe12c0855959591fba0c5e28786fe361ffc8578b2b7e0994f5",
     ),
     (
         "diffuse --seed 7",
         "face_0_diffused.ppm",
-        "953a51eb10caa2d6f130aae88f9d6d3469134c39422204976de302a64f2ddce4",
+        "78ec428ba43c3f1aec2a6ffdfcd3fddc36ec6ef4aab17ae55383aa9ae350fe90",
     ),
     (
         "train --lora --seed 7",
         "adapters.csv",
-        "0b920c8d13b55dbf3bbac1b4a6effb9b11681860ca99ba1945b906e2217723de",
+        "5d16bbf93e78bff6c82cf4d6a41952ad4d110ea1e5befc480b0a2cbd8f556f39",
     ),
     (
         "train --lora --seed 7 --token-dim 8",
         "adapters.csv",
-        "5ebe0c3bb5d8278fca1062b2cb094c4b1d29b56c0cc48f28199791af466991a7",
+        "0cea84310211e717199aec5fae5449a0ba0906ffc7f8ffa72deb747556237e06",
     ),
     (
         "attn-map --seed 7 --with-identity",
         "attn_map_0.csv",
-        "ad1fd97d268b5856a219436b6226f5c9b8632b3b60765399a21c3c7c3e696419",
+        "b4161c0ee5f896ce4385f18bec6f03ff14956cc80a0ce9c25741e99bf09ecced",
     ),
     (
         "attn-map --seed 7",
         "attn_map_0.csv",
-        "9d369545bcc288d710f3c3b55a25440264131339e4c3ee676d7379e14bb31a4a",
+        "ebdff2e6b57063d3c512d70918413120b5b20b8fa2e216b609fe56738fcf83a2",
     ),
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3",
         "attention_report.csv",
-        "cb61be57066b46cc0f2b1a2e620cdc180af5133a743b4f1a99ee2f2ab75771fc",
+        "973271bdf8895f833221f0309ac297c1d7897f8f2dc1450022be5f2ec6c0b65c",
     ),
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3"
         " --latent-tokens 16 --token-dim 8",
         "attention_report.csv",
-        "e6f3de9d70aff992bc82850b11303b9298094abf429dc60dec412701a9c3fc98",
+        "09b0600fb36674ff07825aee6a84d4f924f7456b71ae07f4f7923e6a45f11995",
     ),
 ]
 
@@ -92,8 +92,18 @@ FACE_GOLDENS = [
 ORACLE_DIGEST = "726d59528ab58e35a01765bd98527d461dd07c1ac1578f9d3cefac1b0433f1d0"
 
 
-def _run_cli(argv, out_dir):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _at_blas_threads(cases):
+    """Each case at one BLAS thread (id: the command) and at two (id: the
+    command plus ``-blas2``)."""
+    return [
+        pytest.param(*case, threads, id=case[0] if threads == "1" else f"{case[0]}-blas{threads}")
+        for case in cases
+        for threads in ("1", "2")
+    ]
+
+
+def _run_cli(argv, out_dir, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "craftfaces.cli", *argv.split(), "--out-dir", str(out_dir)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -104,15 +114,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("argv, artifact, digest", GOLDENS, ids=[g[0] for g in GOLDENS])
-def test_cli_output_matches_golden(argv, artifact, digest, tmp_path):
-    _run_cli(argv, tmp_path)
+@pytest.mark.parametrize("argv, artifact, digest, threads", _at_blas_threads(GOLDENS))
+def test_cli_output_matches_golden(argv, artifact, digest, threads, tmp_path):
+    _run_cli(argv, tmp_path, threads)
     assert _sha256(tmp_path / artifact) == digest
 
 
-@pytest.mark.parametrize("argv, digests", FACE_GOLDENS, ids=[g[0] for g in FACE_GOLDENS])
-def test_cli_face_outputs_match_golden(argv, digests, tmp_path):
-    _run_cli(argv, tmp_path)
+@pytest.mark.parametrize("argv, digests, threads", _at_blas_threads(FACE_GOLDENS))
+def test_cli_face_outputs_match_golden(argv, digests, threads, tmp_path):
+    _run_cli(argv, tmp_path, threads)
     assert {name: _sha256(tmp_path / name) for name in digests} == digests
 
 

@@ -161,6 +161,15 @@ class TestAblateOrder:
         with pytest.raises(ConfigError, match="distinct"):
             ablate_order(face_grid(1, seed=9), PipelineConfig(seed=9), sweeps=sweeps, seeds=seeds)
 
+    def test_every_seed_checked_before_any_cell(self, monkeypatch):
+        calls = []
+        real = pl._stylize
+        monkeypatch.setattr(pl, "_stylize", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(ConfigError, match="seed must lie"):
+            ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5,),
+                         seeds=(2**127 - 1, 2**127))
+        assert calls == []
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_equal_one_call_of_each_order_per_cell(self, jobs):
         cfg = PipelineConfig(seed=18)
