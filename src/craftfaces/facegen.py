@@ -110,6 +110,8 @@ BAND_FRACTIONS = (
     ("mouth_curve", 0.72),
     ("face_radius", 0.86),
 )
+# the bands holding one splat each, at x = (X_MARGIN + X_SPAN a) W
+SINGLE_SPLAT_BANDS = ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius")
 X_MARGIN = 0.15
 X_SPAN = 0.70
 EYE_OFFSET = 0.12
@@ -140,7 +142,7 @@ def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
     half = (EYE_OFFSET + EYE_SPAN * a["eye_spacing"]) * w
     _splat(geometry[rows["eye_spacing"]], 0.5 * w - half)
     _splat(geometry[rows["eye_spacing"]], 0.5 * w + half)
-    for name in ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius"):
+    for name in SINGLE_SPLAT_BANDS:
         _splat(geometry[rows[name]], (X_MARGIN + X_SPAN * a[name]) * w)
 
 
@@ -221,42 +223,45 @@ def _smooth_warp(g: np.ndarray) -> np.ndarray:
     return g * g * (3.0 - 2.0 * g)
 
 
-def _shift_fractional(row: np.ndarray, delta: float) -> np.ndarray:
-    """Shift a row by a continuous offset with linear resampling; moves
-    the intensity centroid by exactly ``delta`` (mass stays inside)."""
-    k = int(np.floor(delta))
-    frac = delta - k
-
-    def shift_int(r: np.ndarray, n: int) -> np.ndarray:
-        out = np.zeros_like(r)
-        if n >= 0:
-            out[n:] = r[: r.size - n] if n else r
-        else:
-            out[:n] = r[-n:]
-        return out
-
-    if frac == 0.0:
-        return shift_int(row, k)
-    return (1.0 - frac) * shift_int(row, k) + frac * shift_int(row, k + 1)
+def _laplacian(c: np.ndarray) -> np.ndarray:
+    """Periodic 4-neighbour Laplacian of a plane, the chroma edge signal."""
+    return 4.0 * c - (
+        np.roll(c, 1, axis=0) + np.roll(c, -1, axis=0) + np.roll(c, 1, axis=1) + np.roll(c, -1, axis=1)
+    )
 
 
-JITTER_TRACKS = ("eye_left", "eye_right", "eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius")
+JITTER_TRACKS = ("eye_left", "eye_right", *SINGLE_SPLAT_BANDS)
 JITTER_MIN_PX = 0.4
 JITTER_MAX_PX = 1.6
 
 
-def _jitter_units(img: np.ndarray) -> dict[str, float]:
-    """Per-landmark shift units in pixels, seeded by the image content so
-    stylization is a pure function of (image, op). Magnitudes stay in
-    [JITTER_MIN_PX, JITTER_MAX_PX] so jitter dominates the small centroid
-    drift the intensity warp induces; the two eye tracks get opposite
-    signs so the eye-spacing drift never collapses to zero."""
+def _jitter_units(img: np.ndarray) -> np.ndarray:
+    """Per-landmark shift units in pixels, one per ``JITTER_TRACKS`` entry,
+    seeded by the image content so stylization is a pure function of
+    (image, op). Magnitudes stay in [JITTER_MIN_PX, JITTER_MAX_PX] so jitter
+    dominates the small centroid drift the intensity warp induces; the two
+    eye tracks get opposite signs so the eye-spacing drift never collapses
+    to zero."""
     js = RngStream(seed=image_hash(img)).split("landmark-jitter")
     mags = js.uniform((len(JITTER_TRACKS),), JITTER_MIN_PX, JITTER_MAX_PX)
     signs = np.where(js.uniform((len(JITTER_TRACKS),)) < 0.5, -1.0, 1.0)
-    units = {t: float(m * s) for t, m, s in zip(JITTER_TRACKS, mags, signs)}
-    units["eye_left"] = -units["eye_right"] / abs(units["eye_right"]) * abs(units["eye_left"])
+    units = mags * signs
+    units[0] = -units[1] / abs(units[1]) * abs(units[0])
     return units
+
+
+@dataclass(frozen=True)
+class _StyleTerms:
+    """The parts of a stylize that depend only on the input image: the
+    jitter units, the warped geometry plane and the chroma Laplacian."""
+
+    units: np.ndarray
+    warp: np.ndarray
+    lap: np.ndarray
+
+    @classmethod
+    def of(cls, img: np.ndarray) -> "_StyleTerms":
+        return cls(_jitter_units(img), _smooth_warp(img[0]), _laplacian(img[1]))
 
 
 def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
@@ -272,41 +277,66 @@ def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
         raise ConfigError(f"expected a (2, H, W) image, got shape {img.shape}")
     if op.intensity == 0.0:
         return img.copy()
-    return _stylize(img, op, _jitter_units(img))
+    return _stylize(img, op, _StyleTerms.of(img))
 
 
-def _stylize(img: np.ndarray, op: StyleOp, units: dict[str, float]) -> np.ndarray:
-    """``graffiti_stylize`` of a (2, H, W) float64 image whose jitter units
-    ``_jitter_units(img)`` the caller has derived already, so that one image
-    stylized at many ops is hashed once."""
+def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Shift each row of a (T, W) stack by its own continuous offset with
+    linear resampling, which moves the row's intensity centroid by exactly
+    that offset (mass stays inside). Row t is ``S(k)`` when the offset is
+    the integer k, else ``(1 - frac) * S(k) + frac * S(k + 1)``, where
+    ``S(n)`` is the row moved n pixels with zeros shifted in."""
+    n, w = tracks.shape
+    k = np.floor(deltas)
+    frac = (deltas - k)[:, None]
+    pad = int(np.max(np.abs(k))) + 1
+    padded = np.zeros((n, w + 2 * pad))
+    padded[:, pad : pad + w] = tracks
+    rows = np.arange(n)[:, None]
+    cols = pad - k.astype(np.intp)[:, None] + np.arange(w)  # S(k)[t, x] = tracks[t, x - k]
+    at_k, at_k1 = padded[rows, cols], padded[rows, cols - 1]
+    return np.where(frac == 0.0, at_k, (1.0 - frac) * at_k + frac * at_k1)
+
+
+def _quantize(chroma: np.ndarray) -> np.ndarray:
+    """The ``SPRAY_PALETTE`` tone nearest each pixel, by a running minimum
+    over the tones; a strict ``<`` keeps the first of tied tones, as
+    ``np.argmin`` does."""
+    nearest = np.full_like(chroma, SPRAY_PALETTE[0])
+    best = np.abs(chroma - SPRAY_PALETTE[0])
+    dist = np.empty_like(chroma)
+    closer = np.empty(chroma.shape, dtype=bool)
+    for tone in SPRAY_PALETTE[1:]:
+        np.abs(np.subtract(chroma, tone, out=dist), out=dist)
+        np.less(dist, best, out=closer)
+        np.copyto(best, dist, where=closer)
+        np.copyto(nearest, tone, where=closer)
+    return nearest
+
+
+def _stylize(img: np.ndarray, op: StyleOp, terms: _StyleTerms) -> np.ndarray:
+    """``graffiti_stylize`` of a (2, H, W) float64 image whose per-image
+    terms ``_StyleTerms.of(img)`` the caller has derived already, so that
+    one image stylized at many ops hashes, warps and differentiates once."""
     i = op.intensity
     if i == 0.0:
         return img.copy()
 
-    h = img.shape[1]
-    geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
+    h, w = img.shape[1:]
+    geometry = (1.0 - i) * img[0] + i * terms.warp
 
     rows = band_rows(h)
-    w = img.shape[2]
+    track_rows = [rows["eye_spacing"], rows["eye_spacing"]] + [rows[name] for name in SINGLE_SPLAT_BANDS]
+    tracks = geometry[track_rows]
     mid = w // 2
-    eye_row = geometry[rows["eye_spacing"]]
-    left = _shift_fractional(np.where(np.arange(w) < mid, eye_row, 0.0), i * units["eye_left"])
-    right = _shift_fractional(np.where(np.arange(w) >= mid, eye_row, 0.0), i * units["eye_right"])
-    geometry[rows["eye_spacing"]] = left + right
-    for name in ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius"):
-        geometry[rows[name]] = _shift_fractional(geometry[rows[name]], i * units[name])
+    tracks[0, mid:] = 0.0  # the left eye's half of the eye row
+    tracks[1, :mid] = 0.0  # the right eye's half
+    shifted = _shift_tracks(tracks, i * terms.units)
+    geometry[track_rows[0]] = shifted[0] + shifted[1]
+    geometry[track_rows[2:]] = shifted[2:]
 
-    chroma = img[1]
-    lap = 4.0 * chroma - (
-        np.roll(chroma, 1, axis=0)
-        + np.roll(chroma, -1, axis=0)
-        + np.roll(chroma, 1, axis=1)
-        + np.roll(chroma, -1, axis=1)
-    )
-    boosted = np.clip(chroma + i * lap, 0.0, 1.0)
-    palette = np.asarray(SPRAY_PALETTE, dtype=np.float64)
-    nearest = palette[np.argmin(np.abs(boosted[..., None] - palette), axis=-1)]
-    chroma_out = (1.0 - i) * boosted + i * nearest
+    boosted = np.clip(img[1] + i * terms.lap, 0.0, 1.0)
+    chroma_out = (1.0 - i) * boosted + i * _quantize(boosted)
 
     return np.stack([geometry, chroma_out])
 

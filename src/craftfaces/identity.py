@@ -21,6 +21,7 @@ from .facegen import (
     ATTRIBUTE_NAMES,
     EYE_OFFSET,
     EYE_SPAN,
+    SINGLE_SPLAT_BANDS,
     X_MARGIN,
     X_SPAN,
     band_rows,
@@ -56,7 +57,9 @@ def extract_attributes(img: np.ndarray) -> np.ndarray:
     """Recover the six attribute values from the landmark bands.
 
     Values are clamped to [0, 1]; a band with no intensity mass raises
-    ExtractionError.
+    ExtractionError. The five full-width bands are reduced as one (5, W)
+    stack: numpy sums each row of it pairwise exactly as it sums that row
+    alone, so the centroids have the bits of one ``_centroid`` per band.
     """
     img = tensor(img)
     if img.ndim != 3 or img.shape[0] != 2:
@@ -73,9 +76,12 @@ def extract_attributes(img: np.ndarray) -> np.ndarray:
     half_spacing = (c_right - c_left) / 2.0
     out[ATTRIBUTE_NAMES.index("eye_spacing")] = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
 
-    for name in ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius"):
-        c = _centroid(geometry[rows[name]])
-        out[ATTRIBUTE_NAMES.index(name)] = (c / w - X_MARGIN) / X_SPAN
+    bands = geometry[[rows[name] for name in SINGLE_SPLAT_BANDS]]
+    mass = bands.sum(axis=-1)
+    if np.any(mass <= _MIN_BAND_MASS):
+        raise ExtractionError("no detectable face geometry (empty landmark band)")
+    c = (np.arange(w, dtype=np.float64) * bands).sum(axis=-1) / mass
+    out[[ATTRIBUTE_NAMES.index(name) for name in SINGLE_SPLAT_BANDS]] = (c / w - X_MARGIN) / X_SPAN
 
     return np.clip(out, 0.0, 1.0)
 
@@ -123,15 +129,22 @@ def project(img: np.ndarray, target: np.ndarray) -> np.ndarray:
     image that already carries the target attributes as clean landmarks
     passes through bit-identical.
     """
+    return _project(img, target)
+
+
+def _project(img: np.ndarray, target: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
+    """``project``, given ``current = extract_attributes(img)`` when the
+    caller has extracted it already."""
     img = tensor(img)
     target = _validate_target(target)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ProjectionError(f"expected a (2, H, W) image, got shape {img.shape}")
     out = img.copy()
-    try:
-        current = extract_attributes(img)
-    except ExtractionError:
-        current = None
+    if current is None:
+        try:
+            current = extract_attributes(img)
+        except ExtractionError:
+            current = None
     if current is not None and np.max(np.abs(current - target)) <= _ALREADY_THERE_TOL:
         return out  # attributes already present; nothing to restore
     draw_landmarks(out[0], target)

@@ -44,21 +44,21 @@ def _mix64(*parts: int) -> int:
 
 
 _THREAD = threading.local()
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
 
 
 def _keyed_generator(key: int) -> np.random.Generator:
     """This thread's one Philox generator, put in the exact state that
     ``Philox(key=key)`` starts in: the key, a zero counter and an empty
     output buffer. Re-keying skips building a generator (and the OS-entropy
-    seed sequence it always draws) per draw."""
+    seed sequence it always draws) per draw; the state setter reads plain
+    Python ints, so the state needs no numpy arrays either."""
     gen = getattr(_THREAD, "generator", None)
     if gen is None:
         gen = _THREAD.generator = np.random.Generator(np.random.Philox(key=0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": np.array([key, 0], dtype=np.uint64)},
-        "buffer": _ZEROS4,
+        "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -33,10 +33,11 @@ from .diffusion import (
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import (
-    FaceParams, StyleOp, _jitter_units, _stylize, embed_prompt, graffiti_stylize, render_face,
+    FaceParams, StyleOp, _StyleTerms, _stylize, embed_prompt, graffiti_stylize, render_face,
 )
 from .identity import (
     Projector,
+    _project,
     attribute_embedding,
     extract_attributes,
     ffc,
@@ -235,8 +236,9 @@ class _Face:
         return cls(img, ref, projector or Projector(reference_attrs=ref))
 
     @cached_property
-    def units(self) -> dict[str, float]:
-        return _jitter_units(self.img)
+    def terms(self) -> _StyleTerms:
+        """The jitter units, warped geometry and chroma Laplacian of the input."""
+        return _StyleTerms.of(self.img)
 
     @cached_property
     def projected(self) -> np.ndarray | None:
@@ -247,13 +249,15 @@ class _Face:
         return None if out.tobytes() == self.img.tobytes() else out
 
     def stylized(self, cfg: PipelineConfig) -> np.ndarray:
-        return _stylize(self.img, StyleOp(intensity=cfg.style_intensity), self.units)
+        return _stylize(self.img, StyleOp(intensity=cfg.style_intensity), self.terms)
 
 
-def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id: int, t0: float):
-    """Score one output. Its attributes are extracted once and feed both the
-    loss (the bits of ``attr_loss(out, face.img)``) and the FFC."""
-    attrs = extract_attributes(out)
+def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id: int, t0: float,
+         attrs: np.ndarray | None = None):
+    """Score one output. Its attributes (``attrs``, if the caller has them
+    already) are extracted once and feed both the loss (the bits of
+    ``attr_loss(out, face.img)``) and the FFC."""
+    attrs = extract_attributes(out) if attrs is None else attrs
     d = attrs - face.ref
     return ReportRow(
         face_id=face_id, order=order, intensity=cfg.style_intensity,
@@ -263,28 +267,33 @@ def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id:
 
 
 def _style_first(face: _Face, styled: np.ndarray, prompt: str, cfg: PipelineConfig, face_id: int,
-                 t0: float, runtime: _Runtime | None = None):
+                 t0: float, runtime: _Runtime | None = None, styled_attrs: np.ndarray | None = None):
     """The style-first order after its stylize: the optional guided denoiser
-    pass, then the projection."""
+    pass, then the projection, which reuses ``styled_attrs`` (the attributes
+    of ``styled``, if the caller has them) when nothing came in between."""
     if cfg.use_diffusion:
         runtime = runtime or _make_runtime(cfg)
         m = runtime.model.with_identity(attribute_embedding(face.ref))
         rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
         styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
-    out = face.projector.apply(styled)
+        styled_attrs = None
+    out = _project(styled, face.projector.reference_attrs, styled_attrs)
     return out, _row("PS", out, face, cfg, face_id, t0)
 
 
 def _identity_first(face: _Face, cfg: PipelineConfig, face_id: int, t0: float,
-                    styled: np.ndarray | None = None):
+                    styled: np.ndarray | None = None, styled_attrs: np.ndarray | None = None):
     """The reversed order: stylize the projected input. Stylization is a
     pure function of (image, op), so when projecting was a no-op the output
-    is the stylized input: ``styled``, if the caller has it already."""
+    is the stylized input: ``styled``, with its attributes ``styled_attrs``,
+    if the caller has them already."""
     if face.projected is not None:
-        out = graffiti_stylize(face.projected, StyleOp(intensity=cfg.style_intensity))
+        out, attrs = graffiti_stylize(face.projected, StyleOp(intensity=cfg.style_intensity)), None
+    elif styled is None:
+        out, attrs = face.stylized(cfg), None
     else:
-        out = face.stylized(cfg) if styled is None else styled
-    return out, _row("SP", out, face, cfg, face_id, t0)
+        out, attrs = styled, styled_attrs
+    return out, _row("SP", out, face, cfg, face_id, t0, attrs)
 
 
 def run_style_first(
@@ -319,14 +328,17 @@ def run_identity_first(
 def _order_cell(face: _Face, cfg: PipelineConfig, face_id: int, params: FaceParams,
                 runtime: _Runtime | None) -> list[ReportRow]:
     """Both orders on one (face, intensity, seed) cell, sharing one stylize
-    of the input. Each row's ``ms`` is half that stylize plus its own
-    order's remaining work."""
+    of the input and, when projecting the input was a no-op, one extraction
+    of its attributes: the reversed order's score and the style-first
+    projection both read them. Each row's ``ms`` is half that shared work
+    plus its own order's remaining work."""
     t0 = time.perf_counter()
     styled = face.stylized(cfg)
+    attrs = extract_attributes(styled) if face.projected is None else None
     half = (time.perf_counter() - t0) / 2
     _, ps = _style_first(face, styled, DEFAULT_PROMPT, cfg, face_id, time.perf_counter() - half,
-                         runtime=runtime)
-    _, sp = _identity_first(face, cfg, face_id, time.perf_counter() - half, styled)
+                         runtime=runtime, styled_attrs=attrs)
+    _, sp = _identity_first(face, cfg, face_id, time.perf_counter() - half, styled, attrs)
     if ps.attr_loss > sp.attr_loss:
         raise CompositionOrderError(
             "style-then-project lost to the reversed order: "
@@ -513,6 +525,7 @@ def ablate_attention(
     train_steps: int = 2000,
     base_steps: int = 1200,
     zero_identity: bool = False,
+    runtime: _Runtime | None = None,
 ) -> ExperimentReport:
     """Compare identity-augmented attention against the plain baseline.
 
@@ -522,7 +535,8 @@ def ablate_attention(
     purely by the learned identity extension. Sampling noise streams are
     seed-matched across arms. With ``zero_identity=True`` both arms share
     one untrained model and the identity arm feeds a zero embedding, which
-    must reproduce the baseline exactly.
+    must reproduce the baseline exactly. ``runtime``, if given, must be
+    ``_make_runtime(cfg)``; it saves building the codec again.
 
     Each arm samples all its (face, seed) trajectories as one batch, in
     (face, seed) order, each on its own stream, so every trajectory has
@@ -536,7 +550,7 @@ def ablate_attention(
     seeds = tuple(int(s) for s in (seeds if seeds is not None else range(20)))
     if not seeds:
         raise ConfigError("ablate_attention needs at least one seed")
-    runtime = _make_runtime(cfg)
+    runtime = runtime or _make_runtime(cfg)
     a0 = runtime.model.attention
     start = runtime.model.with_attention(
         ExtendedAttentionWeights(base=a0.base, u_q=np.zeros_like(a0.u_q), u_k=np.zeros_like(a0.u_k))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from craftfaces.errors import ConfigError, InputError
 from craftfaces.facegen import (
@@ -7,6 +10,8 @@ from craftfaces.facegen import (
     SPRAY_PALETTE,
     FaceParams,
     StyleOp,
+    _quantize,
+    _shift_tracks,
     chroma_histogram,
     embed_prompt,
     face_grid,
@@ -17,6 +22,7 @@ from craftfaces.facegen import (
     write_ppm,
 )
 from craftfaces.identity import attr_loss, extract_attributes
+from craftfaces.numerics import RngStream
 
 BASE = FaceParams(
     eye_spacing=0.3,
@@ -61,6 +67,69 @@ class TestRenderFace:
         with pytest.raises(ConfigError):
             render_face(BASE, 16)
         render_face(BASE, 32)  # smallest legal size works
+
+
+def _argmin_quantize(chroma: np.ndarray) -> np.ndarray:
+    """Nearest-tone quantization as one argmin over an (..., 5) distance stack."""
+    palette = np.asarray(SPRAY_PALETTE, dtype=np.float64)
+    return palette[np.argmin(np.abs(chroma[..., None] - palette), axis=-1)]
+
+
+class TestQuantize:
+    palette = np.asarray(SPRAY_PALETTE, dtype=np.float64)
+    mids = (palette[:-1] + palette[1:]) / 2
+
+    def test_midpoints_pick_the_lower_tone(self):
+        # three of the four midpoints are exact float ties; 0.15 lies nearer 0.05
+        ties = [abs(m - lo) == abs(m - hi) for m, lo, hi in zip(self.mids, self.palette, self.palette[1:])]
+        assert ties == [False, True, True, True]
+        x = self.mids.reshape(2, 2)
+        assert _quantize(x).tobytes() == self.palette[:-1].reshape(2, 2).tobytes()
+        assert _quantize(x).tobytes() == _argmin_quantize(x).tobytes()
+
+    def test_tones_map_to_themselves(self):
+        x = self.palette.reshape(1, -1)
+        assert _quantize(x).tobytes() == x.tobytes() == _argmin_quantize(x).tobytes()
+
+    def test_equals_argmin_around_every_midpoint_and_on_random_values(self):
+        around = [self.mids + k * np.spacing(self.mids) for k in (-2, -1, 1, 2)]
+        x = np.concatenate([*around, [0.0, 1.0], RngStream(seed=3).uniform((400,))]).reshape(2, -1)
+        assert _quantize(x).tobytes() == _argmin_quantize(x).tobytes()
+
+
+def _shift_row(row: np.ndarray, delta: float) -> np.ndarray:
+    """One row shifted by ``delta`` with linear resampling, by two integer
+    shifts: the per-row oracle for ``_shift_tracks``."""
+    k = int(np.floor(delta))
+    frac = delta - k
+
+    def shift_int(r: np.ndarray, n: int) -> np.ndarray:
+        out = np.zeros_like(r)
+        if n >= 0:
+            out[n:] = r[: r.size - n] if n else r
+        else:
+            out[:n] = r[-n:]
+        return out
+
+    if frac == 0.0:
+        return shift_int(row, k)
+    return (1.0 - frac) * shift_int(row, k) + frac * shift_int(row, k + 1)
+
+
+_values = st.sampled_from((0.0, -0.0, 1.0, 0.5)) | st.floats(-2.0, 2.0)
+_deltas = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (n, 40), elements=_values), arrays(np.float64, (n,), elements=_deltas)
+)))
+def test_shift_tracks_equals_one_shift_per_row(case):
+    """Bit for bit, integer offsets and signed zeros included (an integer
+    offset must not blend in ``0 * S(k + 1)``, which turns -0.0 into 0.0)."""
+    tracks, deltas = case
+    want = np.stack([_shift_row(row, float(d)) for row, d in zip(tracks, deltas)])
+    assert _shift_tracks(tracks, deltas).tobytes() == want.tobytes()
 
 
 class TestGraffitiStylize:

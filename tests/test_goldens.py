@@ -91,6 +91,11 @@ FACE_GOLDENS = [
 
 ORACLE_DIGEST = "726d59528ab58e35a01765bd98527d461dd07c1ac1578f9d3cefac1b0433f1d0"
 
+# odd widths, and eye halves whose width is not a multiple of 8, are where a
+# vectorized reduction could group a sum differently from a per-row one
+ORACLE_SIZES = (32, 33, 40, 47, 96)
+MULTI_SIZE_ORACLE_DIGEST = "768b2d2b18bd548f45b29158d5f80f9aeaef880c2600a47d79dd9c91f6c0d0c6"
+
 
 def _at_blas_threads(cases):
     """Each case at one BLAS thread (id: the command) and at two (id: the
@@ -126,17 +131,26 @@ def test_cli_face_outputs_match_golden(argv, digests, threads, tmp_path):
     assert {name: _sha256(tmp_path / name) for name in digests} == digests
 
 
-def test_face_oracle_float_bits_match_golden():
-    """Per face of ``face_grid(4, seed=7)``: the 64 px render and its
+def _oracle_digest(sizes) -> str:
+    """Per face of ``face_grid(4, seed=7)`` and per size: the render and its
     attributes, then at each intensity the stylized image and its
     attributes, all hashed at full float64 precision."""
     h = hashlib.sha256()
     for params in face_grid(4, seed=7):
-        img = render_face(params, 64)
-        h.update(img.tobytes())
-        h.update(extract_attributes(img).tobytes())
-        for intensity in (0.3, 0.7, 1.0):
-            styled = graffiti_stylize(img, StyleOp(intensity=intensity))
-            h.update(styled.tobytes())
-            h.update(extract_attributes(styled).tobytes())
-    assert h.hexdigest() == ORACLE_DIGEST
+        for size in sizes:
+            img = render_face(params, size)
+            h.update(img.tobytes())
+            h.update(extract_attributes(img).tobytes())
+            for intensity in (0.3, 0.7, 1.0):
+                styled = graffiti_stylize(img, StyleOp(intensity=intensity))
+                h.update(styled.tobytes())
+                h.update(extract_attributes(styled).tobytes())
+    return h.hexdigest()
+
+
+def test_face_oracle_float_bits_match_golden():
+    assert _oracle_digest((64,)) == ORACLE_DIGEST
+
+
+def test_face_oracle_float_bits_match_golden_at_odd_sizes():
+    assert _oracle_digest(ORACLE_SIZES) == MULTI_SIZE_ORACLE_DIGEST

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
-from craftfaces.facegen import FaceParams, StyleOp, chroma_histogram, face_grid, graffiti_stylize, render_face
+from craftfaces.facegen import (
+    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp, band_rows,
+    chroma_histogram, face_grid, graffiti_stylize, render_face,
+)
 from craftfaces.identity import (
     Projector,
+    _centroid,
     attr_loss,
     attribute_embedding,
     extract_attributes,
@@ -168,6 +172,35 @@ class TestVerifyComposition:
 )
 def test_extract_inverts_render(params, size):
     assert np.max(np.abs(extract_attributes(render_face(params, size)) - params.attributes())) <= 1e-9
+
+
+def _extract_per_band(img: np.ndarray) -> np.ndarray:
+    """The extractor as one ``_centroid`` call per band, in band order: the
+    oracle for any batched reduction of the bands."""
+    geometry = img[0]
+    h, w = geometry.shape
+    rows = band_rows(h)
+    out = np.empty(len(ATTRIBUTE_NAMES), dtype=np.float64)
+    mid = w // 2
+    eye_row = geometry[rows["eye_spacing"]]
+    half_spacing = (_centroid(eye_row[mid:], offset=mid) - _centroid(eye_row[:mid])) / 2.0
+    out[ATTRIBUTE_NAMES.index("eye_spacing")] = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
+    for name in ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius"):
+        out[ATTRIBUTE_NAMES.index(name)] = (_centroid(geometry[rows[name]]) / w - X_MARGIN) / X_SPAN
+    return np.clip(out, 0.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.builds(
+        FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit
+    ),
+    _unit,
+    st.sampled_from((32, 33, 40, 47, 96)),
+)
+def test_extract_equals_per_band_centroids_bit_for_bit(params, intensity, size):
+    styled = graffiti_stylize(render_face(params, size), StyleOp(intensity=intensity))
+    assert extract_attributes(styled).tobytes() == _extract_per_band(styled).tobytes()
 
 
 _coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
