@@ -361,6 +361,7 @@ def _order_seed(face: _Face, cfg: PipelineConfig, face_id: int, params: FacePara
 def _order_face(args) -> list[ReportRow]:
     face_id, params, seed_cfgs, intensities = args
     face = _Face.of(render_face(params, seed_cfgs[0].image_size))
+    face.terms, face.projected  # the per-face work, done before any cell's clock starts
     return [row for cfg in seed_cfgs
             for row in _order_seed(face, cfg, face_id, params, intensities)]
 
@@ -378,10 +379,11 @@ def ablate_order(
     a hard failure (CompositionOrderError carrying the offending case).
     Intensities and seeds must be distinct, so that no two cells are the same.
 
-    Each face's reference attributes, jitter units and projected input are
-    computed once, and each cell stylizes once for both orders (projecting
-    a render first is a bitwise no-op); the rows have the bits of calling
-    ``run_style_first`` and ``run_identity_first`` per cell.
+    Each face's reference attributes, stylize terms (jitter units, warped
+    geometry, chroma Laplacian) and projected input are computed once,
+    before any cell is timed, and each cell stylizes once for both orders
+    (projecting a render first is a bitwise no-op); the rows have the bits
+    of calling ``run_style_first`` and ``run_identity_first`` per cell.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
@@ -525,7 +527,6 @@ def ablate_attention(
     train_steps: int = 2000,
     base_steps: int = 1200,
     zero_identity: bool = False,
-    runtime: _Runtime | None = None,
 ) -> ExperimentReport:
     """Compare identity-augmented attention against the plain baseline.
 
@@ -535,8 +536,7 @@ def ablate_attention(
     purely by the learned identity extension. Sampling noise streams are
     seed-matched across arms. With ``zero_identity=True`` both arms share
     one untrained model and the identity arm feeds a zero embedding, which
-    must reproduce the baseline exactly. ``runtime``, if given, must be
-    ``_make_runtime(cfg)``; it saves building the codec again.
+    must reproduce the baseline exactly.
 
     Each arm samples all its (face, seed) trajectories as one batch, in
     (face, seed) order, each on its own stream, so every trajectory has
@@ -550,7 +550,7 @@ def ablate_attention(
     seeds = tuple(int(s) for s in (seeds if seeds is not None else range(20)))
     if not seeds:
         raise ConfigError("ablate_attention needs at least one seed")
-    runtime = runtime or _make_runtime(cfg)
+    runtime = _make_runtime(cfg)
     a0 = runtime.model.attention
     start = runtime.model.with_attention(
         ExtendedAttentionWeights(base=a0.base, u_q=np.zeros_like(a0.u_q), u_k=np.zeros_like(a0.u_k))

@@ -215,9 +215,10 @@ class TestAblateOrder:
             monkeypatch.setattr(module, name, counted)
 
         for module, name in ((facegen, "image_hash"), (facegen, "_smooth_warp"), (facegen, "_laplacian"),
-                             (identity, "project"), (identity, "extract_attributes"),
-                             (pl, "extract_attributes"), (pl, "_stylize"), (pl, "graffiti_stylize")):
-            count(module, name)  # both modules' extract_attributes feed one count
+                             (identity, "project"), (identity, "_project"), (pl, "_project"),
+                             (identity, "extract_attributes"), (pl, "extract_attributes"),
+                             (pl, "_stylize"), (pl, "graffiti_stylize")):
+            count(module, name)  # both modules' _project and extract_attributes feed one count each
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.2, 0.5, 0.9), seeds=(21, 22))
         faces, cells = 3, 3 * 3 * 2
         assert calls == {
@@ -225,6 +226,7 @@ class TestAblateOrder:
             "_smooth_warp": faces,  # the other per-image stylize terms
             "_laplacian": faces,
             "project": faces,  # the input; each cell's restore reuses the stylized image's attributes
+            "_project": faces + cells,  # inside project, then one restore per cell
             # the reference and the projected input's check, then per cell
             # the stylized image and the restored output, once each
             "extract_attributes": 2 * faces + 2 * cells,
@@ -338,21 +340,6 @@ class TestAblateAttention:
         assert batch_sizes == [6, 6]
         assert [replace(r, ms=0.0) for r in batched.rows] == [replace(r, ms=0.0) for r in reference.rows]
         assert batched.extras == reference.extras
-
-    def test_given_runtime_gives_the_same_report_and_builds_no_codec(self, tmp_path, monkeypatch):
-        cfg = PipelineConfig(
-            seed=19, image_size=32, latent_tokens=16, token_dim=8, steps=20, composition_window=5
-        )
-        kw = dict(seeds=(0, 1), train_steps=10, base_steps=10)
-        own, given = tmp_path / "own.csv", tmp_path / "given.csv"
-        ablate_attention(face_grid(2, seed=19), cfg, **kw).to_csv(own)
-        runtime = _make_runtime(cfg)
-        built = []
-        real_make_codec = pl.make_codec
-        monkeypatch.setattr(pl, "make_codec", lambda *a: built.append(1) or real_make_codec(*a))
-        ablate_attention(face_grid(2, seed=19), cfg, runtime=runtime, **kw).to_csv(given)
-        assert built == []
-        assert given.read_bytes() == own.read_bytes()
 
     def test_no_seeds_rejected(self):
         cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
