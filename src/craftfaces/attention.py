@@ -92,7 +92,9 @@ def _check_tokens(tokens: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
 def _softmax_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The attention map softmax(Q K^T / sqrt(d)), row by row, for one
     (n, d) pair or a stack of them."""
-    return softmax_rows((q @ np.swapaxes(k, -1, -2)) / math.sqrt(q.shape[-1]))
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= math.sqrt(q.shape[-1])
+    return softmax_rows(scores)
 
 
 class _Forward(NamedTuple):

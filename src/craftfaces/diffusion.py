@@ -10,7 +10,7 @@ blends the running latent with a noised guide latent during the first
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,10 +211,12 @@ def _denoise_loss(model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: 
 
 
 def _denoise_loss_and_grad(
-    model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray
+    model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray,
+    names: Iterable[str] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """``_denoise_loss`` and its exact gradient for every weight, keyed as
-    in ``DenoiserModel.params``, by hand-rolled backprop through the
+    """``_denoise_loss`` and its exact gradient for each weight in
+    ``names`` (default: every weight), keyed and ordered as in
+    ``DenoiserModel.params``, by hand-rolled backprop through the
     attention block of ``predict_noise``. The forward is
     ``attention._forward``, the one ``predict_noise`` samples with, so
     training fits the same function. Verified against the
@@ -225,9 +227,11 @@ def _denoise_loss_and_grad(
     matrix, never ``(B, k) @ W``, which BLAS rounds differently), and the
     per-item losses and gradients are summed over the batch axis in item
     order, so the result has the bits of summing single-item results in a
-    loop.
+    loop. The backward computes only what the named weights need; each
+    entry has the bits of the full call's.
     """
     p = model.params()
+    names = set(p if names is None else names)
     scale = 1.0 / np.sqrt(float(model.attention.base.head_dim))
     x_t = tensor(x_t)
     n = len(x_t)
@@ -249,40 +253,61 @@ def _denoise_loss_and_grad(
     def items(per_item):
         return 0.0 + np.add.reduce(per_item, axis=0)
 
+    def wants(*ws):
+        return not names.isdisjoint(ws)
+
     dy = (2.0 / sq.shape[1]) * err
-    g = {"head_w": items(t(o) @ dy), "head_b": items(dy.sum(axis=1))}
+    g = {}
+    if wants("head_w"):
+        g["head_w"] = items(t(o) @ dy)
+    if wants("head_b"):
+        g["head_b"] = items(dy.sum(axis=1))
     do = dy @ model.head_w.T
-    datt = do @ t(v)
-    dv = t(att) @ do
-    rowdot = (att * datt).sum(axis=-1, keepdims=True)
-    ds = att * (datt - rowdot)
-    dq = (ds @ k) * scale
-    dk = (t(ds) @ q) * scale
-    g["w_q"] = items(t(t_in) @ dq)
-    g["w_k"] = items(t(t_in) @ dk)
-    g["w_v"] = items(t(t_in) @ dv)
-    if ident is None:
-        g["u_q"], g["u_k"] = np.zeros_like(p["u_q"]), np.zeros_like(p["u_k"])
-    else:
-        g["u_q"] = items(ident[..., :, None] * dq.sum(axis=1)[:, None, :])
-        g["u_k"] = items(ident[..., :, None] * dk.sum(axis=1)[:, None, :])
-    dt = dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T
-    dts = dt.sum(axis=1)
-    g["cond_w"] = items(cond[..., :, None] * dts[:, None, :])
-    g["cond_b"] = items(dts)
-    return total / n, {name: g[name] / n for name in p}
+    conds = ("cond_w", "cond_b")  # the conditioning gradients need dq, dk and dv
+    if wants("w_v", *conds):
+        dv = t(att) @ do
+    if wants("w_q", "u_q", "w_k", "u_k", *conds):
+        datt = do @ t(v)
+        rowdot = (att * datt).sum(axis=-1, keepdims=True)
+        ds = att * (datt - rowdot)
+    if wants("w_q", "u_q", *conds):
+        dq = (ds @ k) * scale
+    if wants("w_k", "u_k", *conds):
+        dk = (t(ds) @ q) * scale
+    if wants("w_q"):
+        g["w_q"] = items(t(t_in) @ dq)
+    if wants("w_k"):
+        g["w_k"] = items(t(t_in) @ dk)
+    if wants("w_v"):
+        g["w_v"] = items(t(t_in) @ dv)
+    if wants("u_q"):
+        g["u_q"] = (np.zeros_like(p["u_q"]) if ident is None
+                    else items(ident[..., :, None] * dq.sum(axis=1)[:, None, :]))
+    if wants("u_k"):
+        g["u_k"] = (np.zeros_like(p["u_k"]) if ident is None
+                    else items(ident[..., :, None] * dk.sum(axis=1)[:, None, :]))
+    if wants(*conds):
+        dts = (dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T).sum(axis=1)
+        g["cond_w"] = items(cond[..., :, None] * dts[:, None, :])
+        g["cond_b"] = items(dts)
+    return total / n, {name: g[name] / n for name in p if name in names}
 
 
 def _normal(rng: RngStream | Sequence[RngStream], shape) -> np.ndarray:
     """Standard normals of ``shape``: one draw from a single stream, or,
-    from a sequence of streams, one draw of ``shape[1:]`` per stream,
-    stacked in stream order, which is the draw each stream's own
-    single-trajectory call makes."""
+    from a sequence of streams, one draw of ``shape[1:]`` per row, which is
+    the draw the row's stream makes in its own single-trajectory call. A
+    stream object named at several rows draws once, and each of those rows
+    gets that draw."""
     if isinstance(rng, RngStream):
         return rng.normal(shape)
     if len(rng) != shape[0]:
         raise ShapeError(f"{len(rng)} streams for a batch of {shape[0]}")
-    return np.array([r.normal(shape[1:]) for r in rng]).reshape(shape)
+    drawn = {}
+    for r in rng:
+        if id(r) not in drawn:
+            drawn[id(r)] = r.normal(shape[1:])
+    return np.array([drawn[id(r)] for r in rng]).reshape(shape)
 
 
 def _predict_guided(
@@ -352,14 +377,20 @@ def sample(
     for a batch ``(B, latent_size)`` whose item i has the bits of a single
     call with stream i: each stream makes that call's draws in its order
     (the initial latent unless ``init`` is given, then per step the guide
-    noise inside the window and the reverse-step noise for t > 1). A batch
-    takes ``init`` as ``(B, latent_size)``, ``guide`` as ``(latent_size,)``,
+    noise inside the window and the reverse-step noise for t > 1). One
+    stream object may be named at several rows; it then draws once per
+    step, and every row naming it gets that draw, so each such row has the
+    bits of a single call with a fresh copy of the stream. A batch takes
+    ``init`` as ``(B, latent_size)``, ``guide`` as ``(latent_size,)``,
     shared, or ``(B, latent_size)``, and the model's identity as
     ``predict_noise`` does.
 
     During the first ``window`` steps the running latent is blended with
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
     With window=0 the guide is never touched.
+
+    A result that is not finite (a guidance scale so large that the
+    latents overflow, say) raises EvaluationError.
     """
     if rng is None:
         raise ConfigError("sample requires an RngStream")
@@ -386,11 +417,15 @@ def sample(
         except ValueError:
             raise ShapeError(f"guide {np.shape(guide)} does not fit latents {shape}") from None
     x = _normal(rng, shape) if init is None else init.copy()
-    for t in range(sched.T, 0, -1):
-        if window > 0 and t > sched.T - window:
-            guide_t = forward_marginal(guide, t, sched, rng)
-            x = (1.0 - subject_guidance) * x + subject_guidance * guide_t
-        x = reverse_step(x, t, cond, model, sched, rng, guidance_scale)
+    # overflow only ever ends in a non-finite result, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(sched.T, 0, -1):
+            if window > 0 and t > sched.T - window:
+                guide_t = forward_marginal(guide, t, sched, rng)
+                x = (1.0 - subject_guidance) * x + subject_guidance * guide_t
+            x = reverse_step(x, t, cond, model, sched, rng, guidance_scale)
+    if not np.isfinite(x).all():
+        raise EvaluationError(f"sampling gave a non-finite latent (guidance scale {guidance_scale!r})")
     return x
 
 

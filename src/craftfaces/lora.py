@@ -144,7 +144,7 @@ def _factor_grad(model: DenoiserModel, batch, adapters: dict[str, LoRAAdapter]) 
     G_W the gradient of the merged matrix, alpha * G_W @ B^T for A and
     alpha * A^T @ G_W for B. ``batch`` is ``_batch(data)``."""
     merged = model.with_attention(apply_to_attention(model.attention, adapters))
-    _, g = _denoise_loss_and_grad(merged, *batch)
+    _, g = _denoise_loss_and_grad(merged, *batch, ["w_" + t for t in adapters])
     ga = {("A", t): ad.alpha * (g["w_" + t] @ ad.b.T) for t, ad in adapters.items()}
     gb = {("B", t): ad.alpha * (ad.a.T @ g["w_" + t]) for t, ad in adapters.items()}
     return _flatten({**ga, **gb})

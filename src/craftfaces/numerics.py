@@ -128,9 +128,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     m = tensor(m)
     if m.ndim < 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {m.shape}")
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _flatten(params: dict) -> np.ndarray:

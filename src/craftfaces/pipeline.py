@@ -428,13 +428,6 @@ def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStrea
     return batch
 
 
-def _identity_block_mask(model: DenoiserModel) -> np.ndarray:
-    """1.0 on the packed coordinates of U_q/U_k, 0.0 elsewhere."""
-    return _flatten(
-        {name: np.full(w.shape, float(name in ("u_q", "u_k"))) for name, w in model.params().items()}
-    )
-
-
 def _sgd_train(
     model: DenoiserModel,
     faces,
@@ -444,34 +437,33 @@ def _sgd_train(
     steps: int,
     lr: float,
     with_identity: bool,
-    mask: np.ndarray | None = None,
+    trained: tuple[str, ...] | None = None,
 ) -> DenoiserModel:
     """Noise-prediction SGD with a fresh (face, t, eps) batch every step
-    and a linear decay to 10% of the initial rate. ``mask`` restricts the
-    update to a weight subset (used for identity-blocks-only training)."""
+    and a linear decay to 10% of the initial rate. ``trained`` names the
+    weights to update (default: all of them); the others stay as they are
+    and are not differentiated."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
     idents = np.stack([attribute_embedding(p.attributes()) for p in faces]) if with_identity else None
     params = model.params()
-    vec = _flatten(params)
+    layout = {name: w for name, w in params.items() if trained is None or name in trained}
+    vec = _flatten(layout)
     for i in range(steps):
         fidx = rng.integers(0, len(faces), (SGD_BATCH,))
         ts = rng.integers(1, cfg.steps + 1, (SGD_BATCH,))
         eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
         ab = runtime.sched.alpha_bar[ts - 1][:, None]
         x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
-        current = model.with_params(_unflatten(vec, params))
+        current = model.with_params({**params, **_unflatten(vec, layout)})
         current = current.with_identity(None if idents is None else idents[fidx])
-        loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps)
+        loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps, layout)
         if not np.isfinite(loss):
             raise TrainingError("toy denoiser training: loss became non-finite")
-        grad = _flatten(grads)
-        if mask is not None:
-            grad = grad * mask
-        vec = vec - lr * (1.0 - 0.9 * i / steps) * grad
+        vec = vec - lr * (1.0 - 0.9 * i / steps) * _flatten(grads)
         if not np.all(np.isfinite(vec)):
             raise TrainingError("toy denoiser training: parameters became non-finite")
-    return model.with_params(_unflatten(vec, params))
+    return model.with_params({**params, **_unflatten(vec, layout)})
 
 
 def train_toy_denoiser(
@@ -533,17 +525,25 @@ def ablate_attention(
     One base model is trained without identity information; the identity
     arm then keeps those weights frozen and trains only the zero-started
     identity blocks U_q/U_k with per-face embeddings, so the arms differ
-    purely by the learned identity extension. Sampling noise streams are
-    seed-matched across arms. With ``zero_identity=True`` both arms share
-    one untrained model and the identity arm feeds a zero embedding, which
-    must reproduce the baseline exactly.
+    purely by the learned identity extension. With ``zero_identity=True``
+    both arms share one untrained model and the identity arm feeds a zero
+    embedding, which must reproduce the baseline exactly.
 
-    Each arm samples all its (face, seed) trajectories as one batch, in
-    (face, seed) order, each on its own stream, so every trajectory has
-    the bits of sampling it alone. Decoding and scoring stay per
-    trajectory. With timing on, a row's ``ms`` is the arm's batched
-    sampling time divided by its trajectory count, plus that row's own
-    decode and scoring.
+    Both arms are sampled in one batch on the identity model: first the
+    baseline's (face, seed) trajectories with a zero identity embedding,
+    which is plain attention on the shared base weights, then the identity
+    arm's, in (face, seed) order. A (face, seed) pair names one stream
+    object in both arms, which draws once per step for both rows, so the
+    arms share their sampling noise by construction and every trajectory
+    has the bits of sampling it alone. Decoding and scoring stay per
+    trajectory. With timing on, a row's ``ms`` is the batched sampling
+    time divided by the number of rows (two per trajectory pair), plus
+    that row's own decode and scoring.
+
+    ``extras`` holds each arm's mean FFC and attention mass, the standard
+    error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
+    (NaN for a single pair) and ``id_wins``, the number of pairs where the
+    identity arm's FFC is the larger.
     """
     if not faces:
         raise ConfigError("ablate_attention needs a nonempty face grid")
@@ -556,16 +556,14 @@ def ablate_attention(
         ExtendedAttentionWeights(base=a0.base, u_q=np.zeros_like(a0.u_q), u_k=np.zeros_like(a0.u_k))
     )
     trng = RngStream(seed=cfg.seed).split("attn-ablation")
-    if zero_identity:
-        base_model = start
-        id_model = start
-    else:
+    id_model = start
+    if not zero_identity:
         base_model = _sgd_train(
             start, faces, cfg, runtime, trng.split("base"), base_steps, 0.25, with_identity=False
         )
         id_model = _sgd_train(
             base_model, faces, cfg, runtime, trng.split("identity-blocks"), train_steps, 0.15,
-            with_identity=True, mask=_identity_block_mask(base_model),
+            with_identity=True, trained=("u_q", "u_k"),
         )
 
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
@@ -577,40 +575,47 @@ def ablate_attention(
         interests.append(_face_tokens(guides[-1], cfg.latent_tokens, cfg.token_dim))
         idents.append(np.zeros(6) if zero_identity else attribute_embedding(refs[-1]))
     items = [(fid, seed) for fid in range(len(faces)) for seed in seeds]
+    streams = [RngStream(seed=seed).split("attn-sample").split(fid) for fid, seed in items]
     item_guides = np.array([guides[fid] for fid, _ in items])
     item_idents = np.array([idents[fid] for fid, _ in items])
+    # the BASE rows (zero identity: plain attention), then the ID rows; the
+    # two rows of a (face, seed) pair share its stream and so its noise
+    t0 = time.perf_counter()
+    zs = sample(
+        id_model.with_identity(np.concatenate([np.zeros_like(item_idents), item_idents])),
+        cond, runtime.sched,
+        window=cfg.composition_window,
+        guide=np.concatenate([item_guides, item_guides]),
+        rng=streams + streams,
+        subject_guidance=cfg.subject_guidance,
+        guidance_scale=cfg.guidance_scale,
+    )
+    share = (time.perf_counter() - t0) / len(zs)
+    arms = [("BASE", item, None) for item in items] + [("ID", *row) for row in zip(items, item_idents)]
     report = ExperimentReport()
     masses = {"ID": [], "BASE": []}
-    for order, model in (("BASE", base_model.with_identity(None)), ("ID", id_model.with_identity(item_idents))):
-        t0 = time.perf_counter()
-        zs = sample(
-            model, cond, runtime.sched,
-            window=cfg.composition_window,
-            guide=item_guides,
-            rng=[RngStream(seed=seed).split("attn-sample").split(fid) for fid, seed in items],
-            subject_guidance=cfg.subject_guidance,
-            guidance_scale=cfg.guidance_scale,
-        )
-        share = (time.perf_counter() - t0) / len(items)
-        for i, ((fid, seed), z) in enumerate(zip(items, zs)):
-            t1 = time.perf_counter()
-            ref = refs[fid]
-            attrs = extract_attributes(np.clip(decode(z, runtime.codec), 0.0, 1.0))
-            ident = None if model.identity is None else model.identity[i]
-            masses[order].append(_attention_mass(model, z, ident, interests[fid]))
-            report.rows.append(
-                ReportRow(
-                    face_id=fid, order=order, intensity=cfg.style_intensity,
-                    attr_loss=float(np.sum((attrs - ref) ** 2)),
-                    ffc=ffc(attrs, ref), seed=seed,
-                    ms=(share + time.perf_counter() - t1) * 1e3,
-                )
+    for (order, (fid, seed), ident), z in zip(arms, zs):
+        t1 = time.perf_counter()
+        ref = refs[fid]
+        attrs = extract_attributes(np.clip(decode(z, runtime.codec), 0.0, 1.0))
+        masses[order].append(_attention_mass(id_model, z, ident, interests[fid]))
+        report.rows.append(
+            ReportRow(
+                face_id=fid, order=order, intensity=cfg.style_intensity,
+                attr_loss=float(np.sum((attrs - ref) ** 2)),
+                ffc=ffc(attrs, ref), seed=seed,
+                ms=(share + time.perf_counter() - t1) * 1e3,
             )
+        )
+    base_ffc, id_ffc = np.array([r.ffc for r in report.rows]).reshape(2, len(items))
+    diffs = id_ffc - base_ffc
     report.rows = report.sorted_rows()
     report.extras = {
         "mean_ffc_id": report.mean_ffc("ID"),
         "mean_ffc_base": report.mean_ffc("BASE"),
         "mean_mass_id": float(np.mean(masses["ID"])),
         "mean_mass_base": float(np.mean(masses["BASE"])),
+        "paired_se": float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan,
+        "id_wins": int(np.sum(diffs > 0.0)),
     }
     return report

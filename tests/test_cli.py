@@ -224,6 +224,26 @@ class TestExecute:
             digests.append(hashlib.sha256((out_dir / "face_0_diffused.ppm").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["diffuse"],
+        ["ablate-attention", "--faces", "1", "--arm-seeds", "1", "--train-steps", "1"],
+        ["ablate-order", "--faces", "1", "--intensities", "0.5", "--config", "DIFFUSION"],
+    ])
+    def test_non_finite_sampling_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
+        """A guidance scale that overflows the sampler is an error, on every
+        command that samples, and leaves no artifact behind."""
+        config = tmp_path / "diffusion.json"
+        config.write_text(json.dumps({"use_diffusion": True}))
+        out_dir = tmp_path / "out"
+        argv = [str(config) if a == "DIFFUSION" else a for a in argv] + [
+            "--guidance-scale", "1e308", "--steps", "4", "--window", "1", "--image-size", "32",
+            "--out-dir", str(out_dir),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "non-finite" in err
+        assert list(out_dir.iterdir()) == []
+
     def test_ablate_order_small(self, tmp_path, capsys):
         code, out, _ = run(
             [

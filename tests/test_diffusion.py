@@ -236,6 +236,14 @@ class TestSample:
         assert out.shape == (8,)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_non_finite_result_raises(self, streams):
+        """A guidance scale that overflows the latents raises instead of
+        returning them, for one trajectory and for a batch."""
+        rng = RngStream(seed=23) if streams == 1 else _streams(23, streams)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            sample(self.model, np.ones(3), self.sched, rng=rng, guidance_scale=1e308)
+
 
 class TestCodec:
     def test_square_codec_round_trip(self):
@@ -360,6 +368,27 @@ class TestDenoiserModel:
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel <= 1e-6
 
+    @pytest.mark.parametrize("with_identity", [False, True])
+    @pytest.mark.parametrize(
+        "names",
+        [("u_q", "u_k"), ("w_q", "w_k", "w_v"), ("w_q",), ("w_v",), ("cond_b",), ("head_w", "head_b")],
+    )
+    def test_named_gradients_equal_the_full_call(self, names, with_identity):
+        """Differentiating only the named weights gives exactly those
+        entries of the full call, in ``params`` order, and the same loss.
+        The subsets include the ones in use: the identity blocks (the
+        identity phase of the attention ablation) and the LoRA targets."""
+        rng = RngStream(seed=34)
+        model = make_denoiser(16, 8, 8, 6, rng.split("model"))
+        x_t, cond, eps = rng.normal((16, 128)), rng.normal((8,)), rng.normal((16, 128))
+        model = model.with_identity(rng.normal((16, 6)) if with_identity else None)
+        full_loss, full = _denoise_loss_and_grad(model, x_t, cond, eps)
+        loss, part = _denoise_loss_and_grad(model, x_t, cond, eps, names)
+        assert loss == full_loss
+        assert list(part) == [name for name in full if name in names]
+        for name in names:
+            assert part[name].tobytes() == full[name].tobytes(), name
+
     @pytest.mark.parametrize("token_dim", [3, 4, 8])
     @pytest.mark.parametrize("with_identity", [False, True])
     def test_batched_backward_equals_in_order_item_sum(self, token_dim, with_identity):
@@ -464,6 +493,29 @@ class TestBatch:
                     )
                     assert out[i].tobytes() == single.tobytes(), (b, i, t)
                     assert streams[i].counter == single_rng.counter
+
+    @pytest.mark.parametrize("guidance", [1.0, 7.5])
+    def test_stream_named_twice_draws_once_for_both_rows(self, guidance):
+        """Rows naming one stream object both get that stream's solo
+        trajectory, whatever their identities; the stream ends where its
+        solo call left it, and a stream named once is unaffected."""
+        sched = build_schedule(8)
+        r = RngStream(seed=45)
+        cond, guide = r.normal((8,)), r.normal((self.size,))
+        shared, alone = RngStream(seed=46), RngStream(seed=47)
+        idents = np.stack([np.zeros(6), r.normal((6,)), r.normal((6,))])
+        out = sample(
+            self.model.with_identity(idents), cond, sched, window=3, guide=guide,
+            rng=[shared, alone, shared], subject_guidance=0.9, guidance_scale=guidance,
+        )
+        for row, ident, seed in ((0, None, 46), (1, idents[1], 47), (2, idents[2], 46)):
+            solo_rng = RngStream(seed=seed)
+            solo = sample(
+                self.model.with_identity(ident), cond, sched, window=3, guide=guide,
+                rng=solo_rng, subject_guidance=0.9, guidance_scale=guidance,
+            )
+            assert out[row].tobytes() == solo.tobytes(), row
+            assert (shared if seed == 46 else alone).counter == solo_rng.counter
 
     def test_length_mismatch_raises_shape_error(self):
         sched = build_schedule(5)

@@ -317,29 +317,58 @@ class TestAblateAttention:
     @pytest.mark.parametrize("zero_identity", [False, True])
     def test_batched_arms_equal_one_sample_per_trajectory(self, zero_identity, monkeypatch):
         """Rows and extras equal those of a reference that samples each
-        (face, seed) trajectory alone, with its own guide and identity."""
+        (face, seed) trajectory of each arm alone, with its own guide and
+        identity, on a fresh copy of its stream; a row with a zero identity
+        is sampled with none, on plain attention."""
         cfg = PipelineConfig(
             seed=16, image_size=32, latent_tokens=16, token_dim=8, steps=20, composition_window=5
         )
         kw = dict(seeds=(0, 2), train_steps=10, base_steps=10, zero_identity=zero_identity)
         batched = ablate_attention(face_grid(3, seed=16), cfg, **kw)
 
-        real_sample, batch_sizes = pl.sample, []
+        real_sample, calls = pl.sample, []
 
         def one_per_trajectory(model, cond, sched, *, guide, rng, **options):
-            batch_sizes.append(len(rng))
-            ident = model.identity
+            calls.append(rng)
             return np.array([
-                real_sample(model.with_identity(None if ident is None else ident[i]), cond, sched,
-                            guide=guide[i], rng=stream, **options)
-                for i, stream in enumerate(rng)
+                real_sample(model.with_identity(ident if ident.any() else None), cond, sched,
+                            guide=guide[i], rng=replace(stream), **options)
+                for i, (ident, stream) in enumerate(zip(model.identity, rng))
             ])
 
         monkeypatch.setattr(pl, "sample", one_per_trajectory)
         reference = ablate_attention(face_grid(3, seed=16), cfg, **kw)
-        assert batch_sizes == [6, 6]
+        assert [len(rng) for rng in calls] == [2 * 6]  # one call: both arms, 6 trajectories each
+        assert all(a is b for a, b in zip(calls[0][:6], calls[0][6:]))  # the arms share streams
         assert [replace(r, ms=0.0) for r in batched.rows] == [replace(r, ms=0.0) for r in reference.rows]
         assert batched.extras == reference.extras
+
+    def test_paired_extras_match_the_rows(self):
+        """``paired_se`` and ``id_wins`` describe the per-(face, seed)
+        ID - BASE FFC differences of the report's own rows."""
+        cfg = PipelineConfig(
+            seed=18, image_size=32, latent_tokens=16, token_dim=8, steps=20, composition_window=5
+        )
+        report = ablate_attention(face_grid(2, seed=18), cfg, seeds=(0, 1, 2), train_steps=10, base_steps=10)
+        ffcs = {(r.face_id, r.seed, r.order): r.ffc for r in report.rows}
+        diffs = [ffcs[f, s, "ID"] - ffcs[f, s, "BASE"] for f in range(2) for s in range(3)]
+        assert report.extras["id_wins"] == sum(d > 0.0 for d in diffs)
+        assert report.extras["paired_se"] == pytest.approx(np.std(diffs, ddof=1) / np.sqrt(6), rel=1e-12)
+        single = ablate_attention(face_grid(1, seed=18), cfg, seeds=(0,), train_steps=1, base_steps=1)
+        assert np.isnan(single.extras["paired_se"])
+        assert single.extras["id_wins"] in (0, 1)
+
+    def test_identity_phase_trains_only_the_identity_blocks(self):
+        cfg = PipelineConfig(seed=19, image_size=32, latent_tokens=16, token_dim=8)
+        runtime = _make_runtime(cfg)
+        faces = face_grid(2, seed=19)
+        model = pl._sgd_train(runtime.model, faces, cfg, runtime, RngStream(seed=19), 3, 0.15,
+                              with_identity=True, trained=("u_q", "u_k"))
+        before, after = runtime.model.params(), model.params()
+        for name in before:
+            if name not in ("u_q", "u_k"):
+                assert after[name] is before[name], name
+        assert after["u_q"].tobytes() != before["u_q"].tobytes()
 
     def test_no_seeds_rejected(self):
         cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
@@ -353,7 +382,7 @@ class TestAblateAttention:
         )
         orders = {row.order for row in report.rows}
         assert orders == {"ID", "BASE"}
-        for key in ("mean_ffc_id", "mean_ffc_base", "mean_mass_id", "mean_mass_base"):
+        for key in ("mean_ffc_id", "mean_ffc_base", "mean_mass_id", "mean_mass_base", "paired_se", "id_wins"):
             assert key in report.extras
 
 
