@@ -4,7 +4,7 @@ Commands
     render           draw a synthetic face, write PPM + attribute CSV
     stylize          apply the graffiti operator, report attribute drift
     diffuse          run the guided sampling loop, write the decoded PPM
-    train            fit the toy denoiser (optionally LoRA-only), save adapters
+    train            fit the toy denoiser; with --lora, fit adapters and save them
     ablate-order     sweep both composition orders, write the report CSV
     ablate-attention compare identity-augmented vs baseline attention arms
     ffc              cosine similarity of two embedding CSV files

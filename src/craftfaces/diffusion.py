@@ -133,7 +133,7 @@ class DenoiserModel:
         return replace(self, attention=attention)
 
     def params(self) -> dict[str, np.ndarray]:
-        """Every weight by name, in the order ``_flatten`` packs them."""
+        """Every weight by name, keyed and ordered as its gradient is."""
         a = self.attention
         return {
             "w_q": a.base.w_q, "w_k": a.base.w_k, "w_v": a.base.w_v,
@@ -363,10 +363,9 @@ def sample(
     model: DenoiserModel,
     cond: np.ndarray,
     sched: NoiseSchedule,
-    init: np.ndarray | None = None,
+    rng: RngStream | Sequence[RngStream],
     window: int = 0,
     guide: np.ndarray | None = None,
-    rng: RngStream | Sequence[RngStream] | None = None,
     subject_guidance: float = 0.95,
     guidance_scale: float = 1.0,
 ) -> np.ndarray:
@@ -376,14 +375,13 @@ def sample(
     ``rng`` is one RngStream, for one latent, or a sequence of B streams,
     for a batch ``(B, latent_size)`` whose item i has the bits of a single
     call with stream i: each stream makes that call's draws in its order
-    (the initial latent unless ``init`` is given, then per step the guide
-    noise inside the window and the reverse-step noise for t > 1). One
-    stream object may be named at several rows; it then draws once per
-    step, and every row naming it gets that draw, so each such row has the
-    bits of a single call with a fresh copy of the stream. A batch takes
-    ``init`` as ``(B, latent_size)``, ``guide`` as ``(latent_size,)``,
-    shared, or ``(B, latent_size)``, and the model's identity as
-    ``predict_noise`` does.
+    (the initial latent, then per step the guide noise inside the window
+    and the reverse-step noise for t > 1). One stream object may be named
+    at several rows; it then draws once per step, and every row naming it
+    gets that draw, so each such row has the bits of a single call with a
+    fresh copy of the stream. A batch takes ``guide`` as
+    ``(latent_size,)``, shared, or ``(B, latent_size)``, and the model's
+    identity as ``predict_noise`` does.
 
     During the first ``window`` steps the running latent is blended with
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
@@ -392,8 +390,6 @@ def sample(
     A result that is not finite (a guidance scale so large that the
     latents overflow, say) raises EvaluationError.
     """
-    if rng is None:
-        raise ConfigError("sample requires an RngStream")
     if window > sched.T:
         raise ConfigError(f"composition window {window} > steps {sched.T}")
     if window < 0:
@@ -406,17 +402,12 @@ def sample(
         if np.ndim(model.identity) == 2 and len(model.identity) != len(rng):
             raise ShapeError(f"identity batch of {len(model.identity)} for {len(rng)} streams")
     shape = ((len(rng),) if batch else ()) + (model.latent_size,)
-    if init is not None:
-        init = tensor(init)
-        if batch and init.shape != shape:
-            raise ShapeError(f"init {init.shape} for {len(rng)} streams, expected {shape}")
-        shape = init.shape
     if window > 0:
         try:
             guide = tensor(np.broadcast_to(guide, shape))
         except ValueError:
             raise ShapeError(f"guide {np.shape(guide)} does not fit latents {shape}") from None
-    x = _normal(rng, shape) if init is None else init.copy()
+    x = _normal(rng, shape)
     # overflow only ever ends in a non-finite result, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(sched.T, 0, -1):

@@ -18,8 +18,8 @@ import numpy as np
 
 from .attention import AttentionWeights, ExtendedAttentionWeights
 from .diffusion import DenoiserModel, _denoise_loss, _denoise_loss_and_grad
-from .errors import ConfigError, ShapeError, TrainingError
-from .numerics import RngStream, _flatten, _unflatten, tensor
+from .errors import ConfigError, InputError, ShapeError, TrainingError
+from .numerics import RngStream, tensor
 
 __all__ = [
     "LoRAAdapter",
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 TARGET_MATRICES = ("q", "k", "v")
+ADAPTER_COLUMNS = ("target", "factor", "row", "col", "value", "alpha", "rank")
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class LoRAAdapter:
     rank: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError(f"adapter alpha must be > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < float("inf"):
+            raise ConfigError(f"adapter alpha must be finite and > 0, got {self.alpha}")
         if self.a.shape[1] != self.rank or self.b.shape[0] != self.rank:
             raise ShapeError(
                 f"factor shapes {self.a.shape}, {self.b.shape} disagree with rank {self.rank}"
@@ -79,23 +80,20 @@ def merge(w: np.ndarray, ad: LoRAAdapter) -> np.ndarray:
 
 
 def apply_to_attention(
-    w: AttentionWeights | ExtendedAttentionWeights,
-    adapters: dict[str, LoRAAdapter],
-) -> AttentionWeights | ExtendedAttentionWeights:
-    """Merge per-matrix adapters into q/k/v; untargeted matrices pass
-    through unchanged (same array objects)."""
+    w: ExtendedAttentionWeights, adapters: dict[str, LoRAAdapter]
+) -> ExtendedAttentionWeights:
+    """Merge per-matrix adapters into the base q/k/v; untargeted matrices
+    and the identity blocks pass through unchanged (same array objects)."""
     unknown = set(adapters) - set(TARGET_MATRICES)
     if unknown:
         raise ConfigError(f"unknown adapter targets {sorted(unknown)}")
-    base = w.base if isinstance(w, ExtendedAttentionWeights) else w
+    base = w.base
     merged = AttentionWeights(
         w_q=merge(base.w_q, adapters["q"]) if "q" in adapters else base.w_q,
         w_k=merge(base.w_k, adapters["k"]) if "k" in adapters else base.w_k,
         w_v=merge(base.w_v, adapters["v"]) if "v" in adapters else base.w_v,
     )
-    if isinstance(w, ExtendedAttentionWeights):
-        return ExtendedAttentionWeights(base=merged, u_q=w.u_q, u_k=w.u_k)
-    return merged
+    return ExtendedAttentionWeights(base=merged, u_q=w.u_q, u_k=w.u_k)
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,6 @@ class LoRATrainConfig:
     alpha: float = 8.0
     lr: float = 0.1
     steps: int = 200
-    targets: tuple[str, ...] = TARGET_MATRICES
 
     def __post_init__(self):
         if self.steps < 0:
@@ -113,19 +110,6 @@ class LoRATrainConfig:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        bad = set(self.targets) - set(TARGET_MATRICES)
-        if bad:
-            raise ConfigError(f"unknown targets {sorted(bad)}")
-
-
-def _factors(adapters: dict[str, LoRAAdapter]) -> dict:
-    """The trained parameters in packed order: every A, then every B."""
-    return {(name, t): getattr(ad, name.lower()) for name in "AB" for t, ad in adapters.items()}
-
-
-def _with_factors(adapters: dict[str, LoRAAdapter], factors: dict) -> dict[str, LoRAAdapter]:
-    """The adapters carrying ``factors``, keyed as by ``_factors``."""
-    return {t: replace(ad, a=factors["A", t], b=factors["B", t]) for t, ad in adapters.items()}
 
 
 def _batch(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,15 +123,18 @@ def _adapted_loss(model: DenoiserModel, data, adapters: dict[str, LoRAAdapter]) 
     return _denoise_loss(merged, *_batch(data))
 
 
-def _factor_grad(model: DenoiserModel, batch, adapters: dict[str, LoRAAdapter]) -> np.ndarray:
-    """Exact gradient of the adapted loss over the packed factors: with
+def _factor_grad(
+    model: DenoiserModel, batch, adapters: dict[str, LoRAAdapter]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Exact gradient of the adapted loss as ``{target: (dA, dB)}``: with
     G_W the gradient of the merged matrix, alpha * G_W @ B^T for A and
     alpha * A^T @ G_W for B. ``batch`` is ``_batch(data)``."""
     merged = model.with_attention(apply_to_attention(model.attention, adapters))
     _, g = _denoise_loss_and_grad(merged, *batch, ["w_" + t for t in adapters])
-    ga = {("A", t): ad.alpha * (g["w_" + t] @ ad.b.T) for t, ad in adapters.items()}
-    gb = {("B", t): ad.alpha * (ad.a.T @ g["w_" + t]) for t, ad in adapters.items()}
-    return _flatten({**ga, **gb})
+    return {
+        t: (ad.alpha * (g["w_" + t] @ ad.b.T), ad.alpha * (ad.a.T @ g["w_" + t]))
+        for t, ad in adapters.items()
+    }
 
 
 def train_lora(
@@ -162,33 +149,35 @@ def train_lora(
     ``data`` is a list of (latent, cond, target) triples, scored with the
     model's own identity. Each step takes one exact gradient: the
     backward pass through the merged model, chained onto A and B.
+    Factors that stop being finite raise TrainingError.
     """
     base = model.attention.base
     adapters = {
         t: init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
-        for t in cfg.targets
+        for t in TARGET_MATRICES
     }
-    if cfg.steps == 0:
-        return adapters
     if not data:
-        raise ConfigError("train_lora: no training data with steps > 0")
+        raise ConfigError("train_lora: no training data")
 
     batch = _batch(data)
-    layout = _factors(adapters)
-    vec = _flatten(layout)
-    for _ in range(cfg.steps):
-        current = _with_factors(adapters, _unflatten(vec, layout))
-        vec = vec - cfg.lr * _factor_grad(model, batch, current)
-        if not np.all(np.isfinite(vec)):
-            raise TrainingError("train_lora: parameters became non-finite")
-    return _with_factors(adapters, _unflatten(vec, layout))
+    # overflow only ever ends in non-finite factors, which are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.steps):
+            grads = _factor_grad(model, batch, adapters)
+            adapters = {
+                t: replace(ad, a=ad.a - cfg.lr * grads[t][0], b=ad.b - cfg.lr * grads[t][1])
+                for t, ad in adapters.items()
+            }
+            if not all(np.isfinite(ad.a).all() and np.isfinite(ad.b).all() for ad in adapters.values()):
+                raise TrainingError("train_lora: parameters became non-finite")
+    return adapters
 
 
 def save_adapters(path, adapters: dict[str, LoRAAdapter]) -> None:
     """Flat CSV: one row per factor entry, alpha and rank repeated per row."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["target", "factor", "row", "col", "value", "alpha", "rank"])
+        w.writerow(ADAPTER_COLUMNS)
         for t in sorted(adapters):
             ad = adapters[t]
             for name, m in (("A", ad.a), ("B", ad.b)):
@@ -197,24 +186,46 @@ def save_adapters(path, adapters: dict[str, LoRAAdapter]) -> None:
 
 
 def load_adapters(path) -> dict[str, LoRAAdapter]:
-    cells: dict[str, dict[str, dict[tuple[int, int], float]]] = {}
+    """Read a ``save_adapters`` file; a header alone gives no adapters. A
+    malformed file raises InputError: a missing column, a field that does
+    not parse, an unknown target or factor, a repeated or non-finite
+    entry, a factor whose entries do not fill its shape, rows of one
+    target that disagree on alpha or rank, or an alpha that is not finite
+    and positive."""
+    cells: dict[tuple[str, str], dict[tuple[int, int], float]] = {}
     meta: dict[str, tuple[float, int]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            t = row["target"]
-            cells.setdefault(t, {"A": {}, "B": {}})
-            cells[t][row["factor"]][(int(row["row"]), int(row["col"]))] = float(row["value"])
-            meta[t] = (float(row["alpha"]), int(row["rank"]))
+        reader = csv.DictReader(fh)
+        if not set(ADAPTER_COLUMNS) <= set(reader.fieldnames or ()):
+            raise InputError(f"{path}: adapter CSV header must name {', '.join(ADAPTER_COLUMNS)}")
+        try:
+            for row in reader:
+                t, name = row["target"], row["factor"]
+                if t not in TARGET_MATRICES or name not in ("A", "B"):
+                    raise ValueError(f"unknown target {t!r} or factor {name!r}")
+                row_meta = (float(row["alpha"]), int(row["rank"]))
+                if meta.setdefault(t, row_meta) != row_meta:
+                    raise ValueError(f"alpha, rank {row_meta} after {meta[t]} for target {t!r}")
+                entries = cells.setdefault((t, name), {})
+                index = (int(row["row"]), int(row["col"]))
+                if index in entries:
+                    raise ValueError(f"repeated entry {index} of factor {name} of target {t!r}")
+                entries[index] = float(row["value"])
+                if not np.isfinite(entries[index]):
+                    raise ValueError(f"non-finite entry {index} of factor {name} of target {t!r}")
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path} line {reader.line_num}: {exc}") from None
     out = {}
-    for t, factors in cells.items():
-        mats = {}
-        for name, entries in factors.items():
-            rows = 1 + max(i for i, _ in entries)
-            cols = 1 + max(j for _, j in entries)
-            m = np.zeros((rows, cols))
-            for (i, j), v in entries.items():
-                m[i, j] = v
-            mats[name] = m
-        alpha, rank = meta[t]
-        out[t] = LoRAAdapter(a=mats["A"], b=mats["B"], alpha=alpha, rank=rank)
+    for t, (alpha, rank) in meta.items():
+        mats = []
+        for name in "AB":
+            entries = cells.get((t, name), {})
+            shape = tuple(1 + max((index[k] for index in entries), default=-1) for k in (0, 1))
+            if not entries or set(entries) != set(np.ndindex(shape)):
+                raise InputError(f"{path}: factor {name} of target {t!r} does not fill a matrix")
+            mats.append(np.array([entries[index] for index in np.ndindex(shape)]).reshape(shape))
+        try:
+            out[t] = LoRAAdapter(a=mats[0], b=mats[1], alpha=alpha, rank=rank)
+        except (ConfigError, ShapeError) as exc:
+            raise InputError(f"{path}: target {t!r}: {exc}") from None
     return out

@@ -134,20 +134,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def _flatten(params: dict) -> np.ndarray:
-    """Concatenate named parameter arrays, in key order, into one vector."""
-    return np.concatenate([np.ravel(a) for a in params.values()])
-
-
-def _unflatten(vec: np.ndarray, like: dict) -> dict:
-    """Inverse of ``_flatten``: views of ``vec`` shaped and keyed like ``like``."""
-    out, pos = {}, 0
-    for name, ref in like.items():
-        out[name] = vec[pos : pos + ref.size].reshape(ref.shape)
-        pos += ref.size
-    return out
-
-
 def finite_diff_grad(f, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference gradient of a scalar function of a tensor.
 

@@ -43,7 +43,7 @@ from .identity import (
     ffc,
 )
 from .lora import LoRATrainConfig, train_lora
-from .numerics import RngStream, _flatten, _unflatten, tensor
+from .numerics import RngStream, tensor
 
 __all__ = [
     "PipelineConfig",
@@ -412,14 +412,13 @@ def ablate_order(
     return report
 
 
-def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream,
-                    noised_per_face: int = 2):
-    """Fixed batch of (noised latent, cond, noise) triples."""
+def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream):
+    """Fixed batch of (noised latent, cond, noise) triples, two per face."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     batch = []
     for params in faces:
         x0 = encode(render_face(params, cfg.image_size), runtime.codec)
-        for _ in range(noised_per_face):
+        for _ in range(2):
             t = int(rng.integers(1, cfg.steps + 1))
             eps = rng.normal(x0.shape)
             ab = runtime.sched.alpha_bar[t - 1]
@@ -442,28 +441,29 @@ def _sgd_train(
     """Noise-prediction SGD with a fresh (face, t, eps) batch every step
     and a linear decay to 10% of the initial rate. ``trained`` names the
     weights to update (default: all of them); the others stay as they are
-    and are not differentiated."""
+    and are not differentiated. A loss or weight that stops being finite
+    raises TrainingError."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
     idents = np.stack([attribute_embedding(p.attributes()) for p in faces]) if with_identity else None
     params = model.params()
-    layout = {name: w for name, w in params.items() if trained is None or name in trained}
-    vec = _flatten(layout)
-    for i in range(steps):
-        fidx = rng.integers(0, len(faces), (SGD_BATCH,))
-        ts = rng.integers(1, cfg.steps + 1, (SGD_BATCH,))
-        eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
-        ab = runtime.sched.alpha_bar[ts - 1][:, None]
-        x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
-        current = model.with_params({**params, **_unflatten(vec, layout)})
-        current = current.with_identity(None if idents is None else idents[fidx])
-        loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps, layout)
-        if not np.isfinite(loss):
-            raise TrainingError("toy denoiser training: loss became non-finite")
-        vec = vec - lr * (1.0 - 0.9 * i / steps) * _flatten(grads)
-        if not np.all(np.isfinite(vec)):
-            raise TrainingError("toy denoiser training: parameters became non-finite")
-    return model.with_params({**params, **_unflatten(vec, layout)})
+    # overflow only ever ends in a non-finite loss or weight, which are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            fidx = rng.integers(0, len(faces), (SGD_BATCH,))
+            ts = rng.integers(1, cfg.steps + 1, (SGD_BATCH,))
+            eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
+            ab = runtime.sched.alpha_bar[ts - 1][:, None]
+            x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
+            current = model.with_params(params).with_identity(None if idents is None else idents[fidx])
+            loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps, trained)
+            if not np.isfinite(loss):
+                raise TrainingError("toy denoiser training: loss became non-finite")
+            rate = lr * (1.0 - 0.9 * i / steps)
+            params = {**params, **{name: params[name] - rate * g for name, g in grads.items()}}
+            if not all(np.isfinite(params[name]).all() for name in grads):
+                raise TrainingError("toy denoiser training: parameters became non-finite")
+    return model.with_params(params)
 
 
 def train_toy_denoiser(
@@ -472,9 +472,7 @@ def train_toy_denoiser(
     rng: RngStream,
     steps: int = 500,
     lr: float = 0.25,
-    with_identity: bool = False,
     lora: bool = False,
-    runtime: _Runtime | None = None,
 ):
     """Fit the toy denoiser to predict injected noise on face latents.
 
@@ -484,7 +482,7 @@ def train_toy_denoiser(
     """
     if not faces:
         raise ConfigError("train_toy_denoiser needs a nonempty face grid")
-    runtime = runtime or _make_runtime(cfg)
+    runtime = _make_runtime(cfg)
     model = runtime.model
 
     if lora:
@@ -492,9 +490,7 @@ def train_toy_denoiser(
         lcfg = LoRATrainConfig(rank=cfg.lora_rank, alpha=cfg.lora_alpha, lr=lr, steps=steps)
         adapters = train_lora(model, data, lcfg, rng.split("lora"))
         return model, adapters
-    if steps == 0:
-        return model, None
-    return _sgd_train(model, faces, cfg, runtime, rng.split("sgd"), steps, lr, with_identity), None
+    return _sgd_train(model, faces, cfg, runtime, rng.split("sgd"), steps, lr, with_identity=False), None
 
 
 def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int) -> np.ndarray:
@@ -518,16 +514,13 @@ def ablate_attention(
     seeds=None,
     train_steps: int = 2000,
     base_steps: int = 1200,
-    zero_identity: bool = False,
 ) -> ExperimentReport:
     """Compare identity-augmented attention against the plain baseline.
 
     One base model is trained without identity information; the identity
     arm then keeps those weights frozen and trains only the zero-started
     identity blocks U_q/U_k with per-face embeddings, so the arms differ
-    purely by the learned identity extension. With ``zero_identity=True``
-    both arms share one untrained model and the identity arm feeds a zero
-    embedding, which must reproduce the baseline exactly.
+    purely by the learned identity extension.
 
     Both arms are sampled in one batch on the identity model: first the
     baseline's (face, seed) trajectories with a zero identity embedding,
@@ -556,15 +549,13 @@ def ablate_attention(
         ExtendedAttentionWeights(base=a0.base, u_q=np.zeros_like(a0.u_q), u_k=np.zeros_like(a0.u_k))
     )
     trng = RngStream(seed=cfg.seed).split("attn-ablation")
-    id_model = start
-    if not zero_identity:
-        base_model = _sgd_train(
-            start, faces, cfg, runtime, trng.split("base"), base_steps, 0.25, with_identity=False
-        )
-        id_model = _sgd_train(
-            base_model, faces, cfg, runtime, trng.split("identity-blocks"), train_steps, 0.15,
-            with_identity=True, trained=("u_q", "u_k"),
-        )
+    base_model = _sgd_train(
+        start, faces, cfg, runtime, trng.split("base"), base_steps, 0.25, with_identity=False
+    )
+    id_model = _sgd_train(
+        base_model, faces, cfg, runtime, trng.split("identity-blocks"), train_steps, 0.15,
+        with_identity=True, trained=("u_q", "u_k"),
+    )
 
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     refs, guides, interests, idents = [], [], [], []
@@ -573,7 +564,7 @@ def ablate_attention(
         refs.append(extract_attributes(img))
         guides.append(encode(img, runtime.codec))
         interests.append(_face_tokens(guides[-1], cfg.latent_tokens, cfg.token_dim))
-        idents.append(np.zeros(6) if zero_identity else attribute_embedding(refs[-1]))
+        idents.append(attribute_embedding(refs[-1]))
     items = [(fid, seed) for fid in range(len(faces)) for seed in seeds]
     streams = [RngStream(seed=seed).split("attn-sample").split(fid) for fid, seed in items]
     item_guides = np.array([guides[fid] for fid, _ in items])

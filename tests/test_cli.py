@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import craftfaces
 from craftfaces.cli import _atomic_write, main, parse
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import PipelineConfig
@@ -281,6 +286,20 @@ class TestExecute:
         adapters = load_adapters(tmp_path / "adapters.csv")
         assert set(adapters) == {"q", "k", "v"}
         assert adapters["q"].rank == 4
+
+    def test_diverging_training_prints_only_the_error(self, tmp_path):
+        """A run whose weights overflow exits 2 with the ``error:`` line alone
+        on stderr (no numpy warning before it) and writes nothing. It runs
+        in a subprocess, where warnings reach stderr as they do for a user."""
+        src = str(Path(craftfaces.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = ["train", "--lora", "--lora-alpha", "1e30", "--train-steps", "50", "--out-dir", str(tmp_path)]
+        cmd = [sys.executable, "-m", "craftfaces.cli", *argv]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrite:

@@ -25,7 +25,7 @@ from craftfaces.diffusion import (
     sample,
 )
 from craftfaces.errors import ConfigError, EvaluationError, ShapeError, StepError
-from craftfaces.numerics import RngStream, _flatten, _unflatten, finite_diff_grad
+from craftfaces.numerics import RngStream, finite_diff_grad
 
 
 def noiseless_schedule(T=1):
@@ -349,7 +349,10 @@ class TestDenoiserModel:
 
     def test_backward_matches_finite_differences(self):
         """Every weight's gradient, on the plain path, with one identity
-        for the batch, and with one identity per item (zero rows included)."""
+        for the batch, and with one identity per item (zero rows included).
+        One relative error over all weights: ``u_k``'s gradient is about
+        1e-17 (the softmax cancels a shift shared by every key), so a
+        per-weight bound would compare rounding noise."""
         rng = RngStream(seed=32)
         plain = make_denoiser(4, 3, 5, 6, rng.split("model"))
         x_t, cond, eps = rng.normal((4, 12)), rng.normal((4, 5)), rng.normal((4, 12))
@@ -360,11 +363,14 @@ class TestDenoiserModel:
             loss, grads = _denoise_loss_and_grad(model, x_t, cond, eps)
             assert abs(loss - _denoise_loss(model, x_t, cond, eps)) <= 1e-12
             assert list(grads) == list(params)
-            analytic = _flatten(grads)
-            numeric = finite_diff_grad(
-                lambda v: _denoise_loss(model.with_params(_unflatten(v, params)), x_t, cond, eps),
-                _flatten(params),
-            )
+            analytic = np.concatenate([g.ravel() for g in grads.values()])
+            numeric = np.concatenate([
+                finite_diff_grad(
+                    lambda w: _denoise_loss(model.with_params({**params, name: w}), x_t, cond, eps),
+                    params[name],
+                ).ravel()
+                for name in params
+            ])
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel <= 1e-6
 
@@ -524,7 +530,6 @@ class TestBatch:
         cases = [
             dict(model=model, window=2, guide=np.zeros((2, size))),
             dict(model=model.with_identity(np.zeros((2, 6)))),
-            dict(model=model, init=np.zeros((2, size))),
         ]
         for case in cases:
             with pytest.raises(ShapeError):
