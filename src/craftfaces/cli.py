@@ -130,19 +130,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", default="graffiti portrait guitarist pose")
 
     p = common(sub.add_parser("train", help="train the toy denoiser"))
-    p.add_argument("--faces", type=int, default=4)
+    p.add_argument("--faces", type=_positive_int, default=4)
     p.add_argument("--train-steps", type=_positive_int, default=200)
     p.add_argument("--lora", action="store_true", help="train LoRA adapters over a frozen base")
 
     p = common(sub.add_parser("ablate-order", help="sweep both composition orders"))
-    p.add_argument("--faces", type=int, default=100)
+    p.add_argument("--faces", type=_positive_int, default=100)
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--timing", action="store_true", help="write measured ms into the report")
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"))
-    p.add_argument("--faces", type=int, default=8)
+    p.add_argument("--faces", type=_positive_int, default=8)
     p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
     p.add_argument("--train-steps", type=_positive_int, default=2000)
     p.add_argument("--timing", action="store_true")

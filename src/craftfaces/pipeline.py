@@ -14,7 +14,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -32,16 +31,9 @@ from .diffusion import (
 )
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
-from .facegen import (
-    FaceParams, StyleOp, _StyleTerms, _stylize, embed_prompt, graffiti_stylize, render_face,
-)
-from .identity import (
-    Projector,
-    _project,
-    attribute_embedding,
-    extract_attributes,
-    ffc,
-)
+from .facegen import FaceParams, StyleOp, _StyleTerms, _stylize, embed_prompt, render_face
+from .facegen import graffiti_stylize  # noqa: F401  (uncalled; perfbench's tracer test patches it here)
+from .identity import _project, attribute_embedding, extract_attributes, ffc
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream, tensor
 
@@ -59,6 +51,7 @@ __all__ = [
 
 DEFAULT_PROMPT = "graffiti portrait guitarist pose"
 SGD_BATCH = 16  # (face, t, eps) triples per toy-denoiser SGD step
+TRAIN_LR = 0.25  # train_toy_denoiser's learning rate, in full and in LoRA mode
 
 _VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
@@ -220,33 +213,21 @@ def _diffuse(
     return np.clip(decode(z, runtime.codec), 0.0, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Face:
-    """One input face and the per-face work both orders share, each part
-    done at most once however many cells use it."""
+    """One input face and the per-face work both orders share, done once
+    however many cells use it: its attributes ``ref``, which both orders
+    restore, and its stylize ``terms`` (jitter units, warped geometry and
+    chroma Laplacian)."""
 
     img: np.ndarray
     ref: np.ndarray
-    projector: Projector
+    terms: _StyleTerms
 
     @classmethod
-    def of(cls, img: np.ndarray, projector: Projector | None = None) -> "_Face":
+    def of(cls, img: np.ndarray) -> "_Face":
         img = tensor(img)
-        ref = extract_attributes(img)
-        return cls(img, ref, projector or Projector(reference_attrs=ref))
-
-    @cached_property
-    def terms(self) -> _StyleTerms:
-        """The jitter units, warped geometry and chroma Laplacian of the input."""
-        return _StyleTerms.of(self.img)
-
-    @cached_property
-    def projected(self) -> np.ndarray | None:
-        """The projected input that the reversed order stylizes, or None
-        when projecting was a bitwise no-op, as it always is under the
-        default projector, whose reference is the image's own attributes."""
-        out = self.projector.apply(self.img)
-        return None if out.tobytes() == self.img.tobytes() else out
+        return cls(img, extract_attributes(img), _StyleTerms.of(img))
 
     def stylized(self, cfg: PipelineConfig) -> np.ndarray:
         return _stylize(self.img, StyleOp(intensity=cfg.style_intensity), self.terms)
@@ -266,34 +247,28 @@ def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id:
     )
 
 
-def _style_first(face: _Face, styled: np.ndarray, prompt: str, cfg: PipelineConfig, face_id: int,
-                 t0: float, runtime: _Runtime | None = None, styled_attrs: np.ndarray | None = None):
-    """The style-first order after its stylize: the optional guided denoiser
-    pass, then the projection, which reuses ``styled_attrs`` (the attributes
-    of ``styled``, if the caller has them) when nothing came in between."""
+def _style_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray | None, prompt: str,
+                 cfg: PipelineConfig, face_id: int, t0: float, runtime: _Runtime | None):
+    """The style-first order after its stylize: the guided denoiser pass on
+    ``runtime`` when ``cfg.use_diffusion``, then the projection onto the
+    input's attributes, which reuses ``styled_attrs`` (the attributes of
+    ``styled``, None if not extracted) when no denoiser pass came between."""
     if cfg.use_diffusion:
-        runtime = runtime or _make_runtime(cfg)
         m = runtime.model.with_identity(attribute_embedding(face.ref))
         rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
         styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
         styled_attrs = None
-    out = _project(styled, face.projector.reference_attrs, styled_attrs)
+    out = _project(styled, face.ref, styled_attrs)
     return out, _row("PS", out, face, cfg, face_id, t0)
 
 
-def _identity_first(face: _Face, cfg: PipelineConfig, face_id: int, t0: float,
-                    styled: np.ndarray | None = None, styled_attrs: np.ndarray | None = None):
-    """The reversed order: stylize the projected input. Stylization is a
-    pure function of (image, op), so when projecting was a no-op the output
-    is the stylized input: ``styled``, with its attributes ``styled_attrs``,
-    if the caller has them already."""
-    if face.projected is not None:
-        out, attrs = graffiti_stylize(face.projected, StyleOp(intensity=cfg.style_intensity)), None
-    elif styled is None:
-        out, attrs = face.stylized(cfg), None
-    else:
-        out, attrs = styled, styled_attrs
-    return out, _row("SP", out, face, cfg, face_id, t0, attrs)
+def _identity_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray, cfg: PipelineConfig,
+                    face_id: int, t0: float):
+    """The reversed order: project the input onto its own attributes, then
+    stylize. Projecting an image onto its own attributes is a bitwise no-op
+    (criterion 2), so the output is the stylized input ``styled``, scored
+    with its attributes ``styled_attrs``."""
+    return styled, _row("SP", styled, face, cfg, face_id, t0, styled_attrs)
 
 
 def run_style_first(
@@ -301,14 +276,14 @@ def run_style_first(
     prompt: str,
     cfg: PipelineConfig,
     face_id: int = 0,
-    projector: Projector | None = None,
 ) -> tuple[np.ndarray, ReportRow]:
     """Stylize, optionally run the guided denoiser pass, then restore the
-    reference attributes. The projection runs last, so the output carries
+    input's attributes. The projection runs last, so the output carries
     the input's attributes whatever the middle stages did."""
     t0 = time.perf_counter()
-    face = _Face.of(i_img, projector)
-    return _style_first(face, face.stylized(cfg), prompt, cfg, face_id, t0)
+    face = _Face.of(i_img)
+    runtime = _make_runtime(cfg) if cfg.use_diffusion else None
+    return _style_first(face, face.stylized(cfg), None, prompt, cfg, face_id, t0, runtime)
 
 
 def run_identity_first(
@@ -316,29 +291,30 @@ def run_identity_first(
     prompt: str,
     cfg: PipelineConfig,
     face_id: int = 0,
-    projector: Projector | None = None,
 ) -> tuple[np.ndarray, ReportRow]:
-    """Reversed order: restore attributes first (a no-op on a clean
-    render), then stylize. Whatever drift the stylizer causes stays in the
-    output."""
+    """Reversed order: restore the input's attributes first, then stylize.
+    The restore projects the input onto its own attributes, a bitwise
+    no-op, so the output is the stylized input and whatever drift the
+    stylizer causes stays in it."""
     t0 = time.perf_counter()
-    return _identity_first(_Face.of(i_img, projector), cfg, face_id, t0)
+    face = _Face.of(i_img)
+    styled = face.stylized(cfg)
+    return _identity_first(face, styled, extract_attributes(styled), cfg, face_id, t0)
 
 
 def _order_cell(face: _Face, cfg: PipelineConfig, face_id: int, params: FaceParams,
                 runtime: _Runtime | None) -> list[ReportRow]:
     """Both orders on one (face, intensity, seed) cell, sharing one stylize
-    of the input and, when projecting the input was a no-op, one extraction
-    of its attributes: the reversed order's score and the style-first
-    projection both read them. Each row's ``ms`` is half that shared work
-    plus its own order's remaining work."""
+    of the input and one extraction of its attributes: the reversed order's
+    score and the style-first projection both read them. Each row's ``ms``
+    is half that shared work plus its own order's remaining work."""
     t0 = time.perf_counter()
     styled = face.stylized(cfg)
-    attrs = extract_attributes(styled) if face.projected is None else None
+    attrs = extract_attributes(styled)
     half = (time.perf_counter() - t0) / 2
-    _, ps = _style_first(face, styled, DEFAULT_PROMPT, cfg, face_id, time.perf_counter() - half,
-                         runtime=runtime, styled_attrs=attrs)
-    _, sp = _identity_first(face, cfg, face_id, time.perf_counter() - half, styled, attrs)
+    _, ps = _style_first(face, styled, attrs, DEFAULT_PROMPT, cfg, face_id,
+                         time.perf_counter() - half, runtime)
+    _, sp = _identity_first(face, styled, attrs, cfg, face_id, time.perf_counter() - half)
     if ps.attr_loss > sp.attr_loss:
         raise CompositionOrderError(
             "style-then-project lost to the reversed order: "
@@ -360,8 +336,7 @@ def _order_seed(face: _Face, cfg: PipelineConfig, face_id: int, params: FacePara
 
 def _order_face(args) -> list[ReportRow]:
     face_id, params, seed_cfgs, intensities = args
-    face = _Face.of(render_face(params, seed_cfgs[0].image_size))
-    face.terms, face.projected  # the per-face work, done before any cell's clock starts
+    face = _Face.of(render_face(params, seed_cfgs[0].image_size))  # before any cell's clock starts
     return [row for cfg in seed_cfgs
             for row in _order_seed(face, cfg, face_id, params, intensities)]
 
@@ -379,11 +354,12 @@ def ablate_order(
     a hard failure (CompositionOrderError carrying the offending case).
     Intensities and seeds must be distinct, so that no two cells are the same.
 
-    Each face's reference attributes, stylize terms (jitter units, warped
-    geometry, chroma Laplacian) and projected input are computed once,
-    before any cell is timed, and each cell stylizes once for both orders
-    (projecting a render first is a bitwise no-op); the rows have the bits
-    of calling ``run_style_first`` and ``run_identity_first`` per cell.
+    Each face's reference attributes and stylize terms (jitter units,
+    warped geometry, chroma Laplacian) are computed once, before any cell
+    is timed, and each cell stylizes once for both orders (the reversed
+    order projects the input onto its own attributes, a bitwise no-op); the
+    rows have the bits of calling ``run_style_first`` and
+    ``run_identity_first`` per cell.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
@@ -392,8 +368,10 @@ def ablate_order(
     for name, axis in (("intensities", intensities), ("seeds", seeds)):
         if len(set(axis)) != len(axis):
             raise ConfigError(f"ablate_order {name} must be distinct, got {axis}")
-    # every seed's config is validated here, before any cell is computed
+    # every seed's and every intensity's config is validated here, before any cell is computed
     seed_cfgs = tuple(replace(cfg, seed=s) for s in seeds)
+    for i in intensities:
+        replace(cfg, style_intensity=i)
     tasks = [(fid, p, seed_cfgs, intensities) for fid, p in enumerate(faces)]
     report = ExperimentReport()
     if jobs > 1:
@@ -435,17 +413,18 @@ def _sgd_train(
     rng: RngStream,
     steps: int,
     lr: float,
-    with_identity: bool,
-    trained: tuple[str, ...] | None = None,
+    identity_blocks: bool,
 ) -> DenoiserModel:
     """Noise-prediction SGD with a fresh (face, t, eps) batch every step
-    and a linear decay to 10% of the initial rate. ``trained`` names the
-    weights to update (default: all of them); the others stay as they are
-    and are not differentiated. A loss or weight that stops being finite
-    raises TrainingError."""
+    and a linear decay to 10% of the initial rate. With ``identity_blocks``
+    it feeds each face's identity embedding and updates only the identity
+    blocks U_q/U_k; without, it feeds no identity and updates every weight.
+    Weights not updated are not differentiated. A loss or weight that stops
+    being finite raises TrainingError."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
-    idents = np.stack([attribute_embedding(p.attributes()) for p in faces]) if with_identity else None
+    idents = np.stack([attribute_embedding(p.attributes()) for p in faces]) if identity_blocks else None
+    trained = ("u_q", "u_k") if identity_blocks else None
     params = model.params()
     # overflow only ever ends in a non-finite loss or weight, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,7 +450,6 @@ def train_toy_denoiser(
     cfg: PipelineConfig,
     rng: RngStream,
     steps: int = 500,
-    lr: float = 0.25,
     lora: bool = False,
 ):
     """Fit the toy denoiser to predict injected noise on face latents.
@@ -487,10 +465,12 @@ def train_toy_denoiser(
 
     if lora:
         data = _training_batch(faces, cfg, runtime, rng.split("batch"))
-        lcfg = LoRATrainConfig(rank=cfg.lora_rank, alpha=cfg.lora_alpha, lr=lr, steps=steps)
+        lcfg = LoRATrainConfig(rank=cfg.lora_rank, alpha=cfg.lora_alpha, lr=TRAIN_LR, steps=steps)
         adapters = train_lora(model, data, lcfg, rng.split("lora"))
         return model, adapters
-    return _sgd_train(model, faces, cfg, runtime, rng.split("sgd"), steps, lr, with_identity=False), None
+    return _sgd_train(
+        model, faces, cfg, runtime, rng.split("sgd"), steps, TRAIN_LR, identity_blocks=False
+    ), None
 
 
 def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int) -> np.ndarray:
@@ -550,11 +530,11 @@ def ablate_attention(
     )
     trng = RngStream(seed=cfg.seed).split("attn-ablation")
     base_model = _sgd_train(
-        start, faces, cfg, runtime, trng.split("base"), base_steps, 0.25, with_identity=False
+        start, faces, cfg, runtime, trng.split("base"), base_steps, 0.25, identity_blocks=False
     )
     id_model = _sgd_train(
         base_model, faces, cfg, runtime, trng.split("identity-blocks"), train_steps, 0.15,
-        with_identity=True, trained=("u_q", "u_k"),
+        identity_blocks=True,
     )
 
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)

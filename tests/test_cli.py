@@ -76,6 +76,9 @@ class TestParse:
             pytest.param("ablate-attention", "--arm-seeds", "0", id="--arm-seeds-0"),
             pytest.param("ablate-attention", "--train-steps", "0", id="ablate-attention--train-steps-0"),
             pytest.param("train", "--train-steps", "-5", id="train--train-steps--5"),
+            pytest.param("train", "--faces", "0", id="train--faces-0"),
+            pytest.param("ablate-order", "--faces", "-2", id="ablate-order--faces--2"),
+            pytest.param("ablate-attention", "--faces", "0", id="ablate-attention--faces-0"),
         ],
     )
     def test_counts_below_one_rejected(self, command, flag, value, capsys):

@@ -11,6 +11,7 @@ oracle's float64 bits: renders, stylized images and their attributes.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -73,6 +74,17 @@ GOLDENS = [
     ),
 ]
 
+# commands run with a --config file holding the given keys, for settings
+# that only a config file sets: (command, config, artifact, digest)
+CONFIG_GOLDENS = [
+    (
+        "ablate-order --faces 2 --intensities 0.3,0.8 --sweep-seeds 2 --steps 10 --window 3"
+        " --image-size 32 --seed 7",
+        {"use_diffusion": True},
+        "order_report.csv",
+        "c0cef1fad16bbcb1d787b1ef2a7cc274b5ae248ce890c43a86d1f72fca506d73",
+    ),
+]
 
 # commands whose artifacts are all pinned: {artifact: digest}
 FACE_GOLDENS = [
@@ -107,10 +119,10 @@ def _at_blas_threads(cases):
     ]
 
 
-def _run_cli(argv, out_dir, threads):
+def _run_cli(argv, out_dir, threads, *extra):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "craftfaces.cli", *argv.split(), "--out-dir", str(out_dir)]
+    cmd = [sys.executable, "-m", "craftfaces.cli", *argv.split(), *extra, "--out-dir", str(out_dir)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -122,6 +134,14 @@ def _sha256(path) -> str:
 @pytest.mark.parametrize("argv, artifact, digest, threads", _at_blas_threads(GOLDENS))
 def test_cli_output_matches_golden(argv, artifact, digest, threads, tmp_path):
     _run_cli(argv, tmp_path, threads)
+    assert _sha256(tmp_path / artifact) == digest
+
+
+@pytest.mark.parametrize("argv, config, artifact, digest, threads", _at_blas_threads(CONFIG_GOLDENS))
+def test_cli_output_with_config_file_matches_golden(argv, config, artifact, digest, threads, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _run_cli(argv, tmp_path, threads, "--config", str(path))
     assert _sha256(tmp_path / artifact) == digest
 
 

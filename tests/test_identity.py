@@ -18,6 +18,7 @@ from craftfaces.identity import (
     ffc,
     project,
 )
+from craftfaces.numerics import RngStream
 from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig, run_identity_first, run_style_first
 
 FACE = FaceParams(
@@ -126,29 +127,44 @@ def test_project_after_stylize_restores_attributes(params, intensity, size):
     assert np.max(np.abs(extract_attributes(restored) - params.attributes())) <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit
+    ),
+    _unit,
+    st.integers(32, 96),
+    st.integers(0, 2**63 - 1),
+)
+def test_projecting_onto_own_attributes_is_a_bitwise_noop(params, intensity, size, noise_seed):
+    """The reversed composition order rests on this: it restores the input's
+    own attributes, so it may skip the projection and stylize the input."""
+    styled = graffiti_stylize(render_face(params, size), StyleOp(intensity=intensity))
+    noise = RngStream(seed=noise_seed).uniform((2, size, size))
+    for img in (styled, noise):
+        assert project(img, extract_attributes(img)).tobytes() == img.tobytes()
+
+
 class TestVerifyComposition:
     """Both composition orders, through the pipeline's one implementation of
-    each: ``run_style_first`` (stylize, then project) and
-    ``run_identity_first`` (project, then stylize)."""
+    each: ``run_style_first`` (stylize, then project onto the input's
+    attributes) and ``run_identity_first`` (project the input onto its own
+    attributes, then stylize)."""
 
     @staticmethod
-    def losses(img, intensity, proj):
+    def losses(img, intensity):
         cfg = PipelineConfig(style_intensity=intensity)
-        _, ps = run_style_first(img, DEFAULT_PROMPT, cfg, projector=proj)
-        _, sp = run_identity_first(img, DEFAULT_PROMPT, cfg, projector=proj)
+        _, ps = run_style_first(img, DEFAULT_PROMPT, cfg)
+        _, sp = run_identity_first(img, DEFAULT_PROMPT, cfg)
         return ps.attr_loss, sp.attr_loss
 
     def test_identity_style_ties(self):
-        img = render_face(FACE, 64)
-        proj = Projector(reference_attrs=FACE.attributes())
-        loss_ps, loss_sp = self.losses(img, 0.0, proj)
+        loss_ps, loss_sp = self.losses(render_face(FACE, 64), 0.0)
         assert loss_ps == 0.0
         assert loss_sp == 0.0
 
     def test_default_intensity_strict(self):
-        img = render_face(FACE, 64)
-        proj = Projector(reference_attrs=FACE.attributes())
-        loss_ps, loss_sp = self.losses(img, 0.7, proj)
+        loss_ps, loss_sp = self.losses(render_face(FACE, 64), 0.7)
         assert loss_ps <= 1e-9
         assert loss_sp > 0.0
         assert loss_ps <= loss_sp
@@ -156,9 +172,8 @@ class TestVerifyComposition:
     def test_small_sweep(self):
         for p in face_grid(10, seed=4):
             img = render_face(p, 64)
-            proj = Projector(reference_attrs=p.attributes())
             for i in range(1, 11):
-                loss_ps, loss_sp = self.losses(img, i / 10, proj)
+                loss_ps, loss_sp = self.losses(img, i / 10)
                 assert loss_ps <= loss_sp
                 assert loss_ps <= 1e-9
 

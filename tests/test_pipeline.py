@@ -7,8 +7,7 @@ import craftfaces.pipeline as pl
 from craftfaces import facegen, identity
 from craftfaces.diffusion import _denoise_loss
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
-from craftfaces.facegen import StyleOp, face_grid, graffiti_stylize, render_face
-from craftfaces.identity import attr_loss
+from craftfaces.facegen import face_grid, render_face
 from craftfaces.lora import _batch
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import (
@@ -139,7 +138,7 @@ class TestAblateOrder:
         assert paths[0] == paths[1] == paths[2]
 
     def test_violation_raises_with_case(self, monkeypatch):
-        def fake_style_first(face, styled, prompt, cfg, face_id, t0, **kw):
+        def fake_style_first(face, styled, styled_attrs, prompt, cfg, face_id, t0, runtime):
             row = ReportRow(face_id, "PS", cfg.style_intensity, 99.0, 1.0, cfg.seed, 0.0)
             return styled, row
 
@@ -170,6 +169,14 @@ class TestAblateOrder:
                          seeds=(2**127 - 1, 2**127))
         assert calls == []
 
+    def test_every_intensity_checked_before_any_cell(self, monkeypatch):
+        calls = []
+        real = pl._stylize
+        monkeypatch.setattr(pl, "_stylize", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(ConfigError, match="style_intensity 1.5 outside"):
+            ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5, 1.5), seeds=(9,))
+        assert calls == []
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_equal_one_call_of_each_order_per_cell(self, jobs):
         cfg = PipelineConfig(seed=18)
@@ -185,22 +192,6 @@ class TestAblateOrder:
                     expected.append(run_identity_first(img, pl.DEFAULT_PROMPT, cell, face_id=fid)[1])
         key = lambda r: (r.face_id, r.order, r.intensity, r.seed, repr(r.attr_loss), repr(r.ffc))
         assert list(map(key, report.rows)) == list(map(key, pl.ExperimentReport(expected).sorted_rows()))
-
-    def test_reversed_order_stylizes_the_projected_input_when_projection_moves_it(self):
-        cfg = PipelineConfig(seed=20, style_intensity=0.4)
-        params = face_grid(1, seed=20)[0]
-        img = render_face(params, cfg.image_size)
-        shifted = params.attributes() + np.array([1e-3, 0, 0, 0, 0, 0])
-        projector = pl.Projector(reference_attrs=shifted)
-        face = pl._Face.of(img, projector)
-        assert face.projected is not None  # projecting the input redraws its landmarks
-        ps, sp = pl._order_cell(face, cfg, 0, params, None)
-        _, want_ps = run_style_first(img, pl.DEFAULT_PROMPT, cfg, projector=projector)
-        _, want_sp = run_identity_first(img, pl.DEFAULT_PROMPT, cfg, projector=projector)
-        for got, want in ((ps, want_ps), (sp, want_sp)):
-            assert (repr(got.attr_loss), repr(got.ffc)) == (repr(want.attr_loss), repr(want.ffc))
-        # reusing the stylized input, right only when projecting is a no-op, would differ
-        assert sp.attr_loss != attr_loss(graffiti_stylize(img, StyleOp(intensity=0.4)), img)
 
     def test_per_face_work_once_and_one_stylize_per_cell(self, monkeypatch):
         calls = {}
@@ -225,11 +216,11 @@ class TestAblateOrder:
             "image_hash": faces,  # the jitter units
             "_smooth_warp": faces,  # the other per-image stylize terms
             "_laplacian": faces,
-            "project": faces,  # the input; each cell's restore reuses the stylized image's attributes
-            "_project": faces + cells,  # inside project, then one restore per cell
-            # the reference and the projected input's check, then per cell
-            # the stylized image and the restored output, once each
-            "extract_attributes": 2 * faces + 2 * cells,
+            "project": 0,  # each cell's restore reuses the stylized image's attributes
+            "_project": cells,  # one restore per cell
+            # the reference, then per cell the stylized image and the
+            # restored output, once each
+            "extract_attributes": faces + 2 * cells,
             "_stylize": cells,
             "graffiti_stylize": 0,
         }
@@ -284,10 +275,10 @@ class TestTrainToyDenoiser:
 
     def test_divergence_raises(self):
         cfg = PipelineConfig(seed=13)
+        runtime = _make_runtime(cfg)
         with pytest.raises(TrainingError):
-            train_toy_denoiser(
-                face_grid(2, seed=13), cfg, RngStream(seed=13), steps=60, lr=1e18
-            )
+            pl._sgd_train(runtime.model, face_grid(2, seed=13), cfg, runtime, RngStream(seed=13), 60, 1e18,
+                          identity_blocks=False)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -343,7 +334,7 @@ class TestAblateAttention:
         runtime = _make_runtime(cfg)
         faces = face_grid(2, seed=19)
         model = pl._sgd_train(runtime.model, faces, cfg, runtime, RngStream(seed=19), 3, 0.15,
-                              with_identity=True, trained=("u_q", "u_k"))
+                              identity_blocks=True)
         before, after = runtime.model.params(), model.params()
         for name in before:
             if name not in ("u_q", "u_k"):
