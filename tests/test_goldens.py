@@ -7,7 +7,9 @@ and once pinned to two, against the same digest: the bytes must not depend
 on the BLAS thread count.
 
 The PPM outputs are quantized to uint8, so one more digest pins the face
-oracle's float64 bits: renders, stylized images and their attributes.
+oracle's float64 bits: renders, stylized images and their attributes, and
+further digests pin the float64 bits of ``run_style_first``'s output image,
+at each BLAS thread count as the CLI cases are.
 """
 
 import hashlib
@@ -109,6 +111,29 @@ ORACLE_SIZES = (32, 33, 40, 47, 96)
 MULTI_SIZE_ORACLE_DIGEST = "768b2d2b18bd548f45b29158d5f80f9aeaef880c2600a47d79dd9c91f6c0d0c6"
 
 
+# run_style_first's output image at a small shape: (label, config keys, digest);
+# the zero-intensity case restores nothing, the others redraw the landmarks
+STYLE_FIRST_GOLDENS = [
+    ("style-first", {"image_size": 32, "seed": 7}, "6fd084b0b5333fdf4c52063d59ed8bc0d0ac83ff66e1db6a15e209209354b6d3"),
+    ("style-first-intensity-0", {"image_size": 32, "seed": 7, "style_intensity": 0.0}, "b2225f71d9ec1897d4462acba104678ac643d1bc56a157be0bc28765c0f9e284"),
+    (
+        "style-first-diffusion",
+        {"image_size": 32, "seed": 7, "steps": 10, "composition_window": 3, "use_diffusion": True},
+        "5526faa83d272acdc49e1f7ad810d00a794715e18473e959b9029293b73e1cd9",
+    ),
+]
+
+# prints the sha256 of run_style_first's output image for the config given as JSON
+_STYLE_FIRST_SCRIPT = """
+import hashlib, json, sys
+from craftfaces.facegen import face_grid, render_face
+from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig, run_style_first
+cfg = PipelineConfig(**json.loads(sys.argv[1]))
+img = render_face(face_grid(1, seed=cfg.seed)[0], cfg.image_size)
+print(hashlib.sha256(run_style_first(img, DEFAULT_PROMPT, cfg)[0].tobytes()).hexdigest())
+"""
+
+
 def _at_blas_threads(cases):
     """Each case at one BLAS thread (id: the command) and at two (id: the
     command plus ``-blas2``)."""
@@ -119,12 +144,17 @@ def _at_blas_threads(cases):
     ]
 
 
-def _run_cli(argv, out_dir, threads, *extra):
+def _run_python(args, threads) -> str:
+    """Run ``python args`` with the BLAS pools at ``threads``; return its stdout."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "craftfaces.cli", *argv.split(), *extra, "--out-dir", str(out_dir)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _run_cli(argv, out_dir, threads, *extra):
+    _run_python(["-m", "craftfaces.cli", *argv.split(), *extra, "--out-dir", str(out_dir)], threads)
 
 
 def _sha256(path) -> str:
@@ -149,6 +179,11 @@ def test_cli_output_with_config_file_matches_golden(argv, config, artifact, dige
 def test_cli_face_outputs_match_golden(argv, digests, threads, tmp_path):
     _run_cli(argv, tmp_path, threads)
     assert {name: _sha256(tmp_path / name) for name in digests} == digests
+
+
+@pytest.mark.parametrize("label, config, digest, threads", _at_blas_threads(STYLE_FIRST_GOLDENS))
+def test_style_first_image_matches_golden(label, config, digest, threads):
+    assert _run_python(["-c", _STYLE_FIRST_SCRIPT, json.dumps(config)], threads).strip() == digest
 
 
 def _oracle_digest(sizes) -> str:
