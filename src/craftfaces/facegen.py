@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -118,8 +119,15 @@ EYE_OFFSET = 0.12
 EYE_SPAN = 0.13
 
 
-def band_rows(height: int) -> dict[str, int]:
-    return {name: int(round(f * height)) for name, f in BAND_FRACTIONS}
+_BAND_ROWS: dict[int, MappingProxyType] = {}
+
+
+def band_rows(height: int) -> MappingProxyType:
+    """The geometry row of each landmark band, by attribute name: one
+    read-only table per height, shared by every caller."""
+    if height not in _BAND_ROWS:
+        _BAND_ROWS[height] = MappingProxyType({name: int(round(f * height)) for name, f in BAND_FRACTIONS})
+    return _BAND_ROWS[height]
 
 
 def _splat(row: np.ndarray, u: float, amp: float = 1.0) -> None:

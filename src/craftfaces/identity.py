@@ -141,14 +141,36 @@ def _project(img: np.ndarray, target: np.ndarray, current: np.ndarray | None = N
         raise ProjectionError(f"expected a (2, H, W) image, got shape {img.shape}")
     out = img.copy()
     if current is None:
-        try:
-            current = extract_attributes(img)
-        except ExtractionError:
-            current = None
-    if current is not None and np.max(np.abs(current - target)) <= _ALREADY_THERE_TOL:
+        current = _attributes_or_none(img)
+    if _already_there(current, target):
         return out  # attributes already present; nothing to restore
     draw_landmarks(out[0], target)
     return out
+
+
+def _attributes_or_none(img: np.ndarray) -> np.ndarray | None:
+    """``extract_attributes(img)``, or None where extraction fails."""
+    try:
+        return extract_attributes(img)
+    except ExtractionError:
+        return None
+
+
+def _already_there(current: np.ndarray | None, target: np.ndarray) -> bool:
+    """Whether an image with attributes ``current`` (None: not extractable)
+    carries ``target`` already, so that projecting it onto ``target``
+    redraws nothing."""
+    return current is not None and np.max(np.abs(current - target)) <= _ALREADY_THERE_TOL
+
+
+def _redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarray:
+    """The attributes of any image of ``shape`` that ``_project`` redraws
+    onto ``target``. A redraw clears and rewrites every landmark row that
+    extraction reads, so they depend on nothing else; they are measured
+    here on a blank canvas."""
+    canvas = np.zeros(shape)
+    draw_landmarks(canvas[0], target)
+    return extract_attributes(canvas)
 
 
 def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:

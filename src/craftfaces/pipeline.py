@@ -33,7 +33,8 @@ from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import FaceParams, StyleOp, _StyleTerms, _stylize, embed_prompt, render_face
 from .facegen import graffiti_stylize  # noqa: F401  (uncalled; perfbench's tracer test patches it here)
-from .identity import _project, attribute_embedding, extract_attributes, ffc
+from .identity import _already_there, _attributes_or_none, _project, _redrawn_attributes
+from .identity import attribute_embedding, extract_attributes, ffc
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream, tensor
 
@@ -217,58 +218,55 @@ def _diffuse(
 class _Face:
     """One input face and the per-face work both orders share, done once
     however many cells use it: its attributes ``ref``, which both orders
-    restore, and its stylize ``terms`` (jitter units, warped geometry and
-    chroma Laplacian)."""
+    restore, the attributes ``restored`` that a restore which redraws
+    leaves (``ref`` redrawn into the landmark rows), and its stylize
+    ``terms`` (jitter units, warped geometry and chroma Laplacian)."""
 
     img: np.ndarray
     ref: np.ndarray
+    restored: np.ndarray
     terms: _StyleTerms
 
     @classmethod
     def of(cls, img: np.ndarray) -> "_Face":
         img = tensor(img)
-        return cls(img, extract_attributes(img), _StyleTerms.of(img))
+        ref = extract_attributes(img)
+        return cls(img, ref, _redrawn_attributes(img.shape, ref), _StyleTerms.of(img))
 
-    def stylized(self, cfg: PipelineConfig) -> np.ndarray:
-        return _stylize(self.img, StyleOp(intensity=cfg.style_intensity), self.terms)
+    def stylized(self, intensity: float) -> np.ndarray:
+        return _stylize(self.img, StyleOp(intensity=intensity), self.terms)
 
 
-def _row(order: str, out: np.ndarray, face: _Face, cfg: PipelineConfig, face_id: int, t0: float,
-         attrs: np.ndarray | None = None):
-    """Score one output. Its attributes (``attrs``, if the caller has them
-    already) are extracted once and feed both the loss (the bits of
-    ``attr_loss(out, face.img)``) and the FFC."""
-    attrs = extract_attributes(out) if attrs is None else attrs
+def _row(order: str, attrs: np.ndarray, face: _Face, intensity: float, cfg: PipelineConfig,
+         face_id: int, t0: float):
+    """Score one output from its attributes ``attrs``: the loss (the bits
+    of ``attr_loss(out, face.img)``) and the FFC."""
     d = attrs - face.ref
     return ReportRow(
-        face_id=face_id, order=order, intensity=cfg.style_intensity,
+        face_id=face_id, order=order, intensity=intensity,
         attr_loss=float(d @ d), ffc=ffc(attrs, face.ref), seed=cfg.seed,
         ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
 def _style_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray | None, prompt: str,
-                 cfg: PipelineConfig, face_id: int, t0: float, runtime: _Runtime | None):
-    """The style-first order after its stylize: the guided denoiser pass on
-    ``runtime`` when ``cfg.use_diffusion``, then the projection onto the
-    input's attributes, which reuses ``styled_attrs`` (the attributes of
-    ``styled``, None if not extracted) when no denoiser pass came between."""
+                 intensity: float, cfg: PipelineConfig, face_id: int, t0: float,
+                 runtime: _Runtime | None):
+    """The style-first order after its stylize at ``intensity``: the guided
+    denoiser pass on ``runtime`` when ``cfg.use_diffusion``, then the
+    restore of the input's attributes. ``styled_attrs`` are the attributes
+    of ``styled`` (None where extraction fails); a denoiser pass replaces
+    both. Returns the image the restore projects, its attributes and the
+    PS row, which is scored without building the restored image: a
+    restore that redraws leaves the attributes ``face.restored``, and one
+    that finds the attributes already there leaves the image's own."""
     if cfg.use_diffusion:
         m = runtime.model.with_identity(attribute_embedding(face.ref))
         rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
         styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
-        styled_attrs = None
-    out = _project(styled, face.ref, styled_attrs)
-    return out, _row("PS", out, face, cfg, face_id, t0)
-
-
-def _identity_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray, cfg: PipelineConfig,
-                    face_id: int, t0: float):
-    """The reversed order: project the input onto its own attributes, then
-    stylize. Projecting an image onto its own attributes is a bitwise no-op
-    (criterion 2), so the output is the stylized input ``styled``, scored
-    with its attributes ``styled_attrs``."""
-    return styled, _row("SP", styled, face, cfg, face_id, t0, styled_attrs)
+        styled_attrs = _attributes_or_none(styled)
+    attrs = styled_attrs if _already_there(styled_attrs, face.ref) else face.restored
+    return styled, styled_attrs, _row("PS", attrs, face, intensity, cfg, face_id, t0)
 
 
 def run_style_first(
@@ -283,7 +281,11 @@ def run_style_first(
     t0 = time.perf_counter()
     face = _Face.of(i_img)
     runtime = _make_runtime(cfg) if cfg.use_diffusion else None
-    return _style_first(face, face.stylized(cfg), None, prompt, cfg, face_id, t0, runtime)
+    styled = face.stylized(cfg.style_intensity)
+    # a denoiser pass replaces the stylized image and extracts its own output
+    attrs = None if cfg.use_diffusion else _attributes_or_none(styled)
+    out, attrs, row = _style_first(face, styled, attrs, prompt, cfg.style_intensity, cfg, face_id, t0, runtime)
+    return _project(out, face.ref, attrs), row
 
 
 def run_identity_first(
@@ -298,27 +300,28 @@ def run_identity_first(
     stylizer causes stays in it."""
     t0 = time.perf_counter()
     face = _Face.of(i_img)
-    styled = face.stylized(cfg)
-    return _identity_first(face, styled, extract_attributes(styled), cfg, face_id, t0)
+    styled = face.stylized(cfg.style_intensity)
+    return styled, _row("SP", extract_attributes(styled), face, cfg.style_intensity, cfg, face_id, t0)
 
 
-def _order_cell(face: _Face, cfg: PipelineConfig, face_id: int, params: FaceParams,
+def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int, params: FaceParams,
                 runtime: _Runtime | None) -> list[ReportRow]:
     """Both orders on one (face, intensity, seed) cell, sharing one stylize
-    of the input and one extraction of its attributes: the reversed order's
-    score and the style-first projection both read them. Each row's ``ms``
-    is half that shared work plus its own order's remaining work."""
+    of the input and one extraction of its attributes: they score the
+    reversed order's output, the stylized input (its restore is a bitwise
+    no-op), and the style-first restore reads them. Each row's ``ms`` is
+    half that shared work plus its own order's remaining work."""
     t0 = time.perf_counter()
-    styled = face.stylized(cfg)
+    styled = face.stylized(intensity)
     attrs = extract_attributes(styled)
     half = (time.perf_counter() - t0) / 2
-    _, ps = _style_first(face, styled, attrs, DEFAULT_PROMPT, cfg, face_id,
-                         time.perf_counter() - half, runtime)
-    _, sp = _identity_first(face, styled, attrs, cfg, face_id, time.perf_counter() - half)
+    *_, ps = _style_first(face, styled, attrs, DEFAULT_PROMPT, intensity, cfg, face_id,
+                          time.perf_counter() - half, runtime)
+    sp = _row("SP", attrs, face, intensity, cfg, face_id, time.perf_counter() - half)
     if ps.attr_loss > sp.attr_loss:
         raise CompositionOrderError(
             "style-then-project lost to the reversed order: "
-            f"face_id={face_id} intensity={cfg.style_intensity} seed={cfg.seed} "
+            f"face_id={face_id} intensity={intensity} seed={cfg.seed} "
             f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
         )
     return [ps, sp]
@@ -330,8 +333,7 @@ def _order_seed(face: _Face, cfg: PipelineConfig, face_id: int, params: FacePara
     shapes, not on the intensity, so it is built once here and freed before
     the next seed's."""
     runtime = _make_runtime(cfg) if cfg.use_diffusion else None
-    return [row for i in intensities
-            for row in _order_cell(face, replace(cfg, style_intensity=i), face_id, params, runtime)]
+    return [row for i in intensities for row in _order_cell(face, i, cfg, face_id, params, runtime)]
 
 
 def _order_face(args) -> list[ReportRow]:
@@ -354,12 +356,15 @@ def ablate_order(
     a hard failure (CompositionOrderError carrying the offending case).
     Intensities and seeds must be distinct, so that no two cells are the same.
 
-    Each face's reference attributes and stylize terms (jitter units,
-    warped geometry, chroma Laplacian) are computed once, before any cell
-    is timed, and each cell stylizes once for both orders (the reversed
-    order projects the input onto its own attributes, a bitwise no-op); the
-    rows have the bits of calling ``run_style_first`` and
-    ``run_identity_first`` per cell.
+    Each face's reference attributes, the attributes a restore that
+    redraws leaves, and stylize terms (jitter units, warped geometry,
+    chroma Laplacian) are computed once, before any cell is timed. Each
+    cell stylizes and extracts once for both orders (the reversed order
+    projects the input onto its own attributes, a bitwise no-op) and
+    builds no restored image: a redraw rewrites every landmark row that
+    extraction reads, so its attributes depend only on the face's
+    reference and the image shape. The rows have the bits of calling
+    ``run_style_first`` and ``run_identity_first`` per cell.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")

@@ -12,6 +12,7 @@ from craftfaces.facegen import (
     StyleOp,
     _quantize,
     _shift_tracks,
+    band_rows,
     chroma_histogram,
     embed_prompt,
     face_grid,
@@ -67,6 +68,13 @@ class TestRenderFace:
         with pytest.raises(ConfigError):
             render_face(BASE, 16)
         render_face(BASE, 32)  # smallest legal size works
+
+    def test_band_rows_table_is_shared_and_read_only(self):
+        rows = band_rows(64)
+        assert band_rows(64) is rows
+        with pytest.raises(TypeError):
+            rows["eye_size"] = 0
+        assert rows["eye_size"] == round(0.22 * 64)
 
 
 def _argmin_quantize(chroma: np.ndarray) -> np.ndarray:

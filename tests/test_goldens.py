@@ -114,8 +114,16 @@ MULTI_SIZE_ORACLE_DIGEST = "768b2d2b18bd548f45b29158d5f80f9aeaef880c2600a47d79dd
 # run_style_first's output image at a small shape: (label, config keys, digest);
 # the zero-intensity case restores nothing, the others redraw the landmarks
 STYLE_FIRST_GOLDENS = [
-    ("style-first", {"image_size": 32, "seed": 7}, "6fd084b0b5333fdf4c52063d59ed8bc0d0ac83ff66e1db6a15e209209354b6d3"),
-    ("style-first-intensity-0", {"image_size": 32, "seed": 7, "style_intensity": 0.0}, "b2225f71d9ec1897d4462acba104678ac643d1bc56a157be0bc28765c0f9e284"),
+    (
+        "style-first",
+        {"image_size": 32, "seed": 7},
+        "6fd084b0b5333fdf4c52063d59ed8bc0d0ac83ff66e1db6a15e209209354b6d3",
+    ),
+    (
+        "style-first-intensity-0",
+        {"image_size": 32, "seed": 7, "style_intensity": 0.0},
+        "b2225f71d9ec1897d4462acba104678ac643d1bc56a157be0bc28765c0f9e284",
+    ),
     (
         "style-first-diffusion",
         {"image_size": 32, "seed": 7, "steps": 10, "composition_window": 3, "use_diffusion": True},

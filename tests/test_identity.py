@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
@@ -11,7 +11,10 @@ from craftfaces.facegen import (
 )
 from craftfaces.identity import (
     Projector,
+    _already_there,
+    _attributes_or_none,
     _centroid,
+    _redrawn_attributes,
     attr_loss,
     attribute_embedding,
     extract_attributes,
@@ -143,6 +146,27 @@ def test_projecting_onto_own_attributes_is_a_bitwise_noop(params, intensity, siz
     noise = RngStream(seed=noise_seed).uniform((2, size, size))
     for img in (styled, noise):
         assert project(img, extract_attributes(img)).tobytes() == img.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit
+    ),
+    _unit,
+    st.integers(32, 96),
+    st.integers(0, 2**63 - 1),
+    st.lists(_unit, min_size=6, max_size=6).map(np.array),
+)
+def test_redrawn_attributes_depend_only_on_target_and_shape(params, intensity, size, noise_seed, target):
+    """The order sweep rests on this: it scores a style-first restore that
+    redraws by the face's ``restored`` attributes, without building it."""
+    styled = graffiti_stylize(render_face(params, size), StyleOp(intensity=intensity))
+    noise = RngStream(seed=noise_seed).uniform((2, size, size))
+    for img in (styled, noise):
+        assume(not _already_there(_attributes_or_none(img), target))  # project redraws it
+    a, b = (extract_attributes(project(img, target)).tobytes() for img in (styled, noise))
+    assert a == b == _redrawn_attributes(styled.shape, target).tobytes()
 
 
 class TestVerifyComposition:

@@ -138,11 +138,13 @@ class TestAblateOrder:
         assert paths[0] == paths[1] == paths[2]
 
     def test_violation_raises_with_case(self, monkeypatch):
-        def fake_style_first(face, styled, styled_attrs, prompt, cfg, face_id, t0, runtime):
-            row = ReportRow(face_id, "PS", cfg.style_intensity, 99.0, 1.0, cfg.seed, 0.0)
-            return styled, row
+        real_row = pl._row
 
-        monkeypatch.setattr(pl, "_style_first", fake_style_first)
+        def fake_row(order, *args):
+            row = real_row(order, *args)
+            return replace(row, attr_loss=99.0) if order == "PS" else row
+
+        monkeypatch.setattr(pl, "_row", fake_row)
         cfg = PipelineConfig(seed=9)
         with pytest.raises(CompositionOrderError) as exc:
             ablate_order(face_grid(1, seed=9), cfg, sweeps=(0.5,), seeds=(9,))
@@ -216,11 +218,11 @@ class TestAblateOrder:
             "image_hash": faces,  # the jitter units
             "_smooth_warp": faces,  # the other per-image stylize terms
             "_laplacian": faces,
-            "project": 0,  # each cell's restore reuses the stylized image's attributes
-            "_project": cells,  # one restore per cell
-            # the reference, then per cell the stylized image and the
-            # restored output, once each
-            "extract_attributes": faces + 2 * cells,
+            "project": 0,
+            "_project": 0,  # each cell scores its restore without building it
+            # per face the reference and the attributes a redraw leaves, then
+            # per cell the stylized image once
+            "extract_attributes": 2 * faces + cells,
             "_stylize": cells,
             "graffiti_stylize": 0,
         }
