@@ -123,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("stylize", help="stylize a rendered face"))
     p.add_argument("--face-id", type=_nonnegative_int, default=0)
-    p.add_argument("--intensity", type=float, default=None)
 
     p = common(sub.add_parser("diffuse", help="run the guided sampling loop"))
     p.add_argument("--face-id", type=_nonnegative_int, default=0)
@@ -139,13 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--timing", action="store_true", help="write measured ms into the report")
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"))
     p.add_argument("--faces", type=_positive_int, default=8)
     p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
     p.add_argument("--train-steps", type=_positive_int, default=2000)
-    p.add_argument("--timing", action="store_true")
 
     p = common(sub.add_parser("ffc", help="cosine similarity of two embedding CSVs"))
     p.add_argument("emb1")
@@ -181,8 +178,6 @@ def parse(argv) -> Command:
             overrides["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"CRAFT_SEED must be an integer, got {env_seed!r}") from None
-    if getattr(args, "intensity", None) is not None:
-        overrides["style_intensity"] = args.intensity
     if overrides:
         cfg = replace(cfg, **overrides)
     return Command(name=args.command, args=args, config=cfg)
@@ -293,7 +288,7 @@ def _ablate_order(cmd: Command) -> None:
     seeds = tuple(cfg.seed + i for i in range(args.sweep_seeds))
     report = ablate_order(faces, cfg, sweeps=args.intensities, seeds=seeds, jobs=args.jobs)
     path = os.path.join(cmd.args.out_dir, "order_report.csv")
-    _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=args.timing))
+    _atomic_write(path, report.to_csv)
     e = report.extras
     print(
         f"ablate-order: cells={len(report.rows) // 2} win_rate={e['win_rate']!r} "
@@ -306,7 +301,7 @@ def _ablate_attention(cmd: Command) -> None:
     faces = face_grid(args.faces, seed=cfg.seed)
     report = ablate_attention(faces, cfg, seeds=range(args.arm_seeds), train_steps=args.train_steps)
     path = os.path.join(cmd.args.out_dir, "attention_report.csv")
-    _atomic_write(path, lambda tmp: report.to_csv(tmp, include_timing=args.timing))
+    _atomic_write(path, report.to_csv)
     e = report.extras
     print(
         f"ablate-attention: mean_ffc_id={e['mean_ffc_id']!r} "

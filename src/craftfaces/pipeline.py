@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "PipelineConfig",
     "ReportRow",
     "ExperimentReport",
-    "REPORT_COLUMNS",
     "run_style_first",
     "run_identity_first",
     "ablate_order",
@@ -119,9 +118,6 @@ class PipelineConfig:
         return cls(**d)
 
 
-REPORT_COLUMNS = ("face_id", "order", "intensity", "attr_loss", "ffc", "seed", "ms")
-
-
 @dataclass(frozen=True)
 class ReportRow:
     face_id: int
@@ -130,7 +126,6 @@ class ReportRow:
     attr_loss: float
     ffc: float
     seed: int
-    ms: float
 
 
 @dataclass
@@ -161,18 +156,16 @@ class ExperimentReport:
         wins = sum(1 for c in pairs if c["PS"] <= c["SP"])
         return wins / len(pairs)
 
-    def to_csv(self, path, include_timing: bool = False) -> None:
-        """Write the report. Wall times are volatile, so the ms column is
-        zeroed unless timing output is explicitly requested; reports are
-        otherwise byte-identical for identical (config, seed)."""
+    def to_csv(self, path) -> None:
+        """Write the report: a header of ``ReportRow``'s field names, then
+        each sorted row's values (floats by ``repr``). Every value is
+        deterministic, so reports are byte-identical for identical
+        (config, seed)."""
+        names = [f.name for f in fields(ReportRow)]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(REPORT_COLUMNS)
-            for r in self.sorted_rows():
-                ms = int(round(r.ms)) if include_timing else 0
-                w.writerow(
-                    [r.face_id, r.order, repr(r.intensity), repr(r.attr_loss), repr(r.ffc), r.seed, ms]
-                )
+            w.writerow(names)
+            w.writerows(map(attrgetter(*names), self.sorted_rows()))
 
 
 @dataclass(frozen=True)
@@ -237,21 +230,19 @@ class _Face:
         return _stylize(self.img, StyleOp(intensity=intensity), self.terms)
 
 
-def _row(order: str, attrs: np.ndarray, face: _Face, intensity: float, cfg: PipelineConfig,
-         face_id: int, t0: float):
-    """Score one output from its attributes ``attrs``: the loss (the bits
-    of ``attr_loss(out, face.img)``) and the FFC."""
-    d = attrs - face.ref
+def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, cfg: PipelineConfig,
+         face_id: int):
+    """Score one output from its attributes ``attrs`` against the input's
+    ``ref``: the loss (the bits of ``attr_loss(out, input)``) and the FFC."""
+    d = attrs - ref
     return ReportRow(
         face_id=face_id, order=order, intensity=intensity,
-        attr_loss=float(d @ d), ffc=ffc(attrs, face.ref), seed=cfg.seed,
-        ms=(time.perf_counter() - t0) * 1e3,
+        attr_loss=float(d @ d), ffc=ffc(attrs, ref), seed=cfg.seed,
     )
 
 
 def _style_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray | None, prompt: str,
-                 intensity: float, cfg: PipelineConfig, face_id: int, t0: float,
-                 runtime: _Runtime | None):
+                 intensity: float, cfg: PipelineConfig, face_id: int, runtime: _Runtime | None):
     """The style-first order after its stylize at ``intensity``: the guided
     denoiser pass on ``runtime`` when ``cfg.use_diffusion``, then the
     restore of the input's attributes. ``styled_attrs`` are the attributes
@@ -266,7 +257,7 @@ def _style_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray | Non
         styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
         styled_attrs = _attributes_or_none(styled)
     attrs = styled_attrs if _already_there(styled_attrs, face.ref) else face.restored
-    return styled, styled_attrs, _row("PS", attrs, face, intensity, cfg, face_id, t0)
+    return styled, styled_attrs, _row("PS", attrs, face.ref, intensity, cfg, face_id)
 
 
 def run_style_first(
@@ -278,30 +269,29 @@ def run_style_first(
     """Stylize, optionally run the guided denoiser pass, then restore the
     input's attributes. The projection runs last, so the output carries
     the input's attributes whatever the middle stages did."""
-    t0 = time.perf_counter()
     face = _Face.of(i_img)
     runtime = _make_runtime(cfg) if cfg.use_diffusion else None
     styled = face.stylized(cfg.style_intensity)
     # a denoiser pass replaces the stylized image and extracts its own output
     attrs = None if cfg.use_diffusion else _attributes_or_none(styled)
-    out, attrs, row = _style_first(face, styled, attrs, prompt, cfg.style_intensity, cfg, face_id, t0, runtime)
+    out, attrs, row = _style_first(face, styled, attrs, prompt, cfg.style_intensity, cfg, face_id, runtime)
     return _project(out, face.ref, attrs), row
 
 
 def run_identity_first(
     i_img: np.ndarray,
-    prompt: str,
     cfg: PipelineConfig,
     face_id: int = 0,
 ) -> tuple[np.ndarray, ReportRow]:
     """Reversed order: restore the input's attributes first, then stylize.
     The restore projects the input onto its own attributes, a bitwise
     no-op, so the output is the stylized input and whatever drift the
-    stylizer causes stays in it."""
-    t0 = time.perf_counter()
-    face = _Face.of(i_img)
-    styled = face.stylized(cfg.style_intensity)
-    return styled, _row("SP", extract_attributes(styled), face, cfg.style_intensity, cfg, face_id, t0)
+    stylizer causes stays in it. It extracts twice: the input's attributes
+    and the output's."""
+    img = tensor(i_img)
+    styled = _stylize(img, StyleOp(intensity=cfg.style_intensity), _StyleTerms.of(img))
+    return styled, _row("SP", extract_attributes(styled), extract_attributes(img), cfg.style_intensity,
+                        cfg, face_id)
 
 
 def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int, params: FaceParams,
@@ -309,15 +299,11 @@ def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int
     """Both orders on one (face, intensity, seed) cell, sharing one stylize
     of the input and one extraction of its attributes: they score the
     reversed order's output, the stylized input (its restore is a bitwise
-    no-op), and the style-first restore reads them. Each row's ``ms`` is
-    half that shared work plus its own order's remaining work."""
-    t0 = time.perf_counter()
+    no-op), and the style-first restore reads them."""
     styled = face.stylized(intensity)
     attrs = extract_attributes(styled)
-    half = (time.perf_counter() - t0) / 2
-    *_, ps = _style_first(face, styled, attrs, DEFAULT_PROMPT, intensity, cfg, face_id,
-                          time.perf_counter() - half, runtime)
-    sp = _row("SP", attrs, face, intensity, cfg, face_id, time.perf_counter() - half)
+    *_, ps = _style_first(face, styled, attrs, DEFAULT_PROMPT, intensity, cfg, face_id, runtime)
+    sp = _row("SP", attrs, face.ref, intensity, cfg, face_id)
     if ps.attr_loss > sp.attr_loss:
         raise CompositionOrderError(
             "style-then-project lost to the reversed order: "
@@ -327,52 +313,50 @@ def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int
     return [ps, sp]
 
 
-def _order_seed(face: _Face, cfg: PipelineConfig, face_id: int, params: FaceParams,
-                intensities: tuple[float, ...]) -> list[ReportRow]:
-    """One face's cells at one seed. The runtime depends on the seed and the
-    shapes, not on the intensity, so it is built once here and freed before
-    the next seed's."""
-    runtime = _make_runtime(cfg) if cfg.use_diffusion else None
-    return [row for i in intensities for row in _order_cell(face, i, cfg, face_id, params, runtime)]
-
-
 def _order_face(args) -> list[ReportRow]:
+    """One face's cells, seed by seed. The runtime depends on the seed and
+    the shapes, not on the intensity, so each seed builds one."""
     face_id, params, seed_cfgs, intensities = args
-    face = _Face.of(render_face(params, seed_cfgs[0].image_size))  # before any cell's clock starts
-    return [row for cfg in seed_cfgs
-            for row in _order_seed(face, cfg, face_id, params, intensities)]
+    face = _Face.of(render_face(params, seed_cfgs[0].image_size))
+    rows = []
+    for cfg in seed_cfgs:
+        runtime = _make_runtime(cfg) if cfg.use_diffusion else None
+        rows += [row for i in intensities for row in _order_cell(face, i, cfg, face_id, params, runtime)]
+    return rows
 
 
 def ablate_order(
     faces: list[FaceParams],
     cfg: PipelineConfig,
-    sweeps=None,
-    seeds=None,
+    sweeps,
+    seeds,
     jobs: int = 1,
 ) -> ExperimentReport:
-    """Run both composition orders for every (face, intensity, seed) cell.
+    """Run both composition orders for every (face, intensity, seed) cell,
+    over the intensities ``sweeps`` and the config seeds ``seeds``.
 
     Any cell where the style-first order has the larger attribute loss is
     a hard failure (CompositionOrderError carrying the offending case).
-    Intensities and seeds must be distinct, so that no two cells are the same.
+    Intensities and seeds must be nonempty and distinct, so that no two
+    cells are the same.
 
     Each face's reference attributes, the attributes a restore that
     redraws leaves, and stylize terms (jitter units, warped geometry,
-    chroma Laplacian) are computed once, before any cell is timed. Each
-    cell stylizes and extracts once for both orders (the reversed order
-    projects the input onto its own attributes, a bitwise no-op) and
-    builds no restored image: a redraw rewrites every landmark row that
-    extraction reads, so its attributes depend only on the face's
-    reference and the image shape. The rows have the bits of calling
-    ``run_style_first`` and ``run_identity_first`` per cell.
+    chroma Laplacian) are computed once per face. Each cell stylizes and
+    extracts once for both orders (the reversed order projects the input
+    onto its own attributes, a bitwise no-op) and builds no restored
+    image: a redraw rewrites every landmark row that extraction reads, so
+    its attributes depend only on the face's reference and the image
+    shape. The rows have the bits of calling ``run_style_first`` and
+    ``run_identity_first`` per cell.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
-    intensities = tuple(float(i) for i in (sweeps if sweeps is not None else np.arange(1, 11) / 10.0))
-    seeds = tuple(int(s) for s in (seeds if seeds is not None else (cfg.seed,)))
+    intensities = tuple(float(i) for i in sweeps)
+    seeds = tuple(int(s) for s in seeds)
     for name, axis in (("intensities", intensities), ("seeds", seeds)):
-        if len(set(axis)) != len(axis):
-            raise ConfigError(f"ablate_order {name} must be distinct, got {axis}")
+        if not axis or len(set(axis)) != len(axis):
+            raise ConfigError(f"ablate_order {name} must be nonempty and distinct, got {axis}")
     # every seed's and every intensity's config is validated here, before any cell is computed
     seed_cfgs = tuple(replace(cfg, seed=s) for s in seeds)
     for i in intensities:
@@ -496,11 +480,12 @@ def _attention_mass(
 def ablate_attention(
     faces: list[FaceParams],
     cfg: PipelineConfig,
-    seeds=None,
+    seeds,
     train_steps: int = 2000,
     base_steps: int = 1200,
 ) -> ExperimentReport:
-    """Compare identity-augmented attention against the plain baseline.
+    """Compare identity-augmented attention against the plain baseline,
+    sampling every face at each of the sampling seeds ``seeds``.
 
     One base model is trained without identity information; the identity
     arm then keeps those weights frozen and trains only the zero-started
@@ -514,9 +499,7 @@ def ablate_attention(
     object in both arms, which draws once per step for both rows, so the
     arms share their sampling noise by construction and every trajectory
     has the bits of sampling it alone. Decoding and scoring stay per
-    trajectory. With timing on, a row's ``ms`` is the batched sampling
-    time divided by the number of rows (two per trajectory pair), plus
-    that row's own decode and scoring.
+    trajectory.
 
     ``extras`` holds each arm's mean FFC and attention mass, the standard
     error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
@@ -525,7 +508,7 @@ def ablate_attention(
     """
     if not faces:
         raise ConfigError("ablate_attention needs a nonempty face grid")
-    seeds = tuple(int(s) for s in (seeds if seeds is not None else range(20)))
+    seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ConfigError("ablate_attention needs at least one seed")
     runtime = _make_runtime(cfg)
@@ -556,7 +539,6 @@ def ablate_attention(
     item_idents = np.array([idents[fid] for fid, _ in items])
     # the BASE rows (zero identity: plain attention), then the ID rows; the
     # two rows of a (face, seed) pair share its stream and so its noise
-    t0 = time.perf_counter()
     zs = sample(
         id_model.with_identity(np.concatenate([np.zeros_like(item_idents), item_idents])),
         cond, runtime.sched,
@@ -566,12 +548,10 @@ def ablate_attention(
         subject_guidance=cfg.subject_guidance,
         guidance_scale=cfg.guidance_scale,
     )
-    share = (time.perf_counter() - t0) / len(zs)
     arms = [("BASE", item, None) for item in items] + [("ID", *row) for row in zip(items, item_idents)]
     report = ExperimentReport()
     masses = {"ID": [], "BASE": []}
     for (order, (fid, seed), ident), z in zip(arms, zs):
-        t1 = time.perf_counter()
         ref = refs[fid]
         attrs = extract_attributes(np.clip(decode(z, runtime.codec), 0.0, 1.0))
         masses[order].append(_attention_mass(id_model, z, ident, interests[fid]))
@@ -580,7 +560,6 @@ def ablate_attention(
                 face_id=fid, order=order, intensity=cfg.style_intensity,
                 attr_loss=float(np.sum((attrs - ref) ** 2)),
                 ffc=ffc(attrs, ref), seed=seed,
-                ms=(share + time.perf_counter() - t1) * 1e3,
             )
         )
     base_ffc, id_ffc = np.array([r.ffc for r in report.rows]).reshape(2, len(items))

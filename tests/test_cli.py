@@ -41,6 +41,7 @@ class TestParse:
     def test_unknown_command_or_flag(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
         assert run(["render", "--no-such-flag"], capsys)[0] == 2
+        assert run(["stylize", "--intensity", "0.5"], capsys)[0] == 2  # the flag is --style-intensity
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -31,7 +31,7 @@ GOLDENS = [
     (
         "ablate-order --faces 4 --intensities 0.3,0.8 --sweep-seeds 2 --seed 7",
         "order_report.csv",
-        "033388f57587427ee8274062da9f6e999a5d5636720c44e986dd0a3b2d736724",
+        "155c98d67ac778026407683cdca0061eca0ac1fa0c0846c2f193a88befaaa9d7",
     ),
     (
         "diffuse --seed 5 --steps 10 --window 3 --image-size 32",
@@ -66,13 +66,13 @@ GOLDENS = [
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3",
         "attention_report.csv",
-        "973271bdf8895f833221f0309ac297c1d7897f8f2dc1450022be5f2ec6c0b65c",
+        "3aea6b4e478e88a49d2f3f91c9847630e1e3864f5a508c20ba53c1f2e0dab122",
     ),
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3"
         " --latent-tokens 16 --token-dim 8",
         "attention_report.csv",
-        "09b0600fb36674ff07825aee6a84d4f924f7456b71ae07f4f7923e6a45f11995",
+        "3801eef608d41cf3943e4dce445ee3e4cd414071fdfb0feb19c798971a225294",
     ),
 ]
 
@@ -84,7 +84,7 @@ CONFIG_GOLDENS = [
         " --image-size 32 --seed 7",
         {"use_diffusion": True},
         "order_report.csv",
-        "c0cef1fad16bbcb1d787b1ef2a7cc274b5ae248ce890c43a86d1f72fca506d73",
+        "167fd60a6b943be536b0fecbbfb6fe5236704728a0c7c49aff9741a980f89123",
     ),
 ]
 

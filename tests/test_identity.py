@@ -179,7 +179,7 @@ class TestVerifyComposition:
     def losses(img, intensity):
         cfg = PipelineConfig(style_intensity=intensity)
         _, ps = run_style_first(img, DEFAULT_PROMPT, cfg)
-        _, sp = run_identity_first(img, DEFAULT_PROMPT, cfg)
+        _, sp = run_identity_first(img, cfg)
         return ps.attr_loss, sp.attr_loss
 
     def test_identity_style_ties(self):

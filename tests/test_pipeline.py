@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -96,7 +96,7 @@ class TestRunIdentityFirst:
         cfg = PipelineConfig(style_intensity=0.0, composition_window=0)
         img = render_face(face_grid(1, seed=4)[0], cfg.image_size)
         _, ps = run_style_first(img, "graffiti portrait", cfg)
-        _, sp = run_identity_first(img, "graffiti portrait", cfg)
+        _, sp = run_identity_first(img, cfg)
         assert ps.attr_loss == sp.attr_loss == 0.0
 
     def test_defaults_keep_the_stylization_drift(self):
@@ -105,11 +105,29 @@ class TestRunIdentityFirst:
 
         cfg = PipelineConfig(seed=5)
         img = render_face(face_grid(1, seed=5)[0], cfg.image_size)
-        _, sp = run_identity_first(img, "graffiti portrait", cfg)
+        _, sp = run_identity_first(img, cfg)
         drift = attr_loss(graffiti_stylize(img, StyleOp(intensity=0.7)), img)
         assert sp.attr_loss == drift
         assert sp.attr_loss > 0.0
         assert sp.order == "SP"
+
+    def test_two_extractions_per_call(self, monkeypatch):
+        calls = {"extract_attributes": 0}
+
+        def count(module):
+            real = module.extract_attributes
+
+            def counted(*args, **kwargs):
+                calls["extract_attributes"] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "extract_attributes", counted)
+
+        for module in (identity, pl):
+            count(module)  # both modules' extract_attributes feed one count
+        cfg = PipelineConfig(seed=5)
+        run_identity_first(render_face(face_grid(1, seed=5)[0], cfg.image_size), cfg)
+        assert calls == {"extract_attributes": 2}  # the input's attributes and the output's
 
 
 class TestAblateOrder:
@@ -153,10 +171,11 @@ class TestAblateOrder:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            ablate_order([], PipelineConfig())
+            ablate_order([], PipelineConfig(), sweeps=(0.5,), seeds=(0,))
 
     @pytest.mark.parametrize(
-        "sweeps, seeds", [((0.3, 0.3), (9,)), ((0.3,), (9, 9))], ids=["intensities", "seeds"]
+        "sweeps, seeds", [((0.3, 0.3), (9,)), ((0.3,), (9, 9)), ((), (9,)), ((0.3,), ())],
+        ids=["intensities", "seeds", "no-intensities", "no-seeds"],
     )
     def test_duplicate_cells_rejected(self, sweeps, seeds):
         with pytest.raises(ConfigError, match="distinct"):
@@ -191,9 +210,8 @@ class TestAblateOrder:
                 for seed in (18, 19):
                     cell = replace(cfg, style_intensity=intensity, seed=seed)
                     expected.append(run_style_first(img, pl.DEFAULT_PROMPT, cell, face_id=fid)[1])
-                    expected.append(run_identity_first(img, pl.DEFAULT_PROMPT, cell, face_id=fid)[1])
-        key = lambda r: (r.face_id, r.order, r.intensity, r.seed, repr(r.attr_loss), repr(r.ffc))
-        assert list(map(key, report.rows)) == list(map(key, pl.ExperimentReport(expected).sorted_rows()))
+                    expected.append(run_identity_first(img, cell, face_id=fid)[1])
+        assert report.rows == pl.ExperimentReport(expected).sorted_rows()
 
     def test_per_face_work_once_and_one_stylize_per_cell(self, monkeypatch):
         calls = {}
@@ -236,16 +254,14 @@ class TestAblateOrder:
             for seed in (22, 23):
                 cell = replace(cfg, style_intensity=intensity, seed=seed)
                 expected.append(run_style_first(img, pl.DEFAULT_PROMPT, cell)[1])
-                expected.append(run_identity_first(img, pl.DEFAULT_PROMPT, cell)[1])
+                expected.append(run_identity_first(img, cell)[1])
 
         built = []
         real_make_runtime = pl._make_runtime
         monkeypatch.setattr(pl, "_make_runtime", lambda c: built.append(c.seed) or real_make_runtime(c))
         report = ablate_order([params], cfg, sweeps=(0.3, 0.7), seeds=(22, 23))
         assert built == [22, 23]
-        assert [replace(r, ms=0.0) for r in report.rows] == pl.ExperimentReport(
-            [replace(r, ms=0.0) for r in expected]
-        ).sorted_rows()
+        assert report.rows == pl.ExperimentReport(expected).sorted_rows()
 
 
 class TestTrainToyDenoiser:
@@ -313,7 +329,7 @@ class TestAblateAttention:
         reference = ablate_attention(face_grid(3, seed=16), cfg, **kw)
         assert [len(rng) for rng in calls] == [2 * 6]  # one call: both arms, 6 trajectories each
         assert all(a is b for a, b in zip(calls[0][:6], calls[0][6:]))  # the arms share streams
-        assert [replace(r, ms=0.0) for r in batched.rows] == [replace(r, ms=0.0) for r in reference.rows]
+        assert batched.rows == reference.rows
         assert batched.extras == reference.extras
 
     def test_paired_extras_match_the_rows(self):
@@ -362,15 +378,13 @@ class TestAblateAttention:
 def test_report_row_sorting_and_csv_schema(tmp_path):
     report = pl.ExperimentReport(
         rows=[
-            ReportRow(1, "SP", 0.5, 0.1, 0.9, 0, 12.0),
-            ReportRow(0, "PS", 0.5, 0.0, 1.0, 0, 8.0),
+            ReportRow(1, "SP", 0.5, 0.1, 0.9, 0),
+            ReportRow(0, "PS", 0.5, 0.0, 1.0, 0),
         ]
     )
     path = tmp_path / "r.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "face_id,order,intensity,attr_loss,ffc,seed,ms"
-    assert lines[1].startswith("0,PS")
-    assert lines[1].endswith(",0")  # ms zeroed by default
-    report.to_csv(path, include_timing=True)
-    assert path.read_text().strip().splitlines()[2].endswith(",12")
+    assert lines[0] == "face_id,order,intensity,attr_loss,ffc,seed"
+    assert lines[0].split(",") == [f.name for f in fields(ReportRow)]
+    assert lines[1:] == ["0,PS,0.5,0.0,1.0,0", "1,SP,0.5,0.1,0.9,0"]
