@@ -12,8 +12,14 @@ Commands
 
 Common flags: ``--seed`` (fallback: env CRAFT_SEED, then 0), ``--out-dir``,
 ``--config`` (JSON file with PipelineConfig keys; explicit flags override
-file values). All files are written atomically (temp file + rename), so
-failures never leave partial outputs.
+file values). A command has flags only for the config keys it reads:
+render ``--image-size``; stylize ``--image-size --style-intensity``; attn-map
+the model flags ``--image-size --latent-tokens --token-dim --cond-dim``;
+ablate-order and ablate-attention the model flags and ``--steps --window
+--guidance-scale --subject-guidance``; diffuse those and ``--style-intensity``;
+train the model flags and ``--steps --window --lora-rank --lora-alpha``; ffc
+none. A config file sets every key for every command. All files are written
+atomically (temp file + rename), so failures never leave partial outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
 type, such as ``"10"`` for ``steps``, is a usage error):
@@ -48,7 +54,6 @@ from .errors import CompositionOrderError, ConfigError, CraftError, InputError
 from .facegen import (
     ATTRIBUTE_NAMES,
     StyleOp,
-    embed_prompt,
     face_grid,
     graffiti_stylize,
     render_face,
@@ -70,13 +75,16 @@ USAGE_EXIT = 2
 IO_EXIT = 2
 ASSERTION_EXIT = 3
 
-# a flag per PipelineConfig field, but seed (it has its own flag, with an
-# env fallback) and use_diffusion (set in a config file only)
+# the type of each PipelineConfig field a flag can set, all but seed (its own
+# flag, with an env fallback) and use_diffusion (config file only); each
+# command takes flags for the fields its code path reads (module docstring)
 _CONFIG_FLAGS = {
     name: {"int": int, "float": float}[f.type]
     for name, f in PipelineConfig.__dataclass_fields__.items()
     if name not in ("seed", "use_diffusion")
 }
+_MODEL = ("image_size", "latent_tokens", "token_dim", "cond_dim")
+_SAMPLING = ("steps", "composition_window", "guidance_scale", "subject_guidance")
 
 
 @dataclass
@@ -109,37 +117,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="craftfaces", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *keys):
         p.add_argument("--seed", type=int, default=None, help="master seed (env CRAFT_SEED fallback)")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--config", default=None, help="JSON config file")
-        for key, typ in _CONFIG_FLAGS.items():
+        for key in keys:
             flag = "--window" if key == "composition_window" else "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, type=typ, default=None)
+            p.add_argument(flag, dest=key, type=_CONFIG_FLAGS[key], default=None)
         return p
 
-    p = common(sub.add_parser("render", help="render a synthetic face"))
+    p = common(sub.add_parser("render", help="render a synthetic face"), "image_size")
     p.add_argument("--face-id", type=_nonnegative_int, default=0)
 
-    p = common(sub.add_parser("stylize", help="stylize a rendered face"))
+    p = common(sub.add_parser("stylize", help="stylize a rendered face"), "image_size", "style_intensity")
     p.add_argument("--face-id", type=_nonnegative_int, default=0)
 
-    p = common(sub.add_parser("diffuse", help="run the guided sampling loop"))
+    p = common(sub.add_parser("diffuse", help="run the guided sampling loop"), *_MODEL, *_SAMPLING,
+               "style_intensity")
     p.add_argument("--face-id", type=_nonnegative_int, default=0)
     p.add_argument("--prompt", default="graffiti portrait guitarist pose")
 
-    p = common(sub.add_parser("train", help="train the toy denoiser"))
+    p = common(sub.add_parser("train", help="train the toy denoiser"), *_MODEL, "steps",
+               "composition_window", "lora_rank", "lora_alpha")
     p.add_argument("--faces", type=_positive_int, default=4)
     p.add_argument("--train-steps", type=_positive_int, default=200)
     p.add_argument("--lora", action="store_true", help="train LoRA adapters over a frozen base")
 
-    p = common(sub.add_parser("ablate-order", help="sweep both composition orders"))
+    p = common(sub.add_parser("ablate-order", help="sweep both composition orders"), *_MODEL, *_SAMPLING)
     p.add_argument("--faces", type=_positive_int, default=100)
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
-    p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"))
+    p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"), *_MODEL,
+               *_SAMPLING)
     p.add_argument("--faces", type=_positive_int, default=8)
     p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
     p.add_argument("--train-steps", type=_positive_int, default=2000)
@@ -148,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("emb1")
     p.add_argument("emb2")
 
-    p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"))
+    p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"), *_MODEL)
     p.add_argument("--face-id", type=_nonnegative_int, default=0)
     p.add_argument("--with-identity", action="store_true")
 
@@ -259,11 +270,9 @@ def _stylize(cmd: Command) -> None:
 
 def _diffuse_face(cmd: Command) -> None:
     cfg, face_id, img = cmd.config, cmd.args.face_id, _face(cmd)
-    runtime = _make_runtime(cfg)
     styled = graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity))
-    model = runtime.model.with_identity(attribute_embedding(extract_attributes(img)))
     rng = RngStream(seed=cfg.seed).split("diffuse").split(face_id)
-    out = _diffuse(styled, embed_prompt(cmd.args.prompt, cfg.cond_dim), cfg, runtime, model, rng)
+    out = _diffuse(styled, extract_attributes(img), cmd.args.prompt, cfg, _make_runtime(cfg), rng)
     ppm = os.path.join(cmd.args.out_dir, f"face_{face_id}_diffused.ppm")
     _atomic_write(ppm, lambda tmp: write_ppm(tmp, out))
     print(f"diffuse: steps={cfg.steps} window={cfg.composition_window} -> {ppm}")

@@ -185,18 +185,14 @@ def _make_runtime(cfg: PipelineConfig) -> _Runtime:
     return _Runtime(sched=build_schedule(cfg.steps), codec=codec, model=model)
 
 
-def _diffuse(
-    styled: np.ndarray,
-    cond: np.ndarray,
-    cfg: PipelineConfig,
-    runtime: _Runtime,
-    model: DenoiserModel,
-    rng: RngStream,
-) -> np.ndarray:
+def _diffuse(styled: np.ndarray, ref: np.ndarray, prompt: str, cfg: PipelineConfig, runtime: _Runtime,
+             rng: RngStream) -> np.ndarray:
+    """The guided denoiser pass over ``styled`` on ``prompt`` by the runtime's
+    model with the identity of the attributes ``ref``; returns the decoded image."""
     guide = encode(styled, runtime.codec) if cfg.composition_window > 0 else None
     z = sample(
-        model,
-        cond,
+        runtime.model.with_identity(attribute_embedding(ref)),
+        embed_prompt(prompt, cfg.cond_dim),
         runtime.sched,
         window=cfg.composition_window,
         guide=guide,
@@ -252,9 +248,8 @@ def _style_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray | Non
     restore that redraws leaves the attributes ``face.restored``, and one
     that finds the attributes already there leaves the image's own."""
     if cfg.use_diffusion:
-        m = runtime.model.with_identity(attribute_embedding(face.ref))
         rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
-        styled = _diffuse(styled, embed_prompt(prompt, cfg.cond_dim), cfg, runtime, m, rng)
+        styled = _diffuse(styled, face.ref, prompt, cfg, runtime, rng)
         styled_attrs = _attributes_or_none(styled)
     attrs = styled_attrs if _already_there(styled_attrs, face.ref) else face.restored
     return styled, styled_attrs, _row("PS", attrs, face.ref, intensity, cfg, face_id)
@@ -499,7 +494,8 @@ def ablate_attention(
     object in both arms, which draws once per step for both rows, so the
     arms share their sampling noise by construction and every trajectory
     has the bits of sampling it alone. Decoding and scoring stay per
-    trajectory.
+    trajectory. Every arm is guided by the unstylized render's latent, so
+    each row's ``intensity`` is 0.0.
 
     ``extras`` holds each arm's mean FFC and attention mass, the standard
     error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
@@ -557,7 +553,7 @@ def ablate_attention(
         masses[order].append(_attention_mass(id_model, z, ident, interests[fid]))
         report.rows.append(
             ReportRow(
-                face_id=fid, order=order, intensity=cfg.style_intensity,
+                face_id=fid, order=order, intensity=0.0,
                 attr_loss=float(np.sum((attrs - ref) ** 2)),
                 ffc=ffc(attrs, ref), seed=seed,
             )

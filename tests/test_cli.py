@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -42,11 +43,36 @@ class TestParse:
         assert run(["frobnicate"], capsys)[0] == 2
         assert run(["render", "--no-such-flag"], capsys)[0] == 2
         assert run(["stylize", "--intensity", "0.5"], capsys)[0] == 2  # the flag is --style-intensity
+        # a command has no flag for a config key its code path never reads
+        for argv in (
+            ["render", "--steps", "5"],
+            ["stylize", "--token-dim", "8"],
+            ["diffuse", "--lora-rank", "2"],
+            ["train", "--guidance-scale", "2"],
+            ["ablate-order", "--style-intensity", "0.3"],
+            ["ablate-attention", "--style-intensity", "0.3"],
+            ["attn-map", "--window", "3"],
+            ["ffc", "a.csv", "b.csv", "--image-size", "32"],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 2, argv
+            assert "unrecognized arguments" in err and argv[-2] in err
+
+    def test_readme_cli_examples_parse(self):
+        """Every ``craftfaces`` example in README's CLI block parses, so a
+        removed flag cannot linger in the docs."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+        assert len(examples) == 8
+        for argv in examples:
+            assert argv[0] == "craftfaces"
+            assert parse(argv[1:]).name == argv[1]
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"steps": 40, "style_intensity": 0.3, "seed": 5}))
-        cmd = parse(["render", "--config", str(cfg_file), "--steps", "60"])
+        cmd = parse(["diffuse", "--config", str(cfg_file), "--steps", "60"])
         assert cmd.config.steps == 60  # flag wins
         assert cmd.config.style_intensity == 0.3  # file value kept
         assert cmd.config.seed == 5
@@ -110,12 +136,16 @@ class TestParse:
         assert err.startswith("error:") and next(iter(values)) in err
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--guidance-scale", "nan"), ("--guidance-scale", "inf"), ("--lora-alpha", "nan"),
-         ("--lora-alpha", "inf")],
+        "command, flag, value",
+        [
+            pytest.param(["diffuse"], "--guidance-scale", "nan", id="--guidance-scale-nan"),
+            pytest.param(["diffuse"], "--guidance-scale", "inf", id="--guidance-scale-inf"),
+            pytest.param(["train", "--lora"], "--lora-alpha", "nan", id="--lora-alpha-nan"),
+            pytest.param(["train", "--lora"], "--lora-alpha", "inf", id="--lora-alpha-inf"),
+        ],
     )
-    def test_non_finite_flag_rejected(self, flag, value, tmp_path, capsys):
-        argv = ["diffuse", flag, value, "--steps", "3", "--window", "1", "--image-size", "32"]
+    def test_non_finite_flag_rejected(self, command, flag, value, tmp_path, capsys):
+        argv = [*command, flag, value, "--steps", "3", "--window", "1", "--image-size", "32"]
         code, _, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error:") and flag[2:].replace("-", "_") in err

@@ -66,13 +66,13 @@ GOLDENS = [
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3",
         "attention_report.csv",
-        "3aea6b4e478e88a49d2f3f91c9847630e1e3864f5a508c20ba53c1f2e0dab122",
+        "9874c94d9c219c7871ce40de893d12ee16a4452f3260b0ba67121b08f79ea8fd",
     ),
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3"
         " --latent-tokens 16 --token-dim 8",
         "attention_report.csv",
-        "3801eef608d41cf3943e4dce445ee3e4cd414071fdfb0feb19c798971a225294",
+        "b281860b883024892a3005f82327d941463fe5c897e50c91cdd833db2a386c77",
     ),
 ]
 

@@ -365,12 +365,14 @@ class TestAblateAttention:
             ablate_attention(face_grid(1, seed=17), cfg, seeds=(), train_steps=1, base_steps=1)
 
     def test_report_has_both_arms_and_extras(self):
-        cfg = PipelineConfig(seed=15, image_size=32, latent_tokens=16, token_dim=8)
+        cfg = PipelineConfig(seed=15, image_size=32, latent_tokens=16, token_dim=8, style_intensity=0.4)
         report = ablate_attention(
             face_grid(2, seed=15), cfg, seeds=(0,), train_steps=20, base_steps=20
         )
         orders = {row.order for row in report.rows}
         assert orders == {"ID", "BASE"}
+        # both arms are guided by the unstylized render, whatever the config's intensity
+        assert all(row.intensity == 0.0 for row in report.rows)
         for key in ("mean_ffc_id", "mean_ffc_base", "mean_mass_id", "mean_mass_base", "paired_se", "id_wins"):
             assert key in report.extras
 
