@@ -15,17 +15,19 @@ Common flags: ``--seed`` (fallback: env CRAFT_SEED, then 0), ``--out-dir``,
 file values). A command has flags only for the config keys it reads:
 render ``--image-size``; stylize ``--image-size --style-intensity``; attn-map
 the model flags ``--image-size --latent-tokens --token-dim --cond-dim``;
-ablate-order and ablate-attention the model flags and ``--steps --window
---guidance-scale --subject-guidance``; diffuse those and ``--style-intensity``;
-train the model flags and ``--steps --window --lora-rank --lora-alpha``; ffc
-none. A config file sets every key for every command. All files are written
-atomically (temp file + rename), so failures never leave partial outputs.
+ablate-attention the model flags and ``--steps --window --guidance-scale
+--subject-guidance``; diffuse those and ``--style-intensity``; train the model
+flags and ``--steps --window --lora-rank --lora-alpha``; ablate-order
+``--image-size``; ffc none. A config file sets every key for every command.
+``--face-id`` must be below MAX_FACES (10000) and ``--faces`` at most
+MAX_FACES. All files are written atomically (temp file + rename), so failures
+never leave partial outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
 type, such as ``"10"`` for ``steps``, is a usage error):
     guidance_scale, subject_guidance, style_intensity, steps,
     composition_window, lora_rank, lora_alpha, seed, image_size,
-    latent_tokens, token_dim, cond_dim, use_diffusion
+    latent_tokens, token_dim, cond_dim
 
 Adapter CSV schema (written by ``train --lora``, readable by
 ``craftfaces.lora.load_adapters``): header
@@ -63,6 +65,7 @@ from .identity import attr_loss, attribute_embedding, extract_attributes, ffc
 from .lora import save_adapters
 from .numerics import RngStream
 from .pipeline import (
+    DEFAULT_PROMPT,
     PipelineConfig,
     ablate_attention,
     ablate_order,
@@ -74,14 +77,17 @@ from .pipeline import (
 USAGE_EXIT = 2
 IO_EXIT = 2
 ASSERTION_EXIT = 3
+# 100x the 100-face grid of criterion 1 and the ablate-order default; a face
+# grid past it is refused before any allocation
+MAX_FACES = 10_000
 
 # the type of each PipelineConfig field a flag can set, all but seed (its own
-# flag, with an env fallback) and use_diffusion (config file only); each
-# command takes flags for the fields its code path reads (module docstring)
+# flag, with an env fallback); each command takes flags for the fields its
+# code path reads (module docstring)
 _CONFIG_FLAGS = {
     name: {"int": int, "float": float}[f.type]
     for name, f in PipelineConfig.__dataclass_fields__.items()
-    if name not in ("seed", "use_diffusion")
+    if name != "seed"
 }
 _MODEL = ("image_size", "latent_tokens", "token_dim", "cond_dim")
 _SAMPLING = ("steps", "composition_window", "guidance_scale", "subject_guidance")
@@ -101,10 +107,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _face_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_FACES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_FACES}, got {value}")
+    return value
+
+
+def _face_id(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < MAX_FACES:
+        raise argparse.ArgumentTypeError(f"must lie in [0, {MAX_FACES - 1}], got {value}")
     return value
 
 
@@ -127,31 +140,31 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("render", help="render a synthetic face"), "image_size")
-    p.add_argument("--face-id", type=_nonnegative_int, default=0)
+    p.add_argument("--face-id", type=_face_id, default=0)
 
     p = common(sub.add_parser("stylize", help="stylize a rendered face"), "image_size", "style_intensity")
-    p.add_argument("--face-id", type=_nonnegative_int, default=0)
+    p.add_argument("--face-id", type=_face_id, default=0)
 
     p = common(sub.add_parser("diffuse", help="run the guided sampling loop"), *_MODEL, *_SAMPLING,
                "style_intensity")
-    p.add_argument("--face-id", type=_nonnegative_int, default=0)
-    p.add_argument("--prompt", default="graffiti portrait guitarist pose")
+    p.add_argument("--face-id", type=_face_id, default=0)
+    p.add_argument("--prompt", default=DEFAULT_PROMPT)
 
     p = common(sub.add_parser("train", help="train the toy denoiser"), *_MODEL, "steps",
                "composition_window", "lora_rank", "lora_alpha")
-    p.add_argument("--faces", type=_positive_int, default=4)
+    p.add_argument("--faces", type=_face_count, default=4)
     p.add_argument("--train-steps", type=_positive_int, default=200)
     p.add_argument("--lora", action="store_true", help="train LoRA adapters over a frozen base")
 
-    p = common(sub.add_parser("ablate-order", help="sweep both composition orders"), *_MODEL, *_SAMPLING)
-    p.add_argument("--faces", type=_positive_int, default=100)
+    p = common(sub.add_parser("ablate-order", help="sweep both composition orders"), "image_size")
+    p.add_argument("--faces", type=_face_count, default=100)
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"), *_MODEL,
                *_SAMPLING)
-    p.add_argument("--faces", type=_positive_int, default=8)
+    p.add_argument("--faces", type=_face_count, default=8)
     p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
     p.add_argument("--train-steps", type=_positive_int, default=2000)
 
@@ -160,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("emb2")
 
     p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"), *_MODEL)
-    p.add_argument("--face-id", type=_nonnegative_int, default=0)
+    p.add_argument("--face-id", type=_face_id, default=0)
     p.add_argument("--with-identity", action="store_true")
 
     return parser

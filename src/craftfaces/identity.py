@@ -4,15 +4,13 @@ facial-feature cosine metric.
 The extractor inverts the renderer: each attribute is read back as the
 intensity centroid of its landmark band, so extraction is exact on clean
 renders and degrades continuously (never catastrophically) on stylized
-ones. The projector restores a target attribute vector by re-rendering: it
+ones. ``project`` restores a target attribute vector by re-rendering: it
 re-draws only the landmark bands, leaving every other channel of the
 image (decoration, chroma, background) untouched, which makes the
 restored attributes exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +31,6 @@ __all__ = [
     "extract_attributes",
     "attr_loss",
     "attribute_embedding",
-    "Projector",
     "project",
     "ffc",
 ]
@@ -97,17 +94,6 @@ def attribute_embedding(attrs: np.ndarray) -> np.ndarray:
     into identity-augmented attention. Neutral attributes (all 0.5) map to
     the zero embedding."""
     return 2.0 * tensor(attrs).reshape(-1) - 1.0
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Operator restoring a reference attribute vector by rewriting the
-    landmark bands outright (exact)."""
-
-    reference_attrs: np.ndarray
-
-    def apply(self, img: np.ndarray) -> np.ndarray:
-        return project(img, self.reference_attrs)
 
 
 def _validate_target(target: np.ndarray) -> np.ndarray:

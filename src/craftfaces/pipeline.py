@@ -53,7 +53,7 @@ DEFAULT_PROMPT = "graffiti portrait guitarist pose"
 SGD_BATCH = 16  # (face, t, eps) triples per toy-denoiser SGD step
 TRAIN_LR = 0.25  # train_toy_denoiser's learning rate, in full and in LoRA mode
 
-_VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_VALUE_TYPES = {"int": (int,), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class PipelineConfig:
     latent_tokens: int = 16
     token_dim: int = 4
     cond_dim: int = 8
-    use_diffusion: bool = False
 
     def __post_init__(self):
         for name, f in self.__dataclass_fields__.items():
@@ -106,7 +105,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Build from JSON-style values: an int field takes an int, a float
-        field an int or a float, a bool field a bool."""
+        field an int or a float."""
         fields = cls.__dataclass_fields__
         unknown = set(d) - set(fields)
         if unknown:
@@ -237,40 +236,29 @@ def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, cfg: 
     )
 
 
-def _style_first(face: _Face, styled: np.ndarray, styled_attrs: np.ndarray | None, prompt: str,
-                 intensity: float, cfg: PipelineConfig, face_id: int, runtime: _Runtime | None):
-    """The style-first order after its stylize at ``intensity``: the guided
-    denoiser pass on ``runtime`` when ``cfg.use_diffusion``, then the
-    restore of the input's attributes. ``styled_attrs`` are the attributes
-    of ``styled`` (None where extraction fails); a denoiser pass replaces
-    both. Returns the image the restore projects, its attributes and the
-    PS row, which is scored without building the restored image: a
-    restore that redraws leaves the attributes ``face.restored``, and one
+def _style_first(face: _Face, styled_attrs: np.ndarray | None, intensity: float, cfg: PipelineConfig,
+                 face_id: int) -> ReportRow:
+    """The PS row of the style-first order after its stylize at
+    ``intensity``, whose output has the attributes ``styled_attrs`` (None
+    where extraction fails), scored without building the restored image:
+    a restore that redraws leaves the attributes ``face.restored``, and one
     that finds the attributes already there leaves the image's own."""
-    if cfg.use_diffusion:
-        rng = RngStream(seed=cfg.seed).split("style-first").split(face_id)
-        styled = _diffuse(styled, face.ref, prompt, cfg, runtime, rng)
-        styled_attrs = _attributes_or_none(styled)
     attrs = styled_attrs if _already_there(styled_attrs, face.ref) else face.restored
-    return styled, styled_attrs, _row("PS", attrs, face.ref, intensity, cfg, face_id)
+    return _row("PS", attrs, face.ref, intensity, cfg, face_id)
 
 
 def run_style_first(
     i_img: np.ndarray,
-    prompt: str,
     cfg: PipelineConfig,
     face_id: int = 0,
 ) -> tuple[np.ndarray, ReportRow]:
-    """Stylize, optionally run the guided denoiser pass, then restore the
-    input's attributes. The projection runs last, so the output carries
-    the input's attributes whatever the middle stages did."""
+    """Stylize, then restore the input's attributes. The projection runs
+    last, so the output carries the input's attributes whatever the
+    stylizer did."""
     face = _Face.of(i_img)
-    runtime = _make_runtime(cfg) if cfg.use_diffusion else None
     styled = face.stylized(cfg.style_intensity)
-    # a denoiser pass replaces the stylized image and extracts its own output
-    attrs = None if cfg.use_diffusion else _attributes_or_none(styled)
-    out, attrs, row = _style_first(face, styled, attrs, prompt, cfg.style_intensity, cfg, face_id, runtime)
-    return _project(out, face.ref, attrs), row
+    attrs = _attributes_or_none(styled)
+    return _project(styled, face.ref, attrs), _style_first(face, attrs, cfg.style_intensity, cfg, face_id)
 
 
 def run_identity_first(
@@ -289,15 +277,15 @@ def run_identity_first(
                         cfg, face_id)
 
 
-def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int, params: FaceParams,
-                runtime: _Runtime | None) -> list[ReportRow]:
+def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int,
+                params: FaceParams) -> list[ReportRow]:
     """Both orders on one (face, intensity, seed) cell, sharing one stylize
     of the input and one extraction of its attributes: they score the
     reversed order's output, the stylized input (its restore is a bitwise
     no-op), and the style-first restore reads them."""
     styled = face.stylized(intensity)
     attrs = extract_attributes(styled)
-    *_, ps = _style_first(face, styled, attrs, DEFAULT_PROMPT, intensity, cfg, face_id, runtime)
+    ps = _style_first(face, attrs, intensity, cfg, face_id)
     sp = _row("SP", attrs, face.ref, intensity, cfg, face_id)
     if ps.attr_loss > sp.attr_loss:
         raise CompositionOrderError(
@@ -309,15 +297,11 @@ def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int
 
 
 def _order_face(args) -> list[ReportRow]:
-    """One face's cells, seed by seed. The runtime depends on the seed and
-    the shapes, not on the intensity, so each seed builds one."""
+    """One face's cells, seed by seed, sharing the face's per-face work."""
     face_id, params, seed_cfgs, intensities = args
     face = _Face.of(render_face(params, seed_cfgs[0].image_size))
-    rows = []
-    for cfg in seed_cfgs:
-        runtime = _make_runtime(cfg) if cfg.use_diffusion else None
-        rows += [row for i in intensities for row in _order_cell(face, i, cfg, face_id, params, runtime)]
-    return rows
+    return [row for cfg in seed_cfgs for i in intensities
+            for row in _order_cell(face, i, cfg, face_id, params)]
 
 
 def ablate_order(

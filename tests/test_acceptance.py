@@ -14,7 +14,7 @@ from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.cli import main
 from craftfaces.diffusion import build_schedule, forward_marginal, forward_step, sample
 from craftfaces.facegen import StyleOp, face_grid, graffiti_stylize, render_face
-from craftfaces.identity import Projector, extract_attributes, ffc
+from craftfaces.identity import extract_attributes, ffc, project
 from craftfaces.lora import LoRAAdapter, LoRATrainConfig, _adapted_loss, merge, train_lora
 from craftfaces.numerics import RngStream, finite_diff_grad
 from craftfaces.pipeline import PipelineConfig, ablate_attention, ablate_order, _make_runtime
@@ -66,10 +66,9 @@ def test_criterion_2_exact_projection_contract(sweep_faces):
     for params in sweep_faces:
         img = render_face(params, 64)
         ref = extract_attributes(img)
-        projector = Projector(reference_attrs=ref)
-        assert projector.apply(img).tobytes() == img.tobytes()
+        assert project(img, ref).tobytes() == img.tobytes()
         for intensity in INTENSITIES:
-            restored = projector.apply(graffiti_stylize(img, StyleOp(intensity=intensity)))
+            restored = project(graffiti_stylize(img, StyleOp(intensity=intensity)), ref)
             worst = max(worst, float(np.max(np.abs(extract_attributes(restored) - ref))))
     assert worst <= 1e-9
     _report(2, "exact projection", f"worst attr error {worst:.2e}, clean renders bitwise")

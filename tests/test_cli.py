@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import craftfaces
-from craftfaces.cli import _atomic_write, main, parse
+from craftfaces.cli import MAX_FACES, _atomic_write, main, parse
 from craftfaces.lora import load_adapters
-from craftfaces.pipeline import PipelineConfig
+from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig
 
 
 def run(argv, capsys):
@@ -28,6 +28,12 @@ class TestParse:
         assert cmd.name == "ablate-order"
         assert cmd.args.faces == 100
         assert cmd.config.seed == 7
+        # the largest grid and face id, parsed only: nothing is allocated
+        assert parse(["ablate-order", "--faces", str(MAX_FACES)]).args.faces == MAX_FACES
+        assert parse(["render", "--face-id", str(MAX_FACES - 1)]).args.face_id == MAX_FACES - 1
+
+    def test_diffuse_prompt_defaults_to_the_pipeline_prompt(self):
+        assert parse(["diffuse"]).args.prompt == DEFAULT_PROMPT
 
     def test_documented_defaults_accepted(self):
         cmd = parse(["diffuse", "--steps", "100", "--window", "25"])
@@ -50,6 +56,7 @@ class TestParse:
             ["diffuse", "--lora-rank", "2"],
             ["train", "--guidance-scale", "2"],
             ["ablate-order", "--style-intensity", "0.3"],
+            ["ablate-order", "--steps", "5"],
             ["ablate-attention", "--style-intensity", "0.3"],
             ["attn-map", "--window", "3"],
             ["ffc", "a.csv", "b.csv", "--image-size", "32"],
@@ -86,8 +93,11 @@ class TestParse:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "extra.json"
-        bad.write_text(json.dumps({"stepz": 10}))
-        assert run(["render", "--config", str(bad)], capsys)[0] == 2
+        for values in ({"stepz": 10}, {"use_diffusion": True}):
+            bad.write_text(json.dumps(values))
+            code, _, err = run(["render", "--config", str(bad)], capsys)
+            assert code == 2
+            assert err.startswith("error: unknown config keys") and next(iter(values)) in err
 
     def test_malformed_intensities_rejected(self, capsys):
         code, _, err = run(["ablate-order", "--faces", "1", "--intensities", "0.3,abc"], capsys)
@@ -106,18 +116,27 @@ class TestParse:
             pytest.param("train", "--faces", "0", id="train--faces-0"),
             pytest.param("ablate-order", "--faces", "-2", id="ablate-order--faces--2"),
             pytest.param("ablate-attention", "--faces", "0", id="ablate-attention--faces-0"),
-        ],
+        ]
+        # and grids past MAX_FACES, refused before any allocation
+        + [pytest.param(c, "--faces", str(MAX_FACES + 1), id=f"{c}--faces-{MAX_FACES + 1}")
+           for c in ("train", "ablate-order", "ablate-attention")],
     )
     def test_counts_below_one_rejected(self, command, flag, value, capsys):
         code, _, err = run([command, "--faces", "1", flag, value], capsys)
         assert code == 2
         assert "error:" in err and flag in err
 
-    @pytest.mark.parametrize("command", ["render", "stylize", "diffuse", "attn-map"])
-    def test_negative_face_id_rejected(self, command, capsys):
-        code, _, err = run([command, "--face-id", "-1"], capsys)
+    @pytest.mark.parametrize(
+        "command, face_id",
+        [pytest.param(c, "-1", id=c) for c in ("render", "stylize", "diffuse", "attn-map")]
+        # and ids past a MAX_FACES grid, refused before the grid is built
+        + [pytest.param(c, i, id=f"{c}-{i}")
+           for c in ("render", "stylize", "diffuse", "attn-map") for i in (str(MAX_FACES), "99999999999")],
+    )
+    def test_negative_face_id_rejected(self, command, face_id, capsys):
+        code, _, err = run([command, "--face-id", face_id], capsys)
         assert code == 2
-        assert "error:" in err and "--face-id" in err and "got -1" in err
+        assert "error:" in err and "--face-id" in err and f"got {face_id}" in err
         assert "grid size" not in err
 
     def test_duplicate_intensities_rejected(self, tmp_path, capsys):
@@ -127,13 +146,15 @@ class TestParse:
         assert "error:" in err and "distinct" in err
         assert not (tmp_path / "order_report.csv").exists()
 
-    @pytest.mark.parametrize("values", [{"steps": "10"}, {"seed": "abc"}, {"use_diffusion": 1}])
+    @pytest.mark.parametrize("values", [{"steps": "10"}, {"seed": "abc"}, {"image_size": True}])
     def test_config_value_of_wrong_type(self, values, tmp_path, capsys):
         bad = tmp_path / "typed.json"
         bad.write_text(json.dumps(values))
         code, _, err = run(["render", "--config", str(bad)], capsys)
         assert code == 2
-        assert err.startswith("error:") and next(iter(values)) in err
+        # the type check's message, not a range check's: bool subclasses int,
+        # so only from_dict's type() check names a JSON true for an int key
+        assert err.startswith(f"error: config key {next(iter(values))!r} must be ")
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -192,10 +213,8 @@ class TestParse:
         assert parse(["render", "--seed", str(-(2**127))]).config.seed == -(2**127)
 
     def test_sweep_seed_past_128_bits_rejected(self, tmp_path, capsys):
-        (tmp_path / "diffusion.json").write_text(json.dumps({"use_diffusion": True}))
         argv = ["ablate-order", "--seed", str(2**127 - 1), "--sweep-seeds", "2", "--faces", "1",
-                "--intensities", "0.5", "--steps", "3", "--window", "1", "--image-size", "32",
-                "--config", str(tmp_path / "diffusion.json"), "--out-dir", str(tmp_path)]
+                "--intensities", "0.5", "--image-size", "32", "--out-dir", str(tmp_path)]
         code, _, err = run(argv, capsys)
         assert code == 2
         assert err.startswith("error:") and str(2**127) in err
@@ -266,15 +285,12 @@ class TestExecute:
     @pytest.mark.parametrize("argv", [
         ["diffuse"],
         ["ablate-attention", "--faces", "1", "--arm-seeds", "1", "--train-steps", "1"],
-        ["ablate-order", "--faces", "1", "--intensities", "0.5", "--config", "DIFFUSION"],
     ])
     def test_non_finite_sampling_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         """A guidance scale that overflows the sampler is an error, on every
         command that samples, and leaves no artifact behind."""
-        config = tmp_path / "diffusion.json"
-        config.write_text(json.dumps({"use_diffusion": True}))
         out_dir = tmp_path / "out"
-        argv = [str(config) if a == "DIFFUSION" else a for a in argv] + [
+        argv = argv + [
             "--guidance-scale", "1e308", "--steps", "4", "--window", "1", "--image-size", "32",
             "--out-dir", str(out_dir),
         ]

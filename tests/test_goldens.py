@@ -34,6 +34,11 @@ GOLDENS = [
         "155c98d67ac778026407683cdca0061eca0ac1fa0c0846c2f193a88befaaa9d7",
     ),
     (
+        "ablate-order --faces 2 --intensities 0.3,0.8 --sweep-seeds 2 --image-size 32 --seed 7",
+        "order_report.csv",
+        "167fd60a6b943be536b0fecbbfb6fe5236704728a0c7c49aff9741a980f89123",
+    ),
+    (
         "diffuse --seed 5 --steps 10 --window 3 --image-size 32",
         "face_0_diffused.ppm",
         "ee54f0d107924ebe12c0855959591fba0c5e28786fe361ffc8578b2b7e0994f5",
@@ -76,18 +81,6 @@ GOLDENS = [
     ),
 ]
 
-# commands run with a --config file holding the given keys, for settings
-# that only a config file sets: (command, config, artifact, digest)
-CONFIG_GOLDENS = [
-    (
-        "ablate-order --faces 2 --intensities 0.3,0.8 --sweep-seeds 2 --steps 10 --window 3"
-        " --image-size 32 --seed 7",
-        {"use_diffusion": True},
-        "order_report.csv",
-        "167fd60a6b943be536b0fecbbfb6fe5236704728a0c7c49aff9741a980f89123",
-    ),
-]
-
 # commands whose artifacts are all pinned: {artifact: digest}
 FACE_GOLDENS = [
     (
@@ -112,7 +105,7 @@ MULTI_SIZE_ORACLE_DIGEST = "768b2d2b18bd548f45b29158d5f80f9aeaef880c2600a47d79dd
 
 
 # run_style_first's output image at a small shape: (label, config keys, digest);
-# the zero-intensity case restores nothing, the others redraw the landmarks
+# the zero-intensity case restores nothing, the other redraws the landmarks
 STYLE_FIRST_GOLDENS = [
     (
         "style-first",
@@ -124,21 +117,16 @@ STYLE_FIRST_GOLDENS = [
         {"image_size": 32, "seed": 7, "style_intensity": 0.0},
         "b2225f71d9ec1897d4462acba104678ac643d1bc56a157be0bc28765c0f9e284",
     ),
-    (
-        "style-first-diffusion",
-        {"image_size": 32, "seed": 7, "steps": 10, "composition_window": 3, "use_diffusion": True},
-        "5526faa83d272acdc49e1f7ad810d00a794715e18473e959b9029293b73e1cd9",
-    ),
 ]
 
 # prints the sha256 of run_style_first's output image for the config given as JSON
 _STYLE_FIRST_SCRIPT = """
 import hashlib, json, sys
 from craftfaces.facegen import face_grid, render_face
-from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig, run_style_first
+from craftfaces.pipeline import PipelineConfig, run_style_first
 cfg = PipelineConfig(**json.loads(sys.argv[1]))
 img = render_face(face_grid(1, seed=cfg.seed)[0], cfg.image_size)
-print(hashlib.sha256(run_style_first(img, DEFAULT_PROMPT, cfg)[0].tobytes()).hexdigest())
+print(hashlib.sha256(run_style_first(img, cfg)[0].tobytes()).hexdigest())
 """
 
 
@@ -161,8 +149,8 @@ def _run_python(args, threads) -> str:
     return proc.stdout
 
 
-def _run_cli(argv, out_dir, threads, *extra):
-    _run_python(["-m", "craftfaces.cli", *argv.split(), *extra, "--out-dir", str(out_dir)], threads)
+def _run_cli(argv, out_dir, threads):
+    _run_python(["-m", "craftfaces.cli", *argv.split(), "--out-dir", str(out_dir)], threads)
 
 
 def _sha256(path) -> str:
@@ -172,14 +160,6 @@ def _sha256(path) -> str:
 @pytest.mark.parametrize("argv, artifact, digest, threads", _at_blas_threads(GOLDENS))
 def test_cli_output_matches_golden(argv, artifact, digest, threads, tmp_path):
     _run_cli(argv, tmp_path, threads)
-    assert _sha256(tmp_path / artifact) == digest
-
-
-@pytest.mark.parametrize("argv, config, artifact, digest, threads", _at_blas_threads(CONFIG_GOLDENS))
-def test_cli_output_with_config_file_matches_golden(argv, config, artifact, digest, threads, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    _run_cli(argv, tmp_path, threads, "--config", str(path))
     assert _sha256(tmp_path / artifact) == digest
 
 

@@ -10,7 +10,6 @@ from craftfaces.facegen import (
     chroma_histogram, face_grid, graffiti_stylize, render_face,
 )
 from craftfaces.identity import (
-    Projector,
     _already_there,
     _attributes_or_none,
     _centroid,
@@ -22,7 +21,7 @@ from craftfaces.identity import (
     project,
 )
 from craftfaces.numerics import RngStream
-from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig, run_identity_first, run_style_first
+from craftfaces.pipeline import PipelineConfig, run_identity_first, run_style_first
 
 FACE = FaceParams(
     eye_spacing=0.35,
@@ -80,19 +79,17 @@ class TestProject:
     def test_restores_attributes_after_stylization(self):
         img = render_face(FACE, 64)
         styled = graffiti_stylize(img, StyleOp(intensity=0.7))
-        proj = Projector(reference_attrs=FACE.attributes())
-        fixed = proj.apply(styled)
+        fixed = project(styled, FACE.attributes())
         assert np.max(np.abs(extract_attributes(fixed) - FACE.attributes())) <= 1e-9
 
     def test_identity_on_canonical_render(self):
         img = render_face(FACE, 64)
-        proj = Projector(reference_attrs=FACE.attributes())
-        assert proj.apply(img).tobytes() == img.tobytes()
+        assert project(img, FACE.attributes()).tobytes() == img.tobytes()
 
     def test_preserves_style_statistics(self):
         img = render_face(FACE, 64)
         styled = graffiti_stylize(img, StyleOp(intensity=0.7))
-        fixed = Projector(reference_attrs=FACE.attributes()).apply(styled)
+        fixed = project(styled, FACE.attributes())
         l1 = np.abs(chroma_histogram(styled) - chroma_histogram(fixed)).sum()
         assert l1 <= 0.05
         assert np.max(np.abs(extract_attributes(fixed) - FACE.attributes())) <= 1e-9
@@ -105,11 +102,11 @@ class TestProject:
     def test_restores_target_on_arbitrary_images(self):
         from craftfaces.numerics import RngStream
 
-        proj = Projector(reference_attrs=FACE.attributes())
+        ref = FACE.attributes()
         rng = RngStream(seed=100)
         for k in range(100):
             noise_img = rng.split(k).uniform((2, 64, 64))
-            fixed = proj.apply(noise_img)
+            fixed = project(noise_img, ref)
             assert np.max(np.abs(extract_attributes(fixed) - FACE.attributes())) <= 1e-9
 
 
@@ -178,7 +175,7 @@ class TestVerifyComposition:
     @staticmethod
     def losses(img, intensity):
         cfg = PipelineConfig(style_intensity=intensity)
-        _, ps = run_style_first(img, DEFAULT_PROMPT, cfg)
+        _, ps = run_style_first(img, cfg)
         _, sp = run_identity_first(img, cfg)
         return ps.attr_loss, sp.attr_loss
 
