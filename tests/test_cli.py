@@ -128,10 +128,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "command, face_id",
-        [pytest.param(c, "-1", id=c) for c in ("render", "stylize", "diffuse", "attn-map")]
-        # and ids past a MAX_FACES grid, refused before the grid is built
-        + [pytest.param(c, i, id=f"{c}-{i}")
-           for c in ("render", "stylize", "diffuse", "attn-map") for i in (str(MAX_FACES), "99999999999")],
+        # -1, and ids past a MAX_FACES grid, refused before the grid is built
+        [pytest.param(c, i, id=c if i == "-1" else f"{c}-{i}")
+         for i in ("-1", str(MAX_FACES), "99999999999")
+         for c in ("render", "stylize", "diffuse", "attn-map")],
     )
     def test_negative_face_id_rejected(self, command, face_id, capsys):
         code, _, err = run([command, "--face-id", face_id], capsys)
