@@ -19,9 +19,9 @@ ablate-attention the model flags and ``--steps --window --guidance-scale
 --subject-guidance``; diffuse those and ``--style-intensity``; train the model
 flags and ``--steps --window --lora-rank --lora-alpha``; ablate-order
 ``--image-size``; ffc none. A config file sets every key for every command.
-``--face-id`` must be below MAX_FACES (10000) and ``--faces`` at most
-MAX_FACES. All files are written atomically (temp file + rename), so failures
-never leave partial outputs.
+``--face-id`` must be below MAX_FACES (10000), ``--faces`` at most
+MAX_FACES and ``--jobs`` at most MAX_JOBS (64). All files are written
+atomically (temp file + rename), so failures never leave partial outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
 type, such as ``"10"`` for ``steps``, is a usage error):
@@ -80,6 +80,9 @@ ASSERTION_EXIT = 3
 # 100x the 100-face grid of criterion 1 and the ablate-order default; a face
 # grid past it is refused before any allocation
 MAX_FACES = 10_000
+# 16x the largest --jobs a documented command uses (4); ablate_order starts at
+# most one worker per face below it
+MAX_JOBS = 64
 
 # the type of each PipelineConfig field a flag can set, all but seed (its own
 # flag, with an env fallback); each command takes flags for the fields its
@@ -107,11 +110,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _face_count(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_FACES:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_FACES}, got {value}")
-    return value
+def _count_at_most(limit: int):
+    """The type of a count flag in [1, limit]."""
+
+    def count(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
+        return value
+
+    return count
 
 
 def _face_id(text: str) -> int:
@@ -152,19 +160,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("train", help="train the toy denoiser"), *_MODEL, "steps",
                "composition_window", "lora_rank", "lora_alpha")
-    p.add_argument("--faces", type=_face_count, default=4)
+    p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=4)
     p.add_argument("--train-steps", type=_positive_int, default=200)
     p.add_argument("--lora", action="store_true", help="train LoRA adapters over a frozen base")
 
     p = common(sub.add_parser("ablate-order", help="sweep both composition orders"), "image_size")
-    p.add_argument("--faces", type=_face_count, default=100)
+    p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=100)
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_count_at_most(MAX_JOBS), default=1)
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"), *_MODEL,
                *_SAMPLING)
-    p.add_argument("--faces", type=_face_count, default=8)
+    p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=8)
     p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
     p.add_argument("--train-steps", type=_positive_int, default=2000)
 

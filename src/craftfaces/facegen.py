@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError
 from .numerics import RngStream, tensor
@@ -111,8 +112,8 @@ BAND_FRACTIONS = (
     ("mouth_curve", 0.72),
     ("face_radius", 0.86),
 )
-# the bands holding one splat each, at x = (X_MARGIN + X_SPAN a) W
-SINGLE_SPLAT_BANDS = ("eye_size", "nose_length", "mouth_width", "mouth_curve", "face_radius")
+# the bands holding one splat each, at x = (X_MARGIN + X_SPAN a) W: all but the eye row
+SINGLE_SPLAT_BANDS = ATTRIBUTE_NAMES[1:]
 X_MARGIN = 0.15
 X_SPAN = 0.70
 EYE_OFFSET = 0.12
@@ -128,6 +129,12 @@ def band_rows(height: int) -> MappingProxyType:
     if height not in _BAND_ROWS:
         _BAND_ROWS[height] = MappingProxyType({name: int(round(f * height)) for name, f in BAND_FRACTIONS})
     return _BAND_ROWS[height]
+
+
+def _band_index(height: int) -> list[int]:
+    """The geometry row of each landmark band, in ``ATTRIBUTE_NAMES`` order."""
+    rows = band_rows(height)
+    return [rows[name] for name in ATTRIBUTE_NAMES]
 
 
 def _splat(row: np.ndarray, u: float, amp: float = 1.0) -> None:
@@ -157,7 +164,7 @@ def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
 def _decorate(geometry: np.ndarray, p: FaceParams) -> None:
     """Low-intensity face drawing; purely cosmetic, never measured."""
     h, w = geometry.shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy, xx = (axis.astype(np.float64) for axis in np.ogrid[0:h, 0:w])
     cy, cx = 0.54 * h, 0.5 * w
     radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
     ring = np.abs(np.hypot(yy - cy, xx - cx) - radius) < 0.9
@@ -193,7 +200,7 @@ def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     _decorate(geometry, p)
     draw_landmarks(geometry, p.attributes())
 
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy, xx = (axis.astype(np.float64) for axis in np.ogrid[0:h, 0:w])
     cy, cx = 0.54 * h, 0.5 * w
     radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
     dist = np.hypot(yy - cy, xx - cx)
@@ -258,20 +265,6 @@ def _jitter_units(img: np.ndarray) -> np.ndarray:
     return units
 
 
-@dataclass(frozen=True)
-class _StyleTerms:
-    """The parts of a stylize that depend only on the input image: the
-    jitter units, the warped geometry plane and the chroma Laplacian."""
-
-    units: np.ndarray
-    warp: np.ndarray
-    lap: np.ndarray
-
-    @classmethod
-    def of(cls, img: np.ndarray) -> "_StyleTerms":
-        return cls(_jitter_units(img), _smooth_warp(img[0]), _laplacian(img[1]))
-
-
 def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
     """Apply the graffiti surrogate: chroma edge boost + palette
     quantization, geometry contrast warp, and intensity-scaled landmark
@@ -285,7 +278,7 @@ def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
         raise ConfigError(f"expected a (2, H, W) image, got shape {img.shape}")
     if op.intensity == 0.0:
         return img.copy()
-    return _stylize(img, op, _StyleTerms.of(img))
+    return _stylize(img, op, _jitter_units(img))
 
 
 def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -293,17 +286,21 @@ def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     linear resampling, which moves the row's intensity centroid by exactly
     that offset (mass stays inside). Row t is ``S(k)`` when the offset is
     the integer k, else ``(1 - frac) * S(k) + frac * S(k + 1)``, where
-    ``S(n)`` is the row moved n pixels with zeros shifted in."""
+    ``S(n)`` is the row moved n pixels with zeros shifted in. One gather of
+    W + 1 columns holds both ``S(k)`` and ``S(k + 1)`` as views."""
     n, w = tracks.shape
     k = np.floor(deltas)
     frac = (deltas - k)[:, None]
     pad = int(np.max(np.abs(k))) + 1
-    padded = np.zeros((n, w + 2 * pad))
-    padded[:, pad : pad + w] = tracks
-    rows = np.arange(n)[:, None]
-    cols = pad - k.astype(np.intp)[:, None] + np.arange(w)  # S(k)[t, x] = tracks[t, x - k]
-    at_k, at_k1 = padded[rows, cols], padded[rows, cols - 1]
-    return np.where(frac == 0.0, at_k, (1.0 - frac) * at_k + frac * at_k1)
+    # S(k)[t, x] = tracks[t, x - k], so both[t, j] = tracks[t, j - 1 - k]; the padded
+    # copy is dropped before the blend allocates, which keeps the peak memory down
+    start = pad - 1 - k.astype(np.intp)
+    both = sliding_window_view(np.pad(tracks, ((0, 0), (pad, pad))), w + 1, axis=1)[np.arange(n), start]
+    at_k, at_k1 = both[:, 1:], both[:, :-1]
+    out = (1.0 - frac) * at_k
+    out += frac * at_k1
+    np.copyto(out, at_k, where=frac == 0.0)
+    return out
 
 
 def _quantize(chroma: np.ndarray) -> np.ndarray:
@@ -322,31 +319,39 @@ def _quantize(chroma: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _stylize(img: np.ndarray, op: StyleOp, terms: _StyleTerms) -> np.ndarray:
-    """``graffiti_stylize`` of a (2, H, W) float64 image whose per-image
-    terms ``_StyleTerms.of(img)`` the caller has derived already, so that
-    one image stylized at many ops hashes, warps and differentiates once."""
+def _stylize(img: np.ndarray, op: StyleOp, units: np.ndarray) -> np.ndarray:
+    """``graffiti_stylize`` of a (2, H, W) float64 image whose jitter units
+    ``_jitter_units(img)`` the caller has derived already."""
     i = op.intensity
     if i == 0.0:
         return img.copy()
-
-    h, w = img.shape[1:]
-    geometry = (1.0 - i) * img[0] + i * terms.warp
-
-    rows = band_rows(h)
-    track_rows = [rows["eye_spacing"], rows["eye_spacing"]] + [rows[name] for name in SINGLE_SPLAT_BANDS]
-    tracks = geometry[track_rows]
-    mid = w // 2
-    tracks[0, mid:] = 0.0  # the left eye's half of the eye row
-    tracks[1, :mid] = 0.0  # the right eye's half
-    shifted = _shift_tracks(tracks, i * terms.units)
-    geometry[track_rows[0]] = shifted[0] + shifted[1]
-    geometry[track_rows[2:]] = shifted[2:]
-
-    boosted = np.clip(img[1] + i * terms.lap, 0.0, 1.0)
+    geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
+    bands, rows = _landmark_rows(img, [i], units)
+    geometry[rows] = bands[0]
+    boosted = np.clip(img[1] + i * _laplacian(img[1]), 0.0, 1.0)
     chroma_out = (1.0 - i) * boosted + i * _quantize(boosted)
-
     return np.stack([geometry, chroma_out])
+
+
+def _landmark_rows(img: np.ndarray, intensities, units: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The landmark band rows of ``_stylize``'s geometry plane at each
+    intensity, as an (I, 6, W) stack in ``ATTRIBUTE_NAMES`` order, and their
+    row indices: the warp blend of the seven jitter tracks, the eye halves
+    zeroed, one ``_shift_tracks`` over all (intensity, track) rows, and the
+    two eye tracks merged back into the eye row."""
+    h, w = img.shape[1:]
+    rows = _band_index(h)
+    g = img[0, [rows[0], *rows]]  # the eye row twice: the left and the right eye's track
+    i = np.asarray(intensities, dtype=np.float64)[:, None]
+    tracks = (1.0 - i[..., None]) * g
+    tracks += i[..., None] * _smooth_warp(g)
+    mid = w // 2
+    tracks[:, 0, mid:] = 0.0  # the left eye's half of the eye row
+    tracks[:, 1, :mid] = 0.0  # the right eye's half
+    shifted = _shift_tracks(tracks.reshape(-1, w), (i * units).reshape(-1)).reshape(tracks.shape)
+    bands = shifted[:, 1:]
+    bands[:, 0] += shifted[:, 0]
+    return bands, rows
 
 
 def embed_prompt(text: str, dim: int = 8) -> np.ndarray:
@@ -381,21 +386,6 @@ def face_grid(n: int, seed: int = 0) -> list[FaceParams]:
         )
         for i in range(n)
     ]
-
-
-def palette_mass(img: np.ndarray, palette, tol: float = 1e-9) -> float:
-    """Fraction of chroma pixels lying on palette tones."""
-    chroma = tensor(img)[1]
-    palette = np.asarray(palette, dtype=np.float64)
-    hits = np.min(np.abs(chroma[..., None] - palette), axis=-1) <= tol
-    return float(np.mean(hits))
-
-
-def chroma_histogram(img: np.ndarray, bins: int = 16) -> np.ndarray:
-    """Normalized histogram of the chroma plane over [0, 1]."""
-    chroma = tensor(img)[1]
-    counts, _ = np.histogram(chroma, bins=bins, range=(0.0, 1.0))
-    return counts / counts.sum()
 
 
 def write_ppm(path, img: np.ndarray) -> None:

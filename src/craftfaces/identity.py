@@ -12,19 +12,12 @@ restored attributes exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ExtractionError, InputError, ProjectionError
-from .facegen import (
-    ATTRIBUTE_NAMES,
-    EYE_OFFSET,
-    EYE_SPAN,
-    SINGLE_SPLAT_BANDS,
-    X_MARGIN,
-    X_SPAN,
-    band_rows,
-    draw_landmarks,
-)
+from .facegen import ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, _band_index, draw_landmarks
 from .numerics import tensor
 
 __all__ = [
@@ -42,45 +35,39 @@ _MIN_BAND_MASS = 1e-9
 _ALREADY_THERE_TOL = 1e-12
 
 
-def _centroid(weights: np.ndarray, offset: int = 0) -> float:
-    mass = float(weights.sum())
-    if mass <= _MIN_BAND_MASS:
-        raise ExtractionError("no detectable face geometry (empty landmark band)")
-    xs = np.arange(weights.size, dtype=np.float64) + offset
-    return float((xs * weights).sum() / mass)
-
-
 def extract_attributes(img: np.ndarray) -> np.ndarray:
     """Recover the six attribute values from the landmark bands.
 
     Values are clamped to [0, 1]; a band with no intensity mass raises
-    ExtractionError. The five full-width bands are reduced as one (5, W)
-    stack: numpy sums each row of it pairwise exactly as it sums that row
-    alone, so the centroids have the bits of one ``_centroid`` per band.
+    ExtractionError.
     """
     img = tensor(img)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ExtractionError(f"expected a (2, H, W) image, got shape {img.shape}")
-    geometry = img[0]
-    h, w = geometry.shape
-    rows = band_rows(h)
-    out = np.empty(len(ATTRIBUTE_NAMES), dtype=np.float64)
+    return _band_attributes(img[0, _band_index(img.shape[1])])
 
-    mid = w // 2
-    eye_row = geometry[rows["eye_spacing"]]
-    c_left = _centroid(eye_row[:mid])
-    c_right = _centroid(eye_row[mid:], offset=mid)
-    half_spacing = (c_right - c_left) / 2.0
-    out[ATTRIBUTE_NAMES.index("eye_spacing")] = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
 
-    bands = geometry[[rows[name] for name in SINGLE_SPLAT_BANDS]]
-    mass = bands.sum(axis=-1)
+def _centroids(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The intensity centroid at positions ``xs`` of each row of ``weights``."""
+    mass = weights.sum(axis=-1)
     if np.any(mass <= _MIN_BAND_MASS):
         raise ExtractionError("no detectable face geometry (empty landmark band)")
-    c = (np.arange(w, dtype=np.float64) * bands).sum(axis=-1) / mass
-    out[[ATTRIBUTE_NAMES.index(name) for name in SINGLE_SPLAT_BANDS]] = (c / w - X_MARGIN) / X_SPAN
+    return (xs * weights).sum(axis=-1) / mass
 
-    return np.clip(out, 0.0, 1.0)
+
+def _band_attributes(bands: np.ndarray) -> np.ndarray:
+    """The attributes of a (..., 6, W) stack of landmark band rows in
+    ``ATTRIBUTE_NAMES`` order, one vector per (6, W) stack. Every row is
+    reduced on the contiguous last axis, which numpy sums pairwise exactly
+    as it sums that row alone, so each vector has the bits of extracting
+    its image alone."""
+    w = bands.shape[-1]
+    mid = w // 2
+    xs = np.arange(w, dtype=np.float64)
+    half_spacing = (_centroids(bands[..., 0, mid:], xs[mid:]) - _centroids(bands[..., 0, :mid], xs[:mid])) / 2.0
+    eye_spacing = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
+    singles = (_centroids(bands[..., 1:, :], xs) / w - X_MARGIN) / X_SPAN
+    return np.clip(np.concatenate([eye_spacing[..., None], singles], axis=-1), 0.0, 1.0)
 
 
 def attr_loss(x_img: np.ndarray, i_img: np.ndarray) -> float:
@@ -169,8 +156,8 @@ def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:
     v = tensor(emb2).reshape(-1)
     if u.shape != v.shape:
         raise InputError(f"embedding lengths differ: {u.shape[0]} vs {v.shape[0]}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    nu = math.sqrt(float(u @ u))  # the bits of np.linalg.norm(u), without its dispatch
+    nv = math.sqrt(float(v @ v))
     if nu == 0.0 or nv == 0.0:
         raise InputError("cosine similarity undefined for zero vectors")
     return float(u @ v / (nu * nv))

@@ -31,9 +31,9 @@ from .diffusion import (
 )
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
-from .facegen import FaceParams, StyleOp, _StyleTerms, _stylize, embed_prompt, render_face
+from .facegen import FaceParams, StyleOp, _jitter_units, _landmark_rows, _stylize, embed_prompt, render_face
 from .facegen import graffiti_stylize  # noqa: F401  (uncalled; perfbench's tracer test patches it here)
-from .identity import _already_there, _attributes_or_none, _project, _redrawn_attributes
+from .identity import _already_there, _attributes_or_none, _band_attributes, _project, _redrawn_attributes
 from .identity import attribute_embedding, extract_attributes, ffc
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream, tensor
@@ -208,21 +208,18 @@ class _Face:
     however many cells use it: its attributes ``ref``, which both orders
     restore, the attributes ``restored`` that a restore which redraws
     leaves (``ref`` redrawn into the landmark rows), and its stylize
-    ``terms`` (jitter units, warped geometry and chroma Laplacian)."""
+    jitter ``units``."""
 
     img: np.ndarray
     ref: np.ndarray
     restored: np.ndarray
-    terms: _StyleTerms
+    units: np.ndarray
 
     @classmethod
     def of(cls, img: np.ndarray) -> "_Face":
         img = tensor(img)
         ref = extract_attributes(img)
-        return cls(img, ref, _redrawn_attributes(img.shape, ref), _StyleTerms.of(img))
-
-    def stylized(self, intensity: float) -> np.ndarray:
-        return _stylize(self.img, StyleOp(intensity=intensity), self.terms)
+        return cls(img, ref, _redrawn_attributes(img.shape, ref), _jitter_units(img))
 
 
 def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, cfg: PipelineConfig,
@@ -256,7 +253,7 @@ def run_style_first(
     last, so the output carries the input's attributes whatever the
     stylizer did."""
     face = _Face.of(i_img)
-    styled = face.stylized(cfg.style_intensity)
+    styled = _stylize(face.img, StyleOp(intensity=cfg.style_intensity), face.units)
     attrs = _attributes_or_none(styled)
     return _project(styled, face.ref, attrs), _style_first(face, attrs, cfg.style_intensity, cfg, face_id)
 
@@ -272,19 +269,17 @@ def run_identity_first(
     stylizer causes stays in it. It extracts twice: the input's attributes
     and the output's."""
     img = tensor(i_img)
-    styled = _stylize(img, StyleOp(intensity=cfg.style_intensity), _StyleTerms.of(img))
+    styled = _stylize(img, StyleOp(intensity=cfg.style_intensity), _jitter_units(img))
     return styled, _row("SP", extract_attributes(styled), extract_attributes(img), cfg.style_intensity,
                         cfg, face_id)
 
 
-def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int,
+def _order_cell(face: _Face, intensity: float, attrs: np.ndarray, cfg: PipelineConfig, face_id: int,
                 params: FaceParams) -> list[ReportRow]:
-    """Both orders on one (face, intensity, seed) cell, sharing one stylize
-    of the input and one extraction of its attributes: they score the
-    reversed order's output, the stylized input (its restore is a bitwise
-    no-op), and the style-first restore reads them."""
-    styled = face.stylized(intensity)
-    attrs = extract_attributes(styled)
+    """Both orders on one (face, intensity, seed) cell, scored from the
+    attributes ``attrs`` of the input stylized at ``intensity``: they are
+    the reversed order's output's (its restore is a bitwise no-op), and the
+    style-first restore reads them."""
     ps = _style_first(face, attrs, intensity, cfg, face_id)
     sp = _row("SP", attrs, face.ref, intensity, cfg, face_id)
     if ps.attr_loss > sp.attr_loss:
@@ -297,11 +292,13 @@ def _order_cell(face: _Face, intensity: float, cfg: PipelineConfig, face_id: int
 
 
 def _order_face(args) -> list[ReportRow]:
-    """One face's cells, seed by seed, sharing the face's per-face work."""
+    """One face's cells, seed by seed. The attributes of every
+    intensity's stylize come from one batch of its landmark rows."""
     face_id, params, seed_cfgs, intensities = args
     face = _Face.of(render_face(params, seed_cfgs[0].image_size))
-    return [row for cfg in seed_cfgs for i in intensities
-            for row in _order_cell(face, i, cfg, face_id, params)]
+    attrs = _band_attributes(_landmark_rows(face.img, intensities, face.units)[0])
+    return [row for cfg in seed_cfgs for i, a in zip(intensities, attrs)
+            for row in _order_cell(face, i, a, cfg, face_id, params)]
 
 
 def ablate_order(
@@ -320,14 +317,16 @@ def ablate_order(
     cells are the same.
 
     Each face's reference attributes, the attributes a restore that
-    redraws leaves, and stylize terms (jitter units, warped geometry,
-    chroma Laplacian) are computed once per face. Each cell stylizes and
-    extracts once for both orders (the reversed order projects the input
-    onto its own attributes, a bitwise no-op) and builds no restored
-    image: a redraw rewrites every landmark row that extraction reads, so
-    its attributes depend only on the face's reference and the image
-    shape. The rows have the bits of calling ``run_style_first`` and
-    ``run_identity_first`` per cell.
+    redraws leaves, and jitter units are computed once per face. One batch
+    per face computes the landmark rows of every intensity's stylize and
+    reads their attributes; no cell builds a stylized or restored image.
+    Both orders score those attributes: the reversed order projects the
+    input onto its own attributes, a bitwise no-op, and a restore that
+    redraws rewrites every landmark row that extraction reads, so its
+    attributes depend only on the face's reference and the image shape.
+    The rows have the bits of calling ``run_style_first`` and
+    ``run_identity_first`` per cell. At most ``min(jobs, len(faces))``
+    worker processes run the faces, and none when that is 1.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
@@ -342,8 +341,9 @@ def ablate_order(
         replace(cfg, style_intensity=i)
     tasks = [(fid, p, seed_cfgs, intensities) for fid, p in enumerate(faces)]
     report = ExperimentReport()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             for rows in ex.map(_order_face, tasks):
                 report.rows.extend(rows)
     else:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import craftfaces
-from craftfaces.cli import MAX_FACES, _atomic_write, main, parse
+from craftfaces.cli import MAX_FACES, MAX_JOBS, _atomic_write, main, parse
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig
 
@@ -31,6 +31,7 @@ class TestParse:
         # the largest grid and face id, parsed only: nothing is allocated
         assert parse(["ablate-order", "--faces", str(MAX_FACES)]).args.faces == MAX_FACES
         assert parse(["render", "--face-id", str(MAX_FACES - 1)]).args.face_id == MAX_FACES - 1
+        assert parse(["ablate-order", "--jobs", str(MAX_JOBS)]).args.jobs == MAX_JOBS
 
     def test_diffuse_prompt_defaults_to_the_pipeline_prompt(self):
         assert parse(["diffuse"]).args.prompt == DEFAULT_PROMPT
@@ -109,6 +110,8 @@ class TestParse:
         [
             pytest.param("ablate-order", "--jobs", "0", id="--jobs-0"),
             pytest.param("ablate-order", "--jobs", "-3", id="--jobs--3"),
+            # past MAX_JOBS, refused while parsing: no worker starts
+            pytest.param("ablate-order", "--jobs", str(MAX_JOBS + 1), id=f"--jobs-{MAX_JOBS + 1}"),
             pytest.param("ablate-order", "--sweep-seeds", "0", id="--sweep-seeds-0"),
             pytest.param("ablate-attention", "--arm-seeds", "0", id="--arm-seeds-0"),
             pytest.param("ablate-attention", "--train-steps", "0", id="ablate-attention--train-steps-0"),

@@ -13,17 +13,16 @@ from craftfaces.facegen import (
     _quantize,
     _shift_tracks,
     band_rows,
-    chroma_histogram,
     embed_prompt,
     face_grid,
     graffiti_stylize,
-    palette_mass,
     read_ppm,
     render_face,
     write_ppm,
 )
 from craftfaces.identity import attr_loss, extract_attributes
 from craftfaces.numerics import RngStream
+from imaging import chroma_histogram, palette_mass
 
 BASE = FaceParams(
     eye_spacing=0.3,

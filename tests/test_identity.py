@@ -3,16 +3,17 @@ import pytest
 from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
 from craftfaces.facegen import (
-    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp, band_rows,
-    chroma_histogram, face_grid, graffiti_stylize, render_face,
+    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp,
+    _jitter_units, _landmark_rows, band_rows, face_grid, graffiti_stylize, render_face,
 )
 from craftfaces.identity import (
     _already_there,
     _attributes_or_none,
-    _centroid,
+    _band_attributes,
     _redrawn_attributes,
     attr_loss,
     attribute_embedding,
@@ -22,6 +23,7 @@ from craftfaces.identity import (
 )
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import PipelineConfig, run_identity_first, run_style_first
+from imaging import chroma_histogram
 
 FACE = FaceParams(
     eye_spacing=0.35,
@@ -210,6 +212,15 @@ def test_extract_inverts_render(params, size):
     assert np.max(np.abs(extract_attributes(render_face(params, size)) - params.attributes())) <= 1e-9
 
 
+def _centroid(weights: np.ndarray, offset: int = 0) -> float:
+    """The intensity centroid of one band (or eye half) alone."""
+    mass = float(weights.sum())
+    if mass <= 1e-9:
+        raise ExtractionError("no detectable face geometry (empty landmark band)")
+    xs = np.arange(weights.size, dtype=np.float64) + offset
+    return float((xs * weights).sum() / mass)
+
+
 def _extract_per_band(img: np.ndarray) -> np.ndarray:
     """The extractor as one ``_centroid`` call per band, in band order: the
     oracle for any batched reduction of the bands."""
@@ -237,6 +248,44 @@ def _extract_per_band(img: np.ndarray) -> np.ndarray:
 def test_extract_equals_per_band_centroids_bit_for_bit(params, intensity, size):
     styled = graffiti_stylize(render_face(params, size), StyleOp(intensity=intensity))
     assert extract_attributes(styled).tobytes() == _extract_per_band(styled).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.builds(
+        FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit
+    ),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True), max_size=6,
+             unique=True),
+    st.sampled_from((32, 33, 47, 64)),
+)
+def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
+    """One batch over intensities 0, ``between`` and 1 has, per intensity,
+    the band rows of ``graffiti_stylize`` and the attributes that
+    ``extract_attributes`` reads from them."""
+    img = render_face(params, size)
+    intensities = [0.0, *between, 1.0]
+    bands, rows = _landmark_rows(img, intensities, _jitter_units(img))
+    assert rows == [band_rows(size)[name] for name in ATTRIBUTE_NAMES]
+    attrs = _band_attributes(bands)
+    for intensity, band, attr in zip(intensities, bands, attrs, strict=True):
+        styled = graffiti_stylize(img, StyleOp(intensity=intensity))
+        assert band.tobytes() == styled[0, rows].tobytes()
+        assert attr.tobytes() == extract_attributes(styled).tobytes()
+
+
+_vectors = st.integers(1, 256).flatmap(lambda n: st.tuples(
+    *[arrays(np.float64, (n,), elements=st.floats(-1.0, 1.0))] * 2
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vectors, st.sampled_from((1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150)))
+def test_ffc_equals_the_norm_formula_bit_for_bit(vectors, scale):
+    u, v = (x * scale for x in vectors)
+    norms = np.linalg.norm(u) * np.linalg.norm(v)
+    assume(norms > 0.0)
+    assert np.float64(ffc(u, v)).tobytes() == np.float64(u @ v / norms).tobytes()
 
 
 _coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

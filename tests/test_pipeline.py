@@ -176,8 +176,8 @@ class TestAblateOrder:
 
     def test_every_seed_checked_before_any_cell(self, monkeypatch):
         calls = []
-        real = pl._stylize
-        monkeypatch.setattr(pl, "_stylize", lambda *a: calls.append(1) or real(*a))
+        real = pl._landmark_rows
+        monkeypatch.setattr(pl, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
         with pytest.raises(ConfigError, match="seed must lie"):
             ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5,),
                          seeds=(2**127 - 1, 2**127))
@@ -185,8 +185,8 @@ class TestAblateOrder:
 
     def test_every_intensity_checked_before_any_cell(self, monkeypatch):
         calls = []
-        real = pl._stylize
-        monkeypatch.setattr(pl, "_stylize", lambda *a: calls.append(1) or real(*a))
+        real = pl._landmark_rows
+        monkeypatch.setattr(pl, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
         with pytest.raises(ConfigError, match="style_intensity 1.5 outside"):
             ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5, 1.5), seeds=(9,))
         assert calls == []
@@ -206,7 +206,7 @@ class TestAblateOrder:
                     expected.append(run_identity_first(img, cell, face_id=fid)[1])
         assert report.rows == pl.ExperimentReport(expected).sorted_rows()
 
-    def test_per_face_work_once_and_one_stylize_per_cell(self, monkeypatch):
+    def test_per_face_work_once_and_one_landmark_batch_per_face(self, monkeypatch):
         calls = {}
 
         def count(module, name):
@@ -218,25 +218,47 @@ class TestAblateOrder:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((facegen, "image_hash"), (facegen, "_smooth_warp"), (facegen, "_laplacian"),
-                             (identity, "project"), (identity, "_project"), (pl, "_project"),
-                             (identity, "extract_attributes"), (pl, "extract_attributes"),
-                             (pl, "_stylize"), (pl, "graffiti_stylize")):
+        for module, name in ((facegen, "image_hash"), (identity, "project"), (identity, "_project"),
+                             (pl, "_project"), (identity, "extract_attributes"), (pl, "extract_attributes"),
+                             (pl, "_landmark_rows"), (pl, "_stylize"), (pl, "graffiti_stylize")):
             count(module, name)  # both modules' _project and extract_attributes feed one count each
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.2, 0.5, 0.9), seeds=(21, 22))
-        faces, cells = 3, 3 * 3 * 2
+        faces = 3
         assert calls == {
             "image_hash": faces,  # the jitter units
-            "_smooth_warp": faces,  # the other per-image stylize terms
-            "_laplacian": faces,
             "project": 0,
             "_project": 0,  # each cell scores its restore without building it
-            # per face the reference and the attributes a redraw leaves, then
-            # per cell the stylized image once
-            "extract_attributes": 2 * faces + cells,
-            "_stylize": cells,
+            # per face the reference and the attributes a redraw leaves
+            "extract_attributes": 2 * faces,
+            "_landmark_rows": faces,  # every intensity's stylized landmark rows in one batch
+            "_stylize": 0,  # no cell builds a stylized image
             "graffiti_stylize": 0,
         }
+
+    @pytest.mark.parametrize("n_faces, jobs, workers", [(1, 4, None), (2, 4, 2), (3, 2, 2), (2, 1, None)])
+    def test_at_most_one_worker_per_face(self, monkeypatch, n_faces, jobs, workers):
+        """``workers`` is the pool size asked for, None where the faces run
+        serially; the fake pool maps in-process, so no process starts."""
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(pl, "ProcessPoolExecutor", FakePool)
+        cfg, faces = PipelineConfig(seed=5), face_grid(n_faces, seed=5)
+        report = ablate_order(faces, cfg, sweeps=(0.5,), seeds=(5,), jobs=jobs)
+        assert pools == ([] if workers is None else [workers])
+        assert report.rows == ablate_order(faces, cfg, sweeps=(0.5,), seeds=(5,)).rows
 
 
 class TestTrainToyDenoiser:
