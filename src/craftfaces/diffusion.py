@@ -41,6 +41,7 @@ __all__ = [
 
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
+_TRANSPOSE_BLOCK = 64  # rows of the codec's Q factor per block of its transposed copy
 
 
 @dataclass(frozen=True)
@@ -480,6 +481,14 @@ def make_codec(image_shape, z_dim: int, rng: RngStream) -> LatentCodec:
     do not depend on its thread count (tests check 1, 2 and 4); the
     z_dim-sized factor and inverse are in-order numpy loops, not LAPACK,
     so the codec's bytes are the same at any BLAS thread count.
+
+    The encoder is Qᵀ, copied to C order so that ``encode`` is one
+    contiguous gemv. It is copied a block of ``_TRANSPOSE_BLOCK`` rows of Q
+    at a time, because numpy's strided copy of a tall matrix's transpose
+    is cache-hostile: each output row reads one column of Q, a stride of
+    z_dim doubles down all n rows. A block's rows stay in cache while its
+    columns are written. A copy rounds nothing, so the bytes are those of
+    ``q.T.copy()``.
     """
     image_shape = tuple(int(s) for s in image_shape)
     n = int(np.prod(image_shape))
@@ -488,7 +497,10 @@ def make_codec(image_shape, z_dim: int, rng: RngStream) -> LatentCodec:
     q = rng.normal((n, z_dim))
     for _ in range(2):
         q = q @ _inv_upper(_cholesky_upper(q.T @ q))
-    return LatentCodec(enc=q.T.copy(), dec=q, image_shape=image_shape)
+    enc = np.empty((z_dim, n))
+    for s in range(0, n, _TRANSPOSE_BLOCK):
+        enc[:, s : s + _TRANSPOSE_BLOCK] = q[s : s + _TRANSPOSE_BLOCK].T
+    return LatentCodec(enc=enc, dec=q, image_shape=image_shape)
 
 
 def encode(img: np.ndarray, codec: LatentCodec) -> np.ndarray:

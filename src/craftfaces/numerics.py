@@ -124,11 +124,14 @@ class RngStream:
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a matrix or a stack of matrices,
-    stabilized by subtracting each row's max."""
+    stabilized by subtracting each row's max. The max starts from -inf,
+    below which no max falls, so it has the bare max's bits (NaN rows
+    included), and numpy skips the separate pass that copies out each
+    row's first entry, a large share of the max's time on short rows."""
     m = tensor(m)
     if m.ndim < 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {m.shape}")
-    e = m - m.max(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True, initial=-np.inf)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -375,42 +375,48 @@ def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStrea
 
 def _sgd_train(
     model: DenoiserModel,
-    faces,
+    latents: np.ndarray,
+    idents: np.ndarray | None,
     cfg: PipelineConfig,
     runtime: _Runtime,
     rng: RngStream,
     steps: int,
     lr: float,
-    identity_blocks: bool,
 ) -> DenoiserModel:
-    """Noise-prediction SGD with a fresh (face, t, eps) batch every step
-    and a linear decay to 10% of the initial rate. With ``identity_blocks``
-    it feeds each face's identity embedding and updates only the identity
-    blocks U_q/U_k; without, it feeds no identity and updates every weight.
-    Weights not updated are not differentiated. A loss or weight that stops
+    """Noise-prediction SGD on the face latents ``latents`` with a fresh
+    (face, t, eps) batch every step and a linear decay to 10% of the
+    initial rate. Given the per-face identity embeddings ``idents``, it
+    feeds each face's and updates only the identity blocks U_q/U_k;
+    without, it feeds no identity and updates every weight. Weights not
+    updated are not differentiated, and the returned model shares them with
+    ``model``; the updated ones are copied once and then updated in place,
+    so ``model``'s arrays keep their bytes. A loss or weight that stops
     being finite raises TrainingError."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
-    latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
-    idents = np.stack([attribute_embedding(p.attributes()) for p in faces]) if identity_blocks else None
-    trained = ("u_q", "u_k") if identity_blocks else None
     params = model.params()
+    trained = tuple(params) if idents is None else ("u_q", "u_k")
+    params.update({name: params[name].copy() for name in trained})
+    trainee = model.with_params(params)  # holds ``params``' arrays, so sees every update
+    eps = np.empty((SGD_BATCH, latents.shape[1]))
     # overflow only ever ends in a non-finite loss or weight, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            fidx = rng.integers(0, len(faces), (SGD_BATCH,))
+            fidx = rng.integers(0, len(latents), (SGD_BATCH,))
             ts = rng.integers(1, cfg.steps + 1, (SGD_BATCH,))
-            eps = np.stack([rng.normal(latents.shape[1:]) for _ in fidx])
+            for row in range(SGD_BATCH):
+                eps[row] = rng.normal(latents.shape[1:])
             ab = runtime.sched.alpha_bar[ts - 1][:, None]
             x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
-            current = model.with_params(params).with_identity(None if idents is None else idents[fidx])
+            current = trainee if idents is None else trainee.with_identity(idents[fidx])
             loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps, trained)
             if not np.isfinite(loss):
                 raise TrainingError("toy denoiser training: loss became non-finite")
             rate = lr * (1.0 - 0.9 * i / steps)
-            params = {**params, **{name: params[name] - rate * g for name, g in grads.items()}}
+            for name, g in grads.items():
+                params[name] -= rate * g
             if not all(np.isfinite(params[name]).all() for name in grads):
                 raise TrainingError("toy denoiser training: parameters became non-finite")
-    return model.with_params(params)
+    return trainee
 
 
 def train_toy_denoiser(
@@ -436,9 +442,8 @@ def train_toy_denoiser(
         lcfg = LoRATrainConfig(rank=cfg.lora_rank, alpha=cfg.lora_alpha, lr=TRAIN_LR, steps=steps)
         adapters = train_lora(model, data, lcfg, rng.split("lora"))
         return model, adapters
-    return _sgd_train(
-        model, faces, cfg, runtime, rng.split("sgd"), steps, TRAIN_LR, identity_blocks=False
-    ), None
+    latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
+    return _sgd_train(model, latents, None, cfg, runtime, rng.split("sgd"), steps, TRAIN_LR), None
 
 
 def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int) -> np.ndarray:
@@ -492,30 +497,31 @@ def ablate_attention(
     if not seeds:
         raise ConfigError("ablate_attention needs at least one seed")
     runtime = _make_runtime(cfg)
+    # each face is rendered and encoded once; only its latent and attributes stay alive
+    refs, latents = [], []
+    for params in faces:
+        img = render_face(params, cfg.image_size)
+        refs.append(extract_attributes(img))
+        latents.append(encode(img, runtime.codec))
+    latents = np.stack(latents)
+    del img
     a0 = runtime.model.attention
     start = runtime.model.with_attention(
         ExtendedAttentionWeights(base=a0.base, u_q=np.zeros_like(a0.u_q), u_k=np.zeros_like(a0.u_k))
     )
     trng = RngStream(seed=cfg.seed).split("attn-ablation")
-    base_model = _sgd_train(
-        start, faces, cfg, runtime, trng.split("base"), base_steps, 0.25, identity_blocks=False
-    )
+    base_model = _sgd_train(start, latents, None, cfg, runtime, trng.split("base"), base_steps, 0.25)
     id_model = _sgd_train(
-        base_model, faces, cfg, runtime, trng.split("identity-blocks"), train_steps, 0.15,
-        identity_blocks=True,
+        base_model, latents, np.stack([attribute_embedding(p.attributes()) for p in faces]), cfg, runtime,
+        trng.split("identity-blocks"), train_steps, 0.15,
     )
 
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
-    refs, guides, interests, idents = [], [], [], []
-    for params in faces:
-        img = render_face(params, cfg.image_size)
-        refs.append(extract_attributes(img))
-        guides.append(encode(img, runtime.codec))
-        interests.append(_face_tokens(guides[-1], cfg.latent_tokens, cfg.token_dim))
-        idents.append(attribute_embedding(refs[-1]))
+    interests = [_face_tokens(guide, cfg.latent_tokens, cfg.token_dim) for guide in latents]
+    idents = [attribute_embedding(ref) for ref in refs]
     items = [(fid, seed) for fid in range(len(faces)) for seed in seeds]
     streams = [RngStream(seed=seed).split("attn-sample").split(fid) for fid, seed in items]
-    item_guides = np.array([guides[fid] for fid, _ in items])
+    item_guides = latents[[fid for fid, _ in items]]
     item_idents = np.array([idents[fid] for fid, _ in items])
     # the BASE rows (zero identity: plain attention), then the ID rows; the
     # two rows of a (face, seed) pair share its stream and so its noise

@@ -245,6 +245,14 @@ class TestSample:
             sample(self.model, np.ones(3), self.sched, rng=rng, guidance_scale=1e308)
 
 
+# sha256 of enc then dec of make_codec(shape, z, RngStream(seed=7).split("codec")): the bytes of
+# the pipeline's codecs, which any rewrite of make_codec must keep
+CODEC_SHA256 = {
+    ((2, 64, 64), 64): "f1931121532d9dcc6e2fbfc1cf1669bee99625f377525977b8d7c67fc83ad02c",
+    ((2, 32, 32), 128): "ca35b38808b0cc102f07670957f86fc8965bbf30c98f2a13705ab18a5b8104a2",
+}
+
+
 class TestCodec:
     def test_square_codec_round_trip(self):
         rng = RngStream(seed=23)
@@ -286,7 +294,8 @@ class TestCodec:
     @pytest.mark.parametrize("shape, z", [((2, 64, 64), 64), ((2, 32, 32), 128)])
     def test_bytes_independent_of_blas_threads(self, shape, z):
         """The pipeline's codec shapes, built in fresh processes at 1, 2
-        and 4 BLAS threads, give one set of bytes."""
+        and 4 BLAS threads, give one set of bytes: the pinned sha256 of
+        ``enc`` then ``dec``."""
         code = (
             "import hashlib, sys; from craftfaces.diffusion import make_codec;"
             " from craftfaces.numerics import RngStream;"
@@ -302,7 +311,7 @@ class TestCodec:
             proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             digests.add(proc.stdout)
-        assert len(digests) == 1
+        assert digests == {CODEC_SHA256[shape, z]}
 
     @pytest.mark.parametrize("shape, z, seed", [((2, 64, 64), 64, 7), ((2, 32, 32), 128, 7),
                                                 ((2, 8, 8), 16, 26), ((2, 4, 4), 32, 23)])

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -44,6 +44,25 @@ class TestSoftmaxRows:
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):
             softmax_rows(np.zeros(4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6)),
+            elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([np.inf, -np.inf, np.nan]),
+        )
+    )
+    @example(np.array([[[-np.inf, -np.inf], [np.nan, 1.0]], [[np.inf, 0.0], [np.inf, np.inf]]]))
+    def test_bytes_of_the_bare_max_formula(self, m):
+        """Rows with +-inf and NaN entries, all--inf rows included, give
+        the bytes of subtracting the max without an initial value."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = m - m.max(axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            e /= e.sum(axis=-1, keepdims=True)
+            out = softmax_rows(m)
+        assert out.tobytes() == e.tobytes()
 
     def test_stack_equals_each_matrix(self):
         m = RngStream(seed=12).normal((5, 16, 16)) * 4.0

@@ -5,7 +5,7 @@ import pytest
 
 import craftfaces.pipeline as pl
 from craftfaces import facegen, identity
-from craftfaces.diffusion import _denoise_loss
+from craftfaces.diffusion import _denoise_loss, encode
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.lora import _batch
@@ -21,6 +21,20 @@ from craftfaces.pipeline import (
     _make_runtime,
     _training_batch,
 )
+
+
+def _latents(faces, cfg, runtime):
+    """``_sgd_train``'s face latents: each face rendered and encoded."""
+    return np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
+
+
+def _idents(faces):
+    """``_sgd_train``'s identity-phase embeddings, one per face."""
+    return np.stack([identity.attribute_embedding(p.attributes()) for p in faces])
+
+
+def _weight_bytes(model):
+    return {name: w.tobytes() for name, w in model.params().items()}
 
 
 class TestPipelineConfig:
@@ -292,8 +306,27 @@ class TestTrainToyDenoiser:
         cfg = PipelineConfig(seed=13)
         runtime = _make_runtime(cfg)
         with pytest.raises(TrainingError):
-            pl._sgd_train(runtime.model, face_grid(2, seed=13), cfg, runtime, RngStream(seed=13), 60, 1e18,
-                          identity_blocks=False)
+            pl._sgd_train(runtime.model, _latents(face_grid(2, seed=13), cfg, runtime), None, cfg, runtime,
+                          RngStream(seed=13), 60, 1e18)
+
+    def test_training_keeps_the_callers_weights(self, monkeypatch):
+        """Both SGD phases, and full-mode ``train_toy_denoiser``, update
+        their own copies: every array of the caller's model, and of the
+        runtime's model, keeps its bytes."""
+        cfg = PipelineConfig(seed=19, image_size=32, latent_tokens=16, token_dim=8)
+        runtime = _make_runtime(cfg)
+        faces = face_grid(2, seed=19)
+        before = _weight_bytes(runtime.model)
+        for idents in (None, _idents(faces)):
+            trained = pl._sgd_train(runtime.model, _latents(faces, cfg, runtime), idents, cfg, runtime,
+                                    RngStream(seed=19), 3, 0.15)
+            assert _weight_bytes(runtime.model) == before
+            assert _weight_bytes(trained) != before
+        made = []
+        monkeypatch.setattr(pl, "_make_runtime", lambda c: made.append(_make_runtime(c)) or made[-1])
+        model, _ = train_toy_denoiser(faces, cfg, RngStream(seed=19), steps=3)
+        assert _weight_bytes(made[0].model) == before
+        assert _weight_bytes(model) != before
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -348,13 +381,32 @@ class TestAblateAttention:
         cfg = PipelineConfig(seed=19, image_size=32, latent_tokens=16, token_dim=8)
         runtime = _make_runtime(cfg)
         faces = face_grid(2, seed=19)
-        model = pl._sgd_train(runtime.model, faces, cfg, runtime, RngStream(seed=19), 3, 0.15,
-                              identity_blocks=True)
+        model = pl._sgd_train(runtime.model, _latents(faces, cfg, runtime), _idents(faces), cfg, runtime,
+                              RngStream(seed=19), 3, 0.15)
         before, after = runtime.model.params(), model.params()
         for name in before:
             if name not in ("u_q", "u_k"):
                 assert after[name] is before[name], name
         assert after["u_q"].tobytes() != before["u_q"].tobytes()
+
+    def test_each_face_rendered_and_encoded_once(self, monkeypatch):
+        """Training's two phases and the scoring share each face's one
+        render and one encode."""
+        counts = {"render_face": 0, "encode": 0}
+
+        def counted(name):
+            real = getattr(pl, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(pl, name, counted(name))
+        cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8, steps=10, composition_window=5)
+        ablate_attention(face_grid(3, seed=17), cfg, seeds=(0, 1), train_steps=2, base_steps=2)
+        assert counts == {"render_face": 3, "encode": 3}
 
     def test_no_seeds_rejected(self):
         cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
