@@ -152,14 +152,14 @@ def self_attention(tokens: np.ndarray, w: AttentionWeights) -> np.ndarray:
 
 
 def identity_self_attention(
-    tokens: np.ndarray, identity: np.ndarray, w: ExtendedAttentionWeights
+    tokens: np.ndarray, identity: np.ndarray | None, w: ExtendedAttentionWeights
 ) -> np.ndarray:
     """Self-attention whose Q and K carry a shared identity embedding.
 
     The same embedding augments every row, so equal (tokens, identity)
     inputs produce identical attention regardless of batch or call site.
     A zero embedding reduces exactly to ``self_attention`` on the base
-    weights.
+    weights, and ``identity=None`` is that call.
     """
     return _forward(tokens, identity, w).out
 

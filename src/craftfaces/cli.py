@@ -14,13 +14,13 @@ Common flags: ``--seed`` (fallback: env CRAFT_SEED, then 0), ``--out-dir``,
 ``--config`` (JSON file with PipelineConfig keys; explicit flags override
 file values). A command has flags only for the config keys it reads:
 render ``--image-size``; stylize ``--image-size --style-intensity``; attn-map
-the model flags ``--image-size --latent-tokens --token-dim --cond-dim``;
-ablate-attention the model flags and ``--steps --window --guidance-scale
---subject-guidance``; diffuse those and ``--style-intensity``; train the model
-flags and ``--steps --window --lora-rank --lora-alpha``; ablate-order
-``--image-size``; ffc none. A config file sets every key for every command.
-``--face-id`` must be below MAX_FACES (10000), ``--faces`` at most
-MAX_FACES and ``--jobs`` at most MAX_JOBS (64). All files are written
+``--image-size --latent-tokens --token-dim``; ablate-attention those,
+``--cond-dim`` and ``--steps --window --guidance-scale --subject-guidance``;
+diffuse those and ``--style-intensity``; train the model flags (attn-map's
+and ``--cond-dim``) and ``--steps --window --lora-rank --lora-alpha``;
+ablate-order ``--image-size``; ffc none. A config file sets every key for
+every command. ``--face-id`` must be below MAX_FACES (10000), ``--faces`` at
+most MAX_FACES and ``--jobs`` at most MAX_JOBS (64). All files are written
 atomically (temp file + rename), so failures never leave partial outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
@@ -92,7 +92,9 @@ _CONFIG_FLAGS = {
     for name, f in PipelineConfig.__dataclass_fields__.items()
     if name != "seed"
 }
-_MODEL = ("image_size", "latent_tokens", "token_dim", "cond_dim")
+# the attention map reads no conditioning: make_denoiser draws cond_w after every attention weight
+_SHAPE = ("image_size", "latent_tokens", "token_dim")
+_MODEL = (*_SHAPE, "cond_dim")
 _SAMPLING = ("steps", "composition_window", "guidance_scale", "subject_guidance")
 
 
@@ -180,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("emb1")
     p.add_argument("emb2")
 
-    p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"), *_MODEL)
+    p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"), *_SHAPE)
     p.add_argument("--face-id", type=_face_id, default=0)
     p.add_argument("--with-identity", action="store_true")
 
@@ -194,9 +196,9 @@ def parse(argv) -> Command:
     file_values = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CraftError(f"unreadable config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CraftError(f"config file {args.config} must hold a JSON object")

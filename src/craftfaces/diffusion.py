@@ -20,7 +20,6 @@ from .attention import (
     ExtendedAttentionWeights,
     _forward,
     identity_self_attention,
-    self_attention,
 )
 from .errors import ConfigError, EvaluationError, ShapeError, StepError
 from .numerics import RngStream, tensor
@@ -39,8 +38,8 @@ __all__ = [
     "DenoiserModel",
 ]
 
-DEFAULT_BETA_START = 1e-4
-DEFAULT_BETA_END = 0.02
+BETA_START = 1e-4
+BETA_END = 0.02
 _TRANSPOSE_BLOCK = 64  # rows of the codec's Q factor per block of its transposed copy
 
 
@@ -56,17 +55,11 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
 
 
-def build_schedule(
-    T: int, beta_start: float = DEFAULT_BETA_START, beta_end: float = DEFAULT_BETA_END
-) -> NoiseSchedule:
-    """Linear beta schedule from ``beta_start`` to ``beta_end`` over T steps."""
+def build_schedule(T: int) -> NoiseSchedule:
+    """Linear beta schedule from ``BETA_START`` to ``BETA_END`` over T steps."""
     if T < 1:
         raise ConfigError(f"schedule needs T >= 1, got {T}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(
-            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
-        )
-    beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    beta = np.linspace(BETA_START, BETA_END, T, dtype=np.float64)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
@@ -188,10 +181,7 @@ class DenoiserModel:
         ``None``, ``(id,)``, shared, or ``(B, id)``."""
         latent = tensor(latent)
         tokens = self._tokens_in(latent, cond, self._items(latent))
-        if self.identity is None:
-            attended = self_attention(tokens, self.attention.base)
-        else:
-            attended = identity_self_attention(tokens, self.identity, self.attention)
+        attended = identity_self_attention(tokens, self.identity, self.attention)
         return (attended @ self.head_w + self.head_b).reshape(latent.shape)
 
 

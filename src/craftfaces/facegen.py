@@ -30,7 +30,6 @@ attributes.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -52,7 +51,6 @@ __all__ = [
     "draw_landmarks",
     "image_hash",
     "write_ppm",
-    "read_ppm",
     "SPRAY_PALETTE",
 ]
 
@@ -137,13 +135,13 @@ def _band_index(height: int) -> list[int]:
     return [rows[name] for name in ATTRIBUTE_NAMES]
 
 
-def _splat(row: np.ndarray, u: float, amp: float = 1.0) -> None:
-    """Deposit ``amp`` across the two pixels bracketing position ``u``."""
+def _splat(row: np.ndarray, u: float) -> None:
+    """Deposit unit intensity across the two pixels bracketing position ``u``."""
     x0 = int(np.floor(u))
     frac = u - x0
-    row[x0] += amp * (1.0 - frac)
+    row[x0] += 1.0 - frac
     if frac > 0.0:
-        row[x0 + 1] += amp * frac
+        row[x0 + 1] += frac
 
 
 def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
@@ -161,13 +159,11 @@ def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
         _splat(geometry[rows[name]], (X_MARGIN + X_SPAN * a[name]) * w)
 
 
-def _decorate(geometry: np.ndarray, p: FaceParams) -> None:
-    """Low-intensity face drawing; purely cosmetic, never measured."""
+def _decorate(geometry: np.ndarray, p: FaceParams, dist: np.ndarray, radius: float) -> None:
+    """Low-intensity face drawing around the ring ``dist == radius``; purely cosmetic, never measured."""
     h, w = geometry.shape
-    yy, xx = (axis.astype(np.float64) for axis in np.ogrid[0:h, 0:w])
-    cy, cx = 0.54 * h, 0.5 * w
-    radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
-    ring = np.abs(np.hypot(yy - cy, xx - cx) - radius) < 0.9
+    cx = 0.5 * w
+    ring = np.abs(dist - radius) < 0.9
     geometry[ring] = np.maximum(geometry[ring], 0.45)
 
     pupil_row = int(round(0.31 * h))
@@ -196,14 +192,14 @@ def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     if size < MIN_SIZE:
         raise ConfigError(f"size {size} below minimum {MIN_SIZE}")
     h = w = int(size)
-    geometry = np.zeros((h, w), dtype=np.float64)
-    _decorate(geometry, p)
-    draw_landmarks(geometry, p.attributes())
-
     yy, xx = (axis.astype(np.float64) for axis in np.ogrid[0:h, 0:w])
     cy, cx = 0.54 * h, 0.5 * w
     radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
     dist = np.hypot(yy - cy, xx - cx)
+    geometry = np.zeros((h, w), dtype=np.float64)
+    _decorate(geometry, p, dist, radius)
+    draw_landmarks(geometry, p.attributes())
+
     base = FACE_PALETTES[p.palette_id % len(FACE_PALETTES)]
     chroma = np.full((h, w), p.background, dtype=np.float64)
     inside = dist <= radius
@@ -404,25 +400,3 @@ def write_ppm(path, img: np.ndarray) -> None:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
         fh.write(raw.tobytes())
 
-
-_PPM_SEP = rb"(?:\s|#[^\r\n]*)+"  # whitespace and "#" comments running to the end of a line
-_PPM_HEADER = re.compile(rb"P6" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)\s")
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 file back as (3, H, W) floats in [0, 1].
-
-    Header fields may be separated by any whitespace and interleaved with
-    ``#`` comments; one whitespace byte separates the header from the raster.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = _PPM_HEADER.match(data)
-    if header is None:
-        raise InputError(f"{path}: not a binary PPM file")
-    w, h, maxval = (int(v) for v in header.groups())
-    raster = data[header.end() : header.end() + w * h * 3]
-    if w * h == 0 or not 1 <= maxval <= 255 or len(raster) != w * h * 3:
-        raise InputError(f"{path}: unsupported or truncated PPM ({w}x{h}, maxval {maxval})")
-    raw = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3)
-    return raw.transpose(2, 0, 1).astype(np.float64) / maxval

@@ -102,20 +102,12 @@ def project(img: np.ndarray, target: np.ndarray) -> np.ndarray:
     image that already carries the target attributes as clean landmarks
     passes through bit-identical.
     """
-    return _project(img, target)
-
-
-def _project(img: np.ndarray, target: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
-    """``project``, given ``current = extract_attributes(img)`` when the
-    caller has extracted it already."""
     img = tensor(img)
     target = _validate_target(target)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ProjectionError(f"expected a (2, H, W) image, got shape {img.shape}")
     out = img.copy()
-    if current is None:
-        current = _attributes_or_none(img)
-    if _already_there(current, target):
+    if _already_there(_attributes_or_none(img), target):
         return out  # attributes already present; nothing to restore
     draw_landmarks(out[0], target)
     return out
@@ -137,7 +129,7 @@ def _already_there(current: np.ndarray | None, target: np.ndarray) -> bool:
 
 
 def _redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarray:
-    """The attributes of any image of ``shape`` that ``_project`` redraws
+    """The attributes of any image of ``shape`` that ``project`` redraws
     onto ``target``. A redraw clears and rewrites every landmark row that
     extraction reads, so they depend on nothing else; they are measured
     here on a blank canvas."""

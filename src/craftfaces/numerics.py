@@ -125,15 +125,16 @@ class RngStream:
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a matrix or a stack of matrices,
     stabilized by subtracting each row's max. The max starts from -inf,
-    below which no max falls, so it has the bare max's bits (NaN rows
-    included), and numpy skips the separate pass that copies out each
-    row's first entry, a large share of the max's time on short rows."""
+    below which no max falls, so numpy skips the pass that copies out each
+    row's first entry (much of the max's time on short rows). A NaN max,
+    whose payload may differ, is taken again bare: the output has its bits."""
     m = tensor(m)
     if m.ndim < 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {m.shape}")
-    e = m - m.max(axis=-1, keepdims=True, initial=-np.inf)
+    mx = m.max(axis=-1, keepdims=True, initial=-np.inf)
+    e = m - (m.max(axis=-1, keepdims=True) if np.isnan(mx).any() else mx)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True, out=mx)  # the row sums overwrite the max, no longer read
     return e
 
 

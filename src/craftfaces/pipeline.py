@@ -33,8 +33,8 @@ from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import FaceParams, StyleOp, _jitter_units, _landmark_rows, _stylize, embed_prompt, render_face
 from .facegen import graffiti_stylize  # noqa: F401  (uncalled; perfbench's tracer test patches it here)
-from .identity import _already_there, _attributes_or_none, _band_attributes, _project, _redrawn_attributes
-from .identity import attribute_embedding, extract_attributes, ffc
+from .identity import _already_there, _attributes_or_none, _band_attributes, _redrawn_attributes
+from .identity import attribute_embedding, extract_attributes, ffc, project
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream, tensor
 
@@ -222,18 +222,17 @@ class _Face:
         return cls(img, ref, _redrawn_attributes(img.shape, ref), _jitter_units(img))
 
 
-def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, cfg: PipelineConfig,
-         face_id: int):
+def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, seed: int, face_id: int):
     """Score one output from its attributes ``attrs`` against the input's
     ``ref``: the loss (the bits of ``attr_loss(out, input)``) and the FFC."""
     d = attrs - ref
     return ReportRow(
         face_id=face_id, order=order, intensity=intensity,
-        attr_loss=float(d @ d), ffc=ffc(attrs, ref), seed=cfg.seed,
+        attr_loss=float(d @ d), ffc=ffc(attrs, ref), seed=seed,
     )
 
 
-def _style_first(face: _Face, styled_attrs: np.ndarray | None, intensity: float, cfg: PipelineConfig,
+def _style_first(face: _Face, styled_attrs: np.ndarray | None, intensity: float, seed: int,
                  face_id: int) -> ReportRow:
     """The PS row of the style-first order after its stylize at
     ``intensity``, whose output has the attributes ``styled_attrs`` (None
@@ -241,7 +240,7 @@ def _style_first(face: _Face, styled_attrs: np.ndarray | None, intensity: float,
     a restore that redraws leaves the attributes ``face.restored``, and one
     that finds the attributes already there leaves the image's own."""
     attrs = styled_attrs if _already_there(styled_attrs, face.ref) else face.restored
-    return _row("PS", attrs, face.ref, intensity, cfg, face_id)
+    return _row("PS", attrs, face.ref, intensity, seed, face_id)
 
 
 def run_style_first(
@@ -254,8 +253,8 @@ def run_style_first(
     stylizer did."""
     face = _Face.of(i_img)
     styled = _stylize(face.img, StyleOp(intensity=cfg.style_intensity), face.units)
-    attrs = _attributes_or_none(styled)
-    return _project(styled, face.ref, attrs), _style_first(face, attrs, cfg.style_intensity, cfg, face_id)
+    row = _style_first(face, _attributes_or_none(styled), cfg.style_intensity, cfg.seed, face_id)
+    return project(styled, face.ref), row
 
 
 def run_identity_first(
@@ -271,34 +270,34 @@ def run_identity_first(
     img = tensor(i_img)
     styled = _stylize(img, StyleOp(intensity=cfg.style_intensity), _jitter_units(img))
     return styled, _row("SP", extract_attributes(styled), extract_attributes(img), cfg.style_intensity,
-                        cfg, face_id)
+                        cfg.seed, face_id)
 
 
-def _order_cell(face: _Face, intensity: float, attrs: np.ndarray, cfg: PipelineConfig, face_id: int,
+def _order_cell(face: _Face, intensity: float, attrs: np.ndarray, seeds: tuple[int, ...], face_id: int,
                 params: FaceParams) -> list[ReportRow]:
-    """Both orders on one (face, intensity, seed) cell, scored from the
-    attributes ``attrs`` of the input stylized at ``intensity``: they are
-    the reversed order's output's (its restore is a bitwise no-op), and the
-    style-first restore reads them."""
-    ps = _style_first(face, attrs, intensity, cfg, face_id)
-    sp = _row("SP", attrs, face.ref, intensity, cfg, face_id)
+    """Both orders on the (face, intensity) cell of each seed, scored once
+    from the attributes ``attrs`` of the input stylized at ``intensity``:
+    they are the reversed order's output's (its restore is a bitwise no-op),
+    and the style-first restore reads them. No draw reads the seed."""
+    ps = _style_first(face, attrs, intensity, seeds[0], face_id)
+    sp = _row("SP", attrs, face.ref, intensity, seeds[0], face_id)
     if ps.attr_loss > sp.attr_loss:
         raise CompositionOrderError(
             "style-then-project lost to the reversed order: "
-            f"face_id={face_id} intensity={intensity} seed={cfg.seed} "
+            f"face_id={face_id} intensity={intensity} seeds={seeds} "
             f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
         )
-    return [ps, sp]
+    return [replace(row, seed=seed) for seed in seeds for row in (ps, sp)]
 
 
 def _order_face(args) -> list[ReportRow]:
-    """One face's cells, seed by seed. The attributes of every
-    intensity's stylize come from one batch of its landmark rows."""
-    face_id, params, seed_cfgs, intensities = args
-    face = _Face.of(render_face(params, seed_cfgs[0].image_size))
+    """One face's cells. The attributes of every intensity's stylize come
+    from one batch of its landmark rows."""
+    face_id, params, image_size, seeds, intensities = args
+    face = _Face.of(render_face(params, image_size))
     attrs = _band_attributes(_landmark_rows(face.img, intensities, face.units)[0])
-    return [row for cfg in seed_cfgs for i, a in zip(intensities, attrs)
-            for row in _order_cell(face, i, a, cfg, face_id, params)]
+    return [row for i, a in zip(intensities, attrs)
+            for row in _order_cell(face, i, a, seeds, face_id, params)]
 
 
 def ablate_order(
@@ -324,8 +323,9 @@ def ablate_order(
     input onto its own attributes, a bitwise no-op, and a restore that
     redraws rewrites every landmark row that extraction reads, so its
     attributes depend only on the face's reference and the image shape.
-    The rows have the bits of calling ``run_style_first`` and
-    ``run_identity_first`` per cell. At most ``min(jobs, len(faces))``
+    No draw reads the seed, so each (face, intensity) pair is scored once
+    and its rows are written once per seed. The rows have the bits of
+    calling ``run_style_first`` and ``run_identity_first`` per cell. At most ``min(jobs, len(faces))``
     worker processes run the faces, and none when that is 1.
     """
     if not faces:
@@ -336,10 +336,11 @@ def ablate_order(
         if not axis or len(set(axis)) != len(axis):
             raise ConfigError(f"ablate_order {name} must be nonempty and distinct, got {axis}")
     # every seed's and every intensity's config is validated here, before any cell is computed
-    seed_cfgs = tuple(replace(cfg, seed=s) for s in seeds)
+    for s in seeds:
+        replace(cfg, seed=s)
     for i in intensities:
         replace(cfg, style_intensity=i)
-    tasks = [(fid, p, seed_cfgs, intensities) for fid, p in enumerate(faces)]
+    tasks = [(fid, p, cfg.image_size, seeds, intensities) for fid, p in enumerate(faces)]
     report = ExperimentReport()
     workers = min(jobs, len(tasks))
     if workers > 1:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import craftfaces
-from craftfaces.cli import MAX_FACES, MAX_JOBS, _atomic_write, main, parse
+from craftfaces.cli import _CONFIG_FLAGS, MAX_FACES, MAX_JOBS, _atomic_write, _build_parser, main, parse
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig
 
@@ -60,6 +61,7 @@ class TestParse:
             ["ablate-order", "--steps", "5"],
             ["ablate-attention", "--style-intensity", "0.3"],
             ["attn-map", "--window", "3"],
+            ["attn-map", "--cond-dim", "8"],
             ["ffc", "a.csv", "b.csv", "--image-size", "32"],
         ):
             code, _, err = run(argv, capsys)
@@ -87,10 +89,11 @@ class TestParse:
 
     def test_unreadable_config(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        code, _, err = run(["render", "--config", str(bad)], capsys)
-        assert code == 2
-        assert "config" in err
+        for data in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            bad.write_bytes(data)
+            code, _, err = run(["render", "--config", str(bad)], capsys)
+            assert code == 2, data
+            assert err.startswith("error:") and "config" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "extra.json"
@@ -231,7 +234,30 @@ class TestParse:
         assert not list(tmp_path.iterdir())
 
 
+def _config_flags(command):
+    """The config flags a command takes, as its parser lists them."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions if a.dest in _CONFIG_FLAGS]
+
+
+# a value other than the default (or the 32 px base) for each config flag of
+# render, stylize and attn-map
+_OTHER_VALUE = {"--image-size": "40", "--style-intensity": "0.3", "--latent-tokens": "8", "--token-dim": "2"}
+_ARTIFACTS = {"render": "face_0.ppm", "stylize": "face_0_styled.ppm", "attn-map": "attn_map_0.csv"}
+
+
 class TestExecute:
+    @pytest.mark.parametrize(
+        "command, artifact, flag",
+        [pytest.param(c, a, f, id=f"{c}{f}") for c, a in _ARTIFACTS.items() for f in _config_flags(c)],
+    )
+    def test_every_config_flag_changes_the_artifact(self, command, artifact, flag, tmp_path, capsys):
+        """A flag a command takes reaches its artifact's bytes."""
+        base = [command, "--seed", "7", "--image-size", "32"]
+        assert run([*base, "--out-dir", str(tmp_path / "base")], capsys)[0] == 0
+        assert run([*base, flag, _OTHER_VALUE[flag], "--out-dir", str(tmp_path / "other")], capsys)[0] == 0
+        assert (tmp_path / "base" / artifact).read_bytes() != (tmp_path / "other" / artifact).read_bytes()
+
     def test_render_writes_artifacts(self, tmp_path, capsys):
         code, out, _ = run(["render", "--face-id", "2", "--out-dir", str(tmp_path)], capsys)
         assert code == 0

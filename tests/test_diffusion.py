@@ -28,11 +28,16 @@ from craftfaces.errors import ConfigError, EvaluationError, ShapeError, StepErro
 from craftfaces.numerics import RngStream, finite_diff_grad
 
 
-def noiseless_schedule(T=1):
-    """beta = 0 limit; unreachable through build_schedule, injected directly."""
-    beta = np.zeros(T)
+def linear_schedule(T, beta_start, beta_end):
+    """A linear schedule between other betas than build_schedule's, built directly."""
+    beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+
+
+def noiseless_schedule(T=1):
+    """beta = 0 limit; unreachable through build_schedule, injected directly."""
+    return linear_schedule(T, 0.0, 0.0)
 
 
 def zero_model(n_tokens=4, token_dim=2, cond_dim=3):
@@ -61,7 +66,7 @@ class TestSchedule:
         assert sched.beta.shape == (100,)
 
     def test_single_step(self):
-        sched = build_schedule(1, 1e-4, 0.02)
+        sched = build_schedule(1)
         assert sched.beta[0] == 1e-4
         assert sched.alpha_bar[0] == 1.0 - 1e-4
 
@@ -83,12 +88,6 @@ class TestSchedule:
     def test_bounds_validation(self):
         with pytest.raises(ConfigError):
             build_schedule(0)
-        with pytest.raises(ConfigError):
-            build_schedule(10, 0.0, 0.02)
-        with pytest.raises(ConfigError):
-            build_schedule(10, 0.03, 0.02)
-        with pytest.raises(ConfigError):
-            build_schedule(10, 0.5, 1.0)
 
 
 class TestForwardStep:
@@ -140,7 +139,7 @@ class TestForwardMarginal:
 
     def test_deep_noise_is_standard_normal(self):
         # drive alpha_bar below 1e-3 with a strong schedule
-        sched = build_schedule(100, 0.05, 0.1)
+        sched = linear_schedule(100, 0.05, 0.1)
         assert sched.alpha_bar[-1] < 1e-3
         n = 10_000
         out = forward_marginal(np.full(n, 2.0), 100, sched, RngStream(seed=7))
@@ -159,7 +158,7 @@ class TestReverseStep:
         assert np.array_equal(out, x / np.sqrt(sched.alpha[0]))
 
     def test_oracle_inversion_single_step(self):
-        sched = build_schedule(1, 0.3, 0.3)
+        sched = linear_schedule(1, 0.3, 0.3)
         rng = RngStream(seed=10)
         x0 = rng.normal((8,))
         eps = rng.normal((8,))

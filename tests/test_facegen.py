@@ -16,7 +16,6 @@ from craftfaces.facegen import (
     embed_prompt,
     face_grid,
     graffiti_stylize,
-    read_ppm,
     render_face,
     write_ppm,
 )
@@ -217,33 +216,12 @@ class TestImageIO:
         img = render_face(BASE, 48)
         path = tmp_path / "face.ppm"
         write_ppm(path, img)
+        header = b"P6\n48 48\n255\n"
         data = path.read_bytes()
-        assert data.startswith(b"P6\n48 48\n255\n")
-        rgb = read_ppm(path)
-        assert rgb.shape == (3, 48, 48)
+        assert data.startswith(header) and len(data) == len(header) + 48 * 48 * 3
+        red = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(48, 48, 3)[..., 0] / 255.0
         # red channel carries geometry up to 8-bit quantization
-        assert np.max(np.abs(rgb[0] - img[0])) <= 0.5 / 255.0 + 1e-12
-
-    def test_ppm_commented_header(self, tmp_path):
-        img = render_face(BASE, 48)
-        path = tmp_path / "face.ppm"
-        write_ppm(path, img)
-        raster = path.read_bytes()[len(b"P6\n48 48\n255\n"):]
-        commented = tmp_path / "commented.ppm"
-        commented.write_bytes(
-            b"P6 # binary\n#size follows\n48\t48\r\n# depth\n  255\n" + raster
-        )
-        assert np.array_equal(read_ppm(commented), read_ppm(path))
-
-    @pytest.mark.parametrize(
-        "data",
-        [b"P6\n2 2\n255\n" + bytes(11), b"P6\n2 # no height\n", b"P3\n2 2\n255\n" + bytes(12)],
-    )
-    def test_ppm_malformed_rejected(self, tmp_path, data):
-        path = tmp_path / "bad.ppm"
-        path.write_bytes(data)
-        with pytest.raises(InputError):
-            read_ppm(path)
+        assert np.max(np.abs(red - img[0])) <= 0.5 / 255.0 + 1e-12
 
     def test_histogram_normalized(self):
         h = chroma_histogram(render_face(BASE, 64))

@@ -2,14 +2,18 @@
 
 A refactor that must keep the bits proves it here; a change that moves a
 digest on purpose updates it and says why in CHANGES.md. Each CLI case runs
-the CLI in a subprocess once with the BLAS thread pools pinned to one thread
-and once pinned to two, against the same digest: the bytes must not depend
-on the BLAS thread count.
+once with the BLAS thread pools pinned to one thread and once pinned to two,
+against the same digest: the bytes must not depend on the BLAS thread count.
 
 The PPM outputs are quantized to uint8, so one more digest pins the face
 oracle's float64 bits: renders, stylized images and their attributes, and
 further digests pin the float64 bits of ``run_style_first``'s output image,
 at each BLAS thread count as the CLI cases are.
+
+The pools' size is fixed when numpy loads, so each thread count needs its
+own interpreter: one subprocess per thread count runs every CLI case (through
+``cli.main``, each into its own output directory) and every
+``run_style_first`` digest, and each case's test reads its share.
 """
 
 import hashlib
@@ -119,15 +123,27 @@ STYLE_FIRST_GOLDENS = [
     ),
 ]
 
-# prints the sha256 of run_style_first's output image for the config given as JSON
-_STYLE_FIRST_SCRIPT = """
-import hashlib, json, sys
+# given a JSON pair (CLI argvs, run_style_first configs): runs each argv through
+# the CLI, its output sent to stderr, then prints a JSON pair (each argv's exit
+# code, the sha256 of run_style_first's output image for each config)
+_GOLDEN_SCRIPT = """
+import contextlib, hashlib, json, sys
+from craftfaces.cli import main
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.pipeline import PipelineConfig, run_style_first
-cfg = PipelineConfig(**json.loads(sys.argv[1]))
-img = render_face(face_grid(1, seed=cfg.seed)[0], cfg.image_size)
-print(hashlib.sha256(run_style_first(img, cfg)[0].tobytes()).hexdigest())
+commands, configs = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(sys.stderr):
+    codes = [main(argv) for argv in commands]
+digests = []
+for config in configs:
+    cfg = PipelineConfig(**config)
+    img = render_face(face_grid(1, seed=cfg.seed)[0], cfg.image_size)
+    digests.append(hashlib.sha256(run_style_first(img, cfg)[0].tobytes()).hexdigest())
+print(json.dumps([codes, digests]))
 """
+
+
+BLAS_THREADS = ("1", "2")
 
 
 def _at_blas_threads(cases):
@@ -136,21 +152,51 @@ def _at_blas_threads(cases):
     return [
         pytest.param(*case, threads, id=case[0] if threads == "1" else f"{case[0]}-blas{threads}")
         for case in cases
-        for threads in ("1", "2")
+        for threads in BLAS_THREADS
     ]
 
 
-def _run_python(args, threads) -> str:
-    """Run ``python args`` with the BLAS pools at ``threads``; return its stdout."""
+def _start(threads, base) -> tuple[subprocess.Popen, dict]:
+    """Start the golden script with the BLAS pools at ``threads``, each CLI
+    case writing into its own directory under ``base``; return the process
+    and those directories by argv."""
+    argvs = [argv for argv, *_ in GOLDENS + FACE_GOLDENS]
+    out_dirs = {argv: base / str(i) for i, argv in enumerate(argvs)}
+    commands = [[*argv.split(), "--out-dir", str(out_dirs[argv])] for argv in argvs]
+    configs = [config for _, config, _ in STYLE_FIRST_GOLDENS]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    proc = subprocess.Popen([sys.executable, "-c", _GOLDEN_SCRIPT, json.dumps([commands, configs])],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return proc, out_dirs
 
 
-def _run_cli(argv, out_dir, threads):
-    _run_python(["-m", "craftfaces.cli", *argv.split(), "--out-dir", str(out_dir)], threads)
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """``at(threads)``: each CLI case's output directory, by argv, and each
+    ``run_style_first`` digest, by label, from the subprocess at ``threads``
+    BLAS threads. Both thread counts' subprocesses start together on first
+    use, so they run side by side."""
+    started, runs = {}, {}
+
+    def at(threads):
+        if not started:
+            for n in BLAS_THREADS:
+                started[n] = _start(n, tmp_path_factory.mktemp(f"goldens-blas{n}"))
+        if threads not in runs:
+            proc, out_dirs = started[threads]
+            out, err = proc.communicate()
+            assert proc.returncode == 0, err
+            codes, digests = json.loads(out)
+            assert codes == [0] * len(out_dirs), err
+            runs[threads] = (out_dirs, dict(zip([label for label, *_ in STYLE_FIRST_GOLDENS], digests)))
+        return runs[threads]
+
+    yield at
+    for proc, _ in started.values():  # one whose thread count no selected test read
+        if proc.returncode is None:
+            proc.kill()
+            proc.communicate()
 
 
 def _sha256(path) -> str:
@@ -158,20 +204,21 @@ def _sha256(path) -> str:
 
 
 @pytest.mark.parametrize("argv, artifact, digest, threads", _at_blas_threads(GOLDENS))
-def test_cli_output_matches_golden(argv, artifact, digest, threads, tmp_path):
-    _run_cli(argv, tmp_path, threads)
-    assert _sha256(tmp_path / artifact) == digest
+def test_cli_output_matches_golden(argv, artifact, digest, threads, golden_run):
+    out_dirs, _ = golden_run(threads)
+    assert _sha256(out_dirs[argv] / artifact) == digest
 
 
 @pytest.mark.parametrize("argv, digests, threads", _at_blas_threads(FACE_GOLDENS))
-def test_cli_face_outputs_match_golden(argv, digests, threads, tmp_path):
-    _run_cli(argv, tmp_path, threads)
-    assert {name: _sha256(tmp_path / name) for name in digests} == digests
+def test_cli_face_outputs_match_golden(argv, digests, threads, golden_run):
+    out_dirs, _ = golden_run(threads)
+    assert {name: _sha256(out_dirs[argv] / name) for name in digests} == digests
 
 
 @pytest.mark.parametrize("label, config, digest, threads", _at_blas_threads(STYLE_FIRST_GOLDENS))
-def test_style_first_image_matches_golden(label, config, digest, threads):
-    assert _run_python(["-c", _STYLE_FIRST_SCRIPT, json.dumps(config)], threads).strip() == digest
+def test_style_first_image_matches_golden(label, config, digest, threads, golden_run):
+    _, style_first = golden_run(threads)
+    assert style_first[label] == digest
 
 
 def _oracle_digest(sizes) -> str:

@@ -232,21 +232,22 @@ class TestAblateOrder:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((facegen, "image_hash"), (identity, "project"), (identity, "_project"),
-                             (pl, "_project"), (identity, "extract_attributes"), (pl, "extract_attributes"),
-                             (pl, "_landmark_rows"), (pl, "_stylize"), (pl, "graffiti_stylize")):
-            count(module, name)  # both modules' _project and extract_attributes feed one count each
+        for module, name in ((facegen, "image_hash"), (identity, "project"), (pl, "project"),
+                             (identity, "extract_attributes"), (pl, "extract_attributes"),
+                             (pl, "_landmark_rows"), (pl, "_stylize"), (pl, "graffiti_stylize"),
+                             (pl, "_row")):
+            count(module, name)  # both modules' project and extract_attributes feed one count each
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.2, 0.5, 0.9), seeds=(21, 22))
         faces = 3
         assert calls == {
             "image_hash": faces,  # the jitter units
-            "project": 0,
-            "_project": 0,  # each cell scores its restore without building it
+            "project": 0,  # each cell scores its restore without building it
             # per face the reference and the attributes a redraw leaves
             "extract_attributes": 2 * faces,
             "_landmark_rows": faces,  # every intensity's stylized landmark rows in one batch
             "_stylize": 0,  # no cell builds a stylized image
             "graffiti_stylize": 0,
+            "_row": 2 * faces * 3,  # each (face, intensity) pair's PS and SP scores, for both seeds
         }
 
     @pytest.mark.parametrize("n_faces, jobs, workers", [(1, 4, None), (2, 4, 2), (3, 2, 2), (2, 1, None)])
