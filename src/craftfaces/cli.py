@@ -198,7 +198,7 @@ def parse(argv) -> Command:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CraftError(f"unreadable config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CraftError(f"config file {args.config} must hold a JSON object")

@@ -316,11 +316,9 @@ def _quantize(chroma: np.ndarray) -> np.ndarray:
 
 
 def _stylize(img: np.ndarray, op: StyleOp, units: np.ndarray) -> np.ndarray:
-    """``graffiti_stylize`` of a (2, H, W) float64 image whose jitter units
-    ``_jitter_units(img)`` the caller has derived already."""
+    """``graffiti_stylize`` of a (2, H, W) float64 image at a nonzero
+    intensity, given its jitter units ``_jitter_units(img)``."""
     i = op.intensity
-    if i == 0.0:
-        return img.copy()
     geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
     bands, rows = _landmark_rows(img, [i], units)
     geometry[rows] = bands[0]

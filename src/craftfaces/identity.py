@@ -17,7 +17,10 @@ import math
 import numpy as np
 
 from .errors import ExtractionError, InputError, ProjectionError
-from .facegen import ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, _band_index, draw_landmarks
+from .facegen import (
+    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, _band_index, _jitter_units, _landmark_rows,
+    draw_landmarks,
+)
 from .numerics import tensor
 
 __all__ = [
@@ -121,11 +124,11 @@ def _attributes_or_none(img: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _already_there(current: np.ndarray | None, target: np.ndarray) -> bool:
+def _already_there(current: np.ndarray | None, target: np.ndarray):
     """Whether an image with attributes ``current`` (None: not extractable)
     carries ``target`` already, so that projecting it onto ``target``
-    redraws nothing."""
-    return current is not None and np.max(np.abs(current - target)) <= _ALREADY_THERE_TOL
+    redraws nothing; for a stack of attribute vectors, one bool per vector."""
+    return current is not None and np.max(np.abs(current - target), axis=-1) <= _ALREADY_THERE_TOL
 
 
 def _redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarray:
@@ -136,6 +139,23 @@ def _redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarra
     canvas = np.zeros(shape)
     draw_landmarks(canvas[0], target)
     return extract_attributes(canvas)
+
+
+def _order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The attributes both composition orders leave on the face ``img`` at
+    each of ``intensities``, without building a stylized or restored image:
+    the face's own ``ref``, the (I, 6) attributes ``styled`` of each
+    ``graffiti_stylize`` output (the reversed order's, whose restore is a
+    bitwise no-op) and the (I, 6) attributes ``restored`` of projecting
+    each onto ``ref``. One batch of landmark rows gives every ``styled``
+    vector; a restore that redraws leaves ``_redrawn_attributes``, one that
+    finds ``ref`` already there leaves the stylized image's. Each vector has
+    the bits of ``extract_attributes`` of that image."""
+    img = tensor(img)
+    ref = extract_attributes(img)
+    styled = _band_attributes(_landmark_rows(img, intensities, _jitter_units(img))[0])
+    restored = np.where(_already_there(styled, ref)[:, None], styled, _redrawn_attributes(img.shape, ref))
+    return ref, styled, restored
 
 
 def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:

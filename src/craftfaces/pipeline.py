@@ -31,12 +31,10 @@ from .diffusion import (
 )
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
-from .facegen import FaceParams, StyleOp, _jitter_units, _landmark_rows, _stylize, embed_prompt, render_face
-from .facegen import graffiti_stylize  # noqa: F401  (uncalled; perfbench's tracer test patches it here)
-from .identity import _already_there, _attributes_or_none, _band_attributes, _redrawn_attributes
-from .identity import attribute_embedding, extract_attributes, ffc, project
+from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
+from .identity import _order_attributes, attribute_embedding, extract_attributes, ffc, project
 from .lora import LoRATrainConfig, train_lora
-from .numerics import RngStream, tensor
+from .numerics import RngStream
 
 __all__ = [
     "PipelineConfig",
@@ -202,26 +200,6 @@ def _diffuse(styled: np.ndarray, ref: np.ndarray, prompt: str, cfg: PipelineConf
     return np.clip(decode(z, runtime.codec), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class _Face:
-    """One input face and the per-face work both orders share, done once
-    however many cells use it: its attributes ``ref``, which both orders
-    restore, the attributes ``restored`` that a restore which redraws
-    leaves (``ref`` redrawn into the landmark rows), and its stylize
-    jitter ``units``."""
-
-    img: np.ndarray
-    ref: np.ndarray
-    restored: np.ndarray
-    units: np.ndarray
-
-    @classmethod
-    def of(cls, img: np.ndarray) -> "_Face":
-        img = tensor(img)
-        ref = extract_attributes(img)
-        return cls(img, ref, _redrawn_attributes(img.shape, ref), _jitter_units(img))
-
-
 def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, seed: int, face_id: int):
     """Score one output from its attributes ``attrs`` against the input's
     ``ref``: the loss (the bits of ``attr_loss(out, input)``) and the FFC."""
@@ -232,17 +210,6 @@ def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, seed:
     )
 
 
-def _style_first(face: _Face, styled_attrs: np.ndarray | None, intensity: float, seed: int,
-                 face_id: int) -> ReportRow:
-    """The PS row of the style-first order after its stylize at
-    ``intensity``, whose output has the attributes ``styled_attrs`` (None
-    where extraction fails), scored without building the restored image:
-    a restore that redraws leaves the attributes ``face.restored``, and one
-    that finds the attributes already there leaves the image's own."""
-    attrs = styled_attrs if _already_there(styled_attrs, face.ref) else face.restored
-    return _row("PS", attrs, face.ref, intensity, seed, face_id)
-
-
 def run_style_first(
     i_img: np.ndarray,
     cfg: PipelineConfig,
@@ -251,10 +218,9 @@ def run_style_first(
     """Stylize, then restore the input's attributes. The projection runs
     last, so the output carries the input's attributes whatever the
     stylizer did."""
-    face = _Face.of(i_img)
-    styled = _stylize(face.img, StyleOp(intensity=cfg.style_intensity), face.units)
-    row = _style_first(face, _attributes_or_none(styled), cfg.style_intensity, cfg.seed, face_id)
-    return project(styled, face.ref), row
+    ref = extract_attributes(i_img)
+    out = project(graffiti_stylize(i_img, StyleOp(intensity=cfg.style_intensity)), ref)
+    return out, _row("PS", extract_attributes(out), ref, cfg.style_intensity, cfg.seed, face_id)
 
 
 def run_identity_first(
@@ -267,37 +233,29 @@ def run_identity_first(
     no-op, so the output is the stylized input and whatever drift the
     stylizer causes stays in it. It extracts twice: the input's attributes
     and the output's."""
-    img = tensor(i_img)
-    styled = _stylize(img, StyleOp(intensity=cfg.style_intensity), _jitter_units(img))
-    return styled, _row("SP", extract_attributes(styled), extract_attributes(img), cfg.style_intensity,
+    styled = graffiti_stylize(i_img, StyleOp(intensity=cfg.style_intensity))
+    return styled, _row("SP", extract_attributes(styled), extract_attributes(i_img), cfg.style_intensity,
                         cfg.seed, face_id)
 
 
-def _order_cell(face: _Face, intensity: float, attrs: np.ndarray, seeds: tuple[int, ...], face_id: int,
-                params: FaceParams) -> list[ReportRow]:
-    """Both orders on the (face, intensity) cell of each seed, scored once
-    from the attributes ``attrs`` of the input stylized at ``intensity``:
-    they are the reversed order's output's (its restore is a bitwise no-op),
-    and the style-first restore reads them. No draw reads the seed."""
-    ps = _style_first(face, attrs, intensity, seeds[0], face_id)
-    sp = _row("SP", attrs, face.ref, intensity, seeds[0], face_id)
-    if ps.attr_loss > sp.attr_loss:
-        raise CompositionOrderError(
-            "style-then-project lost to the reversed order: "
-            f"face_id={face_id} intensity={intensity} seeds={seeds} "
-            f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
-        )
-    return [replace(row, seed=seed) for seed in seeds for row in (ps, sp)]
-
-
 def _order_face(args) -> list[ReportRow]:
-    """One face's cells. The attributes of every intensity's stylize come
-    from one batch of its landmark rows."""
+    """One face's cells: both orders at each intensity, scored once from
+    the attributes ``_order_attributes`` says they leave and written once
+    per seed, since no draw reads the seed."""
     face_id, params, image_size, seeds, intensities = args
-    face = _Face.of(render_face(params, image_size))
-    attrs = _band_attributes(_landmark_rows(face.img, intensities, face.units)[0])
-    return [row for i, a in zip(intensities, attrs)
-            for row in _order_cell(face, i, a, seeds, face_id, params)]
+    ref, styled, restored = _order_attributes(render_face(params, image_size), intensities)
+    rows = []
+    for intensity, sp_attrs, ps_attrs in zip(intensities, styled, restored):
+        ps = _row("PS", ps_attrs, ref, intensity, seeds[0], face_id)
+        sp = _row("SP", sp_attrs, ref, intensity, seeds[0], face_id)
+        if ps.attr_loss > sp.attr_loss:
+            raise CompositionOrderError(
+                "style-then-project lost to the reversed order: "
+                f"face_id={face_id} intensity={intensity} seeds={seeds} "
+                f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
+            )
+        rows += [replace(row, seed=seed) for seed in seeds for row in (ps, sp)]
+    return rows
 
 
 def ablate_order(
@@ -315,17 +273,12 @@ def ablate_order(
     Intensities and seeds must be nonempty and distinct, so that no two
     cells are the same.
 
-    Each face's reference attributes, the attributes a restore that
-    redraws leaves, and jitter units are computed once per face. One batch
-    per face computes the landmark rows of every intensity's stylize and
-    reads their attributes; no cell builds a stylized or restored image.
-    Both orders score those attributes: the reversed order projects the
-    input onto its own attributes, a bitwise no-op, and a restore that
-    redraws rewrites every landmark row that extraction reads, so its
-    attributes depend only on the face's reference and the image shape.
-    No draw reads the seed, so each (face, intensity) pair is scored once
-    and its rows are written once per seed. The rows have the bits of
-    calling ``run_style_first`` and ``run_identity_first`` per cell. At most ``min(jobs, len(faces))``
+    Per face, ``identity._order_attributes`` gives the attributes both
+    orders leave at every intensity from one batch of landmark rows; no
+    cell builds a stylized or restored image. No draw reads the seed, so
+    each (face, intensity) pair is scored once and its rows are written
+    once per seed. The rows have the bits of calling ``run_style_first``
+    and ``run_identity_first`` per cell. At most ``min(jobs, len(faces))``
     worker processes run the faces, and none when that is 1.
     """
     if not faces:
@@ -359,12 +312,12 @@ def ablate_order(
     return report
 
 
-def _training_batch(faces, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream):
-    """Fixed batch of (noised latent, cond, noise) triples, two per face."""
+def _training_batch(latents: np.ndarray, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream):
+    """Fixed batch of (noised latent, cond, noise) triples, two per row of
+    the face latents ``latents``."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     batch = []
-    for params in faces:
-        x0 = encode(render_face(params, cfg.image_size), runtime.codec)
+    for x0 in latents:
         for _ in range(2):
             t = int(rng.integers(1, cfg.steps + 1))
             eps = rng.normal(x0.shape)
@@ -437,13 +390,12 @@ def train_toy_denoiser(
         raise ConfigError("train_toy_denoiser needs a nonempty face grid")
     runtime = _make_runtime(cfg)
     model = runtime.model
-
+    latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
     if lora:
-        data = _training_batch(faces, cfg, runtime, rng.split("batch"))
+        data = _training_batch(latents, cfg, runtime, rng.split("batch"))
         lcfg = LoRATrainConfig(rank=cfg.lora_rank, alpha=cfg.lora_alpha, lr=TRAIN_LR, steps=steps)
         adapters = train_lora(model, data, lcfg, rng.split("lora"))
         return model, adapters
-    latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])
     return _sgd_train(model, latents, None, cfg, runtime, rng.split("sgd"), steps, TRAIN_LR), None
 
 

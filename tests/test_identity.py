@@ -14,6 +14,7 @@ from craftfaces.identity import (
     _already_there,
     _attributes_or_none,
     _band_attributes,
+    _order_attributes,
     _redrawn_attributes,
     attr_loss,
     attribute_embedding,
@@ -262,16 +263,23 @@ def test_extract_equals_per_band_centroids_bit_for_bit(params, intensity, size):
 def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
     """One batch over intensities 0, ``between`` and 1 has, per intensity,
     the band rows of ``graffiti_stylize`` and the attributes that
-    ``extract_attributes`` reads from them."""
+    ``extract_attributes`` reads from them; ``_order_attributes`` has the
+    bits of extracting the render, each stylized image and each stylized
+    image projected onto the render's attributes."""
     img = render_face(params, size)
     intensities = [0.0, *between, 1.0]
     bands, rows = _landmark_rows(img, intensities, _jitter_units(img))
     assert rows == [band_rows(size)[name] for name in ATTRIBUTE_NAMES]
     attrs = _band_attributes(bands)
-    for intensity, band, attr in zip(intensities, bands, attrs, strict=True):
+    ref, styled_attrs, restored_attrs = _order_attributes(img, intensities)
+    assert ref.tobytes() == extract_attributes(img).tobytes()
+    for intensity, band, attr, styled_attr, restored_attr in zip(
+        intensities, bands, attrs, styled_attrs, restored_attrs, strict=True
+    ):
         styled = graffiti_stylize(img, StyleOp(intensity=intensity))
         assert band.tobytes() == styled[0, rows].tobytes()
-        assert attr.tobytes() == extract_attributes(styled).tobytes()
+        assert attr.tobytes() == styled_attr.tobytes() == extract_attributes(styled).tobytes()
+        assert restored_attr.tobytes() == extract_attributes(project(styled, ref)).tobytes()
 
 
 _vectors = st.integers(1, 256).flatmap(lambda n: st.tuples(

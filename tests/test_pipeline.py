@@ -190,8 +190,8 @@ class TestAblateOrder:
 
     def test_every_seed_checked_before_any_cell(self, monkeypatch):
         calls = []
-        real = pl._landmark_rows
-        monkeypatch.setattr(pl, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
+        real = identity._landmark_rows
+        monkeypatch.setattr(identity, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
         with pytest.raises(ConfigError, match="seed must lie"):
             ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5,),
                          seeds=(2**127 - 1, 2**127))
@@ -199,8 +199,8 @@ class TestAblateOrder:
 
     def test_every_intensity_checked_before_any_cell(self, monkeypatch):
         calls = []
-        real = pl._landmark_rows
-        monkeypatch.setattr(pl, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
+        real = identity._landmark_rows
+        monkeypatch.setattr(identity, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
         with pytest.raises(ConfigError, match="style_intensity 1.5 outside"):
             ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5, 1.5), seeds=(9,))
         assert calls == []
@@ -234,7 +234,7 @@ class TestAblateOrder:
 
         for module, name in ((facegen, "image_hash"), (identity, "project"), (pl, "project"),
                              (identity, "extract_attributes"), (pl, "extract_attributes"),
-                             (pl, "_landmark_rows"), (pl, "_stylize"), (pl, "graffiti_stylize"),
+                             (identity, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
                              (pl, "_row")):
             count(module, name)  # both modules' project and extract_attributes feed one count each
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.2, 0.5, 0.9), seeds=(21, 22))
@@ -288,7 +288,7 @@ class TestTrainToyDenoiser:
         cfg = PipelineConfig(seed=11, image_size=32, latent_tokens=16, token_dim=4)
         runtime = _make_runtime(cfg)
         faces = face_grid(3, seed=11)
-        eval_batch = _batch(_training_batch(faces, cfg, runtime, RngStream(seed=99)))
+        eval_batch = _batch(_training_batch(_latents(faces, cfg, runtime), cfg, runtime, RngStream(seed=99)))
         before = _denoise_loss(runtime.model, *eval_batch)
         model, _ = train_toy_denoiser(faces, cfg, RngStream(seed=11), steps=500)
         after = _denoise_loss(model, *eval_batch)
