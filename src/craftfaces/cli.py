@@ -20,8 +20,10 @@ diffuse those and ``--style-intensity``; train the model flags (attn-map's
 and ``--cond-dim``) and ``--steps --window --lora-rank --lora-alpha``;
 ablate-order ``--image-size``; ffc none. A config file sets every key for
 every command. ``--face-id`` must be below MAX_FACES (10000), ``--faces`` at
-most MAX_FACES and ``--jobs`` at most MAX_JOBS (64). All files are written
-atomically (temp file + rename), so failures never leave partial outputs.
+most MAX_FACES, ``--jobs`` at most MAX_JOBS (64), ``--sweep-seeds`` at most
+MAX_SWEEP_SEEDS (30) and ``--intensities`` at most MAX_INTENSITIES (100)
+values. All files are written atomically (temp file + rename), so failures
+never leave partial outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
 type, such as ``"10"`` for ``steps``, is a usage error):
@@ -80,9 +82,13 @@ ASSERTION_EXIT = 3
 # 100x the 100-face grid of criterion 1 and the ablate-order default; a face
 # grid past it is refused before any allocation
 MAX_FACES = 10_000
-# 16x the largest --jobs a documented command uses (4); ablate_order starts at
-# most one worker per face below it
+# 16x the largest --jobs criterion 9 runs (4); ablate_order starts at most one
+# worker per face below it
 MAX_JOBS = 64
+# 10x criterion 1's 3 sweep seeds and 10 intensities (its 0.1 grid over (0, 1]
+# refined to 0.01); both are checked while parsing, before either axis is built
+MAX_SWEEP_SEEDS = 30
+MAX_INTENSITIES = 100
 
 # the type of each PipelineConfig field a flag can set, all but seed (its own
 # flag, with an env fallback); each command takes flags for the fields its
@@ -132,7 +138,11 @@ def _face_id(text: str) -> int:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    """Comma-separated numbers; argparse turns a ValueError into a usage error."""
+    """Comma-separated numbers, at most MAX_INTENSITIES of them, counted
+    before any is split off; argparse turns a ValueError into a usage error."""
+    count = text.count(",") + 1
+    if count > MAX_INTENSITIES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_INTENSITIES} values, got {count}")
     return tuple(float(v) for v in text.split(","))
 
 
@@ -169,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("ablate-order", help="sweep both composition orders"), "image_size")
     p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=100)
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--sweep-seeds", type=_positive_int, default=1, help="seeds per cell")
+    p.add_argument("--sweep-seeds", type=_count_at_most(MAX_SWEEP_SEEDS), default=1, help="seeds per cell")
     p.add_argument("--jobs", type=_count_at_most(MAX_JOBS), default=1)
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"), *_MODEL,

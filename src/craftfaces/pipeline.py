@@ -239,22 +239,34 @@ def run_identity_first(
 
 
 def _order_face(args) -> list[ReportRow]:
-    """One face's cells: both orders at each intensity, scored once from
-    the attributes ``_order_attributes`` says they leave and written once
-    per seed, since no draw reads the seed."""
+    """One face's cells: both orders at each intensity, from the attributes
+    ``_order_attributes`` says they leave. Each distinct attribute vector is
+    scored once per face: a restore leaves either the stylized vector, whose
+    score is that intensity's SP score, or the one vector every redraw
+    leaves, which is scored once. Each score is written once per seed, since
+    no draw reads the seed."""
     face_id, params, image_size, seeds, intensities = args
     ref, styled, restored = _order_attributes(render_face(params, image_size), intensities)
+    kept = (restored == styled).all(axis=1)  # the restores that leave the stylized vector
+    redrawn = None
     rows = []
-    for intensity, sp_attrs, ps_attrs in zip(intensities, styled, restored):
-        ps = _row("PS", ps_attrs, ref, intensity, seeds[0], face_id)
+    for intensity, sp_attrs, ps_attrs, ps_is_sp in zip(intensities, styled, restored, kept):
         sp = _row("SP", sp_attrs, ref, intensity, seeds[0], face_id)
+        if ps_is_sp:
+            ps = sp
+        elif redrawn is None:
+            ps = redrawn = _row("PS", ps_attrs, ref, intensity, seeds[0], face_id)
+        else:
+            ps = redrawn
         if ps.attr_loss > sp.attr_loss:
             raise CompositionOrderError(
                 "style-then-project lost to the reversed order: "
                 f"face_id={face_id} intensity={intensity} seeds={seeds} "
                 f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
             )
-        rows += [replace(row, seed=seed) for seed in seeds for row in (ps, sp)]
+        for seed in seeds:
+            rows.append(ReportRow(face_id, "PS", intensity, ps.attr_loss, ps.ffc, seed))
+            rows.append(ReportRow(face_id, "SP", intensity, sp.attr_loss, sp.ffc, seed))
     return rows
 
 
@@ -275,11 +287,14 @@ def ablate_order(
 
     Per face, ``identity._order_attributes`` gives the attributes both
     orders leave at every intensity from one batch of landmark rows; no
-    cell builds a stylized or restored image. No draw reads the seed, so
-    each (face, intensity) pair is scored once and its rows are written
-    once per seed. The rows have the bits of calling ``run_style_first``
-    and ``run_identity_first`` per cell. At most ``min(jobs, len(faces))``
-    worker processes run the faces, and none when that is 1.
+    cell builds a stylized or restored image. Each distinct attribute
+    vector is scored once per face: every style-first restore that redraws
+    leaves the same vector, so they share one score, and one that finds the
+    attributes already there shares the reversed order's score. No draw
+    reads the seed, so each score is written once per seed. The rows have
+    the bits of calling ``run_style_first`` and ``run_identity_first`` per
+    cell. At most ``min(jobs, len(faces))`` worker processes run the faces,
+    and none when that is 1.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import craftfaces
-from craftfaces.cli import _CONFIG_FLAGS, MAX_FACES, MAX_JOBS, _atomic_write, _build_parser, main, parse
+from craftfaces.cli import (
+    _CONFIG_FLAGS, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_SWEEP_SEEDS, _atomic_write, _build_parser, main,
+    parse,
+)
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig
 
@@ -21,6 +24,11 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _grid(n):
+    """An ``--intensities`` value of n distinct intensities spread over [0, 1]."""
+    return ",".join(repr(i / (n - 1)) for i in range(n))
 
 
 class TestParse:
@@ -33,6 +41,10 @@ class TestParse:
         assert parse(["ablate-order", "--faces", str(MAX_FACES)]).args.faces == MAX_FACES
         assert parse(["render", "--face-id", str(MAX_FACES - 1)]).args.face_id == MAX_FACES - 1
         assert parse(["ablate-order", "--jobs", str(MAX_JOBS)]).args.jobs == MAX_JOBS
+        # and the largest sweep axes
+        args = parse(["ablate-order", "--sweep-seeds", str(MAX_SWEEP_SEEDS),
+                      "--intensities", _grid(MAX_INTENSITIES)]).args
+        assert (args.sweep_seeds, len(args.intensities)) == (MAX_SWEEP_SEEDS, MAX_INTENSITIES)
 
     def test_diffuse_prompt_defaults_to_the_pipeline_prompt(self):
         assert parse(["diffuse"]).args.prompt == DEFAULT_PROMPT
@@ -119,6 +131,11 @@ class TestParse:
             # past MAX_JOBS, refused while parsing: no worker starts
             pytest.param("ablate-order", "--jobs", str(MAX_JOBS + 1), id=f"--jobs-{MAX_JOBS + 1}"),
             pytest.param("ablate-order", "--sweep-seeds", "0", id="--sweep-seeds-0"),
+            # sweep axes past their bounds, refused while parsing: no sweep runs
+            pytest.param("ablate-order", "--sweep-seeds", str(MAX_SWEEP_SEEDS + 1),
+                         id=f"--sweep-seeds-{MAX_SWEEP_SEEDS + 1}"),
+            pytest.param("ablate-order", "--intensities", _grid(MAX_INTENSITIES + 1),
+                         id=f"--intensities-{MAX_INTENSITIES + 1}-values"),
             pytest.param("ablate-attention", "--arm-seeds", "0", id="--arm-seeds-0"),
             pytest.param("ablate-attention", "--train-steps", "0", id="ablate-attention--train-steps-0"),
             pytest.param("train", "--train-steps", "-5", id="train--train-steps--5"),

@@ -59,6 +59,23 @@ def zero_model(n_tokens=4, token_dim=2, cond_dim=3):
     )
 
 
+def exact_eps_case(x0, eps, t, sched):
+    """The latent x_t that the forward marginal at step t makes of ``x0``
+    with the noise ``eps``, and a noise predictor that returns ``eps`` there,
+    the exact eps of ``x0`` at t."""
+    ab = sched.alpha_bar[t - 1]
+    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+
+    class ExactEps:
+        latent_size, cond_dim = x0.size, 3
+
+        def predict_noise(self, latent, cond):
+            assert np.array_equal(latent, x_t)
+            return eps
+
+    return x_t, ExactEps()
+
+
 class TestSchedule:
     def test_default_step_count(self):
         sched = build_schedule(100)
@@ -173,6 +190,31 @@ class TestReverseStep:
 
         out = reverse_step(x1, 1, np.zeros(3), Oracle(), sched, RngStream(seed=11))
         assert np.max(np.abs(out - x0)) <= 1e-9
+
+    def test_last_step_returns_x0_given_its_exact_eps(self):
+        # abar_1 = alpha_1 and 1 - alpha_1 = beta_1, so the step's coefficients cancel to x0
+        sched = build_schedule(100)
+        x0 = RngStream(seed=16).normal((8,))
+        noise = RngStream(seed=17)
+        for _ in range(20):
+            x_1, model = exact_eps_case(x0, noise.normal((8,)), 1, sched)
+            out = reverse_step(x_1, 1, np.zeros(3), model, sched, RngStream(seed=18))
+            assert np.max(np.abs(out - x0)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [2, 50, 100])
+    def test_step_less_its_noise_is_the_ddpm_posterior_mean(self, t):
+        """Ho et al. (arXiv 2006.11239), eq. 7: given the exact eps of x0, the
+        step's mean is c1 x0 + c2 x_t."""
+        sched = build_schedule(100)
+        x0 = RngStream(seed=19).normal((8,))
+        x_t, model = exact_eps_case(x0, RngStream(seed=20).normal((8,)), t, sched)
+        out = reverse_step(x_t, t, np.zeros(3), model, sched, RngStream(seed=21))
+        z = RngStream(seed=21).normal((8,))  # a second stream with the step's key makes its draw
+        b, a = sched.beta[t - 1], sched.alpha[t - 1]
+        ab, ab_prev = sched.alpha_bar[t - 1], sched.alpha_bar[t - 2]
+        c1 = np.sqrt(ab_prev) * b / (1.0 - ab)
+        c2 = np.sqrt(a) * (1.0 - ab_prev) / (1.0 - ab)
+        assert np.max(np.abs(out - np.sqrt(b) * z - (c1 * x0 + c2 * x_t))) <= 1e-12
 
     def test_zero_model_closed_form_with_noise(self):
         sched = build_schedule(10)

@@ -237,7 +237,7 @@ class TestAblateOrder:
                              (identity, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
                              (pl, "_row")):
             count(module, name)  # both modules' project and extract_attributes feed one count each
-        ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.2, 0.5, 0.9), seeds=(21, 22))
+        ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.0, 0.5, 0.9), seeds=(21, 22))
         faces = 3
         assert calls == {
             "image_hash": faces,  # the jitter units
@@ -247,7 +247,9 @@ class TestAblateOrder:
             "_landmark_rows": faces,  # every intensity's stylized landmark rows in one batch
             "_stylize": 0,  # no cell builds a stylized image
             "graffiti_stylize": 0,
-            "_row": 2 * faces * 3,  # each (face, intensity) pair's PS and SP scores, for both seeds
+            # per face one SP score per intensity and one PS score that every redrawing restore
+            # shares, for both seeds; at 0.0 the restore finds ref already there and reuses SP's
+            "_row": faces * (1 + 3),
         }
 
     @pytest.mark.parametrize("n_faces, jobs, workers", [(1, 4, None), (2, 4, 2), (3, 2, 2), (2, 1, None)])
