@@ -22,8 +22,12 @@ ablate-order ``--image-size``; ffc none. A config file sets every key for
 every command. ``--face-id`` must be below MAX_FACES (10000), ``--faces`` at
 most MAX_FACES, ``--jobs`` at most MAX_JOBS (64), ``--sweep-seeds`` at most
 MAX_SWEEP_SEEDS (30) and ``--intensities`` at most MAX_INTENSITIES (100)
-values. All files are written atomically (temp file + rename), so failures
-never leave partial outputs.
+values. Whether set by a flag or a config file, ``steps`` must be at most
+pipeline.MAX_STEPS (1000), ``cond_dim`` at most pipeline.MAX_COND_DIM
+(1024), and the codec's 2*image_size**2*latent_tokens*token_dim elements at
+most pipeline.MAX_CODEC_ELEMENTS (8388608), for every command. All files are
+written atomically (temp file + rename), so failures never leave partial
+outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
 type, such as ``"10"`` for ``steps``, is a usage error):

@@ -10,6 +10,7 @@ does not depend on worker count or completion order.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -50,6 +51,14 @@ __all__ = [
 DEFAULT_PROMPT = "graffiti portrait guitarist pose"
 SGD_BATCH = 16  # (face, t, eps) triples per toy-denoiser SGD step
 TRAIN_LR = 0.25  # train_toy_denoiser's learning rate, in full and in LoRA mode
+# Bounds on what sizes a runtime, checked before anything is allocated. Each
+# is a margin over the largest documented use: 10x the 100 steps of the
+# defaults; 128x the default cond_dim 8, the only one documented; and 8x the
+# 2*64**2*128 = 1,048,576-element codec of `train --lora --token-dim 8`, so
+# that the runtime kept alive holds at most 128 MiB of codec (enc and dec).
+MAX_STEPS = 1000
+MAX_COND_DIM = 1024
+MAX_CODEC_ELEMENTS = 8 * 2**20
 
 _VALUE_TYPES = {"int": (int,), "float": (int, float)}
 
@@ -76,8 +85,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if not -(2**127) <= self.seed < 2**127:  # the 128-bit range RngStream hashes
             raise ConfigError(f"seed must lie in [-2**127, 2**127 - 1], got {self.seed}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
         if not 0 <= self.composition_window <= self.steps:
             raise ConfigError(
                 f"composition window {self.composition_window} outside 0..steps={self.steps}"
@@ -96,6 +105,15 @@ class PipelineConfig:
             raise ConfigError(f"image_size must be >= 32, got {self.image_size}")
         if self.latent_tokens < 1 or self.token_dim < 1 or self.cond_dim < 1:
             raise ConfigError("latent_tokens, token_dim, cond_dim must be >= 1")
+        if self.cond_dim > MAX_COND_DIM:
+            raise ConfigError(f"cond_dim must be <= {MAX_COND_DIM}, got {self.cond_dim}")
+        codec = 2 * self.image_size**2 * self.latent_tokens * self.token_dim
+        if codec > MAX_CODEC_ELEMENTS:
+            raise ConfigError(
+                f"codec of 2*image_size**2*latent_tokens*token_dim = {codec} elements "
+                f"exceeds {MAX_CODEC_ELEMENTS} (image_size={self.image_size}, "
+                f"latent_tokens={self.latent_tokens}, token_dim={self.token_dim})"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -173,13 +191,26 @@ class _Runtime:
 
 
 def _make_runtime(cfg: PipelineConfig) -> _Runtime:
-    rng = RngStream(seed=cfg.seed)
-    latent_size = cfg.latent_tokens * cfg.token_dim
-    codec = make_codec((2, cfg.image_size, cfg.image_size), latent_size, rng.split("codec"))
-    model = make_denoiser(
-        cfg.latent_tokens, cfg.token_dim, cfg.cond_dim, 6, rng.split("denoiser")
-    )
-    return _Runtime(sched=build_schedule(cfg.steps), codec=codec, model=model)
+    """The schedule, codec and denoiser of ``cfg``: a pure function of its
+    seed, image size, latent tokens, token dim, cond dim and steps. The last
+    runtime built stays alive for the process, so a config that repeats
+    those six fields gets that same object without a rebuild."""
+    return _build_runtime(cfg.seed, cfg.image_size, cfg.latent_tokens, cfg.token_dim, cfg.cond_dim,
+                          cfg.steps)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_runtime(seed: int, image_size: int, latent_tokens: int, token_dim: int, cond_dim: int,
+                   steps: int) -> _Runtime:
+    """Every array of the runtime is read-only: all its callers share it,
+    so an in-place write raises instead of changing what the others see."""
+    rng = RngStream(seed=seed)
+    codec = make_codec((2, image_size, image_size), latent_tokens * token_dim, rng.split("codec"))
+    model = make_denoiser(latent_tokens, token_dim, cond_dim, 6, rng.split("denoiser"))
+    sched = build_schedule(steps)
+    for a in (sched.beta, sched.alpha, sched.alpha_bar, codec.enc, codec.dec, *model.params().values()):
+        a.flags.writeable = False
+    return _Runtime(sched=sched, codec=codec, model=model)
 
 
 def _diffuse(styled: np.ndarray, ref: np.ndarray, prompt: str, cfg: PipelineConfig, runtime: _Runtime,
@@ -442,7 +473,9 @@ def ablate_attention(
     One base model is trained without identity information; the identity
     arm then keeps those weights frozen and trains only the zero-started
     identity blocks U_q/U_k with per-face embeddings, so the arms differ
-    purely by the learned identity extension.
+    purely by the learned identity extension. The seeds must be nonempty
+    and distinct, so that no (face, seed) pair is counted twice, and the
+    step counts ``base_steps`` and ``train_steps`` at least 0.
 
     Both arms are sampled in one batch on the identity model: first the
     baseline's (face, seed) trajectories with a zero identity embedding,
@@ -462,8 +495,11 @@ def ablate_attention(
     if not faces:
         raise ConfigError("ablate_attention needs a nonempty face grid")
     seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ConfigError("ablate_attention needs at least one seed")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"ablate_attention seeds must be nonempty and distinct, got {seeds}")
+    if train_steps < 0 or base_steps < 0:
+        raise ConfigError(f"ablate_attention step counts must be >= 0, got train_steps={train_steps} "
+                          f"base_steps={base_steps}")
     runtime = _make_runtime(cfg)
     # each face is rendered and encoded once; only its latent and attributes stay alive
     refs, latents = [], []

@@ -17,7 +17,7 @@ from craftfaces.cli import (
     parse,
 )
 from craftfaces.lora import load_adapters
-from craftfaces.pipeline import DEFAULT_PROMPT, PipelineConfig
+from craftfaces.pipeline import DEFAULT_PROMPT, MAX_CODEC_ELEMENTS, MAX_COND_DIM, MAX_STEPS, PipelineConfig
 
 
 def run(argv, capsys):
@@ -29,6 +29,18 @@ def run(argv, capsys):
 def _grid(n):
     """An ``--intensities`` value of n distinct intensities spread over [0, 1]."""
     return ",".join(repr(i / (n - 1)) for i in range(n))
+
+
+# config values at each bound on what sizes the runtime, and one step past it;
+# the codec holds 2*image_size**2*latent_tokens*token_dim elements, which one
+# more latent token takes past its bound
+_CODEC_TOKENS = MAX_CODEC_ELEMENTS // (2 * 64**2 * 4)
+_RUNTIME_BOUNDS = {
+    "steps": ({"steps": MAX_STEPS}, {"steps": MAX_STEPS + 1}),
+    "cond_dim": ({"cond_dim": MAX_COND_DIM}, {"cond_dim": MAX_COND_DIM + 1}),
+    "codec": ({"image_size": 64, "latent_tokens": _CODEC_TOKENS, "token_dim": 4},
+              {"image_size": 64, "latent_tokens": _CODEC_TOKENS + 1, "token_dim": 4}),
+}
 
 
 class TestParse:
@@ -245,6 +257,26 @@ class TestParse:
         assert code == 2
         assert err.startswith("error:") and str(2**127) in err
         assert not (tmp_path / "order_report.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("bound", sorted(_RUNTIME_BOUNDS))
+    def test_runtime_size_bounds(self, bound, source, tmp_path, capsys):
+        """A config at each bound on what sizes the runtime parses (and
+        nothing is built); one step past it exits 2 before anything is
+        allocated or written, whether a flag or a config file sets it."""
+        at, past = _RUNTIME_BOUNDS[bound]
+
+        def argv(values):
+            if source == "flag":
+                return ["diffuse", *(a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v)))]
+            (tmp_path / "cfg.json").write_text(json.dumps(values))
+            return ["diffuse", "--config", str(tmp_path / "cfg.json")]
+
+        assert {k: getattr(parse(argv(at)).config, k) for k in at} == at
+        code, _, err = run(argv(past) + ["--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error:") and bound in err
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_seed_env_rejected(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("CRAFT_SEED", "abc")

@@ -25,7 +25,8 @@ from craftfaces.diffusion import (
     sample,
 )
 from craftfaces.errors import ConfigError, EvaluationError, ShapeError, StepError
-from craftfaces.numerics import RngStream, finite_diff_grad
+from craftfaces.facegen import face_grid, render_face
+from craftfaces.numerics import RngStream, finite_diff_grad, softmax_rows
 
 
 def linear_schedule(T, beta_start, beta_end):
@@ -74,6 +75,29 @@ def exact_eps_case(x0, eps, t, sched):
             return eps
 
     return x_t, ExactEps()
+
+
+class IdealDenoiser:
+    """The noise predictor with the least error over a finite set of clean
+    latents L (Karras et al., EDM, arXiv 2206.00364): its x0 estimate is
+    softmax_k(-|x_t - sqrt(abar_t) L_k|^2 / 2(1 - abar_t)) . L, one softmax
+    row over the latents, and its eps is (x_t - sqrt(abar_t) x0) / sqrt(1 - abar_t).
+    ``predict_noise`` is given no step, so this one counts down from T, one
+    step per call, as ``sample`` calls it at guidance scale 1."""
+
+    identity = None
+
+    def __init__(self, latents, sched):
+        self.latents, self.sched, self.t = latents, sched, sched.T
+        self.latent_size = latents.shape[1]
+
+    def predict_noise(self, latent, cond):
+        ab = self.sched.alpha_bar[self.t - 1]
+        self.t -= 1
+        rows = np.atleast_2d(latent)
+        d = rows[:, None, :] - np.sqrt(ab) * self.latents
+        x0 = softmax_rows(-(d * d).sum(axis=-1) / (2.0 * (1.0 - ab))) @ self.latents
+        return ((rows - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)).reshape(latent.shape)
 
 
 class TestSchedule:
@@ -276,6 +300,22 @@ class TestSample:
         )
         assert out.shape == (8,)
         assert np.all(np.isfinite(out))
+
+    def test_ideal_denoiser_lands_on_a_training_latent(self):
+        """The reverse process end to end: sampled with the ideal denoiser
+        of K face latents and guided by them, every trajectory ends on one
+        of the K latents, to rounding. Which one depends on the codec (with
+        this one, its own guide's latent about half the time), so that is
+        not asserted. The shape, codec and faces are criterion 8's."""
+        sched = build_schedule(100)
+        codec = make_codec((2, 32, 32), 128, RngStream(seed=3).split("codec"))
+        latents = np.stack([encode(render_face(p, 32), codec) for p in face_grid(8, seed=11)])
+        model = IdealDenoiser(latents, sched)
+        z = sample(model, np.zeros(3), sched, rng=_streams(24, 3 * len(latents)), window=25,
+                   guide=np.repeat(latents, 3, axis=0), subject_guidance=0.95)
+        assert model.t == 0  # one prediction per step
+        nearest = np.abs(z[:, None, :] - latents).max(axis=-1).min(axis=1)
+        assert nearest.max() <= 1e-12
 
     @pytest.mark.parametrize("streams", [1, 3])
     def test_non_finite_result_raises(self, streams):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from craftfaces.pipeline import (
     _make_runtime,
     _training_batch,
 )
+from test_diffusion import CODEC_SHA256
 
 
 def _latents(faces, cfg, runtime):
@@ -35,6 +37,21 @@ def _idents(faces):
 
 def _weight_bytes(model):
     return {name: w.tobytes() for name, w in model.params().items()}
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each function ``names`` of ``module`` to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
 
 
 class TestPipelineConfig:
@@ -278,6 +295,65 @@ class TestAblateOrder:
         assert report.rows == ablate_order(faces, cfg, sweeps=(0.5,), seeds=(5,)).rows
 
 
+class TestRuntime:
+    """``_make_runtime`` keeps the last runtime it built for the process.
+    Every test that counts builds clears that cache first, so that it holds
+    in any test order."""
+
+    SMALL = PipelineConfig(seed=40, image_size=32, latent_tokens=4, token_dim=2, cond_dim=3, steps=10,
+                           composition_window=2)
+    KEY = ("seed", "image_size", "latent_tokens", "token_dim", "cond_dim", "steps")
+    # a valid value other than SMALL's for every config field
+    OTHER = {"guidance_scale": 2.0, "subject_guidance": 0.5, "style_intensity": 0.1, "steps": 11,
+             "composition_window": 1, "lora_rank": 2, "lora_alpha": 3.0, "seed": 41, "image_size": 33,
+             "latent_tokens": 5, "token_dim": 3, "cond_dim": 4}
+
+    def test_other_value_for_every_field(self):
+        assert set(self.OTHER) == {f.name for f in fields(PipelineConfig)}
+        assert all(self.OTHER[name] != getattr(self.SMALL, name) for name in self.OTHER)
+
+    @pytest.mark.parametrize("name", sorted(OTHER))
+    def test_same_runtime_unless_a_key_field_differs(self, name):
+        """A config that differs only outside the six fields the runtime
+        reads gets the same object; one that differs in any of them gets a
+        fresh runtime."""
+        pl._build_runtime.cache_clear()
+        runtime = _make_runtime(self.SMALL)
+        assert _make_runtime(self.SMALL) is runtime
+        other = _make_runtime(replace(self.SMALL, **{name: self.OTHER[name]}))
+        assert (other is runtime) == (name not in self.KEY)
+
+    def test_every_array_is_read_only(self):
+        runtime = _make_runtime(self.SMALL)
+        s, c = runtime.sched, runtime.codec
+        arrays = [s.beta, s.alpha, s.alpha_bar, c.enc, c.dec, *runtime.model.params().values()]
+        assert len(arrays) == 14
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_no_codec_built_after_the_runtime(self, monkeypatch):
+        """``ablate_attention`` and ``train_toy_denoiser``, in both modes,
+        reuse the runtime built before them."""
+        cfg = replace(self.SMALL, latent_tokens=16, token_dim=8)
+        pl._build_runtime.cache_clear()
+        calls = _count_calls(monkeypatch, pl, "make_codec")
+        _make_runtime(cfg)
+        assert calls == {"make_codec": 1}
+        faces = face_grid(2, seed=40)
+        ablate_attention(faces, cfg, seeds=(0,), train_steps=1, base_steps=1)
+        for lora in (False, True):
+            train_toy_denoiser(faces, cfg, RngStream(seed=40), steps=1, lora=lora)
+        assert calls == {"make_codec": 1}
+
+    @pytest.mark.parametrize("shape, z", sorted(CODEC_SHA256))
+    def test_cached_codec_keeps_the_pinned_bytes(self, shape, z):
+        cfg = PipelineConfig(seed=7, image_size=shape[1], latent_tokens=16, token_dim=z // 16)
+        _make_runtime(cfg)
+        codec = _make_runtime(cfg).codec  # the runtime the first call left in the cache
+        assert hashlib.sha256(codec.enc.tobytes() + codec.dec.tobytes()).hexdigest() == CODEC_SHA256[shape, z]
+
+
 class TestTrainToyDenoiser:
     def test_zero_steps_returns_initial_model(self):
         cfg = PipelineConfig(seed=10)
@@ -395,18 +471,7 @@ class TestAblateAttention:
     def test_each_face_rendered_and_encoded_once(self, monkeypatch):
         """Training's two phases and the scoring share each face's one
         render and one encode."""
-        counts = {"render_face": 0, "encode": 0}
-
-        def counted(name):
-            real = getattr(pl, name)
-
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-            return call
-
-        for name in counts:
-            monkeypatch.setattr(pl, name, counted(name))
+        counts = _count_calls(monkeypatch, pl, "render_face", "encode")
         cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8, steps=10, composition_window=5)
         ablate_attention(face_grid(3, seed=17), cfg, seeds=(0, 1), train_steps=2, base_steps=2)
         assert counts == {"render_face": 3, "encode": 3}
@@ -415,6 +480,24 @@ class TestAblateAttention:
         cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
         with pytest.raises(ConfigError):
             ablate_attention(face_grid(1, seed=17), cfg, seeds=(), train_steps=1, base_steps=1)
+
+    def test_duplicate_seeds_rejected_before_any_work(self, monkeypatch):
+        """A repeated seed would make every (face, seed) pair of it count
+        twice in ``paired_se`` and ``id_wins``."""
+        calls = _count_calls(monkeypatch, pl, "render_face", "_make_runtime")
+        cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
+        with pytest.raises(ConfigError, match="distinct"):
+            ablate_attention(face_grid(2, seed=17), cfg, seeds=(0, 0), train_steps=1, base_steps=1)
+        assert calls == {"render_face": 0, "_make_runtime": 0}
+
+    @pytest.mark.parametrize("steps", [dict(train_steps=-3, base_steps=1), dict(train_steps=1, base_steps=-1)],
+                             ids=["train_steps", "base_steps"])
+    def test_negative_step_counts_rejected_before_any_work(self, monkeypatch, steps):
+        calls = _count_calls(monkeypatch, pl, "render_face", "_make_runtime")
+        cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
+        with pytest.raises(ConfigError, match=">= 0"):
+            ablate_attention(face_grid(1, seed=17), cfg, seeds=(0,), **steps)
+        assert calls == {"render_face": 0, "_make_runtime": 0}
 
     def test_report_has_both_arms_and_extras(self):
         cfg = PipelineConfig(seed=15, image_size=32, latent_tokens=16, token_dim=8, style_intensity=0.4)
