@@ -10,9 +10,12 @@ Commands
     ffc              cosine similarity of two embedding CSV files
     attn-map         export a post-softmax attention matrix as CSV
 
-Common flags: ``--seed`` (fallback: env CRAFT_SEED, then 0), ``--out-dir``,
-``--config`` (JSON file with PipelineConfig keys; explicit flags override
-file values). A command has flags only for the config keys it reads:
+Common flags: ``--seed``, ``--out-dir`` and ``--config`` (a JSON file with
+PipelineConfig keys). The config is resolved once: file values, then flag
+values over them, then the seed (``--seed``, else the file's, else env
+CRAFT_SEED, else 0). Every file value is type-checked, but only the resolved
+config is range-checked, so a file value that a flag overrides need not be
+valid on its own. A command has flags only for the config keys it reads:
 render ``--image-size``; stylize ``--image-size --style-intensity``; attn-map
 ``--image-size --latent-tokens --token-dim``; ablate-attention those,
 ``--cond-dim`` and ``--steps --window --guidance-scale --subject-guidance``;
@@ -21,11 +24,14 @@ and ``--cond-dim``) and ``--steps --window --lora-rank --lora-alpha``;
 ablate-order ``--image-size``; ffc none. A config file sets every key for
 every command. ``--face-id`` must be below MAX_FACES (10000), ``--faces`` at
 most MAX_FACES, ``--jobs`` at most MAX_JOBS (64), ``--sweep-seeds`` at most
-MAX_SWEEP_SEEDS (30) and ``--intensities`` at most MAX_INTENSITIES (100)
-values. Whether set by a flag or a config file, ``steps`` must be at most
-pipeline.MAX_STEPS (1000), ``cond_dim`` at most pipeline.MAX_COND_DIM
-(1024), and the codec's 2*image_size**2*latent_tokens*token_dim elements at
-most pipeline.MAX_CODEC_ELEMENTS (8388608), for every command. All files are
+MAX_SWEEP_SEEDS (30), ``--arm-seeds`` at most MAX_ARM_SEEDS (250),
+``--train-steps`` at most MAX_TRAIN_STEPS (20000) and ``--intensities`` at
+most MAX_INTENSITIES (100) values. Whether set by a flag or a config file,
+``steps`` must be at most pipeline.MAX_STEPS (1000), ``cond_dim`` at most
+pipeline.MAX_COND_DIM (1024), ``token_dim`` at most pipeline.MAX_TOKEN_DIM
+(1024), ``lora_rank`` at most pipeline.MAX_LORA_RANK (640), and the codec's
+2*image_size**2*latent_tokens*token_dim elements at most
+pipeline.MAX_CODEC_ELEMENTS (8388608), for every command. All files are
 written atomically (temp file + rename), so failures never leave partial
 outputs.
 
@@ -52,7 +58,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,6 +99,10 @@ MAX_JOBS = 64
 # refined to 0.01); both are checked while parsing, before either axis is built
 MAX_SWEEP_SEEDS = 30
 MAX_INTENSITIES = 100
+# 10x criterion 8's 25 sampling seeds per face, and 10x the 2000 training
+# steps of the ablate-attention default, which bounds train's as well
+MAX_ARM_SEEDS = 250
+MAX_TRAIN_STEPS = 20_000
 
 # the type of each PipelineConfig field a flag can set, all but seed (its own
 # flag, with an env fallback); each command takes flags for the fields its
@@ -115,30 +125,16 @@ class Command:
     config: PipelineConfig
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int):
+    """The type of an integer flag in [low, high]."""
 
-
-def _count_at_most(limit: int):
-    """The type of a count flag in [1, limit]."""
-
-    def count(text: str) -> int:
-        value = _positive_int(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
+    def integer(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
         return value
 
-    return count
-
-
-def _face_id(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < MAX_FACES:
-        raise argparse.ArgumentTypeError(f"must lie in [0, {MAX_FACES - 1}], got {value}")
-    return value
+    return integer
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -164,48 +160,48 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("render", help="render a synthetic face"), "image_size")
-    p.add_argument("--face-id", type=_face_id, default=0)
+    p.add_argument("--face-id", type=_int_in(0, MAX_FACES - 1), default=0)
 
     p = common(sub.add_parser("stylize", help="stylize a rendered face"), "image_size", "style_intensity")
-    p.add_argument("--face-id", type=_face_id, default=0)
+    p.add_argument("--face-id", type=_int_in(0, MAX_FACES - 1), default=0)
 
     p = common(sub.add_parser("diffuse", help="run the guided sampling loop"), *_MODEL, *_SAMPLING,
                "style_intensity")
-    p.add_argument("--face-id", type=_face_id, default=0)
+    p.add_argument("--face-id", type=_int_in(0, MAX_FACES - 1), default=0)
     p.add_argument("--prompt", default=DEFAULT_PROMPT)
 
     p = common(sub.add_parser("train", help="train the toy denoiser"), *_MODEL, "steps",
                "composition_window", "lora_rank", "lora_alpha")
-    p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=4)
-    p.add_argument("--train-steps", type=_positive_int, default=200)
+    p.add_argument("--faces", type=_int_in(1, MAX_FACES), default=4)
+    p.add_argument("--train-steps", type=_int_in(1, MAX_TRAIN_STEPS), default=200)
     p.add_argument("--lora", action="store_true", help="train LoRA adapters over a frozen base")
 
     p = common(sub.add_parser("ablate-order", help="sweep both composition orders"), "image_size")
-    p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=100)
+    p.add_argument("--faces", type=_int_in(1, MAX_FACES), default=100)
     p.add_argument("--intensities", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--sweep-seeds", type=_count_at_most(MAX_SWEEP_SEEDS), default=1, help="seeds per cell")
-    p.add_argument("--jobs", type=_count_at_most(MAX_JOBS), default=1)
+    p.add_argument("--sweep-seeds", type=_int_in(1, MAX_SWEEP_SEEDS), default=1, help="seeds per cell")
+    p.add_argument("--jobs", type=_int_in(1, MAX_JOBS), default=1)
 
     p = common(sub.add_parser("ablate-attention", help="identity vs baseline attention arms"), *_MODEL,
                *_SAMPLING)
-    p.add_argument("--faces", type=_count_at_most(MAX_FACES), default=8)
-    p.add_argument("--arm-seeds", type=_positive_int, default=25, help="sampling seeds per face")
-    p.add_argument("--train-steps", type=_positive_int, default=2000)
+    p.add_argument("--faces", type=_int_in(1, MAX_FACES), default=8)
+    p.add_argument("--arm-seeds", type=_int_in(1, MAX_ARM_SEEDS), default=25, help="sampling seeds per face")
+    p.add_argument("--train-steps", type=_int_in(1, MAX_TRAIN_STEPS), default=2000)
 
     p = common(sub.add_parser("ffc", help="cosine similarity of two embedding CSVs"))
     p.add_argument("emb1")
     p.add_argument("emb2")
 
     p = common(sub.add_parser("attn-map", help="export an attention matrix CSV"), *_SHAPE)
-    p.add_argument("--face-id", type=_face_id, default=0)
+    p.add_argument("--face-id", type=_int_in(0, MAX_FACES - 1), default=0)
     p.add_argument("--with-identity", action="store_true")
 
     return parser
 
 
 def parse(argv) -> Command:
-    """Resolve argv into a validated Command; flag values override config
-    file values, which override defaults."""
+    """Resolve argv into a validated Command: flag values override config
+    file values, which override defaults (module docstring)."""
     args = _build_parser().parse_args(argv)
     file_values = {}
     if args.config:
@@ -216,7 +212,6 @@ def parse(argv) -> Command:
             raise CraftError(f"unreadable config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CraftError(f"config file {args.config} must hold a JSON object")
-    cfg = PipelineConfig.from_dict(dict(file_values))
     overrides = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k, None) is not None}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -226,9 +221,7 @@ def parse(argv) -> Command:
             overrides["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"CRAFT_SEED must be an integer, got {env_seed!r}") from None
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return Command(name=args.command, args=args, config=cfg)
+    return Command(name=args.command, args=args, config=PipelineConfig.from_dict(file_values, **overrides))
 
 
 def _atomic_write(path, write_fn) -> None:
@@ -245,23 +238,13 @@ def _atomic_write(path, write_fn) -> None:
         raise
 
 
-def _write_attrs_csv(path, names, values) -> None:
+def _write_csv(path, rows) -> None:
+    """Write ``rows`` of cells as CSV; a Python float cell is written as its
+    repr, which reads back to the same float."""
+
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["attribute", "value"])
-            for n, v in zip(names, values):
-                w.writerow([n, repr(float(v))])
-
-    _atomic_write(path, write)
-
-
-def _write_matrix_csv(path, matrix) -> None:
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in np.atleast_2d(matrix):
-                w.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerows(rows)
 
     _atomic_write(path, write)
 
@@ -292,7 +275,7 @@ def _render(cmd: Command) -> None:
     ppm = os.path.join(cmd.args.out_dir, f"face_{face_id}.ppm")
     _atomic_write(ppm, lambda tmp: write_ppm(tmp, img))
     attrs = os.path.join(cmd.args.out_dir, f"face_{face_id}_attrs.csv")
-    _write_attrs_csv(attrs, ATTRIBUTE_NAMES, extract_attributes(img))
+    _write_csv(attrs, [("attribute", "value"), *zip(ATTRIBUTE_NAMES, extract_attributes(img).tolist())])
     print(f"render: face {face_id} -> {ppm}")
 
 
@@ -366,7 +349,7 @@ def _attn_map(cmd: Command) -> None:
     tokens = encode(img, runtime.codec).reshape(cfg.latent_tokens, cfg.token_dim)
     ident = attribute_embedding(extract_attributes(img)) if cmd.args.with_identity else None
     path = os.path.join(cmd.args.out_dir, f"attn_map_{cmd.args.face_id}.csv")
-    _write_matrix_csv(path, attention_map(tokens, ident, runtime.model.attention))
+    _write_csv(path, attention_map(tokens, ident, runtime.model.attention).tolist())
     print(f"attn-map: identity={cmd.args.with_identity} -> {path}")
 
 
@@ -393,14 +376,9 @@ def execute(cmd: Command) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cmd = parse(argv)
+        return execute(parse(argv))
     except SystemExit as exc:  # argparse exits on usage errors
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    except CraftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return execute(cmd)
     except CompositionOrderError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return ASSERTION_EXIT

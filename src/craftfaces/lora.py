@@ -60,7 +60,10 @@ class LoRAAdapter:
 
 
 def init_adapter(d: int, k: int, rank: int, alpha: float, rng: RngStream) -> LoRAAdapter:
-    """A ~ 0.2 N(0, 1), B = 0, so the initial update vanishes."""
+    """A ~ 0.2 N(0, 1), B = 0, so the initial update vanishes. The rank is
+    checked before A is drawn."""
+    if rank > min(d, k):
+        raise ConfigError(f"rank {rank} exceeds min{d, k}")
     return LoRAAdapter(
         a=0.2 * rng.normal((d, rank)),
         b=np.zeros((rank, k)),

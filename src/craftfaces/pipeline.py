@@ -53,11 +53,15 @@ SGD_BATCH = 16  # (face, t, eps) triples per toy-denoiser SGD step
 TRAIN_LR = 0.25  # train_toy_denoiser's learning rate, in full and in LoRA mode
 # Bounds on what sizes a runtime, checked before anything is allocated. Each
 # is a margin over the largest documented use: 10x the 100 steps of the
-# defaults; 128x the default cond_dim 8, the only one documented; and 8x the
+# defaults; 128x the default cond_dim 8, the only one documented; 128x the
+# largest documented token_dim 8, so that each token_dim**2 attention weight
+# holds at most 8 MiB; 10x the full-scale LoRA rank 64; and 8x the
 # 2*64**2*128 = 1,048,576-element codec of `train --lora --token-dim 8`, so
 # that the runtime kept alive holds at most 128 MiB of codec (enc and dec).
 MAX_STEPS = 1000
 MAX_COND_DIM = 1024
+MAX_TOKEN_DIM = 1024
+MAX_LORA_RANK = 640
 MAX_CODEC_ELEMENTS = 8 * 2**20
 
 _VALUE_TYPES = {"int": (int,), "float": (int, float)}
@@ -97,8 +101,8 @@ class PipelineConfig:
             raise ConfigError(f"subject_guidance {self.subject_guidance} outside [0, 1]")
         if not 0.0 <= self.style_intensity <= 1.0:
             raise ConfigError(f"style_intensity {self.style_intensity} outside [0, 1]")
-        if self.lora_rank < 1:
-            raise ConfigError(f"lora_rank must be >= 1, got {self.lora_rank}")
+        if not 1 <= self.lora_rank <= MAX_LORA_RANK:
+            raise ConfigError(f"lora_rank must lie in [1, {MAX_LORA_RANK}], got {self.lora_rank}")
         if self.lora_alpha <= 0:
             raise ConfigError(f"lora_alpha must be > 0, got {self.lora_alpha}")
         if self.image_size < 32:
@@ -107,6 +111,8 @@ class PipelineConfig:
             raise ConfigError("latent_tokens, token_dim, cond_dim must be >= 1")
         if self.cond_dim > MAX_COND_DIM:
             raise ConfigError(f"cond_dim must be <= {MAX_COND_DIM}, got {self.cond_dim}")
+        if self.token_dim > MAX_TOKEN_DIM:
+            raise ConfigError(f"token_dim must be <= {MAX_TOKEN_DIM}, got {self.token_dim}")
         codec = 2 * self.image_size**2 * self.latent_tokens * self.token_dim
         if codec > MAX_CODEC_ELEMENTS:
             raise ConfigError(
@@ -119,9 +125,11 @@ class PipelineConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Build from JSON-style values: an int field takes an int, a float
-        field an int or a float."""
+    def from_dict(cls, d: dict, **overrides) -> "PipelineConfig":
+        """Build from JSON-style values ``d`` with ``overrides`` set over
+        them. Every value of ``d`` is type-checked, overridden or not: an int
+        field takes an int, a float field an int or a float. Only the merged
+        config is range-checked."""
         fields = cls.__dataclass_fields__
         unknown = set(d) - set(fields)
         if unknown:
@@ -130,7 +138,7 @@ class PipelineConfig:
             kind = fields[key].type  # a string, under postponed annotations
             if type(value) not in _VALUE_TYPES[kind]:
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-        return cls(**d)
+        return cls(**{**d, **overrides})
 
 
 @dataclass(frozen=True)
@@ -430,10 +438,13 @@ def train_toy_denoiser(
 
     Full mode runs SGD on all weights with analytic gradients; LoRA mode
     freezes the base model and trains rank-limited adapters on the
-    attention matrices instead. Returns (model, adapters or None).
+    attention matrices instead. ``steps`` must be at least 0. Returns
+    (model, adapters or None).
     """
     if not faces:
         raise ConfigError("train_toy_denoiser needs a nonempty face grid")
+    if steps < 0:
+        raise ConfigError(f"train_toy_denoiser steps must be >= 0, got {steps}")
     runtime = _make_runtime(cfg)
     model = runtime.model
     latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])

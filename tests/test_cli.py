@@ -13,11 +13,13 @@ import pytest
 
 import craftfaces
 from craftfaces.cli import (
-    _CONFIG_FLAGS, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_SWEEP_SEEDS, _atomic_write, _build_parser, main,
-    parse,
+    _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_SWEEP_SEEDS, MAX_TRAIN_STEPS,
+    _atomic_write, _build_parser, main, parse,
 )
 from craftfaces.lora import load_adapters
-from craftfaces.pipeline import DEFAULT_PROMPT, MAX_CODEC_ELEMENTS, MAX_COND_DIM, MAX_STEPS, PipelineConfig
+from craftfaces.pipeline import (
+    DEFAULT_PROMPT, MAX_CODEC_ELEMENTS, MAX_COND_DIM, MAX_LORA_RANK, MAX_STEPS, MAX_TOKEN_DIM, PipelineConfig,
+)
 
 
 def run(argv, capsys):
@@ -38,9 +40,29 @@ _CODEC_TOKENS = MAX_CODEC_ELEMENTS // (2 * 64**2 * 4)
 _RUNTIME_BOUNDS = {
     "steps": ({"steps": MAX_STEPS}, {"steps": MAX_STEPS + 1}),
     "cond_dim": ({"cond_dim": MAX_COND_DIM}, {"cond_dim": MAX_COND_DIM + 1}),
+    "lora_rank": ({"lora_rank": MAX_LORA_RANK}, {"lora_rank": MAX_LORA_RANK + 1}),
+    # the smallest codec, so that only the token_dim bound is reached
+    "token_dim": ({"image_size": 32, "latent_tokens": 1, "token_dim": MAX_TOKEN_DIM},
+                  {"image_size": 32, "latent_tokens": 1, "token_dim": MAX_TOKEN_DIM + 1}),
     "codec": ({"image_size": 64, "latent_tokens": _CODEC_TOKENS, "token_dim": 4},
               {"image_size": 64, "latent_tokens": _CODEC_TOKENS + 1, "token_dim": 4}),
 }
+
+
+def _integer_options():
+    """(argv, flag) for each option of each command whose type parses
+    integers; argv is the command and a file name for each positional."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [
+        ([name, *(f"{a.dest}.csv" for a in p._actions if not a.option_strings)], a.option_strings[0])
+        for name, p in sub.choices.items()
+        for a in p._actions
+        if a.option_strings and a.type is not None and type(a.type("1")) is int
+    ]
+    # the type test above must at least find these, or the test would cover too little
+    assert {("train", "--lora-rank"), ("train", "--train-steps"), ("ablate-attention", "--arm-seeds"),
+            ("ablate-attention", "--train-steps")} <= {(argv[0], flag) for argv, flag in options}
+    return options
 
 
 class TestParse:
@@ -57,6 +79,11 @@ class TestParse:
         args = parse(["ablate-order", "--sweep-seeds", str(MAX_SWEEP_SEEDS),
                       "--intensities", _grid(MAX_INTENSITIES)]).args
         assert (args.sweep_seeds, len(args.intensities)) == (MAX_SWEEP_SEEDS, MAX_INTENSITIES)
+        # and the largest sampling seeds and training steps
+        args = parse(["ablate-attention", "--arm-seeds", str(MAX_ARM_SEEDS),
+                      "--train-steps", str(MAX_TRAIN_STEPS)]).args
+        assert (args.arm_seeds, args.train_steps) == (MAX_ARM_SEEDS, MAX_TRAIN_STEPS)
+        assert parse(["train", "--train-steps", str(MAX_TRAIN_STEPS)]).args.train_steps == MAX_TRAIN_STEPS
 
     def test_diffuse_prompt_defaults_to_the_pipeline_prompt(self):
         assert parse(["diffuse"]).args.prompt == DEFAULT_PROMPT
@@ -113,6 +140,28 @@ class TestParse:
         assert cmd.config.style_intensity == 0.3  # file value kept
         assert cmd.config.seed == 5
 
+    def test_config_file_checked_with_its_flags(self, tmp_path, capsys):
+        """Only the resolved config is range-checked: a file that is valid
+        only together with its flags runs, and an out-of-range file value
+        that a flag overrides is no error."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"steps": 10}))  # the default window 25 exceeds it
+        argv = ["diffuse", "--config", str(cfg_file), "--window", "3", "--image-size", "32"]
+        code, out, _ = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        header = json.loads(out.splitlines()[0][len("# config "):])
+        assert (header["steps"], header["composition_window"]) == (10, 3)
+        cfg_file.write_text(json.dumps({"steps": 5000}))
+        cmd = parse(["diffuse", "--config", str(cfg_file), "--steps", "10", "--window", "3"])
+        assert cmd.config.steps == 10
+
+    def test_overridden_config_value_still_type_checked(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"steps": "10"}))
+        code, _, err = run(["diffuse", "--config", str(cfg_file), "--steps", "10"], capsys)
+        assert code == 2
+        assert err.startswith("error: config key 'steps' must be ")
+
     def test_unreadable_config(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         # the second is not UTF-8; the third nests too deep for json.load to recurse through
@@ -149,8 +198,16 @@ class TestParse:
             pytest.param("ablate-order", "--intensities", _grid(MAX_INTENSITIES + 1),
                          id=f"--intensities-{MAX_INTENSITIES + 1}-values"),
             pytest.param("ablate-attention", "--arm-seeds", "0", id="--arm-seeds-0"),
+            pytest.param("ablate-attention", "--arm-seeds", str(MAX_ARM_SEEDS + 1),
+                         id=f"--arm-seeds-{MAX_ARM_SEEDS + 1}"),
             pytest.param("ablate-attention", "--train-steps", "0", id="ablate-attention--train-steps-0"),
             pytest.param("train", "--train-steps", "-5", id="train--train-steps--5"),
+        ]
+        # training past MAX_TRAIN_STEPS, refused while parsing: no training starts
+        + [pytest.param(c, "--train-steps", str(MAX_TRAIN_STEPS + 1),
+                        id=f"{c}--train-steps-{MAX_TRAIN_STEPS + 1}")
+           for c in ("train", "ablate-attention")]
+        + [
             pytest.param("train", "--faces", "0", id="train--faces-0"),
             pytest.param("ablate-order", "--faces", "-2", id="ablate-order--faces--2"),
             pytest.param("ablate-attention", "--faces", "0", id="ablate-attention--faces-0"),
@@ -266,11 +323,13 @@ class TestParse:
         allocated or written, whether a flag or a config file sets it."""
         at, past = _RUNTIME_BOUNDS[bound]
 
+        command = "train" if bound == "lora_rank" else "diffuse"  # diffuse has no --lora-rank
+
         def argv(values):
             if source == "flag":
-                return ["diffuse", *(a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v)))]
+                return [command, *(a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v)))]
             (tmp_path / "cfg.json").write_text(json.dumps(values))
-            return ["diffuse", "--config", str(tmp_path / "cfg.json")]
+            return [command, "--config", str(tmp_path / "cfg.json")]
 
         assert {k: getattr(parse(argv(at)).config, k) for k in at} == at
         code, _, err = run(argv(past) + ["--out-dir", str(tmp_path / "out")], capsys)
@@ -284,6 +343,17 @@ class TestParse:
         assert code == 2
         assert err.startswith("error:") and "CRAFT_SEED" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [pytest.param(a, f, id=a[0] + f) for a, f in _integer_options()])
+    def test_no_integer_option_is_unbounded(self, argv, flag, tmp_path, capsys):
+        """2**200 is refused, before anything is written, by every option
+        whose type parses integers, as the parser lists them."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _, err = run([*argv, flag, str(2**200), "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith(("error:", "usage:"))
+        assert not list(out_dir.iterdir())
 
 
 def _config_flags(command):

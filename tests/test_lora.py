@@ -76,6 +76,13 @@ class TestMerge:
         with pytest.raises(ShapeError):
             merge(np.ones((4, 3)), ad)
 
+    def test_rank_past_the_matrix_rejected_before_the_draw(self):
+        """A huge rank would otherwise ask for a (d, rank) draw first."""
+        rng = RngStream(seed=4)
+        with pytest.raises(ConfigError, match=r"rank 100 exceeds min\(4, 4\)"):
+            init_adapter(4, 4, rank=100, alpha=8.0, rng=rng)
+        assert rng.counter == 0
+
     def test_invariants(self):
         with pytest.raises(ConfigError):
             LoRAAdapter(a=np.ones((2, 3)), b=np.ones((3, 2)), alpha=1.0, rank=3)

@@ -411,6 +411,14 @@ class TestTrainToyDenoiser:
         with pytest.raises(ConfigError):
             train_toy_denoiser([], PipelineConfig(), RngStream(seed=0))
 
+    @pytest.mark.parametrize("lora", [False, True], ids=["full", "lora"])
+    def test_negative_steps_rejected_before_any_work(self, monkeypatch, lora):
+        calls = _count_calls(monkeypatch, pl, "render_face", "_make_runtime")
+        cfg = PipelineConfig(seed=1, image_size=32)
+        with pytest.raises(ConfigError, match=">= 0, got -3"):
+            train_toy_denoiser(face_grid(1, seed=1), cfg, RngStream(seed=1), steps=-3, lora=lora)
+        assert calls == {"render_face": 0, "_make_runtime": 0}
+
 
 class TestAblateAttention:
     def test_batched_arms_equal_one_sample_per_trajectory(self, monkeypatch):
