@@ -56,6 +56,13 @@ class AttentionWeights:
         return self.w_q.shape[1]
 
 
+class _IdentityTerms(NamedTuple):
+    """What an identity embedding adds to every query and key of an item."""
+
+    q: np.ndarray
+    k: np.ndarray
+
+
 @dataclass(frozen=True)
 class ExtendedAttentionWeights:
     """Base weights plus identity-block columns U_q, U_k (d_id x d)."""
@@ -79,6 +86,24 @@ class ExtendedAttentionWeights:
     @property
     def id_dim(self) -> int:
         return self.u_q.shape[0]
+
+    def identity_terms(self, identity: np.ndarray, items: tuple[int, ...] = ()) -> _IdentityTerms:
+        """``identity @ U_q`` and ``identity @ U_k``, the terms that every
+        query and key of an item gains: ``(1, d)`` rows for an embedding
+        ``(id,)`` shared by every item, or ``items + (1, d)`` for one
+        embedding per item, ``items + (id,)``. With no ``items`` (one token
+        matrix), any shape of ``id`` entries is the shared embedding. One
+        ``(1, id)`` row per item: ``(B, id) @ U`` would round differently."""
+        identity = tensor(identity)
+        if not items:
+            identity = identity.reshape(-1)
+        if identity.shape not in ((self.id_dim,), items + (self.id_dim,)):
+            raise ShapeError(
+                f"identity embedding {identity.shape} vs identity block {self.u_q.shape} "
+                f"and {items} items"
+            )
+        rows = identity[..., None, :]
+        return _IdentityTerms(rows @ self.u_q, rows @ self.u_k)
 
 
 def _check_tokens(tokens: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
@@ -113,13 +138,14 @@ class _Forward(NamedTuple):
 
 def _forward(
     tokens: np.ndarray,
-    identity: np.ndarray | None,
+    identity: np.ndarray | _IdentityTerms | None,
     w: AttentionWeights | ExtendedAttentionWeights,
 ) -> _Forward:
     """Self-attention on tokens ``(n, d)``, or on a batch ``(B, n, d)``
     item by item; with an identity embedding (``(id,)``, shared by a
     batch, or ``(B, id)``), Q and K gain ``identity @ U_q`` and
-    ``identity @ U_k``.
+    ``identity @ U_k``, which a caller that reuses them may pass instead,
+    as the embedding's ``w.identity_terms``.
     With ``identity=None`` only the base weights are used. A batch gives
     each item the same bits as its own 2-D call: every product is the
     per-item matrix (or row-times-matrix) product, stacked."""
@@ -130,20 +156,12 @@ def _forward(
     if identity is not None:
         if not isinstance(w, ExtendedAttentionWeights):
             raise ShapeError("attention: identity embedding requires extended weights")
-        identity = tensor(identity)
-        if tokens.ndim == 2:
-            identity = identity.reshape(-1)
-        if identity.shape not in ((w.id_dim,), tokens.shape[:-2] + (w.id_dim,)):
-            raise ShapeError(
-                f"identity embedding {identity.shape} vs identity block {w.u_q.shape} "
-                f"and tokens {tokens.shape}"
-            )
-        # One (1, id) row per item: (B, id) @ U would round differently.
-        rows = identity[..., None, :]
-        q = q + rows @ w.u_q
-        k = k + rows @ w.u_k
-    v = tokens @ base.w_v
-    return _Forward(q, k, v, _softmax_scores(q, k))
+        if not isinstance(identity, _IdentityTerms):
+            identity = w.identity_terms(identity, tokens.shape[:-2])
+        q += identity.q
+        k += identity.k
+    att = _softmax_scores(q, k)
+    return _Forward(q, k, tokens @ base.w_v, att)  # V after the map: never alive beside its scores
 
 
 def self_attention(tokens: np.ndarray, w: AttentionWeights) -> np.ndarray:

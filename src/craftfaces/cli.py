@@ -26,14 +26,16 @@ every command. ``--face-id`` must be below MAX_FACES (10000), ``--faces`` at
 most MAX_FACES, ``--jobs`` at most MAX_JOBS (64), ``--sweep-seeds`` at most
 MAX_SWEEP_SEEDS (30), ``--arm-seeds`` at most MAX_ARM_SEEDS (250),
 ``--train-steps`` at most MAX_TRAIN_STEPS (20000) and ``--intensities`` at
-most MAX_INTENSITIES (100) values. Whether set by a flag or a config file,
-``steps`` must be at most pipeline.MAX_STEPS (1000), ``cond_dim`` at most
-pipeline.MAX_COND_DIM (1024), ``token_dim`` at most pipeline.MAX_TOKEN_DIM
-(1024), ``lora_rank`` at most pipeline.MAX_LORA_RANK (640), and the codec's
+most MAX_INTENSITIES (100) values, and an ablate-order grid (faces x
+intensities x sweep seeds) at most MAX_ORDER_CELLS (300000) cells. Whether
+set by a flag or a config file, ``steps`` must be at most pipeline.MAX_STEPS
+(1000), ``cond_dim`` at most pipeline.MAX_COND_DIM (1024), ``token_dim`` at
+most pipeline.MAX_TOKEN_DIM (1024), ``lora_rank`` at most
+pipeline.MAX_LORA_RANK (640), and the codec's
 2*image_size**2*latent_tokens*token_dim elements at most
-pipeline.MAX_CODEC_ELEMENTS (8388608), for every command. All files are
-written atomically (temp file + rename), so failures never leave partial
-outputs.
+pipeline.MAX_CODEC_ELEMENTS (8388608), for every command; ``train --lora``
+also takes a ``lora_rank`` of at most ``token_dim``. All files are written
+atomically (temp file + rename), so failures never leave partial outputs.
 
 Config file schema (JSON object; all keys optional; a value of the wrong JSON
 type, such as ``"10"`` for ``steps``, is a usage error):
@@ -99,6 +101,10 @@ MAX_JOBS = 64
 # refined to 0.01); both are checked while parsing, before either axis is built
 MAX_SWEEP_SEEDS = 30
 MAX_INTENSITIES = 100
+# 100x criterion 1's 3000 cells (100 faces x 10 intensities x 3 seeds), which
+# is MAX_SWEEP_SEEDS x MAX_INTENSITIES at criterion 1's 100 faces; the per-axis
+# bounds alone let the product reach 3e7 cells, two report rows each
+MAX_ORDER_CELLS = 300_000
 # 10x criterion 8's 25 sampling seeds per face, and 10x the 2000 training
 # steps of the ablate-attention default, which bounds train's as well
 MAX_ARM_SEEDS = 250
@@ -203,6 +209,13 @@ def parse(argv) -> Command:
     """Resolve argv into a validated Command: flag values override config
     file values, which override defaults (module docstring)."""
     args = _build_parser().parse_args(argv)
+    if args.command == "ablate-order":
+        cells = args.faces * len(args.intensities) * args.sweep_seeds
+        if cells > MAX_ORDER_CELLS:
+            raise ConfigError(
+                f"ablate-order grid of {args.faces} faces x {len(args.intensities)} intensities x "
+                f"{args.sweep_seeds} sweep seeds = {cells} cells exceeds MAX_ORDER_CELLS ({MAX_ORDER_CELLS})"
+            )
     file_values = {}
     if args.config:
         try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .attention import (
     AttentionWeights,
     ExtendedAttentionWeights,
     _forward,
-    identity_self_attention,
 )
 from .errors import ConfigError, EvaluationError, ShapeError, StepError
 from .numerics import RngStream, tensor
@@ -165,14 +165,20 @@ class DenoiserModel:
             raise ShapeError(f"cond {cond.shape} vs cond dim {self.cond_dim} and {items} items")
         return cond
 
-    def _tokens_in(self, latent: np.ndarray, cond: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
-        """Latent tokens, ``items + (n_tokens, token_dim)``, shifted by the
-        projected conditioning. Each cond row is projected as its own
-        ``(1, cond_dim)`` product, because ``(B, cond_dim) @ cond_w`` is one
-        GEMM that rounds differently from B row products."""
+    def _terms(self, cond: np.ndarray, items: tuple[int, ...]) -> _Terms:
+        """The terms of ``cond`` and the model's identity for ``items``. Each
+        cond row is projected as its own ``(1, cond_dim)`` product, because
+        ``(B, cond_dim) @ cond_w`` is one GEMM that rounds differently from B
+        row products."""
         cond = self._cond(cond, items)
-        shift = cond[..., None, :] @ self.cond_w + self.cond_b
-        return latent.reshape(items + (self.n_tokens, self.token_dim)) + shift
+        identity = None if self.identity is None else self.attention.identity_terms(self.identity, items)
+        return _Terms(cond[..., None, :] @ self.cond_w + self.cond_b, identity)
+
+    def _predict(self, latent: np.ndarray, terms: _Terms) -> np.ndarray:
+        """``predict_noise`` of the tensor ``latent``, given its items' ``terms``."""
+        tokens = latent.reshape(self._items(latent) + (self.n_tokens, self.token_dim)) + terms.shift
+        attended = _forward(tokens, terms.identity, self.attention).out
+        return (attended @ self.head_w + self.head_b).reshape(latent.shape)
 
     def predict_noise(self, latent: np.ndarray, cond: np.ndarray) -> np.ndarray:
         """Predicted noise for one latent, or for each latent of a batch
@@ -180,9 +186,18 @@ class DenoiserModel:
         ``(cond_dim,)``, shared, or ``(B, cond_dim)``; the identity is
         ``None``, ``(id,)``, shared, or ``(B, id)``."""
         latent = tensor(latent)
-        tokens = self._tokens_in(latent, cond, self._items(latent))
-        attended = identity_self_attention(tokens, self.identity, self.attention)
-        return (attended @ self.head_w + self.head_b).reshape(latent.shape)
+        return self._predict(latent, self._terms(cond, self._items(latent)))
+
+
+class _Terms(NamedTuple):
+    """What a prediction adds to the tokens of its items, which stays fixed
+    while only the latents change: the conditioning shift
+    ``cond @ cond_w + cond_b`` (``(1, token_dim)``, shared, or
+    ``items + (1, token_dim)``) and the identity's ``_IdentityTerms``, or
+    None without an identity. ``sample`` computes them once per call."""
+
+    shift: np.ndarray
+    identity: tuple[np.ndarray, np.ndarray] | None
 
 
 def _denoise_loss(model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> float:
@@ -229,8 +244,9 @@ def _denoise_loss_and_grad(
     cond = model._cond(cond, (n,))
     ident = None if model.identity is None else tensor(model.identity)
 
-    t_in = model._tokens_in(x_t, cond, (n,))
-    q, k, v, att = _forward(t_in, ident, model.attention)
+    terms = model._terms(cond, (n,))
+    t_in = x_t.reshape(n, model.n_tokens, model.token_dim) + terms.shift
+    q, k, v, att = _forward(t_in, terms.identity, model.attention)
     o = att @ v
     y = o @ model.head_w + model.head_b
     err = y - np.reshape(eps, y.shape)
@@ -301,25 +317,50 @@ def _normal(rng: RngStream | Sequence[RngStream], shape) -> np.ndarray:
     return np.array([drawn[id(r)] for r in rng]).reshape(shape)
 
 
-def _predict_guided(
-    model: DenoiserModel, x: np.ndarray, cond: np.ndarray, guidance_scale: float
-) -> np.ndarray:
-    """Classifier-free guidance, eps_u + s * (eps_c - eps_u), with both
-    branches in one ``predict_noise`` call on ``[x; x]`` and ``[cond; 0]``
-    (Ho & Salimans, arXiv 2207.12598). Every item is its own product, so
-    each branch has the bits of a call of its own."""
-    if guidance_scale == 1.0:
-        return model.predict_noise(x, cond)
-    x = tensor(x)
-    b = (model._items(x) or (1,))[0]
-    rows = x.reshape(b, model.latent_size)
+def _guided_terms(model: DenoiserModel, cond: np.ndarray, items: tuple[int, ...]) -> _Terms:
+    """The ``_Terms`` of the doubled batch that ``_predict_guided`` runs for
+    ``items``: ``[cond; 0]``, and a per-item identity once per branch."""
+    b = (items or (1,))[0]
     conds = np.zeros((2 * b, model.cond_dim))
     conds[:b] = model._cond(cond, (b,))
     if np.ndim(model.identity) == 2:
         model = model.with_identity(np.concatenate([model.identity, model.identity]))
-    both = model.predict_noise(np.concatenate([rows, rows]), conds)
+    return model._terms(conds, (2 * b,))
+
+
+def _predict_guided(
+    model: DenoiserModel, x: np.ndarray, cond: np.ndarray, guidance_scale: float,
+    terms: _Terms | None = None,
+) -> np.ndarray:
+    """Classifier-free guidance, eps_u + s * (eps_c - eps_u), with both
+    branches in one prediction on ``[x; x]`` and ``[cond; 0]`` (Ho &
+    Salimans, arXiv 2207.12598), whose ``_guided_terms`` a caller that
+    reuses them passes as ``terms``. Every item is its own product, so each
+    branch has the bits of a call of its own. At scale 1 it is the model's
+    own ``predict_noise`` call, so any object with one can be sampled."""
+    if guidance_scale == 1.0:
+        return model.predict_noise(x, cond)
+    items = model._items(x)
+    if terms is None:
+        terms = _guided_terms(model, cond, items)
+    b = (items or (1,))[0]
+    rows = x.reshape(b, model.latent_size)
+    both = model._predict(np.concatenate([rows, rows]), terms)
     eps_c, eps_u = both[:b], both[b:]
     return (eps_u + guidance_scale * (eps_c - eps_u)).reshape(x.shape)
+
+
+def _ancestral(
+    x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule, rng: RngStream | Sequence[RngStream]
+) -> np.ndarray:
+    """``reverse_step``'s update of the tensor ``x_t`` from its predicted noise."""
+    b = sched.beta[t - 1]
+    a = sched.alpha[t - 1]
+    ab = sched.alpha_bar[t - 1]
+    mu = (x_t - b / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
+    if t > 1:
+        mu = mu + np.sqrt(b) * _normal(rng, x_t.shape)
+    return mu
 
 
 def reverse_step(
@@ -340,14 +381,7 @@ def reverse_step(
     """
     _check_step(t, sched)
     x_t = tensor(x_t)
-    b = sched.beta[t - 1]
-    a = sched.alpha[t - 1]
-    ab = sched.alpha_bar[t - 1]
-    eps_hat = _predict_guided(model, x_t, cond, guidance_scale)
-    mu = (x_t - b / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
-    if t > 1:
-        mu = mu + np.sqrt(b) * _normal(rng, x_t.shape)
-    return mu
+    return _ancestral(x_t, t, _predict_guided(model, x_t, cond, guidance_scale), sched, rng)
 
 
 def sample(
@@ -378,6 +412,11 @@ def sample(
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
     With window=0 the guide is never touched.
 
+    With guidance, what the steps share, the doubled batch's conditioning
+    and identity terms (``_guided_terms``), is computed once per call. The
+    result has the bits of a loop of ``forward_marginal`` and
+    ``reverse_step``.
+
     A result that is not finite (a guidance scale so large that the
     latents overflow, say) raises EvaluationError.
     """
@@ -401,11 +440,12 @@ def sample(
     x = _normal(rng, shape)
     # overflow only ever ends in a non-finite result, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = None if guidance_scale == 1.0 else _guided_terms(model, cond, shape[:-1])
         for t in range(sched.T, 0, -1):
             if window > 0 and t > sched.T - window:
                 guide_t = forward_marginal(guide, t, sched, rng)
                 x = (1.0 - subject_guidance) * x + subject_guidance * guide_t
-            x = reverse_step(x, t, cond, model, sched, rng, guidance_scale)
+            x = _ancestral(x, t, _predict_guided(model, x, cond, guidance_scale, terms), sched, rng)
     if not np.isfinite(x).all():
         raise EvaluationError(f"sampling gave a non-finite latent (guidance scale {guidance_scale!r})")
     return x

@@ -393,26 +393,25 @@ def _sgd_train(
 ) -> DenoiserModel:
     """Noise-prediction SGD on the face latents ``latents`` with a fresh
     (face, t, eps) batch every step and a linear decay to 10% of the
-    initial rate. Given the per-face identity embeddings ``idents``, it
-    feeds each face's and updates only the identity blocks U_q/U_k;
-    without, it feeds no identity and updates every weight. Weights not
-    updated are not differentiated, and the returned model shares them with
-    ``model``; the updated ones are copied once and then updated in place,
-    so ``model``'s arrays keep their bytes. A loss or weight that stops
-    being finite raises TrainingError."""
+    initial rate. Each step makes two draws of ``rng``: one integer per
+    (face, t) pair, then every noise row. Given the per-face identity
+    embeddings ``idents``, it feeds each face's and updates only the
+    identity blocks U_q/U_k; without, it feeds no identity and updates
+    every weight. Weights not updated are not differentiated, and the
+    returned model shares them with ``model``; the updated ones are copied
+    once and then updated in place, so ``model``'s arrays keep their bytes.
+    A loss or weight that stops being finite raises TrainingError."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     params = model.params()
     trained = tuple(params) if idents is None else ("u_q", "u_k")
     params.update({name: params[name].copy() for name in trained})
     trainee = model.with_params(params)  # holds ``params``' arrays, so sees every update
-    eps = np.empty((SGD_BATCH, latents.shape[1]))
     # overflow only ever ends in a non-finite loss or weight, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            fidx = rng.integers(0, len(latents), (SGD_BATCH,))
-            ts = rng.integers(1, cfg.steps + 1, (SGD_BATCH,))
-            for row in range(SGD_BATCH):
-                eps[row] = rng.normal(latents.shape[1:])
+            fidx, ts = np.divmod(rng.integers(0, len(latents) * cfg.steps, (SGD_BATCH,)), cfg.steps)
+            ts += 1
+            eps = rng.normal((SGD_BATCH, latents.shape[1]))
             ab = runtime.sched.alpha_bar[ts - 1][:, None]
             x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
             current = trainee if idents is None else trainee.with_identity(idents[fidx])
@@ -438,13 +437,17 @@ def train_toy_denoiser(
 
     Full mode runs SGD on all weights with analytic gradients; LoRA mode
     freezes the base model and trains rank-limited adapters on the
-    attention matrices instead. ``steps`` must be at least 0. Returns
-    (model, adapters or None).
+    attention matrices instead. ``steps`` must be at least 0, and in LoRA
+    mode ``cfg.lora_rank`` at most ``cfg.token_dim``, the largest rank of
+    an adapted (token_dim, token_dim) matrix; both are checked before any
+    work. Returns (model, adapters or None).
     """
     if not faces:
         raise ConfigError("train_toy_denoiser needs a nonempty face grid")
     if steps < 0:
         raise ConfigError(f"train_toy_denoiser steps must be >= 0, got {steps}")
+    if lora and cfg.lora_rank > cfg.token_dim:
+        raise ConfigError(f"lora_rank {cfg.lora_rank} exceeds token_dim {cfg.token_dim}")
     runtime = _make_runtime(cfg)
     model = runtime.model
     latents = np.stack([encode(render_face(p, cfg.image_size), runtime.codec) for p in faces])

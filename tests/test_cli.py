@@ -13,8 +13,8 @@ import pytest
 
 import craftfaces
 from craftfaces.cli import (
-    _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_SWEEP_SEEDS, MAX_TRAIN_STEPS,
-    _atomic_write, _build_parser, main, parse,
+    _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_ORDER_CELLS, MAX_SWEEP_SEEDS,
+    MAX_TRAIN_STEPS, _atomic_write, _build_parser, main, parse,
 )
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import (
@@ -314,6 +314,29 @@ class TestParse:
         assert code == 2
         assert err.startswith("error:") and str(2**127) in err
         assert not (tmp_path / "order_report.csv").exists()
+
+    def test_order_grid_cell_bound(self, tmp_path, capsys):
+        """A grid of MAX_ORDER_CELLS cells parses, and nothing is built; one
+        of MAX_ORDER_CELLS + 1 cells (491 x 47 x 13) exits 2 while parsing,
+        with every axis within its own bound, and writes nothing."""
+        at = ["ablate-order", "--faces", "100", "--intensities", _grid(MAX_INTENSITIES),
+              "--sweep-seeds", str(MAX_SWEEP_SEEDS)]
+        args = parse(at).args
+        assert args.faces * len(args.intensities) * args.sweep_seeds == MAX_ORDER_CELLS
+        past = ["ablate-order", "--faces", "491", "--intensities", _grid(47), "--sweep-seeds", "13"]
+        code, out, err = run([*past, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and f"{MAX_ORDER_CELLS + 1} cells" in err
+        assert out == "" and not list(tmp_path.iterdir())
+
+    def test_lora_rank_past_token_dim_rejected(self, tmp_path, capsys):
+        """``train --lora`` at a rank above the default token_dim 4 exits 2
+        with its error line and writes no file."""
+        code, _, err = run(["train", "--lora", "--lora-rank", "5", "--faces", "1", "--train-steps", "1",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "lora_rank 5 exceeds token_dim 4" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("bound", sorted(_RUNTIME_BOUNDS))

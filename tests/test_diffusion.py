@@ -14,6 +14,7 @@ from craftfaces.diffusion import (
     _cholesky_upper,
     _denoise_loss,
     _denoise_loss_and_grad,
+    _normal,
     build_schedule,
     decode,
     encode,
@@ -612,6 +613,38 @@ class TestBatch:
             )
             assert out[row].tobytes() == solo.tobytes(), row
             assert (shared if seed == 46 else alone).counter == solo_rng.counter
+
+    @pytest.mark.parametrize("identity", ["none", "shared", "per-item"])
+    @pytest.mark.parametrize("guidance", [1.0, 7.5])
+    def test_sample_equals_its_loop_of_steps(self, guidance, identity):
+        """``sample`` computes its guidance terms once per call and has the
+        bits of the loop it stands for: the initial draw, then per step the
+        noised guide inside the window and ``reverse_step``, which computes
+        them per call. For one latent, and for a batch that names one stream
+        twice."""
+        sched = build_schedule(8)
+        r = RngStream(seed=48).split(identity)
+        cond = r.normal((8,))
+        for b in (None, 3):
+            ident, _ = _identity(identity, r, b or 1)
+            model = self.model.with_identity(ident)
+            guide = r.normal(((b,) if b else ()) + (self.size,))
+
+            def streams():
+                if b is None:
+                    return RngStream(seed=49)
+                first, second = _streams(49, 2)
+                return [first, second, first]
+
+            got = sample(model, cond, sched, window=3, guide=guide, rng=streams(), subject_guidance=0.9,
+                         guidance_scale=guidance)
+            rng = streams()
+            x = _normal(rng, guide.shape)
+            for t in range(sched.T, 0, -1):
+                if t > sched.T - 3:
+                    x = (1.0 - 0.9) * x + 0.9 * forward_marginal(guide, t, sched, rng)
+                x = reverse_step(x, t, cond, model, sched, rng, guidance)
+            assert got.tobytes() == x.tobytes(), b
 
     def test_length_mismatch_raises_shape_error(self):
         sched = build_schedule(5)

@@ -75,13 +75,13 @@ GOLDENS = [
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3",
         "attention_report.csv",
-        "9874c94d9c219c7871ce40de893d12ee16a4452f3260b0ba67121b08f79ea8fd",
+        "502033f198b8482ce373daa1aa8f567ef3e2c889f7097a12b24614c916115aa8",
     ),
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3"
         " --latent-tokens 16 --token-dim 8",
         "attention_report.csv",
-        "b281860b883024892a3005f82327d941463fe5c897e50c91cdd833db2a386c77",
+        "4db9b8f701049ae9aa69a877166e38dfa484cc43750dd04ce5e50ae55d3ce4fd",
     ),
 ]
 

@@ -411,6 +411,19 @@ class TestTrainToyDenoiser:
         with pytest.raises(ConfigError):
             train_toy_denoiser([], PipelineConfig(), RngStream(seed=0))
 
+    def test_lora_rank_up_to_token_dim_runs(self):
+        cfg = PipelineConfig(seed=1, image_size=32, token_dim=4, lora_rank=4)
+        _, adapters = train_toy_denoiser(face_grid(1, seed=1), cfg, RngStream(seed=1), steps=1, lora=True)
+        assert {ad.rank for ad in adapters.values()} == {4}
+
+    def test_lora_rank_past_token_dim_rejected_before_any_work(self, monkeypatch):
+        pl._build_runtime.cache_clear()  # so that a runtime build would have to make a codec
+        calls = _count_calls(monkeypatch, pl, "render_face", "make_codec")
+        cfg = PipelineConfig(seed=1, image_size=32, token_dim=4, lora_rank=5)
+        with pytest.raises(ConfigError, match="lora_rank 5 exceeds token_dim 4"):
+            train_toy_denoiser(face_grid(1, seed=1), cfg, RngStream(seed=1), steps=1, lora=True)
+        assert calls == {"render_face": 0, "make_codec": 0}
+
     @pytest.mark.parametrize("lora", [False, True], ids=["full", "lora"])
     def test_negative_steps_rejected_before_any_work(self, monkeypatch, lora):
         calls = _count_calls(monkeypatch, pl, "render_face", "_make_runtime")
@@ -418,6 +431,48 @@ class TestTrainToyDenoiser:
         with pytest.raises(ConfigError, match=">= 0, got -3"):
             train_toy_denoiser(face_grid(1, seed=1), cfg, RngStream(seed=1), steps=-3, lora=lora)
         assert calls == {"render_face": 0, "_make_runtime": 0}
+
+
+class TestSgdDraws:
+    """``_sgd_train`` draws each step's batch in two keyed draws: one
+    integer per (face, t) pair, then every noise row."""
+
+    CFG = PipelineConfig(seed=21, image_size=32, latent_tokens=16, token_dim=8)
+
+    @pytest.mark.parametrize("phase", ["all-weights", "identity"])
+    def test_stream_advances_two_draws_per_step(self, phase):
+        runtime = _make_runtime(self.CFG)
+        faces = face_grid(3, seed=21)
+        idents = None if phase == "all-weights" else _idents(faces)
+        for steps in (0, 1, 5):
+            rng = RngStream(seed=21)
+            pl._sgd_train(runtime.model, _latents(faces, self.CFG, runtime), idents, self.CFG, runtime, rng,
+                          steps, 0.1)
+            assert rng.counter == 2 * steps
+
+    def test_first_batch_is_one_integer_draw_then_one_normal_draw(self, monkeypatch):
+        cfg, runtime = self.CFG, _make_runtime(self.CFG)
+        faces = face_grid(3, seed=22)
+        latents, idents = _latents(faces, cfg, runtime), _idents(faces)
+        seen = []
+        real = pl._denoise_loss_and_grad
+
+        def spy(model, x_t, cond, eps, names):
+            seen.append((model.identity, x_t, eps))
+            return real(model, x_t, cond, eps, names)
+
+        monkeypatch.setattr(pl, "_denoise_loss_and_grad", spy)
+        pl._sgd_train(runtime.model, latents, idents, cfg, runtime, RngStream(seed=22), 1, 0.1)
+        fresh = RngStream(seed=22)
+        pairs = fresh.integers(0, len(faces) * cfg.steps, (pl.SGD_BATCH,))
+        eps = fresh.normal((pl.SGD_BATCH, latents.shape[1]))
+        fidx, ts = pairs // cfg.steps, pairs % cfg.steps + 1
+        assert ((0 <= fidx) & (fidx < len(faces))).all() and ((1 <= ts) & (ts <= cfg.steps)).all()
+        (ident, x_t, got_eps), = seen
+        assert got_eps.tobytes() == eps.tobytes()
+        assert ident.tobytes() == idents[fidx].tobytes()
+        ab = runtime.sched.alpha_bar[ts - 1][:, None]
+        assert x_t.tobytes() == (np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps).tobytes()
 
 
 class TestAblateAttention:
