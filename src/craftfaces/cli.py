@@ -26,11 +26,14 @@ every command. ``--face-id`` must be below MAX_FACES (10000), ``--faces`` at
 most MAX_FACES, ``--jobs`` at most MAX_JOBS (64), ``--sweep-seeds`` at most
 MAX_SWEEP_SEEDS (30), ``--arm-seeds`` at most MAX_ARM_SEEDS (250),
 ``--train-steps`` at most MAX_TRAIN_STEPS (20000) and ``--intensities`` at
-most MAX_INTENSITIES (100) values, and an ablate-order grid (faces x
-intensities x sweep seeds) at most MAX_ORDER_CELLS (300000) cells. Whether
-set by a flag or a config file, ``steps`` must be at most pipeline.MAX_STEPS
-(1000), ``cond_dim`` at most pipeline.MAX_COND_DIM (1024), ``token_dim`` at
-most pipeline.MAX_TOKEN_DIM (1024), ``lora_rank`` at most
+most MAX_INTENSITIES (100) values, an ablate-order grid (faces x
+intensities x sweep seeds) at most MAX_ORDER_CELLS (300000) cells, and an
+ablate-attention sampling batch (4 x faces x arm seeds x latent_tokens**2
+attention scores) at most MAX_ATTENTION_SCORES (16777216). Whether set by a
+flag or a config file, ``steps`` must be at most pipeline.MAX_STEPS (1000),
+``cond_dim`` at most pipeline.MAX_COND_DIM (1024), ``token_dim`` at most
+pipeline.MAX_TOKEN_DIM (1024), ``latent_tokens`` at most
+pipeline.MAX_LATENT_TOKENS (256), ``lora_rank`` at most
 pipeline.MAX_LORA_RANK (640), and the codec's
 2*image_size**2*latent_tokens*token_dim elements at most
 pipeline.MAX_CODEC_ELEMENTS (8388608), for every command; ``train --lora``
@@ -109,6 +112,10 @@ MAX_ORDER_CELLS = 300_000
 # steps of the ablate-attention default, which bounds train's as well
 MAX_ARM_SEEDS = 250
 MAX_TRAIN_STEPS = 20_000
+# 128 MiB of float64 attention scores in an ablate-attention sampling batch:
+# 4 (n, n) maps per (face, seed) pair, one per arm and guidance branch, with n
+# latent tokens; 82x criterion 8's 204,800 (8 faces x 25 seeds x 4 x 16**2)
+MAX_ATTENTION_SCORES = 2**24
 
 # the type of each PipelineConfig field a flag can set, all but seed (its own
 # flag, with an env fallback); each command takes flags for the fields its
@@ -234,7 +241,16 @@ def parse(argv) -> Command:
             overrides["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"CRAFT_SEED must be an integer, got {env_seed!r}") from None
-    return Command(name=args.command, args=args, config=PipelineConfig.from_dict(file_values, **overrides))
+    config = PipelineConfig.from_dict(file_values, **overrides)
+    if args.command == "ablate-attention":
+        scores = 4 * args.faces * args.arm_seeds * config.latent_tokens**2
+        if scores > MAX_ATTENTION_SCORES:
+            raise ConfigError(
+                f"ablate-attention batch of {args.faces} faces x {args.arm_seeds} arm seeds at "
+                f"{config.latent_tokens} latent tokens holds {scores} attention scores (4 x faces x "
+                f"arm seeds x latent_tokens**2), which exceeds MAX_ATTENTION_SCORES ({MAX_ATTENTION_SCORES})"
+            )
+    return Command(name=args.command, args=args, config=config)
 
 
 def _atomic_write(path, write_fn) -> None:
@@ -347,7 +363,9 @@ def _ablate_attention(cmd: Command) -> None:
     e = report.extras
     print(
         f"ablate-attention: mean_ffc_id={e['mean_ffc_id']!r} "
-        f"mean_ffc_base={e['mean_ffc_base']!r} mean_mass_id={e['mean_mass_id']!r} "
+        f"mean_ffc_base={e['mean_ffc_base']!r} mean_ffc_others_id={e['mean_ffc_others_id']!r} "
+        f"mean_ffc_others_base={e['mean_ffc_others_base']!r} ident_rate_id={e['ident_rate_id']!r} "
+        f"ident_rate_base={e['ident_rate_base']!r} mean_mass_id={e['mean_mass_id']!r} "
         f"mean_mass_base={e['mean_mass_base']!r} -> {path}"
     )
 

@@ -10,6 +10,7 @@ blends the running latent with a noised guide latent during the first
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -166,11 +167,10 @@ class DenoiserModel:
         return cond
 
     def _terms(self, cond: np.ndarray, items: tuple[int, ...]) -> _Terms:
-        """The terms of ``cond`` and the model's identity for ``items``. Each
-        cond row is projected as its own ``(1, cond_dim)`` product, because
-        ``(B, cond_dim) @ cond_w`` is one GEMM that rounds differently from B
-        row products."""
-        cond = self._cond(cond, items)
+        """The terms of ``cond``, as ``_cond`` returns it, and of the model's
+        identity for ``items``. Each cond row is projected as its own
+        ``(1, cond_dim)`` product, because ``(B, cond_dim) @ cond_w`` is one
+        GEMM that rounds differently from B row products."""
         identity = None if self.identity is None else self.attention.identity_terms(self.identity, items)
         return _Terms(cond[..., None, :] @ self.cond_w + self.cond_b, identity)
 
@@ -186,7 +186,8 @@ class DenoiserModel:
         ``(cond_dim,)``, shared, or ``(B, cond_dim)``; the identity is
         ``None``, ``(id,)``, shared, or ``(B, id)``."""
         latent = tensor(latent)
-        return self._predict(latent, self._terms(cond, self._items(latent)))
+        items = self._items(latent)
+        return self._predict(latent, self._terms(self._cond(cond, items), items))
 
 
 class _Terms(NamedTuple):
@@ -238,7 +239,7 @@ def _denoise_loss_and_grad(
     """
     p = model.params()
     names = set(p if names is None else names)
-    scale = 1.0 / np.sqrt(float(model.attention.base.head_dim))
+    scale = 1.0 / math.sqrt(model.attention.base.head_dim)
     x_t = tensor(x_t)
     n = len(x_t)
     cond = model._cond(cond, (n,))
@@ -248,17 +249,19 @@ def _denoise_loss_and_grad(
     t_in = x_t.reshape(n, model.n_tokens, model.token_dim) + terms.shift
     q, k, v, att = _forward(t_in, terms.identity, model.attention)
     o = att @ v
-    y = o @ model.head_w + model.head_b
-    err = y - np.reshape(eps, y.shape)
+    err = o @ model.head_w  # y = o W + b, then y - eps, in place
+    err += model.head_b
+    err -= np.reshape(eps, err.shape)
     sq = (err * err).reshape(n, -1)
-    # accumulate adds in item order, as the loop over items did
-    total = float(np.add.accumulate(np.mean(sq, axis=1))[-1])
+    # each item's mean (np.mean's bits), accumulated in item order, as the loop over items did
+    total = float(np.add.accumulate(np.add.reduce(sq, axis=1) / sq.shape[1])[-1])
 
     def t(a):
         return np.swapaxes(a, -1, -2)
 
     def items(per_item):
-        return 0.0 + np.add.reduce(per_item, axis=0)
+        # 0.0 + each item in turn, as the loop over items did
+        return np.add.reduce(per_item, axis=0, initial=0.0)
 
     def wants(*ws):
         return not names.isdisjoint(ws)
@@ -274,9 +277,9 @@ def _denoise_loss_and_grad(
     if wants("w_v", *conds):
         dv = t(att) @ do
     if wants("w_q", "u_q", "w_k", "u_k", *conds):
-        datt = do @ t(v)
-        rowdot = (att * datt).sum(axis=-1, keepdims=True)
-        ds = att * (datt - rowdot)
+        ds = do @ t(v)  # dL/datt, then in place dL/dscores = att * (datt - rowdot)
+        ds -= (att * ds).sum(axis=-1, keepdims=True)
+        ds *= att
     if wants("w_q", "u_q", *conds):
         dq = (ds @ k) * scale
     if wants("w_k", "u_k", *conds):
@@ -300,21 +303,34 @@ def _denoise_loss_and_grad(
     return total / n, {name: g[name] / n for name in p if name in names}
 
 
-def _normal(rng: RngStream | Sequence[RngStream], shape) -> np.ndarray:
+class _Streams(NamedTuple):
+    """The streams ``rng`` of a batch's rows as ``_normal`` draws from them,
+    which ``sample`` builds once per call: each distinct stream object once,
+    in the order the rows first name it, and each row's index among them."""
+
+    distinct: list[RngStream]
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, rng: Sequence[RngStream], n: int) -> "_Streams":
+        if len(rng) != n:
+            raise ShapeError(f"{len(rng)} streams for a batch of {n}")
+        index = {}
+        rows = [index.setdefault(id(r), len(index)) for r in rng]
+        return cls(list({id(r): r for r in rng}.values()), np.array(rows, dtype=np.intp))
+
+
+def _normal(rng: RngStream | Sequence[RngStream] | _Streams, shape) -> np.ndarray:
     """Standard normals of ``shape``: one draw from a single stream, or,
-    from a sequence of streams, one draw of ``shape[1:]`` per row, which is
-    the draw the row's stream makes in its own single-trajectory call. A
-    stream object named at several rows draws once, and each of those rows
-    gets that draw."""
+    from a sequence of streams (or its ``_Streams``), one draw of
+    ``shape[1:]`` per row, which is the draw the row's stream makes in its
+    own single-trajectory call. A stream object named at several rows draws
+    once, and each of those rows gets that draw."""
     if isinstance(rng, RngStream):
         return rng.normal(shape)
-    if len(rng) != shape[0]:
-        raise ShapeError(f"{len(rng)} streams for a batch of {shape[0]}")
-    drawn = {}
-    for r in rng:
-        if id(r) not in drawn:
-            drawn[id(r)] = r.normal(shape[1:])
-    return np.array([drawn[id(r)] for r in rng]).reshape(shape)
+    if not isinstance(rng, _Streams):
+        rng = _Streams.of(rng, shape[0])
+    return np.array([r.normal(shape[1:]) for r in rng.distinct]).reshape((-1, *shape[1:]))[rng.rows]
 
 
 def _guided_terms(model: DenoiserModel, cond: np.ndarray, items: tuple[int, ...]) -> _Terms:
@@ -347,19 +363,46 @@ def _predict_guided(
     rows = x.reshape(b, model.latent_size)
     both = model._predict(np.concatenate([rows, rows]), terms)
     eps_c, eps_u = both[:b], both[b:]
-    return (eps_u + guidance_scale * (eps_c - eps_u)).reshape(x.shape)
+    out = eps_c - eps_u  # then in place: eps_u + s * (eps_c - eps_u)
+    out *= guidance_scale
+    out += eps_u
+    return out.reshape(x.shape)
+
+
+class _Coefficients(NamedTuple):
+    """The reverse process's per-step coefficients, indexed t - 1, each with
+    the bits of its scalar expression: ``beta / sqrt(1 - abar)``,
+    ``sqrt(alpha)`` and ``sqrt(beta)`` of the ancestral update, and
+    ``sqrt(abar)`` and ``sqrt(1 - abar)`` of the noised guide."""
+
+    eps_scale: np.ndarray
+    root_alpha: np.ndarray
+    root_beta: np.ndarray
+    root_abar: np.ndarray
+    root_noise: np.ndarray
+
+    @classmethod
+    def of(cls, sched: NoiseSchedule) -> "_Coefficients":
+        root_noise = np.sqrt(1.0 - sched.alpha_bar)
+        return cls(sched.beta / root_noise, np.sqrt(sched.alpha), np.sqrt(sched.beta), np.sqrt(sched.alpha_bar),
+                   root_noise)
 
 
 def _ancestral(
-    x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule, rng: RngStream | Sequence[RngStream]
+    x_t: np.ndarray, t: int, eps_hat: np.ndarray, coef: _Coefficients,
+    rng: RngStream | Sequence[RngStream] | _Streams,
 ) -> np.ndarray:
-    """``reverse_step``'s update of the tensor ``x_t`` from its predicted noise."""
-    b = sched.beta[t - 1]
-    a = sched.alpha[t - 1]
-    ab = sched.alpha_bar[t - 1]
-    mu = (x_t - b / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
+    """``reverse_step``'s update of the tensor ``x_t`` from its predicted
+    noise, (x_t - beta / sqrt(1 - abar) * eps_hat) / sqrt(alpha), plus
+    sqrt(beta) * z for t > 1, as a new array; neither input is written."""
+    i = t - 1
+    mu = coef.eps_scale[i] * eps_hat
+    np.subtract(x_t, mu, out=mu)
+    mu /= coef.root_alpha[i]
     if t > 1:
-        mu = mu + np.sqrt(b) * _normal(rng, x_t.shape)
+        z = _normal(rng, x_t.shape)
+        z *= coef.root_beta[i]
+        mu += z
     return mu
 
 
@@ -381,7 +424,7 @@ def reverse_step(
     """
     _check_step(t, sched)
     x_t = tensor(x_t)
-    return _ancestral(x_t, t, _predict_guided(model, x_t, cond, guidance_scale), sched, rng)
+    return _ancestral(x_t, t, _predict_guided(model, x_t, cond, guidance_scale), _Coefficients.of(sched), rng)
 
 
 def sample(
@@ -412,10 +455,13 @@ def sample(
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
     With window=0 the guide is never touched.
 
-    With guidance, what the steps share, the doubled batch's conditioning
-    and identity terms (``_guided_terms``), is computed once per call. The
-    result has the bits of a loop of ``forward_marginal`` and
-    ``reverse_step``.
+    What the steps share is computed once per call: the schedule's
+    ``_Coefficients``, the rows' ``_Streams`` and, with guidance, the
+    doubled batch's conditioning and identity terms (``_guided_terms``).
+    The guide blend updates the running latent in place, each step's
+    update is computed in place in its one new latent, and none of a
+    step's temporaries outlives it. The result has the bits of a loop of
+    ``forward_marginal`` and ``reverse_step``.
 
     A result that is not finite (a guidance scale so large that the
     latents overflow, say) raises EvaluationError.
@@ -437,15 +483,24 @@ def sample(
             guide = tensor(np.broadcast_to(guide, shape))
         except ValueError:
             raise ShapeError(f"guide {np.shape(guide)} does not fit latents {shape}") from None
+    if batch:
+        rng = _Streams.of(rng, shape[0])
+    coef = _Coefficients.of(sched)
     x = _normal(rng, shape)
     # overflow only ever ends in a non-finite result, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         terms = None if guidance_scale == 1.0 else _guided_terms(model, cond, shape[:-1])
         for t in range(sched.T, 0, -1):
             if window > 0 and t > sched.T - window:
-                guide_t = forward_marginal(guide, t, sched, rng)
-                x = (1.0 - subject_guidance) * x + subject_guidance * guide_t
-            x = _ancestral(x, t, _predict_guided(model, x, cond, guidance_scale, terms), sched, rng)
+                # x <- (1 - lambda) x + lambda (sqrt(abar) guide + sqrt(1 - abar) eps), in place
+                noised = _normal(rng, shape)
+                noised *= coef.root_noise[t - 1]
+                noised += coef.root_abar[t - 1] * guide
+                noised *= subject_guidance
+                x *= 1.0 - subject_guidance
+                x += noised
+                del noised
+            x = _ancestral(x, t, _predict_guided(model, x, cond, guidance_scale, terms), coef, rng)
     if not np.isfinite(x).all():
         raise EvaluationError(f"sampling gave a non-finite latent (guidance scale {guidance_scale!r})")
     return x

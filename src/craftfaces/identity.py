@@ -39,15 +39,17 @@ _ALREADY_THERE_TOL = 1e-12
 
 
 def extract_attributes(img: np.ndarray) -> np.ndarray:
-    """Recover the six attribute values from the landmark bands.
+    """Recover the six attribute values from the landmark bands of a
+    (2, H, W) image, or a (B, 6) array of them from a (B, 2, H, W) stack,
+    each vector with the bits of extracting its image alone.
 
     Values are clamped to [0, 1]; a band with no intensity mass raises
     ExtractionError.
     """
     img = tensor(img)
-    if img.ndim != 3 or img.shape[0] != 2:
-        raise ExtractionError(f"expected a (2, H, W) image, got shape {img.shape}")
-    return _band_attributes(img[0, _band_index(img.shape[1])])
+    if img.ndim not in (3, 4) or img.shape[-3] != 2:
+        raise ExtractionError(f"expected a (2, H, W) image or a (B, 2, H, W) stack, got shape {img.shape}")
+    return _band_attributes(img[..., 0, _band_index(img.shape[-2]), :])
 
 
 def _centroids(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -51,18 +51,23 @@ def _keyed_generator(key: int) -> np.random.Generator:
     ``Philox(key=key)`` starts in: the key, a zero counter and an empty
     output buffer. Re-keying skips building a generator (and the OS-entropy
     seed sequence it always draws) per draw; the state setter reads plain
-    Python ints, so the state needs no numpy arrays either."""
-    gen = getattr(_THREAD, "generator", None)
-    if gen is None:
-        gen = _THREAD.generator = np.random.Generator(np.random.Philox(key=0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    Python ints, so the state needs no numpy arrays either. Each thread
+    keeps one such state and rewrites only its key: the setter copies every
+    value out, so the state is never shared with the generator."""
+    keyed = getattr(_THREAD, "keyed", None)
+    if keyed is None:
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        keyed = _THREAD.keyed = (np.random.Generator(np.random.Philox(key=0)), state, state["state"]["key"])
+    gen, state, key_words = keyed
+    key_words[0] = key
+    gen.bit_generator.state = state
     return gen
 
 

@@ -55,12 +55,15 @@ TRAIN_LR = 0.25  # train_toy_denoiser's learning rate, in full and in LoRA mode
 # is a margin over the largest documented use: 10x the 100 steps of the
 # defaults; 128x the default cond_dim 8, the only one documented; 128x the
 # largest documented token_dim 8, so that each token_dim**2 attention weight
-# holds at most 8 MiB; 10x the full-scale LoRA rank 64; and 8x the
-# 2*64**2*128 = 1,048,576-element codec of `train --lora --token-dim 8`, so
-# that the runtime kept alive holds at most 128 MiB of codec (enc and dec).
+# holds at most 8 MiB; 16x the default 16 latent tokens, so that one
+# (16, n, n) SGD score array holds at most 8 MiB; 10x the full-scale LoRA
+# rank 64; and 8x the 2*64**2*128 = 1,048,576-element codec of
+# `train --lora --token-dim 8`, so that the runtime kept alive holds at most
+# 128 MiB of codec (enc and dec).
 MAX_STEPS = 1000
 MAX_COND_DIM = 1024
 MAX_TOKEN_DIM = 1024
+MAX_LATENT_TOKENS = 256
 MAX_LORA_RANK = 640
 MAX_CODEC_ELEMENTS = 8 * 2**20
 
@@ -120,6 +123,9 @@ class PipelineConfig:
                 f"exceeds {MAX_CODEC_ELEMENTS} (image_size={self.image_size}, "
                 f"latent_tokens={self.latent_tokens}, token_dim={self.token_dim})"
             )
+        # after the codec, whose bound falls at the same 256 tokens at 64 px and token_dim 4
+        if self.latent_tokens > MAX_LATENT_TOKENS:
+            raise ConfigError(f"latent_tokens must be <= {MAX_LATENT_TOKENS}, got {self.latent_tokens}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -397,30 +403,36 @@ def _sgd_train(
     (face, t) pair, then every noise row. Given the per-face identity
     embeddings ``idents``, it feeds each face's and updates only the
     identity blocks U_q/U_k; without, it feeds no identity and updates
-    every weight. Weights not updated are not differentiated, and the
+    every other weight (U_q/U_k, which no identity reaches, have a zero
+    gradient there). Weights not updated are not differentiated, and the
     returned model shares them with ``model``; the updated ones are copied
     once and then updated in place, so ``model``'s arrays keep their bytes.
     A loss or weight that stops being finite raises TrainingError."""
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
     params = model.params()
-    trained = tuple(params) if idents is None else ("u_q", "u_k")
+    identity_blocks = ("u_q", "u_k")
+    trained = [name for name in params if name not in identity_blocks] if idents is None else identity_blocks
     params.update({name: params[name].copy() for name in trained})
     trainee = model.with_params(params)  # holds ``params``' arrays, so sees every update
+    # x_t = sqrt(abar) x0 + sqrt(1 - abar) eps, with both roots taken once per call
+    root_abar = np.sqrt(runtime.sched.alpha_bar)[:, None]
+    root_noise = np.sqrt(1.0 - runtime.sched.alpha_bar)[:, None]
     # overflow only ever ends in a non-finite loss or weight, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            fidx, ts = np.divmod(rng.integers(0, len(latents) * cfg.steps, (SGD_BATCH,)), cfg.steps)
-            ts += 1
+            # each pair's face and schedule index t - 1
+            fidx, tidx = np.divmod(rng.integers(0, len(latents) * cfg.steps, (SGD_BATCH,)), cfg.steps)
             eps = rng.normal((SGD_BATCH, latents.shape[1]))
-            ab = runtime.sched.alpha_bar[ts - 1][:, None]
-            x_t = np.sqrt(ab) * latents[fidx] + np.sqrt(1.0 - ab) * eps
+            x_t = root_abar[tidx] * latents[fidx]
+            x_t += root_noise[tidx] * eps
             current = trainee if idents is None else trainee.with_identity(idents[fidx])
             loss, grads = _denoise_loss_and_grad(current, x_t, cond, eps, trained)
             if not np.isfinite(loss):
                 raise TrainingError("toy denoiser training: loss became non-finite")
             rate = lr * (1.0 - 0.9 * i / steps)
             for name, g in grads.items():
-                params[name] -= rate * g
+                g *= rate
+                params[name] -= g
             if not all(np.isfinite(params[name]).all() for name in grads):
                 raise TrainingError("toy denoiser training: parameters became non-finite")
     return trainee
@@ -466,12 +478,24 @@ def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int) -> np.ndarray
     return np.sort(np.argsort(-norms)[: max(1, n_tokens // 4)])
 
 
-def _attention_mass(
-    model: DenoiserModel, latent: np.ndarray, identity: np.ndarray | None, tokens_of_interest: np.ndarray
-) -> float:
-    tokens = latent.reshape(model.n_tokens, model.token_dim)
-    amap = attention_map(tokens, identity, model.attention)
-    return float(amap[:, tokens_of_interest].sum(axis=1).mean())
+def _identification(attrs: np.ndarray, refs: np.ndarray, own: np.ndarray) -> tuple[float, float]:
+    """Of samples with attributes ``attrs`` (N, 6), each of the face
+    ``own[i]`` among the faces whose attributes are ``refs`` (F, 6): the
+    fraction whose own face is the nearest reference by squared attribute
+    distance (a tie with another face counts as a miss, so one face alone is
+    always identified), and the mean cosine similarity (FFC) of each sample
+    with every other face (NaN for one face). Chance is 1/F."""
+    rows = np.arange(len(attrs))
+    dist = ((attrs[:, None, :] - refs[None, :, :]) ** 2).sum(axis=-1)
+    own_dist = dist[rows, own]
+    dist[rows, own] = np.inf
+    rate = float(np.mean(own_dist < dist.min(axis=1)))
+    if len(refs) == 1:
+        return rate, math.nan
+    units = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in (attrs, refs)]
+    others = np.ones(dist.shape, dtype=bool)
+    others[rows, own] = False
+    return rate, float(np.mean((units[0] @ units[1].T)[others]))
 
 
 def ablate_attention(
@@ -497,14 +521,20 @@ def ablate_attention(
     arm's, in (face, seed) order. A (face, seed) pair names one stream
     object in both arms, which draws once per step for both rows, so the
     arms share their sampling noise by construction and every trajectory
-    has the bits of sampling it alone. Decoding and scoring stay per
-    trajectory. Every arm is guided by the unstylized render's latent, so
-    each row's ``intensity`` is 0.0.
+    has the bits of sampling it alone. Each trajectory is decoded alone;
+    its attributes and attention map come from one batched call per run
+    and per arm, with the bits of its own call. Every arm is guided by the
+    unstylized render's latent, so each row's ``intensity`` is 0.0.
 
     ``extras`` holds each arm's mean FFC and attention mass, the standard
     error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
     (NaN for a single pair) and ``id_wins``, the number of pairs where the
-    identity arm's FFC is the larger.
+    identity arm's FFC is the larger. Against chance, each arm also has
+    ``ident_rate_*``, the fraction of its samples whose own face is the
+    nearest of the grid's faces by attribute distance (a tie counts as a
+    miss; chance is one over the face count), and ``mean_ffc_others_*``,
+    the mean FFC of its samples with every other face (NaN for one face),
+    the FFC that a sample which kept no identity would score.
     """
     if not faces:
         raise ConfigError("ablate_attention needs a nonempty face grid")
@@ -521,7 +551,7 @@ def ablate_attention(
         img = render_face(params, cfg.image_size)
         refs.append(extract_attributes(img))
         latents.append(encode(img, runtime.codec))
-    latents = np.stack(latents)
+    refs, latents = np.stack(refs), np.stack(latents)
     del img
     a0 = runtime.model.attention
     start = runtime.model.with_attention(
@@ -535,12 +565,11 @@ def ablate_attention(
     )
 
     cond = embed_prompt(DEFAULT_PROMPT, cfg.cond_dim)
-    interests = [_face_tokens(guide, cfg.latent_tokens, cfg.token_dim) for guide in latents]
-    idents = [attribute_embedding(ref) for ref in refs]
     items = [(fid, seed) for fid in range(len(faces)) for seed in seeds]
     streams = [RngStream(seed=seed).split("attn-sample").split(fid) for fid, seed in items]
-    item_guides = latents[[fid for fid, _ in items]]
-    item_idents = np.array([idents[fid] for fid, _ in items])
+    fids = np.array([fid for fid, _ in items])
+    item_guides = latents[fids]
+    item_idents = np.stack([attribute_embedding(ref) for ref in refs])[fids]
     # the BASE rows (zero identity: plain attention), then the ID rows; the
     # two rows of a (face, seed) pair share its stream and so its noise
     zs = sample(
@@ -552,20 +581,29 @@ def ablate_attention(
         subject_guidance=cfg.subject_guidance,
         guidance_scale=cfg.guidance_scale,
     )
-    arms = [("BASE", item, None) for item in items] + [("ID", *row) for row in zip(items, item_idents)]
-    report = ExperimentReport()
-    masses = {"ID": [], "BASE": []}
-    for (order, (fid, seed), ident), z in zip(arms, zs):
-        ref = refs[fid]
-        attrs = extract_attributes(np.clip(decode(z, runtime.codec), 0.0, 1.0))
-        masses[order].append(_attention_mass(id_model, z, ident, interests[fid]))
-        report.rows.append(
-            ReportRow(
-                face_id=fid, order=order, intensity=0.0,
-                attr_loss=float(np.sum((attrs - ref) ** 2)),
-                ffc=ffc(attrs, ref), seed=seed,
+    # each trajectory is decoded alone (one gemv, for its bits); the scoring is batched per arm
+    imgs = np.empty((len(zs), *runtime.codec.image_shape))
+    for img, z in zip(imgs, zs):
+        np.clip(decode(z, runtime.codec), 0.0, 1.0, out=img)
+    attrs = extract_attributes(imgs).reshape(2, len(items), -1)
+    del imgs
+    interests = np.stack([_face_tokens(guide, cfg.latent_tokens, cfg.token_dim) for guide in latents])
+    arms = zip(("BASE", "ID"), attrs, zs.reshape(2, len(items), cfg.latent_tokens, cfg.token_dim),
+               (None, item_idents))
+    report, masses, scores = ExperimentReport(), {}, {}
+    for order, arm_attrs, arm_tokens, arm_idents in arms:
+        for (fid, seed), a in zip(items, arm_attrs):
+            report.rows.append(
+                ReportRow(
+                    face_id=fid, order=order, intensity=0.0,
+                    attr_loss=float(np.sum((a - refs[fid]) ** 2)),
+                    ffc=ffc(a, refs[fid]), seed=seed,
+                )
             )
-        )
+        # the attention map's mass on the face's tokens, averaged over query tokens
+        amap = attention_map(arm_tokens, arm_idents, id_model.attention)
+        masses[order] = np.take_along_axis(amap, interests[fids, None, :], axis=-1).sum(axis=-1).mean(axis=-1)
+        scores[order] = _identification(arm_attrs, refs, fids)
     base_ffc, id_ffc = np.array([r.ffc for r in report.rows]).reshape(2, len(items))
     diffs = id_ffc - base_ffc
     report.rows = report.sorted_rows()
@@ -576,5 +614,9 @@ def ablate_attention(
         "mean_mass_base": float(np.mean(masses["BASE"])),
         "paired_se": float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan,
         "id_wins": int(np.sum(diffs > 0.0)),
+        "ident_rate_id": scores["ID"][0],
+        "ident_rate_base": scores["BASE"][0],
+        "mean_ffc_others_id": scores["ID"][1],
+        "mean_ffc_others_base": scores["BASE"][1],
     }
     return report

@@ -196,6 +196,20 @@ class TestAttentionMap:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("identity", ["none", "shared", "per-item"])
+    def test_batch_equals_per_item_calls_bit_for_bit(self, identity):
+        """A (B, n, d) stack gives each item the map of its own (n, d) call,
+        at the shape the attention ablation scores (16 tokens of 8)."""
+        rng = RngStream(seed=16).split(identity)
+        w = random_weights(rng, d_model=8, d=8, d_id=6)
+        tokens = rng.normal((12, 16, 8))
+        ident = {"none": None, "shared": rng.normal((6,)), "per-item": rng.normal((12, 6))}[identity]
+        batched = attention_map(tokens, ident, w)
+        assert batched.shape == (12, 16, 16)
+        for i, item in enumerate(tokens):
+            own = ident[i] if identity == "per-item" else ident
+            assert batched[i].tobytes() == attention_map(item, own, w).tobytes()
+
     def test_identity_requires_extended_weights(self):
         w = random_weights(RngStream(seed=13))
         with pytest.raises(ShapeError):

@@ -13,12 +13,13 @@ import pytest
 
 import craftfaces
 from craftfaces.cli import (
-    _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_ORDER_CELLS, MAX_SWEEP_SEEDS,
-    MAX_TRAIN_STEPS, _atomic_write, _build_parser, main, parse,
+    _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_ATTENTION_SCORES, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_ORDER_CELLS,
+    MAX_SWEEP_SEEDS, MAX_TRAIN_STEPS, _atomic_write, _build_parser, main, parse,
 )
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import (
-    DEFAULT_PROMPT, MAX_CODEC_ELEMENTS, MAX_COND_DIM, MAX_LORA_RANK, MAX_STEPS, MAX_TOKEN_DIM, PipelineConfig,
+    DEFAULT_PROMPT, MAX_CODEC_ELEMENTS, MAX_COND_DIM, MAX_LATENT_TOKENS, MAX_LORA_RANK, MAX_STEPS, MAX_TOKEN_DIM,
+    PipelineConfig,
 )
 
 
@@ -44,6 +45,9 @@ _RUNTIME_BOUNDS = {
     # the smallest codec, so that only the token_dim bound is reached
     "token_dim": ({"image_size": 32, "latent_tokens": 1, "token_dim": MAX_TOKEN_DIM},
                   {"image_size": 32, "latent_tokens": 1, "token_dim": MAX_TOKEN_DIM + 1}),
+    # a codec of 2*32**2*257 elements, far below its own bound
+    "latent_tokens": ({"image_size": 32, "latent_tokens": MAX_LATENT_TOKENS, "token_dim": 1},
+                      {"image_size": 32, "latent_tokens": MAX_LATENT_TOKENS + 1, "token_dim": 1}),
     "codec": ({"image_size": 64, "latent_tokens": _CODEC_TOKENS, "token_dim": 4},
               {"image_size": 64, "latent_tokens": _CODEC_TOKENS + 1, "token_dim": 4}),
 }
@@ -328,6 +332,29 @@ class TestParse:
         assert code == 2
         assert err.startswith("error:") and f"{MAX_ORDER_CELLS + 1} cells" in err
         assert out == "" and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_attention_score_bound(self, source, tmp_path, capsys):
+        """An ablate-attention batch of MAX_ATTENTION_SCORES scores (1024
+        faces x 16 seeds x 4 x 16**2) parses, and nothing is built; the
+        smallest count past it that the per-flag bounds allow (5419 faces x
+        86 seeds x 4 x 3**2 = MAX_ATTENTION_SCORES + 8) exits 2 while
+        parsing and writes nothing, whether a flag or a config file sets
+        latent_tokens."""
+        at = parse(["ablate-attention", "--faces", "1024", "--arm-seeds", "16"])
+        assert 4 * at.args.faces * at.args.arm_seeds * at.config.latent_tokens**2 == MAX_ATTENTION_SCORES
+        past = ["ablate-attention", "--faces", "5419", "--arm-seeds", "86"]
+        if source == "flag":
+            past += ["--latent-tokens", "3"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"latent_tokens": 3}))
+            past += ["--config", str(tmp_path / "cfg.json")]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run([*past, "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and f"{MAX_ATTENTION_SCORES + 8} attention scores" in err
+        assert out == "" and not list(out_dir.iterdir())
 
     def test_lora_rank_past_token_dim_rejected(self, tmp_path, capsys):
         """``train --lora`` at a rank above the default token_dim 4 exits 2

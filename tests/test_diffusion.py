@@ -646,6 +646,19 @@ class TestBatch:
                 x = reverse_step(x, t, cond, model, sched, rng, guidance)
             assert got.tobytes() == x.tobytes(), b
 
+    @pytest.mark.parametrize("guidance", [1.0, 7.5])
+    def test_sample_and_reverse_step_write_none_of_their_inputs(self, guidance):
+        """The sampler updates its running latent in place; the latent,
+        guide, cond and identity the caller passes keep their bytes."""
+        sched = build_schedule(6)
+        r = RngStream(seed=50)
+        cond, ident, guide, x = r.normal((8,)), r.normal((3, 6)), r.normal((3, self.size)), r.normal((3, self.size))
+        before = [a.tobytes() for a in (cond, ident, guide, x)]
+        model = self.model.with_identity(ident)
+        sample(model, cond, sched, window=3, guide=guide, rng=_streams(51, 3), guidance_scale=guidance)
+        reverse_step(x, 4, cond, model, sched, _streams(52, 3), guidance)
+        assert [a.tobytes() for a in (cond, ident, guide, x)] == before
+
     def test_length_mismatch_raises_shape_error(self):
         sched = build_schedule(5)
         model, size, cond = self.model, self.size, np.zeros(8)

@@ -8,7 +8,9 @@ against the same digest: the bytes must not depend on the BLAS thread count.
 The PPM outputs are quantized to uint8, so one more digest pins the face
 oracle's float64 bits: renders, stylized images and their attributes, and
 further digests pin the float64 bits of ``run_style_first``'s output image,
-at each BLAS thread count as the CLI cases are.
+at each BLAS thread count as the CLI cases are. What no CSV pins is pinned
+the same way for one small ``ablate_attention`` run: the ``repr`` of each
+of its ``extras`` and the sha256 of the weights each SGD phase trains.
 
 The pools' size is fixed when numpy loads, so each thread count needs its
 own interpreter: one subprocess per thread count runs every CLI case (through
@@ -123,15 +125,45 @@ STYLE_FIRST_GOLDENS = [
     ),
 ]
 
-# given a JSON pair (CLI argvs, run_style_first configs): runs each argv through
-# the CLI, its output sent to stderr, then prints a JSON pair (each argv's exit
-# code, the sha256 of run_style_first's output image for each config)
+# one small ablate_attention run at the criterion-8 shape: its config keys and
+# arguments, then the repr of each of its extras, and the sha256 of the weights
+# (every array of ``params()``, in order) of the base phase and then of the
+# identity phase
+ABLATION = (
+    {"seed": 3, "image_size": 32, "latent_tokens": 16, "token_dim": 8},
+    {"faces": 3, "face_seed": 11, "seeds": 2, "train_steps": 40, "base_steps": 24},
+)
+ABLATION_EXTRAS = {
+    "mean_ffc_id": "0.8116032518922971",
+    "mean_ffc_base": "0.811594070999067",
+    "mean_mass_id": "0.28393349115366984",
+    "mean_mass_base": "0.28398723054238767",
+    "paired_se": "8.44168441774207e-06",
+    "id_wins": "3",
+}
+# the extras that score identity against chance, which the ablation gained after the six above
+IDENTIFICATION_EXTRAS = {
+    "ident_rate_id": "0.3333333333333333",
+    "ident_rate_base": "0.3333333333333333",
+    "mean_ffc_others_id": "0.7994659325507527",
+    "mean_ffc_others_base": "0.7994623692042842",
+}
+ABLATION_WEIGHTS = [
+    "7b3d7528a73a2625784ec4316adadeae063a9a3c117d935c93ce3627722a22e8",
+    "b5ce6acce0dd28c6a4c2953de6692e75150d3a5a31ee09e2c103f21ef09655ce",
+]
+
+# given a JSON triple (CLI argvs, run_style_first configs, ABLATION): runs each
+# argv through the CLI, its output sent to stderr, then prints a JSON list
+# (each argv's exit code, the sha256 of run_style_first's output image for each
+# config, the ablation's extras by repr and its two weight digests)
 _GOLDEN_SCRIPT = """
 import contextlib, hashlib, json, sys
+import craftfaces.pipeline as pl
 from craftfaces.cli import main
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.pipeline import PipelineConfig, run_style_first
-commands, configs = json.loads(sys.argv[1])
+commands, configs, (ablation, args) = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(sys.stderr):
     codes = [main(argv) for argv in commands]
 digests = []
@@ -139,7 +171,14 @@ for config in configs:
     cfg = PipelineConfig(**config)
     img = render_face(face_grid(1, seed=cfg.seed)[0], cfg.image_size)
     digests.append(hashlib.sha256(run_style_first(img, cfg)[0].tobytes()).hexdigest())
-print(json.dumps([codes, digests]))
+trained, real_sgd = [], pl._sgd_train
+pl._sgd_train = lambda *a, **kw: trained.append(real_sgd(*a, **kw)) or trained[-1]
+report = pl.ablate_attention(face_grid(args["faces"], seed=args["face_seed"]), PipelineConfig(**ablation),
+                             seeds=range(args["seeds"]), train_steps=args["train_steps"],
+                             base_steps=args["base_steps"])
+extras = {key: repr(value) for key, value in report.extras.items()}
+weights = [hashlib.sha256(b"".join(w.tobytes() for w in m.params().values())).hexdigest() for m in trained]
+print(json.dumps([codes, digests, extras, weights]))
 """
 
 
@@ -164,18 +203,19 @@ def _start(threads, base) -> tuple[subprocess.Popen, dict]:
     out_dirs = {argv: base / str(i) for i, argv in enumerate(argvs)}
     commands = [[*argv.split(), "--out-dir", str(out_dirs[argv])] for argv in argvs]
     configs = [config for _, config, _ in STYLE_FIRST_GOLDENS]
+    spec = [commands, configs, ABLATION]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen([sys.executable, "-c", _GOLDEN_SCRIPT, json.dumps([commands, configs])],
+    proc = subprocess.Popen([sys.executable, "-c", _GOLDEN_SCRIPT, json.dumps(spec)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     return proc, out_dirs
 
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
-    """``at(threads)``: each CLI case's output directory, by argv, and each
-    ``run_style_first`` digest, by label, from the subprocess at ``threads``
-    BLAS threads. Both thread counts' subprocesses start together on first
+    """``at(threads)``: each CLI case's output directory, by argv, each
+    ``run_style_first`` digest, by label, and the ablation's extras and
+    weight digests, from the subprocess at ``threads`` BLAS threads. Both thread counts' subprocesses start together on first
     use, so they run side by side."""
     started, runs = {}, {}
 
@@ -187,9 +227,10 @@ def golden_run(tmp_path_factory):
             proc, out_dirs = started[threads]
             out, err = proc.communicate()
             assert proc.returncode == 0, err
-            codes, digests = json.loads(out)
+            codes, digests, extras, weights = json.loads(out)
             assert codes == [0] * len(out_dirs), err
-            runs[threads] = (out_dirs, dict(zip([label for label, *_ in STYLE_FIRST_GOLDENS], digests)))
+            labels = [label for label, *_ in STYLE_FIRST_GOLDENS]
+            runs[threads] = (out_dirs, dict(zip(labels, digests)), (extras, weights))
         return runs[threads]
 
     yield at
@@ -205,20 +246,38 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("argv, artifact, digest, threads", _at_blas_threads(GOLDENS))
 def test_cli_output_matches_golden(argv, artifact, digest, threads, golden_run):
-    out_dirs, _ = golden_run(threads)
+    out_dirs, *_ = golden_run(threads)
     assert _sha256(out_dirs[argv] / artifact) == digest
 
 
 @pytest.mark.parametrize("argv, digests, threads", _at_blas_threads(FACE_GOLDENS))
 def test_cli_face_outputs_match_golden(argv, digests, threads, golden_run):
-    out_dirs, _ = golden_run(threads)
+    out_dirs, *_ = golden_run(threads)
     assert {name: _sha256(out_dirs[argv] / name) for name in digests} == digests
 
 
 @pytest.mark.parametrize("label, config, digest, threads", _at_blas_threads(STYLE_FIRST_GOLDENS))
 def test_style_first_image_matches_golden(label, config, digest, threads, golden_run):
-    _, style_first = golden_run(threads)
+    _, style_first, _ = golden_run(threads)
     assert style_first[label] == digest
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS, ids=lambda n: f"blas{n}")
+def test_attention_ablation_extras_match_golden(threads, golden_run):
+    *_, (extras, _) = golden_run(threads)
+    assert {key: extras[key] for key in ABLATION_EXTRAS} == ABLATION_EXTRAS
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS, ids=lambda n: f"blas{n}")
+def test_attention_ablation_identification_extras_match_golden(threads, golden_run):
+    *_, (extras, _) = golden_run(threads)
+    assert {key: extras[key] for key in IDENTIFICATION_EXTRAS} == IDENTIFICATION_EXTRAS
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS, ids=lambda n: f"blas{n}")
+def test_attention_ablation_weights_match_golden(threads, golden_run):
+    *_, (_, weights) = golden_run(threads)
+    assert weights == ABLATION_WEIGHTS
 
 
 def _oracle_digest(sizes) -> str:

@@ -59,6 +59,27 @@ class TestExtractAttributes:
     def test_wrong_layout_raises(self):
         with pytest.raises(ExtractionError):
             extract_attributes(np.zeros((64, 64)))
+        for shape in ((3, 64, 64), (4, 3, 64, 64), (1, 4, 2, 64, 64)):
+            with pytest.raises(ExtractionError):
+                extract_attributes(np.ones(shape))
+
+    @pytest.mark.parametrize("size", [32, 33, 47, 64])
+    def test_stack_equals_per_image_calls_bit_for_bit(self, size):
+        """A (B, 2, H, W) stack gives each image the attributes of its own
+        call: renders, stylized renders and clipped noise."""
+        faces = face_grid(3, seed=size)
+        renders = [render_face(p, size) for p in faces]
+        images = renders + [graffiti_stylize(img, StyleOp(intensity=0.7)) for img in renders]
+        images.append(np.clip(0.5 + 0.3 * RngStream(seed=size).normal((2, size, size)), 0.0, 1.0))
+        stack = extract_attributes(np.stack(images))
+        assert stack.shape == (len(images), len(ATTRIBUTE_NAMES))
+        for img, attrs in zip(images, stack, strict=True):
+            assert attrs.tobytes() == extract_attributes(img).tobytes()
+
+    def test_stack_with_a_blank_image_raises(self):
+        stack = np.stack([render_face(FACE, 32), np.zeros((2, 32, 32))])
+        with pytest.raises(ExtractionError):
+            extract_attributes(stack)
 
 
 class TestAttrLoss:

@@ -531,6 +531,49 @@ class TestAblateAttention:
                 assert after[name] is before[name], name
         assert after["u_q"].tobytes() != before["u_q"].tobytes()
 
+    def test_all_weights_phase_returns_the_callers_identity_blocks(self):
+        """Without identities U_q/U_k have a zero gradient, so that phase
+        leaves them out of training and hands back the caller's own arrays."""
+        cfg = PipelineConfig(seed=19, image_size=32, latent_tokens=16, token_dim=8)
+        runtime = _make_runtime(cfg)
+        model = pl._sgd_train(runtime.model, _latents(face_grid(2, seed=19), cfg, runtime), None, cfg, runtime,
+                              RngStream(seed=19), 3, 0.25)
+        assert model.attention.u_q is runtime.model.attention.u_q
+        assert model.attention.u_k is runtime.model.attention.u_k
+        assert model.attention.base.w_q is not runtime.model.attention.base.w_q
+
+    @pytest.mark.parametrize("shift", [0, 1], ids=["own-render", "other-render"])
+    def test_identification_of_samples_that_are_renders(self, monkeypatch, shift):
+        """A sample whose image is its own face's render identifies at 100%
+        with FFC 1 against its face; one that is another face's render (the
+        next face's, cyclically) identifies at 0%. ``sample`` is replaced by
+        the face latents, shifted by ``shift`` faces, and ``decode`` by the
+        render each latent encodes."""
+        cfg = PipelineConfig(seed=20, image_size=32, latent_tokens=16, token_dim=8, steps=10,
+                             composition_window=3)
+        faces, seeds = face_grid(3, seed=20), (0, 1)
+        runtime = _make_runtime(cfg)
+        renders = {encode(img, runtime.codec).tobytes(): img for img in (render_face(p, 32) for p in faces)}
+
+        def shifted_guides(model, cond, sched, *, guide, **options):
+            return np.roll(guide.reshape(2, len(faces), len(seeds), -1), -shift, axis=1).reshape(guide.shape)
+
+        monkeypatch.setattr(pl, "sample", shifted_guides)
+        monkeypatch.setattr(pl, "decode", lambda z, codec: renders[z.tobytes()])
+        e = ablate_attention(faces, cfg, seeds=seeds, train_steps=1, base_steps=1).extras
+        assert e["ident_rate_id"] == e["ident_rate_base"] == (1.0 if shift == 0 else 0.0)
+        if shift == 0:  # against the other faces, each sample scores the grid's own cross-face FFC
+            others = [identity.ffc(a.attributes(), b.attributes()) for a in faces for b in faces if a is not b]
+            assert e["mean_ffc_id"] == e["mean_ffc_base"] == pytest.approx(1.0, abs=1e-15)
+            assert e["mean_ffc_others_id"] == e["mean_ffc_others_base"] == pytest.approx(np.mean(others), abs=1e-9)
+
+    def test_one_face_is_always_identified(self):
+        cfg = PipelineConfig(seed=18, image_size=32, latent_tokens=16, token_dim=8, steps=10,
+                             composition_window=3)
+        e = ablate_attention(face_grid(1, seed=18), cfg, seeds=(0,), train_steps=1, base_steps=1).extras
+        assert e["ident_rate_id"] == e["ident_rate_base"] == 1.0
+        assert np.isnan(e["mean_ffc_others_id"]) and np.isnan(e["mean_ffc_others_base"])
+
     def test_each_face_rendered_and_encoded_once(self, monkeypatch):
         """Training's two phases and the scoring share each face's one
         render and one encode."""
@@ -571,7 +614,8 @@ class TestAblateAttention:
         assert orders == {"ID", "BASE"}
         # both arms are guided by the unstylized render, whatever the config's intensity
         assert all(row.intensity == 0.0 for row in report.rows)
-        for key in ("mean_ffc_id", "mean_ffc_base", "mean_mass_id", "mean_mass_base", "paired_se", "id_wins"):
+        for key in ("mean_ffc_id", "mean_ffc_base", "mean_mass_id", "mean_mass_base", "paired_se", "id_wins",
+                    "ident_rate_id", "ident_rate_base", "mean_ffc_others_id", "mean_ffc_others_base"):
             assert key in report.extras
 
 
