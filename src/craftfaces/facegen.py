@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError
 from .numerics import RngStream, tensor
@@ -192,27 +191,31 @@ def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     if size < MIN_SIZE:
         raise ConfigError(f"size {size} below minimum {MIN_SIZE}")
     h = w = int(size)
-    yy, xx = (axis.astype(np.float64) for axis in np.ogrid[0:h, 0:w])
+    yy, xx = np.arange(h, dtype=np.float64)[:, None], np.arange(w, dtype=np.float64)
     cy, cx = 0.54 * h, 0.5 * w
     radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
     dist = np.hypot(yy - cy, xx - cx)
-    geometry = np.zeros((h, w), dtype=np.float64)
+    out = np.empty((2, h, w), dtype=np.float64)
+    geometry, chroma = out
+    geometry.fill(0.0)
     _decorate(geometry, p, dist, radius)
     draw_landmarks(geometry, p.attributes())
 
     base = FACE_PALETTES[p.palette_id % len(FACE_PALETTES)]
-    chroma = np.full((h, w), p.background, dtype=np.float64)
+    chroma.fill(p.background)
     inside = dist <= radius
     chroma[inside] = base + 0.25 * (dist[inside] / max(radius, 1.0))
     np.clip(chroma, 0.0, 1.0, out=chroma)
-    return np.stack([geometry, chroma])
+    return out
 
 
 def image_hash(img: np.ndarray) -> int:
+    """An 8-byte blake2b digest of the shape and the float64 bytes of ``img``,
+    read from its C-contiguous buffer without a copy."""
     img = tensor(img)
     h = hashlib.blake2b(digest_size=8)
     h.update(str(img.shape).encode())
-    h.update(img.tobytes())
+    h.update(img)
     return int.from_bytes(h.digest(), "little")
 
 
@@ -288,10 +291,13 @@ def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     k = np.floor(deltas)
     frac = (deltas - k)[:, None]
     pad = int(np.max(np.abs(k))) + 1
-    # S(k)[t, x] = tracks[t, x - k], so both[t, j] = tracks[t, j - 1 - k]; the padded
+    padded = np.zeros((n, w + 2 * pad))
+    padded[:, pad:pad + w] = tracks
+    # S(k)[t, x] = tracks[t, x - k], so both[t, j] = padded[t, pad - 1 - k + j]; the padded
     # copy is dropped before the blend allocates, which keeps the peak memory down
-    start = pad - 1 - k.astype(np.intp)
-    both = sliding_window_view(np.pad(tracks, ((0, 0), (pad, pad))), w + 1, axis=1)[np.arange(n), start]
+    start = np.arange(pad - 1, padded.size, padded.shape[1]) - k.astype(np.intp)
+    both = np.take(padded, start[:, None] + np.arange(w + 1))
+    del padded
     at_k, at_k1 = both[:, 1:], both[:, :-1]
     out = (1.0 - frac) * at_k
     out += frac * at_k1

@@ -12,8 +12,6 @@ restored attributes exact.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ExtractionError, InputError, ProjectionError
@@ -55,7 +53,7 @@ def extract_attributes(img: np.ndarray) -> np.ndarray:
 def _centroids(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The intensity centroid at positions ``xs`` of each row of ``weights``."""
     mass = weights.sum(axis=-1)
-    if np.any(mass <= _MIN_BAND_MASS):
+    if (mass <= _MIN_BAND_MASS).any():
         raise ExtractionError("no detectable face geometry (empty landmark band)")
     return (xs * weights).sum(axis=-1) / mass
 
@@ -69,10 +67,11 @@ def _band_attributes(bands: np.ndarray) -> np.ndarray:
     w = bands.shape[-1]
     mid = w // 2
     xs = np.arange(w, dtype=np.float64)
+    out = np.empty(bands.shape[:-1])
     half_spacing = (_centroids(bands[..., 0, mid:], xs[mid:]) - _centroids(bands[..., 0, :mid], xs[:mid])) / 2.0
-    eye_spacing = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
-    singles = (_centroids(bands[..., 1:, :], xs) / w - X_MARGIN) / X_SPAN
-    return np.clip(np.concatenate([eye_spacing[..., None], singles], axis=-1), 0.0, 1.0)
+    out[..., 0] = (half_spacing / w - EYE_OFFSET) / EYE_SPAN
+    out[..., 1:] = (_centroids(bands[..., 1:, :], xs) / w - X_MARGIN) / X_SPAN
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def attr_loss(x_img: np.ndarray, i_img: np.ndarray) -> float:
@@ -130,17 +129,17 @@ def _already_there(current: np.ndarray | None, target: np.ndarray):
     """Whether an image with attributes ``current`` (None: not extractable)
     carries ``target`` already, so that projecting it onto ``target``
     redraws nothing; for a stack of attribute vectors, one bool per vector."""
-    return current is not None and np.max(np.abs(current - target), axis=-1) <= _ALREADY_THERE_TOL
+    return current is not None and np.abs(current - target).max(axis=-1) <= _ALREADY_THERE_TOL
 
 
 def _redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarray:
     """The attributes of any image of ``shape`` that ``project`` redraws
     onto ``target``. A redraw clears and rewrites every landmark row that
     extraction reads, so they depend on nothing else; they are measured
-    here on a blank canvas."""
-    canvas = np.zeros(shape)
-    draw_landmarks(canvas[0], target)
-    return extract_attributes(canvas)
+    here on a blank geometry plane."""
+    plane = np.zeros(shape[-2:])
+    draw_landmarks(plane, target)
+    return _band_attributes(plane[_band_index(shape[-2])])
 
 
 def _order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,15 +148,42 @@ def _order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndar
     the face's own ``ref``, the (I, 6) attributes ``styled`` of each
     ``graffiti_stylize`` output (the reversed order's, whose restore is a
     bitwise no-op) and the (I, 6) attributes ``restored`` of projecting
-    each onto ``ref``. One batch of landmark rows gives every ``styled``
-    vector; a restore that redraws leaves ``_redrawn_attributes``, one that
-    finds ``ref`` already there leaves the stylized image's. Each vector has
-    the bits of ``extract_attributes`` of that image."""
+    each onto ``ref``. One band read gives ``ref`` and every ``styled``
+    vector, from the render's band rows stacked on one batch of stylized
+    ones; a restore that redraws leaves ``_redrawn_attributes``, one that
+    finds ``ref`` already there leaves the stylized image's. The redraw is
+    drawn at ``ref``, so it takes a second read. Each vector has the bits
+    of ``extract_attributes`` of that image."""
     img = tensor(img)
-    ref = extract_attributes(img)
-    styled = _band_attributes(_landmark_rows(img, intensities, _jitter_units(img))[0])
+    bands, rows = _landmark_rows(img, intensities, _jitter_units(img))
+    attrs = _band_attributes(np.concatenate([img[None, 0, rows], bands]))
+    ref, styled = attrs[0], attrs[1:]
     restored = np.where(_already_there(styled, ref)[:, None], styled, _redrawn_attributes(img.shape, ref))
     return ref, styled, restored
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each last-axis vector of ``a`` with the one of
+    ``b`` it broadcasts against, with the bits of the 1-D ``u @ v``: matmul
+    hands every (1, n) @ (n, 1) pair to the same BLAS ddot. One gemv
+    ``a @ v`` would use another kernel, whose roundings differ."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u . v) / (|u| |v|) per last-axis vector pair; a zero vector raises."""
+    nu, nv = np.sqrt(_dots(u, u)), np.sqrt(_dots(v, v))
+    if (nu == 0.0).any() or (nv == 0.0).any():
+        raise InputError("cosine similarity undefined for zero vectors")
+    return _dots(u, v) / (nu * nv)
+
+
+def _scores(attrs: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The loss (squared distance) and the FFC of each attribute vector of
+    ``attrs`` against ``ref``: each the bits of ``float(d @ d)`` and
+    ``ffc(a, ref)`` for that vector alone."""
+    d = attrs - ref
+    return _dots(d, d), _cosines(attrs, ref)
 
 
 def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:
@@ -170,8 +196,4 @@ def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:
     v = tensor(emb2).reshape(-1)
     if u.shape != v.shape:
         raise InputError(f"embedding lengths differ: {u.shape[0]} vs {v.shape[0]}")
-    nu = math.sqrt(float(u @ u))  # the bits of np.linalg.norm(u), without its dispatch
-    nv = math.sqrt(float(v @ v))
-    if nu == 0.0 or nv == 0.0:
-        raise InputError("cosine similarity undefined for zero vectors")
-    return float(u @ v / (nu * nv))
+    return float(_cosines(u, v))

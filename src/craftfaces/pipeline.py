@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -33,7 +32,7 @@ from .diffusion import (
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
-from .identity import _order_attributes, attribute_embedding, extract_attributes, ffc, project
+from .identity import _order_attributes, _scores, attribute_embedding, extract_attributes, ffc, project
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream
 
@@ -248,10 +247,10 @@ def _diffuse(styled: np.ndarray, ref: np.ndarray, prompt: str, cfg: PipelineConf
 def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, seed: int, face_id: int):
     """Score one output from its attributes ``attrs`` against the input's
     ``ref``: the loss (the bits of ``attr_loss(out, input)``) and the FFC."""
-    d = attrs - ref
+    loss, cosine = _scores(attrs, ref)
     return ReportRow(
         face_id=face_id, order=order, intensity=intensity,
-        attr_loss=float(d @ d), ffc=ffc(attrs, ref), seed=seed,
+        attr_loss=float(loss), ffc=float(cosine), seed=seed,
     )
 
 
@@ -285,33 +284,25 @@ def run_identity_first(
 
 def _order_face(args) -> list[ReportRow]:
     """One face's cells: both orders at each intensity, from the attributes
-    ``_order_attributes`` says they leave. Each distinct attribute vector is
-    scored once per face: a restore leaves either the stylized vector, whose
-    score is that intensity's SP score, or the one vector every redraw
-    leaves, which is scored once. Each score is written once per seed, since
+    ``_order_attributes`` says they leave. Every SP and PS vector is scored
+    in one ``_scores`` call, and each score is written once per seed, since
     no draw reads the seed."""
     face_id, params, image_size, seeds, intensities = args
     ref, styled, restored = _order_attributes(render_face(params, image_size), intensities)
-    kept = (restored == styled).all(axis=1)  # the restores that leave the stylized vector
-    redrawn = None
+    losses, ffcs = _scores(np.stack([restored, styled]), ref)  # (2, I): PS, then SP
+    lost = losses[0] > losses[1]
+    if lost.any():
+        i = int(np.argmax(lost))  # the first intensity where style-first lost
+        raise CompositionOrderError(
+            "style-then-project lost to the reversed order: "
+            f"face_id={face_id} intensity={intensities[i]} seeds={seeds} "
+            f"loss_ps={float(losses[0, i])!r} loss_sp={float(losses[1, i])!r} params={params}"
+        )
     rows = []
-    for intensity, sp_attrs, ps_attrs, ps_is_sp in zip(intensities, styled, restored, kept):
-        sp = _row("SP", sp_attrs, ref, intensity, seeds[0], face_id)
-        if ps_is_sp:
-            ps = sp
-        elif redrawn is None:
-            ps = redrawn = _row("PS", ps_attrs, ref, intensity, seeds[0], face_id)
-        else:
-            ps = redrawn
-        if ps.attr_loss > sp.attr_loss:
-            raise CompositionOrderError(
-                "style-then-project lost to the reversed order: "
-                f"face_id={face_id} intensity={intensity} seeds={seeds} "
-                f"loss_ps={ps.attr_loss!r} loss_sp={sp.attr_loss!r} params={params}"
-            )
+    for intensity, loss_ps, loss_sp, ffc_ps, ffc_sp in zip(intensities, *losses.tolist(), *ffcs.tolist()):
         for seed in seeds:
-            rows.append(ReportRow(face_id, "PS", intensity, ps.attr_loss, ps.ffc, seed))
-            rows.append(ReportRow(face_id, "SP", intensity, sp.attr_loss, sp.ffc, seed))
+            rows.append(ReportRow(face_id, "PS", intensity, loss_ps, ffc_ps, seed))
+            rows.append(ReportRow(face_id, "SP", intensity, loss_sp, ffc_sp, seed))
     return rows
 
 
@@ -332,14 +323,13 @@ def ablate_order(
 
     Per face, ``identity._order_attributes`` gives the attributes both
     orders leave at every intensity from one batch of landmark rows; no
-    cell builds a stylized or restored image. Each distinct attribute
-    vector is scored once per face: every style-first restore that redraws
-    leaves the same vector, so they share one score, and one that finds the
-    attributes already there shares the reversed order's score. No draw
-    reads the seed, so each score is written once per seed. The rows have
-    the bits of calling ``run_style_first`` and ``run_identity_first`` per
-    cell. At most ``min(jobs, len(faces))`` worker processes run the faces,
-    and none when that is 1.
+    cell builds a stylized or restored image. All of a face's vectors are
+    scored in one call of per-vector dot products, each with the bits of
+    scoring that vector alone. No draw reads the seed, so each score is
+    written once per seed. The rows have the bits of calling
+    ``run_style_first`` and ``run_identity_first`` per cell. At most
+    ``min(jobs, len(faces))`` worker processes run the faces, and none
+    when that is 1.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
@@ -357,6 +347,10 @@ def ablate_order(
     report = ExperimentReport()
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules (multiprocessing and what it loads) cost
+        # every other command's import time, and only a sweep with workers uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             for rows in ex.map(_order_face, tasks):
                 report.rows.extend(rows)

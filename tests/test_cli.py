@@ -571,3 +571,18 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         _atomic_write(target, lambda p: open(p, "w").write("done"))
         assert target.read_text() == "done"
+
+
+def test_import_loads_no_process_pool():
+    """Every command imports the CLI, and only ``ablate-order --jobs`` above 1
+    starts workers, so the pool's modules are imported there alone: a fresh
+    interpreter importing the CLI has loaded no ``multiprocessing``."""
+    src = str(Path(craftfaces.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, craftfaces.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

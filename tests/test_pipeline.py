@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 from dataclasses import fields, replace
 
@@ -180,17 +181,22 @@ class TestAblateOrder:
         assert paths[0] == paths[1] == paths[2]
 
     def test_violation_raises_with_case(self, monkeypatch):
-        real_row = pl._row
+        real = pl._order_attributes
 
-        def fake_row(order, *args):
-            row = real_row(order, *args)
-            return replace(row, attr_loss=99.0) if order == "PS" else row
+        def losing(img, intensities):
+            """The real stylized attributes against a dyadic ``ref``, with
+            restores 9, 3 and 3 away from it: a PS loss of exactly 99.0 at
+            every intensity, over an SP loss of at most 6 * 0.5**2."""
+            _, styled, restored = real(img, intensities)
+            ref = np.full(6, 0.5)
+            return ref, styled, np.broadcast_to(ref + [9.0, 3.0, 3.0, 0.0, 0.0, 0.0], restored.shape)
 
-        monkeypatch.setattr(pl, "_row", fake_row)
+        monkeypatch.setattr(pl, "_order_attributes", losing)
         cfg = PipelineConfig(seed=9)
         with pytest.raises(CompositionOrderError) as exc:
-            ablate_order(face_grid(1, seed=9), cfg, sweeps=(0.5,), seeds=(9,))
+            ablate_order(face_grid(1, seed=9), cfg, sweeps=(0.5, 0.3), seeds=(9,))
         assert "face_id=0" in str(exc.value)
+        assert "intensity=0.5" in str(exc.value)  # the first offending intensity, in sweep order
         assert "loss_ps=99.0" in str(exc.value)
 
     def test_empty_grid_rejected(self):
@@ -252,21 +258,22 @@ class TestAblateOrder:
         for module, name in ((facegen, "image_hash"), (identity, "project"), (pl, "project"),
                              (identity, "extract_attributes"), (pl, "extract_attributes"),
                              (identity, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
-                             (pl, "_row")):
+                             (identity, "_band_attributes"), (pl, "_scores"), (pl, "_row")):
             count(module, name)  # both modules' project and extract_attributes feed one count each
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.0, 0.5, 0.9), seeds=(21, 22))
         faces = 3
         assert calls == {
             "image_hash": faces,  # the jitter units
             "project": 0,  # each cell scores its restore without building it
-            # per face the reference and the attributes a redraw leaves
-            "extract_attributes": 2 * faces,
+            "extract_attributes": 0,  # every attribute vector comes from a band read
             "_landmark_rows": faces,  # every intensity's stylized landmark rows in one batch
             "_stylize": 0,  # no cell builds a stylized image
             "graffiti_stylize": 0,
-            # per face one SP score per intensity and one PS score that every redrawing restore
-            # shares, for both seeds; at 0.0 the restore finds ref already there and reuses SP's
-            "_row": faces * (1 + 3),
+            # per face one read of the render's and every stylized band row, and one of the redraw's
+            "_band_attributes": 2 * faces,
+            # per face every SP and PS vector of every intensity in one call, written for both seeds
+            "_scores": faces,
+            "_row": 0,
         }
 
     @pytest.mark.parametrize("n_faces, jobs, workers", [(1, 4, None), (2, 4, 2), (3, 2, 2), (2, 1, None)])
@@ -288,7 +295,7 @@ class TestAblateOrder:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(pl, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         cfg, faces = PipelineConfig(seed=5), face_grid(n_faces, seed=5)
         report = ablate_order(faces, cfg, sweeps=(0.5,), seeds=(5,), jobs=jobs)
         assert pools == ([] if workers is None else [workers])
