@@ -10,6 +10,10 @@ Commands
     ffc              cosine similarity of two embedding CSV files
     attn-map         export a post-softmax attention matrix as CSV
 
+Each command parses its flags, calls one public function of the package
+(``diffuse`` calls ``pipeline.diffuse``, ``attn-map``
+``pipeline.face_attention_map``) and writes what it returns.
+
 Common flags: ``--seed``, ``--out-dir`` and ``--config`` (a JSON file with
 PipelineConfig keys). The config is resolved once: file values, then flag
 values over them, then the seed (``--seed``, else the file's, else env
@@ -67,8 +71,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attention_map
-from .diffusion import encode
 from .errors import CompositionOrderError, ConfigError, CraftError, InputError
 from .facegen import (
     ATTRIBUTE_NAMES,
@@ -78,7 +80,7 @@ from .facegen import (
     render_face,
     write_ppm,
 )
-from .identity import attr_loss, attribute_embedding, extract_attributes, ffc
+from .identity import attr_loss, extract_attributes, ffc
 from .lora import save_adapters
 from .numerics import RngStream
 from .pipeline import (
@@ -86,9 +88,9 @@ from .pipeline import (
     PipelineConfig,
     ablate_attention,
     ablate_order,
+    diffuse,
+    face_attention_map,
     train_toy_denoiser,
-    _diffuse,
-    _make_runtime,
 )
 
 USAGE_EXIT = 2
@@ -228,7 +230,8 @@ def parse(argv) -> Command:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError: bad UTF-8 or JSON, or an integer past Python's digit limit
+        except (OSError, ValueError, RecursionError) as exc:
             raise CraftError(f"unreadable config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CraftError(f"config file {args.config} must hold a JSON object")
@@ -282,7 +285,7 @@ def _read_vector_csv(path) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
             cells = np.array([float(c) for row in csv.reader(fh) for c in row if c.strip()])
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:  # csv.Error: a field past csv.field_size_limit()
         raise InputError(f"{path}: not a numeric vector CSV: {exc}") from None
     if not np.all(np.isfinite(cells)):
         raise InputError(f"{path}: non-finite cell in vector CSV")
@@ -318,10 +321,8 @@ def _stylize(cmd: Command) -> None:
 
 
 def _diffuse_face(cmd: Command) -> None:
-    cfg, face_id, img = cmd.config, cmd.args.face_id, _face(cmd)
-    styled = graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity))
-    rng = RngStream(seed=cfg.seed).split("diffuse").split(face_id)
-    out = _diffuse(styled, extract_attributes(img), cmd.args.prompt, cfg, _make_runtime(cfg), rng)
+    cfg, face_id = cmd.config, cmd.args.face_id
+    out = diffuse(_face(cmd), cfg, cmd.args.prompt, RngStream(seed=cfg.seed).split("diffuse").split(face_id))
     ppm = os.path.join(cmd.args.out_dir, f"face_{face_id}_diffused.ppm")
     _atomic_write(ppm, lambda tmp: write_ppm(tmp, out))
     print(f"diffuse: steps={cfg.steps} window={cfg.composition_window} -> {ppm}")
@@ -375,12 +376,8 @@ def _ffc(cmd: Command) -> None:
 
 
 def _attn_map(cmd: Command) -> None:
-    cfg, img = cmd.config, _face(cmd)
-    runtime = _make_runtime(cfg)
-    tokens = encode(img, runtime.codec).reshape(cfg.latent_tokens, cfg.token_dim)
-    ident = attribute_embedding(extract_attributes(img)) if cmd.args.with_identity else None
     path = os.path.join(cmd.args.out_dir, f"attn_map_{cmd.args.face_id}.csv")
-    _write_csv(path, attention_map(tokens, ident, runtime.model.attention).tolist())
+    _write_csv(path, face_attention_map(_face(cmd), cmd.config, cmd.args.with_identity).tolist())
     print(f"attn-map: identity={cmd.args.with_identity} -> {path}")
 
 

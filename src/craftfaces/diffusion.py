@@ -201,33 +201,20 @@ class _Terms(NamedTuple):
     identity: tuple[np.ndarray, np.ndarray] | None
 
 
-def _denoise_loss(model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> float:
-    """Mean squared noise-prediction error of the latents ``x_t`` against
-    the noise ``eps`` (both ``(B, latent_size)``), with ``cond`` and the
-    model's identity as in ``predict_noise``. One ``predict_noise`` call
-    per item: the loop that ``_denoise_loss_and_grad`` is checked against."""
-    n = len(x_t)
-    conds = np.broadcast_to(cond, (n, model.cond_dim))
-    ident = model.identity
-    total = 0.0
-    for i in range(n):
-        item = model if np.ndim(ident) < 2 else model.with_identity(ident[i])
-        err = item.predict_noise(x_t[i], conds[i]) - eps[i]
-        total += float(np.mean(err * err))
-    return total / n
-
-
 def _denoise_loss_and_grad(
     model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray,
     names: Iterable[str] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """``_denoise_loss`` and its exact gradient for each weight in
-    ``names`` (default: every weight), keyed and ordered as in
-    ``DenoiserModel.params``, by hand-rolled backprop through the
-    attention block of ``predict_noise``. The forward is
-    ``attention._forward``, the one ``predict_noise`` samples with, so
-    training fits the same function. Verified against the
-    finite-difference oracle in the test suite.
+    """The mean squared noise-prediction error of the latents ``x_t``
+    against the noise ``eps`` (both ``(B, latent_size)``), with ``cond``
+    and the model's identity as in ``predict_noise``, and its exact
+    gradient for each weight in ``names`` (default: every weight; none
+    for the loss alone), keyed and ordered as in ``DenoiserModel.params``,
+    by hand-rolled backprop through the attention block of
+    ``predict_noise``. The forward is ``attention._forward``, the one
+    ``predict_noise`` samples with, so training fits the same function.
+    The test suite checks the loss against a loop of one ``predict_noise``
+    call per item, and the gradient against the finite-difference oracle.
 
     The batch goes through one ``(B, n, d)`` forward and one backward.
     Every per-item product keeps its 2-D shape (a row ``(1, k)`` times a

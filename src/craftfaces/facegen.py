@@ -46,11 +46,9 @@ __all__ = [
     "graffiti_stylize",
     "embed_prompt",
     "face_grid",
-    "band_rows",
     "draw_landmarks",
     "image_hash",
     "write_ppm",
-    "SPRAY_PALETTE",
 ]
 
 ATTRIBUTE_NAMES = (
@@ -66,7 +64,7 @@ ATTRIBUTE_NAMES = (
 FACE_PALETTES = (0.30, 0.45, 0.60, 0.75)
 
 # spray-paint tone set the stylizer quantizes chroma to
-SPRAY_PALETTE = (0.05, 0.25, 0.50, 0.75, 0.95)
+_SPRAY_PALETTE = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 MIN_SIZE = 32
 
@@ -120,7 +118,7 @@ EYE_SPAN = 0.13
 _BAND_ROWS: dict[int, MappingProxyType] = {}
 
 
-def band_rows(height: int) -> MappingProxyType:
+def _band_rows(height: int) -> MappingProxyType:
     """The geometry row of each landmark band, by attribute name: one
     read-only table per height, shared by every caller."""
     if height not in _BAND_ROWS:
@@ -130,7 +128,7 @@ def band_rows(height: int) -> MappingProxyType:
 
 def _band_index(height: int) -> list[int]:
     """The geometry row of each landmark band, in ``ATTRIBUTE_NAMES`` order."""
-    rows = band_rows(height)
+    rows = _band_rows(height)
     return [rows[name] for name in ATTRIBUTE_NAMES]
 
 
@@ -147,7 +145,7 @@ def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
     """Clear the landmark bands of a geometry plane and re-splat them at
     the given attribute values (in place)."""
     h, w = geometry.shape
-    rows = band_rows(h)
+    rows = _band_rows(h)
     a = {name: float(v) for name, v in zip(ATTRIBUTE_NAMES, attrs)}
     for name, r in rows.items():
         geometry[r, :] = 0.0
@@ -306,14 +304,14 @@ def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _quantize(chroma: np.ndarray) -> np.ndarray:
-    """The ``SPRAY_PALETTE`` tone nearest each pixel, by a running minimum
+    """The ``_SPRAY_PALETTE`` tone nearest each pixel, by a running minimum
     over the tones; a strict ``<`` keeps the first of tied tones, as
     ``np.argmin`` does."""
-    nearest = np.full_like(chroma, SPRAY_PALETTE[0])
-    best = np.abs(chroma - SPRAY_PALETTE[0])
+    nearest = np.full_like(chroma, _SPRAY_PALETTE[0])
+    best = np.abs(chroma - _SPRAY_PALETTE[0])
     dist = np.empty_like(chroma)
     closer = np.empty(chroma.shape, dtype=bool)
-    for tone in SPRAY_PALETTE[1:]:
+    for tone in _SPRAY_PALETTE[1:]:
         np.abs(np.subtract(chroma, tone, out=dist), out=dist)
         np.less(dist, best, out=closer)
         np.copyto(best, dist, where=closer)

@@ -186,14 +186,33 @@ def _scores(attrs: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _dots(d, d), _cosines(attrs, ref)
 
 
+def _in_range(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``v``, except that one which is not zero but whose squared
+    norm overflows to inf or underflows to 0 is multiplied by the power of
+    two that brings its largest magnitude into [0.5, 1). That scaling is
+    exact, short of entries it takes below the smallest float, and keeps
+    the direction, so the cosine is unchanged and its dot products stay
+    finite; a vector whose squared norm is finite and nonzero passes
+    through with its bits."""
+    with np.errstate(over="ignore"):
+        squares = u @ u, v @ v
+    return tuple(
+        w if 0.0 < sq < np.inf or not w.any() else np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        for w, sq in zip((u, v), squares)
+    )
+
+
 def ffc(emb1: np.ndarray, emb2: np.ndarray) -> float:
     """Cosine similarity of two embeddings: (u . v) / (|u| |v|).
 
     1 means identical direction, 0 no similarity, negative values opposite
-    orientation. Zero vectors have no direction and are rejected.
+    orientation. Zero vectors have no direction and are rejected. A finite
+    vector whose squared norm overflows or underflows is scaled by a power
+    of two first (``_in_range``), so it is neither scored ``nan`` nor
+    called zero.
     """
     u = tensor(emb1).reshape(-1)
     v = tensor(emb2).reshape(-1)
     if u.shape != v.shape:
         raise InputError(f"embedding lengths differ: {u.shape[0]} vs {v.shape[0]}")
-    return float(_cosines(u, v))
+    return float(_cosines(*_in_range(u, v)))

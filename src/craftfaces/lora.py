@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import AttentionWeights, ExtendedAttentionWeights
-from .diffusion import DenoiserModel, _denoise_loss, _denoise_loss_and_grad
+from .diffusion import DenoiserModel, _denoise_loss_and_grad
 from .errors import ConfigError, InputError, ShapeError, TrainingError
 from .numerics import RngStream, tensor
 
 __all__ = [
     "LoRAAdapter",
-    "init_adapter",
     "merge",
     "apply_to_attention",
     "LoRATrainConfig",
@@ -59,7 +58,7 @@ class LoRAAdapter:
         return self.alpha * (self.a @ self.b)
 
 
-def init_adapter(d: int, k: int, rank: int, alpha: float, rng: RngStream) -> LoRAAdapter:
+def _init_adapter(d: int, k: int, rank: int, alpha: float, rng: RngStream) -> LoRAAdapter:
     """A ~ 0.2 N(0, 1), B = 0, so the initial update vanishes. The rank is
     checked before A is drawn."""
     if rank > min(d, k):
@@ -123,7 +122,7 @@ def _batch(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _adapted_loss(model: DenoiserModel, data, adapters: dict[str, LoRAAdapter]) -> float:
     merged = model.with_attention(apply_to_attention(model.attention, adapters))
-    return _denoise_loss(merged, *_batch(data))
+    return _denoise_loss_and_grad(merged, *_batch(data), names=())[0]
 
 
 def _factor_grad(
@@ -156,7 +155,7 @@ def train_lora(
     """
     base = model.attention.base
     adapters = {
-        t: init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
+        t: _init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
         for t in TARGET_MATRICES
     }
     if not data:

@@ -1,5 +1,6 @@
-"""End-to-end orchestration: the style-first flow, its reversed ablation,
-attention-arm comparison, toy denoiser training, and CSV reporting.
+"""End-to-end orchestration: the style-first denoiser pass, the attention
+map, the composition-order sweep, attention-arm comparison, toy denoiser
+training, and CSV reporting.
 
 Everything here is a pure function of (inputs, config, seed): all random
 streams derive from ``PipelineConfig.seed``, sweep cells own split
@@ -32,7 +33,7 @@ from .diffusion import (
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
-from .identity import _order_attributes, _scores, attribute_embedding, extract_attributes, ffc, project
+from .identity import _order_attributes, _scores, attribute_embedding, extract_attributes, ffc
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream
 
@@ -40,8 +41,8 @@ __all__ = [
     "PipelineConfig",
     "ReportRow",
     "ExperimentReport",
-    "run_style_first",
-    "run_identity_first",
+    "diffuse",
+    "face_attention_map",
     "ablate_order",
     "ablate_attention",
     "train_toy_denoiser",
@@ -164,26 +165,6 @@ class ExperimentReport:
     def sorted_rows(self) -> list[ReportRow]:
         return sorted(self.rows, key=lambda r: (r.face_id, r.intensity, r.seed, r.order))
 
-    def mean_loss(self, order: str) -> float:
-        vals = [r.attr_loss for r in self.rows if r.order == order]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    def mean_ffc(self, order: str) -> float:
-        vals = [r.ffc for r in self.rows if r.order == order]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    def win_rate(self) -> float:
-        """Fraction of (face, intensity, seed) cells where the style-first
-        order's (PS) loss is <= the reversed order's (SP)."""
-        by_cell: dict[tuple, dict[str, float]] = {}
-        for r in self.rows:
-            by_cell.setdefault((r.face_id, r.intensity, r.seed), {})[r.order] = r.attr_loss
-        pairs = [c for c in by_cell.values() if "PS" in c and "SP" in c]
-        if not pairs:
-            return float("nan")
-        wins = sum(1 for c in pairs if c["PS"] <= c["SP"])
-        return wins / len(pairs)
-
     def to_csv(self, path) -> None:
         """Write the report: a header of ``ReportRow``'s field names, then
         each sorted row's values (floats by ``repr``). Every value is
@@ -226,13 +207,19 @@ def _build_runtime(seed: int, image_size: int, latent_tokens: int, token_dim: in
     return _Runtime(sched=sched, codec=codec, model=model)
 
 
-def _diffuse(styled: np.ndarray, ref: np.ndarray, prompt: str, cfg: PipelineConfig, runtime: _Runtime,
-             rng: RngStream) -> np.ndarray:
-    """The guided denoiser pass over ``styled`` on ``prompt`` by the runtime's
-    model with the identity of the attributes ``ref``; returns the decoded image."""
-    guide = encode(styled, runtime.codec) if cfg.composition_window > 0 else None
+def diffuse(img: np.ndarray, cfg: PipelineConfig, prompt: str, rng: RngStream) -> np.ndarray:
+    """The style-first denoiser pass over the face ``img``: stylize it at
+    ``cfg.style_intensity``, then run the guided sampler of ``cfg``'s
+    runtime on ``prompt`` with the identity of ``img``'s attributes, the
+    stylized latent guiding the first ``cfg.composition_window`` steps;
+    returns the decoded image, clipped to [0, 1]. With no window the
+    sampler reads no guide, so nothing is stylized."""
+    runtime = _make_runtime(cfg)
+    guide = None
+    if cfg.composition_window > 0:
+        guide = encode(graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity)), runtime.codec)
     z = sample(
-        runtime.model.with_identity(attribute_embedding(ref)),
+        runtime.model.with_identity(attribute_embedding(extract_attributes(img))),
         embed_prompt(prompt, cfg.cond_dim),
         runtime.sched,
         window=cfg.composition_window,
@@ -244,52 +231,25 @@ def _diffuse(styled: np.ndarray, ref: np.ndarray, prompt: str, cfg: PipelineConf
     return np.clip(decode(z, runtime.codec), 0.0, 1.0)
 
 
-def _row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, seed: int, face_id: int):
-    """Score one output from its attributes ``attrs`` against the input's
-    ``ref``: the loss (the bits of ``attr_loss(out, input)``) and the FFC."""
-    loss, cosine = _scores(attrs, ref)
-    return ReportRow(
-        face_id=face_id, order=order, intensity=intensity,
-        attr_loss=float(loss), ffc=float(cosine), seed=seed,
-    )
+def face_attention_map(img: np.ndarray, cfg: PipelineConfig, with_identity: bool) -> np.ndarray:
+    """The post-softmax ``(latent_tokens, latent_tokens)`` attention matrix
+    of ``cfg``'s denoiser over the latent tokens of the face ``img``; with
+    ``with_identity``, the identity-augmented map on the embedding of
+    ``img``'s attributes."""
+    runtime = _make_runtime(cfg)
+    tokens = encode(img, runtime.codec).reshape(cfg.latent_tokens, cfg.token_dim)
+    ident = attribute_embedding(extract_attributes(img)) if with_identity else None
+    return attention_map(tokens, ident, runtime.model.attention)
 
 
-def run_style_first(
-    i_img: np.ndarray,
-    cfg: PipelineConfig,
-    face_id: int = 0,
-) -> tuple[np.ndarray, ReportRow]:
-    """Stylize, then restore the input's attributes. The projection runs
-    last, so the output carries the input's attributes whatever the
-    stylizer did."""
-    ref = extract_attributes(i_img)
-    out = project(graffiti_stylize(i_img, StyleOp(intensity=cfg.style_intensity)), ref)
-    return out, _row("PS", extract_attributes(out), ref, cfg.style_intensity, cfg.seed, face_id)
-
-
-def run_identity_first(
-    i_img: np.ndarray,
-    cfg: PipelineConfig,
-    face_id: int = 0,
-) -> tuple[np.ndarray, ReportRow]:
-    """Reversed order: restore the input's attributes first, then stylize.
-    The restore projects the input onto its own attributes, a bitwise
-    no-op, so the output is the stylized input and whatever drift the
-    stylizer causes stays in it. It extracts twice: the input's attributes
-    and the output's."""
-    styled = graffiti_stylize(i_img, StyleOp(intensity=cfg.style_intensity))
-    return styled, _row("SP", extract_attributes(styled), extract_attributes(i_img), cfg.style_intensity,
-                        cfg.seed, face_id)
-
-
-def _order_face(args) -> list[ReportRow]:
-    """One face's cells: both orders at each intensity, from the attributes
-    ``_order_attributes`` says they leave. Every SP and PS vector is scored
-    in one ``_scores`` call, and each score is written once per seed, since
-    no draw reads the seed."""
+def _order_face(args) -> tuple[np.ndarray, np.ndarray]:
+    """One face's scores: the (2, I) losses and FFCs of the PS, then the SP
+    order at each intensity, from the attributes ``_order_attributes`` says
+    they leave, every vector scored in one ``_scores`` call. A style-first
+    loss above the reversed order's raises CompositionOrderError."""
     face_id, params, image_size, seeds, intensities = args
     ref, styled, restored = _order_attributes(render_face(params, image_size), intensities)
-    losses, ffcs = _scores(np.stack([restored, styled]), ref)  # (2, I): PS, then SP
+    losses, ffcs = _scores(np.stack([restored, styled]), ref)
     lost = losses[0] > losses[1]
     if lost.any():
         i = int(np.argmax(lost))  # the first intensity where style-first lost
@@ -298,12 +258,7 @@ def _order_face(args) -> list[ReportRow]:
             f"face_id={face_id} intensity={intensities[i]} seeds={seeds} "
             f"loss_ps={float(losses[0, i])!r} loss_sp={float(losses[1, i])!r} params={params}"
         )
-    rows = []
-    for intensity, loss_ps, loss_sp, ffc_ps, ffc_sp in zip(intensities, *losses.tolist(), *ffcs.tolist()):
-        for seed in seeds:
-            rows.append(ReportRow(face_id, "PS", intensity, loss_ps, ffc_ps, seed))
-            rows.append(ReportRow(face_id, "SP", intensity, loss_sp, ffc_sp, seed))
-    return rows
+    return losses, ffcs
 
 
 def ablate_order(
@@ -326,10 +281,13 @@ def ablate_order(
     cell builds a stylized or restored image. All of a face's vectors are
     scored in one call of per-vector dot products, each with the bits of
     scoring that vector alone. No draw reads the seed, so each score is
-    written once per seed. The rows have the bits of calling
-    ``run_style_first`` and ``run_identity_first`` per cell. At most
-    ``min(jobs, len(faces))`` worker processes run the faces, and none
-    when that is 1.
+    written once per seed. At most ``min(jobs, len(faces))`` worker
+    processes score the faces, and none when that is 1; each hands back
+    its face's score arrays, from which the rows and ``extras`` are built.
+
+    ``extras`` holds each order's mean loss over the sorted rows,
+    ``mean_loss_ps`` and ``mean_loss_sp``, and ``win_rate``, the fraction
+    of cells where the style-first (PS) loss is <= the reversed (SP) one.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
@@ -344,7 +302,6 @@ def ablate_order(
     for i in intensities:
         replace(cfg, style_intensity=i)
     tasks = [(fid, p, cfg.image_size, seeds, intensities) for fid, p in enumerate(faces)]
-    report = ExperimentReport()
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: the pool's modules (multiprocessing and what it loads) cost
@@ -352,16 +309,24 @@ def ablate_order(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            for rows in ex.map(_order_face, tasks):
-                report.rows.extend(rows)
+            scores = list(ex.map(_order_face, tasks))
     else:
-        for task in tasks:
-            report.rows.extend(_order_face(task))
+        scores = [_order_face(task) for task in tasks]
+    report = ExperimentReport()
+    for face_id, (losses, ffcs) in enumerate(scores):
+        for intensity, loss_ps, loss_sp, ffc_ps, ffc_sp in zip(intensities, *losses.tolist(), *ffcs.tolist()):
+            for seed in seeds:
+                report.rows.append(ReportRow(face_id, "PS", intensity, loss_ps, ffc_ps, seed))
+                report.rows.append(ReportRow(face_id, "SP", intensity, loss_sp, ffc_sp, seed))
     report.rows = report.sorted_rows()
+    # each order's losses in the sorted rows' (face, intensity, seed) order,
+    # so that the means sum them as a mean over those rows would
+    face_losses = np.stack([losses for losses, _ in scores])[:, :, np.argsort(intensities)]
+    ps, sp = (np.repeat(face_losses[:, k], len(seeds), axis=-1).ravel() for k in (0, 1))
     report.extras = {
-        "mean_loss_ps": report.mean_loss("PS"),
-        "mean_loss_sp": report.mean_loss("SP"),
-        "win_rate": report.win_rate(),
+        "mean_loss_ps": float(np.mean(ps)),
+        "mean_loss_sp": float(np.mean(sp)),
+        "win_rate": int(np.sum(ps <= sp)) / ps.size,
     }
     return report
 
@@ -601,9 +566,11 @@ def ablate_attention(
     base_ffc, id_ffc = np.array([r.ffc for r in report.rows]).reshape(2, len(items))
     diffs = id_ffc - base_ffc
     report.rows = report.sorted_rows()
+    # each arm's FFCs in the sorted rows' (face, seed) order, for the means
+    sorted_items = np.lexsort((np.array([seed for _, seed in items]), fids))
     report.extras = {
-        "mean_ffc_id": report.mean_ffc("ID"),
-        "mean_ffc_base": report.mean_ffc("BASE"),
+        "mean_ffc_id": float(np.mean(id_ffc[sorted_items])),
+        "mean_ffc_base": float(np.mean(base_ffc[sorted_items])),
         "mean_mass_id": float(np.mean(masses["ID"])),
         "mean_mass_base": float(np.mean(masses["BASE"])),
         "paired_se": float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan,

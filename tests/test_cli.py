@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import hashlib
 import json
 import os
@@ -10,12 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import craftfaces
 from craftfaces.cli import (
     _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_ATTENTION_SCORES, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_ORDER_CELLS,
-    MAX_SWEEP_SEEDS, MAX_TRAIN_STEPS, _atomic_write, _build_parser, main, parse,
+    MAX_SWEEP_SEEDS, MAX_TRAIN_STEPS, Command, _atomic_write, _build_parser, main, parse,
 )
+from craftfaces.errors import CraftError
 from craftfaces.lora import load_adapters
 from craftfaces.pipeline import (
     DEFAULT_PROMPT, MAX_CODEC_ELEMENTS, MAX_COND_DIM, MAX_LATENT_TOKENS, MAX_LORA_RANK, MAX_STEPS, MAX_TOKEN_DIM,
@@ -174,6 +179,15 @@ class TestParse:
             code, _, err = run(["render", "--config", str(bad)], capsys)
             assert code == 2, data
             assert err.startswith("error:") and "config" in err
+
+    def test_config_integer_past_the_digit_limit(self, tmp_path, capsys):
+        """An integer longer than Python's int-parsing limit (4300 digits)
+        is an unreadable config file, not a traceback."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"steps": ' + "1" * 5000 + "}")
+        code, _, err = run(["render", "--config", str(cfg), "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error: unreadable config file")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "extra.json"
@@ -471,6 +485,28 @@ class TestExecute:
         assert err.startswith("error:") and "bad.csv" in err
         assert out.splitlines()[-1].startswith("# config ")
 
+    @pytest.mark.parametrize("cells", ["1e308,1e308", "1e200,1", "1e-170,1e-170"],
+                             ids=["overflowing", "lopsided", "underflowing"])
+    def test_ffc_of_a_vector_with_itself_at_any_scale(self, cells, tmp_path, capsys):
+        """A vector whose squared norm overflows to inf or underflows to 0
+        is neither scored nan nor refused as zero: against itself it scores
+        1, with no warning."""
+        emb = tmp_path / "emb.csv"
+        emb.write_text(cells + "\n")
+        code, out, err = run(["ffc", str(emb), str(emb)], capsys)
+        assert (code, err) == (0, "")
+        assert abs(float(out.splitlines()[-1]) - 1.0) <= 1e-15
+
+    def test_ffc_field_past_the_csv_limit_rejected(self, tmp_path, capsys):
+        """A field longer than the csv module's limit (131072 characters)
+        is a malformed vector CSV, not a traceback."""
+        good, long = tmp_path / "good.csv", tmp_path / "long.csv"
+        good.write_text("0.25,0.5\n")
+        long.write_text("0.25," + "5" * 200_000 + "\n")
+        code, _, err = run(["ffc", str(good), str(long)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "long.csv" in err
+
     def test_diffuse_deterministic(self, tmp_path, capsys):
         args = [
             "diffuse", "--seed", "5", "--steps", "10", "--window", "3",
@@ -551,6 +587,102 @@ class TestExecute:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+def _options():
+    """Per command: each optional flag (other than ``--help`` and
+    ``--config``) with whether it takes a value, and its positional count,
+    read from the parser, so a new flag is fuzzed without editing the test."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: (
+            [(a.option_strings[0], a.nargs != 0) for a in p._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction) and a.dest != "config"],
+            sum(1 for a in p._actions if not a.option_strings),
+        )
+        for name, p in sub.choices.items()
+    }
+
+
+_OPTIONS = _options()
+# each bound a flag or config value is checked against, for limit - 1, limit and limit + 1
+_LIMITS = (0, 1, 32, MAX_FACES, MAX_JOBS, MAX_SWEEP_SEEDS, MAX_INTENSITIES, MAX_ARM_SEEDS, MAX_TRAIN_STEPS,
+           MAX_STEPS, MAX_COND_DIM, MAX_TOKEN_DIM, MAX_LATENT_TOKENS, MAX_LORA_RANK, 2**127)
+_MALFORMED = st.sampled_from(
+    ["", "nan", "-nan", "inf", "-0", "1e309", "-1e309", "0x10", "1_0", "0.5,0.5", "1,", "é", "\u6f22\u5b57", " "]
+    + [str(n) for limit in _LIMITS for n in (limit - 1, limit, limit + 1)]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+# a config file: random bytes, random JSON, or an object of config keys with malformed, limit or random values
+_CONFIG_FILES = st.one_of(
+    st.binary(max_size=64),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.dictionaries(st.sampled_from(sorted(PipelineConfig.__dataclass_fields__)),
+                    _MALFORMED.map(lambda text: int(text) if text.lstrip("-").isdigit() else text) | _JSON,
+                    max_size=4).map(lambda d: json.dumps(d).encode()),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, some of its flags with malformed values, its positionals
+    and maybe a config file's bytes."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    flags, positionals = _OPTIONS[command]
+    argv = [command]
+    for flag, takes_value in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+        argv += [flag, draw(_MALFORMED)] if takes_value else [flag]
+    argv += [draw(_MALFORMED) for _ in range(positionals)]
+    return argv, draw(st.none() | _CONFIG_FILES)
+
+
+class TestExitCodeFuzz:
+    """Generated malformed input ends in a documented exit, never an
+    uncaught exception (ROADMAP item 8): parse returns or raises
+    CraftError or SystemExit(2), and ``ffc`` exits 0 with a finite number
+    or 2 with an ``error:`` line."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_argvs())
+    def test_parse_returns_or_refuses(self, case, tmp_path_factory):
+        argv, config = case
+        if config is not None:
+            path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+            path.write_bytes(config)
+            argv += ["--config", str(path)]
+        try:
+            assert isinstance(parse(argv), Command)
+        except CraftError:
+            pass
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+
+    _finite = st.floats(allow_nan=False, allow_infinity=False)
+    _vector_csv = st.one_of(
+        st.binary(max_size=48),
+        st.lists(_finite | _finite.map(lambda x: x * 1e-300) | st.sampled_from([1e308, -1e308, 5e-324, 1e-170]),
+                 min_size=1, max_size=6).map(lambda xs: ",".join(map(repr, xs)).encode()),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(files=st.tuples(_vector_csv, _vector_csv))
+    def test_ffc_exits_0_with_a_finite_number_or_2_with_an_error(self, files, tmp_path_factory):
+        paths = []
+        for i, data in enumerate(files):
+            paths.append(tmp_path_factory.getbasetemp() / f"fuzz-emb{i}.csv")
+            paths[-1].write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ffc", *map(str, paths)])
+        assert code in (0, 2), files
+        if code == 2:
+            assert err.getvalue().startswith("error:"), files
+        else:
+            assert err.getvalue() == "" and np.isfinite(float(out.getvalue().splitlines()[-1])), files
 
 
 class TestAtomicWrite:

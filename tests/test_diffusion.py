@@ -12,7 +12,6 @@ from craftfaces.diffusion import (
     DenoiserModel,
     NoiseSchedule,
     _cholesky_upper,
-    _denoise_loss,
     _denoise_loss_and_grad,
     _normal,
     build_schedule,
@@ -28,6 +27,7 @@ from craftfaces.diffusion import (
 from craftfaces.errors import ConfigError, EvaluationError, ShapeError, StepError
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.numerics import RngStream, finite_diff_grad, softmax_rows
+from reference import denoise_loss
 
 
 def linear_schedule(T, beta_start, beta_end):
@@ -452,12 +452,12 @@ class TestDenoiserModel:
             model = plain.with_identity(ident)
             params = model.params()
             loss, grads = _denoise_loss_and_grad(model, x_t, cond, eps)
-            assert abs(loss - _denoise_loss(model, x_t, cond, eps)) <= 1e-12
+            assert abs(loss - denoise_loss(model, x_t, cond, eps)) <= 1e-12
             assert list(grads) == list(params)
             analytic = np.concatenate([g.ravel() for g in grads.values()])
             numeric = np.concatenate([
                 finite_diff_grad(
-                    lambda w: _denoise_loss(model.with_params({**params, name: w}), x_t, cond, eps),
+                    lambda w: denoise_loss(model.with_params({**params, name: w}), x_t, cond, eps),
                     params[name],
                 ).ravel()
                 for name in params
@@ -514,7 +514,7 @@ class TestDenoiserModel:
                 want_loss += item_loss
                 for name in want:
                     want[name] += item_grads[name]
-            assert loss == want_loss / b == _denoise_loss(batched, x_t, cond, eps)
+            assert loss == want_loss / b == denoise_loss(batched, x_t, cond, eps)
             assert list(grads) == list(want)
             for name in want:
                 assert grads[name].tobytes() == (want[name] / b).tobytes(), (b, name)

@@ -7,12 +7,12 @@ from hypothesis.extra.numpy import arrays
 from craftfaces.errors import ConfigError, InputError
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES,
-    SPRAY_PALETTE,
     FaceParams,
     StyleOp,
+    _SPRAY_PALETTE,
+    _band_rows,
     _quantize,
     _shift_tracks,
-    band_rows,
     embed_prompt,
     face_grid,
     graffiti_stylize,
@@ -68,8 +68,8 @@ class TestRenderFace:
         render_face(BASE, 32)  # smallest legal size works
 
     def test_band_rows_table_is_shared_and_read_only(self):
-        rows = band_rows(64)
-        assert band_rows(64) is rows
+        rows = _band_rows(64)
+        assert _band_rows(64) is rows
         with pytest.raises(TypeError):
             rows["eye_size"] = 0
         assert rows["eye_size"] == round(0.22 * 64)
@@ -77,12 +77,12 @@ class TestRenderFace:
 
 def _argmin_quantize(chroma: np.ndarray) -> np.ndarray:
     """Nearest-tone quantization as one argmin over an (..., 5) distance stack."""
-    palette = np.asarray(SPRAY_PALETTE, dtype=np.float64)
+    palette = np.asarray(_SPRAY_PALETTE, dtype=np.float64)
     return palette[np.argmin(np.abs(chroma[..., None] - palette), axis=-1)]
 
 
 class TestQuantize:
-    palette = np.asarray(SPRAY_PALETTE, dtype=np.float64)
+    palette = np.asarray(_SPRAY_PALETTE, dtype=np.float64)
     mids = (palette[:-1] + palette[1:]) / 2
 
     def test_midpoints_pick_the_lower_tone(self):
@@ -169,7 +169,7 @@ class TestGraffitiStylize:
     def test_full_intensity_concentrates_on_palette(self):
         img = render_face(BASE, 64)
         styled = graffiti_stylize(img, StyleOp(intensity=1.0))
-        assert palette_mass(styled, SPRAY_PALETTE) >= 0.95
+        assert palette_mass(styled, _SPRAY_PALETTE) >= 0.95
 
     def test_intensity_validation(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,8 @@ against the same digest: the bytes must not depend on the BLAS thread count.
 
 The PPM outputs are quantized to uint8, so one more digest pins the face
 oracle's float64 bits: renders, stylized images and their attributes, and
-further digests pin the float64 bits of ``run_style_first``'s output image,
+further digests pin the float64 bits of ``run_style_first``'s output image
+(the per-cell reference in ``reference.py``),
 at each BLAS thread count as the CLI cases are. What no CSV pins is pinned
 the same way for one small ``ablate_attention`` run: the ``repr`` of each
 of its ``extras`` and the sha256 of the weights each SGD phase trains.
@@ -32,6 +33,7 @@ from craftfaces.facegen import StyleOp, face_grid, graffiti_stylize, render_face
 from craftfaces.identity import extract_attributes
 
 SRC = str(Path(craftfaces.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)  # for the golden script's ``reference`` import
 
 GOLDENS = [
     (
@@ -162,7 +164,8 @@ import contextlib, hashlib, json, sys
 import craftfaces.pipeline as pl
 from craftfaces.cli import main
 from craftfaces.facegen import face_grid, render_face
-from craftfaces.pipeline import PipelineConfig, run_style_first
+from craftfaces.pipeline import PipelineConfig
+from reference import run_style_first
 commands, configs, (ablation, args) = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(sys.stderr):
     codes = [main(argv) for argv in commands]
@@ -205,7 +208,7 @@ def _start(threads, base) -> tuple[subprocess.Popen, dict]:
     configs = [config for _, config, _ in STYLE_FIRST_GOLDENS]
     spec = [commands, configs, ABLATION]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, TESTS, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen([sys.executable, "-c", _GOLDEN_SCRIPT, json.dumps(spec)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     return proc, out_dirs

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp,
-    _jitter_units, _landmark_rows, band_rows, face_grid, graffiti_stylize, render_face,
+    _band_rows, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
 )
 from craftfaces.identity import (
     _already_there,
@@ -24,8 +24,9 @@ from craftfaces.identity import (
     project,
 )
 from craftfaces.numerics import RngStream
-from craftfaces.pipeline import PipelineConfig, run_identity_first, run_style_first
+from craftfaces.pipeline import PipelineConfig
 from imaging import chroma_histogram
+from reference import run_identity_first, run_style_first
 
 FACE = FaceParams(
     eye_spacing=0.35,
@@ -192,10 +193,10 @@ def test_redrawn_attributes_depend_only_on_target_and_shape(params, intensity, s
 
 
 class TestVerifyComposition:
-    """Both composition orders, through the pipeline's one implementation of
-    each: ``run_style_first`` (stylize, then project onto the input's
-    attributes) and ``run_identity_first`` (project the input onto its own
-    attributes, then stylize)."""
+    """Both composition orders, through the per-cell references the order
+    sweep is checked against: ``run_style_first`` (stylize, then project
+    onto the input's attributes) and ``run_identity_first`` (project the
+    input onto its own attributes, then stylize)."""
 
     @staticmethod
     def losses(img, intensity):
@@ -249,7 +250,7 @@ def _extract_per_band(img: np.ndarray) -> np.ndarray:
     oracle for any batched reduction of the bands."""
     geometry = img[0]
     h, w = geometry.shape
-    rows = band_rows(h)
+    rows = _band_rows(h)
     out = np.empty(len(ATTRIBUTE_NAMES), dtype=np.float64)
     mid = w // 2
     eye_row = geometry[rows["eye_spacing"]]
@@ -291,7 +292,7 @@ def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
     img = render_face(params, size)
     intensities = [0.0, *between, 1.0]
     bands, rows = _landmark_rows(img, intensities, _jitter_units(img))
-    assert rows == [band_rows(size)[name] for name in ATTRIBUTE_NAMES]
+    assert rows == [_band_rows(size)[name] for name in ATTRIBUTE_NAMES]
     attrs = _band_attributes(bands)
     ref, styled_attrs, restored_attrs = _order_attributes(img, intensities)
     assert ref.tobytes() == extract_attributes(img).tobytes()

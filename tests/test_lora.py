@@ -16,14 +16,15 @@ from craftfaces.lora import (
     _adapted_loss,
     _batch,
     _factor_grad,
+    _init_adapter,
     apply_to_attention,
-    init_adapter,
     load_adapters,
     merge,
     save_adapters,
     train_lora,
 )
 from craftfaces.numerics import RngStream, finite_diff_grad
+from reference import denoise_loss
 
 
 def toy_linear_task(seed):
@@ -44,7 +45,7 @@ class TestMerge:
     def test_zero_adapter_is_identity(self):
         rng = RngStream(seed=1)
         w = rng.normal((3, 4))
-        ad = init_adapter(3, 4, rank=2, alpha=4.0, rng=rng)
+        ad = _init_adapter(3, 4, rank=2, alpha=4.0, rng=rng)
         assert merge(w, ad).tobytes() == w.tobytes()
 
     def test_hand_outer_product(self):
@@ -72,7 +73,7 @@ class TestMerge:
         assert np.all(sv[2:] <= 1e-9 * sv[0])
 
     def test_shape_mismatch(self):
-        ad = init_adapter(3, 4, rank=1, alpha=1.0, rng=RngStream(seed=4))
+        ad = _init_adapter(3, 4, rank=1, alpha=1.0, rng=RngStream(seed=4))
         with pytest.raises(ShapeError):
             merge(np.ones((4, 3)), ad)
 
@@ -80,7 +81,7 @@ class TestMerge:
         """A huge rank would otherwise ask for a (d, rank) draw first."""
         rng = RngStream(seed=4)
         with pytest.raises(ConfigError, match=r"rank 100 exceeds min\(4, 4\)"):
-            init_adapter(4, 4, rank=100, alpha=8.0, rng=rng)
+            _init_adapter(4, 4, rank=100, alpha=8.0, rng=rng)
         assert rng.counter == 0
 
     def test_invariants(self):
@@ -100,7 +101,7 @@ class TestApplyToAttention:
         self.ext = ExtendedAttentionWeights(
             base=self.base, u_q=rng.normal((6, 4)), u_k=rng.normal((6, 4))
         )
-        self.adapter = init_adapter(4, 4, rank=2, alpha=2.0, rng=rng)
+        self.adapter = _init_adapter(4, 4, rank=2, alpha=2.0, rng=rng)
         self.adapter = LoRAAdapter(
             a=self.adapter.a, b=np.ones((2, 4)), alpha=2.0, rank=2
         )
@@ -151,6 +152,20 @@ class TestTrainLora:
         cfg = LoRATrainConfig(rank=2, alpha=8.0, lr=0.1, steps=60)
         end = _adapted_loss(model, data, train_lora(model, data, cfg, RngStream(seed=0)))
         assert end < start
+
+    @pytest.mark.parametrize("identity", ["none", "shared", "per-item"])
+    def test_adapted_loss_equals_the_per_item_loss_bit_for_bit(self, identity):
+        """The adapted loss, the batched backward's loss, has the bits of
+        the per-item loop over the merged model, with trained (nonzero)
+        adapters."""
+        for seed in range(5):
+            model, data = toy_linear_task(seed)
+            rng = RngStream(seed=seed).split("identity")
+            ident = {"none": None, "shared": rng.normal((6,)), "per-item": rng.normal((len(data), 6))}[identity]
+            model = model.with_identity(ident)
+            adapters = train_lora(model, data, LoRATrainConfig(rank=2, steps=3), RngStream(seed=seed))
+            merged = model.with_attention(apply_to_attention(model.attention, adapters))
+            assert _adapted_loss(model, data, adapters) == denoise_loss(merged, *_batch(data))
 
     def test_base_weights_frozen(self):
         model, data = toy_linear_task(1)
@@ -204,7 +219,7 @@ class TestTrainLora:
 
     def test_full_scale_config_accepted(self):
         cfg = LoRATrainConfig(rank=64, alpha=128.0)
-        ad = init_adapter(128, 96, rank=cfg.rank, alpha=cfg.alpha, rng=RngStream(seed=3))
+        ad = _init_adapter(128, 96, rank=cfg.rank, alpha=cfg.alpha, rng=RngStream(seed=3))
         assert ad.rank == 64
         assert merge(np.zeros((128, 96)), ad).shape == (128, 96)
 

@@ -7,7 +7,7 @@ import pytest
 
 import craftfaces.pipeline as pl
 from craftfaces import facegen, identity
-from craftfaces.diffusion import _denoise_loss, encode
+from craftfaces.diffusion import encode
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.lora import _batch
@@ -17,12 +17,12 @@ from craftfaces.pipeline import (
     ReportRow,
     ablate_attention,
     ablate_order,
-    run_identity_first,
-    run_style_first,
     train_toy_denoiser,
     _make_runtime,
     _training_batch,
 )
+import reference
+from reference import denoise_loss, run_identity_first, run_style_first
 from test_diffusion import CODEC_SHA256
 
 
@@ -104,13 +104,12 @@ class TestRunStyleFirst:
 
     def test_window_zero_diffusion_ignores_the_styled_guide(self):
         # with no composition window the sampler must not see the guide, so
-        # denoiser passes over two stylizations of one face decode identically
+        # denoiser passes at two style intensities decode identically
         cfg = PipelineConfig(seed=30, steps=10, composition_window=0)
         img = render_face(face_grid(1, seed=30)[0], cfg.image_size)
-        runtime, ref = _make_runtime(cfg), identity.extract_attributes(img)
         outs = [
-            pl._diffuse(facegen.graffiti_stylize(img, facegen.StyleOp(intensity=intensity)), ref,
-                        pl.DEFAULT_PROMPT, cfg, runtime, RngStream(seed=30)).tobytes()
+            pl.diffuse(img, replace(cfg, style_intensity=intensity), pl.DEFAULT_PROMPT,
+                       RngStream(seed=30)).tobytes()
             for intensity in (0.2, 0.9)
         ]
         assert outs[0] == outs[1]
@@ -148,7 +147,7 @@ class TestRunIdentityFirst:
 
             monkeypatch.setattr(module, "extract_attributes", counted)
 
-        for module in (identity, pl):
+        for module in (identity, reference):
             count(module)  # both modules' extract_attributes feed one count
         cfg = PipelineConfig(seed=5)
         run_identity_first(render_face(face_grid(1, seed=5)[0], cfg.image_size), cfg)
@@ -255,11 +254,11 @@ class TestAblateOrder:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((facegen, "image_hash"), (identity, "project"), (pl, "project"),
+        for module, name in ((facegen, "image_hash"), (identity, "project"),
                              (identity, "extract_attributes"), (pl, "extract_attributes"),
                              (identity, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
-                             (identity, "_band_attributes"), (pl, "_scores"), (pl, "_row")):
-            count(module, name)  # both modules' project and extract_attributes feed one count each
+                             (identity, "_band_attributes"), (pl, "_scores")):
+            count(module, name)  # both modules' extract_attributes feed one count
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.0, 0.5, 0.9), seeds=(21, 22))
         faces = 3
         assert calls == {
@@ -273,8 +272,25 @@ class TestAblateOrder:
             "_band_attributes": 2 * faces,
             # per face every SP and PS vector of every intensity in one call, written for both seeds
             "_scores": faces,
-            "_row": 0,
         }
+
+    @pytest.mark.parametrize("n_faces, sweeps, seeds, jobs", [
+        pytest.param(100, tuple((i + 1) / 10 for i in range(10)), (0,), 1, id="cli-default-grid"),
+        pytest.param(3, (0.9, 0.2, 0.5), (5, 1), 1, id="unsorted-axes"),
+        pytest.param(4, (0.3, 0.0, 1.0), (7,), 1, id="single-seed"),
+        pytest.param(3, (0.9, 0.2, 0.5), (5, 1), 2, id="jobs-2"),
+    ])
+    def test_extras_equal_the_row_walk_bit_for_bit(self, n_faces, sweeps, seeds, jobs):
+        """The extras, read from the per-face score arrays, have the bits of
+        walking the sorted rows: each order's mean loss and the win rate."""
+        report = ablate_order(face_grid(n_faces, seed=12), PipelineConfig(seed=12), sweeps=sweeps, seeds=seeds,
+                              jobs=jobs)
+        want = {
+            "mean_loss_ps": reference.mean_loss(report.rows, "PS"),
+            "mean_loss_sp": reference.mean_loss(report.rows, "SP"),
+            "win_rate": reference.win_rate(report.rows),
+        }
+        assert {k: v.hex() for k, v in report.extras.items()} == {k: v.hex() for k, v in want.items()}
 
     @pytest.mark.parametrize("n_faces, jobs, workers", [(1, 4, None), (2, 4, 2), (3, 2, 2), (2, 1, None)])
     def test_at_most_one_worker_per_face(self, monkeypatch, n_faces, jobs, workers):
@@ -374,9 +390,9 @@ class TestTrainToyDenoiser:
         runtime = _make_runtime(cfg)
         faces = face_grid(3, seed=11)
         eval_batch = _batch(_training_batch(_latents(faces, cfg, runtime), cfg, runtime, RngStream(seed=99)))
-        before = _denoise_loss(runtime.model, *eval_batch)
+        before = denoise_loss(runtime.model, *eval_batch)
         model, _ = train_toy_denoiser(faces, cfg, RngStream(seed=11), steps=500)
-        after = _denoise_loss(model, *eval_batch)
+        after = denoise_loss(model, *eval_batch)
         assert after < before
 
     def test_lora_mode_freezes_base(self):
@@ -505,11 +521,11 @@ class TestAblateAttention:
             ])
 
         monkeypatch.setattr(pl, "sample", one_per_trajectory)
-        reference = ablate_attention(face_grid(3, seed=16), cfg, **kw)
+        alone = ablate_attention(face_grid(3, seed=16), cfg, **kw)
         assert [len(rng) for rng in calls] == [2 * 6]  # one call: both arms, 6 trajectories each
         assert all(a is b for a, b in zip(calls[0][:6], calls[0][6:]))  # the arms share streams
-        assert batched.rows == reference.rows
-        assert batched.extras == reference.extras
+        assert batched.rows == alone.rows
+        assert batched.extras == alone.extras
 
     def test_paired_extras_match_the_rows(self):
         """``paired_se`` and ``id_wins`` describe the per-(face, seed)
@@ -525,6 +541,15 @@ class TestAblateAttention:
         single = ablate_attention(face_grid(1, seed=18), cfg, seeds=(0,), train_steps=1, base_steps=1)
         assert np.isnan(single.extras["paired_se"])
         assert single.extras["id_wins"] in (0, 1)
+
+    @pytest.mark.parametrize("seeds", [(0, 1, 2), (2, 0)], ids=["sorted-seeds", "unsorted-seeds"])
+    def test_mean_ffc_equals_the_row_walk_bit_for_bit(self, seeds):
+        """Each arm's ``mean_ffc_*``, read from the FFC arrays in sampling
+        order, has the bits of walking its sorted rows."""
+        cfg = PipelineConfig(seed=18, image_size=32, latent_tokens=4, token_dim=2, steps=10, composition_window=3)
+        report = ablate_attention(face_grid(3, seed=18), cfg, seeds=seeds, train_steps=2, base_steps=2)
+        for arm in ("ID", "BASE"):
+            assert report.extras[f"mean_ffc_{arm.lower()}"].hex() == reference.mean_ffc(report.rows, arm).hex()
 
     def test_identity_phase_trains_only_the_identity_blocks(self):
         cfg = PipelineConfig(seed=19, image_size=32, latent_tokens=16, token_dim=8)
