@@ -287,6 +287,8 @@ def _read_vector_csv(path) -> np.ndarray:
             cells = np.array([float(c) for row in csv.reader(fh) for c in row if c.strip()])
     except (ValueError, csv.Error) as exc:  # csv.Error: a field past csv.field_size_limit()
         raise InputError(f"{path}: not a numeric vector CSV: {exc}") from None
+    if not cells.size:
+        raise InputError(f"{path}: no numeric cell")
     if not np.all(np.isfinite(cells)):
         raise InputError(f"{path}: non-finite cell in vector CSV")
     return cells

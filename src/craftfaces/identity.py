@@ -77,7 +77,7 @@ def _band_attributes(bands: np.ndarray) -> np.ndarray:
 def attr_loss(x_img: np.ndarray, i_img: np.ndarray) -> float:
     """Squared distance between the attribute vectors of two images."""
     d = extract_attributes(x_img) - extract_attributes(i_img)
-    return float(d @ d)
+    return float(_dots(d, d))
 
 
 def attribute_embedding(attrs: np.ndarray) -> np.ndarray:
@@ -164,10 +164,11 @@ def _order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndar
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each last-axis vector of ``a`` with the one of
-    ``b`` it broadcasts against, with the bits of the 1-D ``u @ v``: matmul
-    hands every (1, n) @ (n, 1) pair to the same BLAS ddot. One gemv
-    ``a @ v`` would use another kernel, whose roundings differ."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    ``b`` it broadcasts against, as numpy's sum of the products: in order
+    below 8 elements (every attribute vector), pairwise above, and never
+    through BLAS, so the bits are those of scoring each vector alone on
+    any machine."""
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -180,8 +181,9 @@ def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _scores(attrs: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The loss (squared distance) and the FFC of each attribute vector of
-    ``attrs`` against ``ref``: each the bits of ``float(d @ d)`` and
-    ``ffc(a, ref)`` for that vector alone."""
+    ``attrs`` against the vector of ``ref`` it broadcasts against, each
+    with the bits of ``attr_loss`` and ``ffc`` of that pair alone, though
+    the whole stack is scored at once."""
     d = attrs - ref
     return _dots(d, d), _cosines(attrs, ref)
 
@@ -195,7 +197,7 @@ def _in_range(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite; a vector whose squared norm is finite and nonzero passes
     through with its bits."""
     with np.errstate(over="ignore"):
-        squares = u @ u, v @ v
+        squares = _dots(u, u), _dots(v, v)
     return tuple(
         w if 0.0 < sq < np.inf or not w.any() else np.ldexp(w, -np.frexp(np.abs(w).max())[1])
         for w, sq in zip((u, v), squares)

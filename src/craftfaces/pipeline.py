@@ -4,8 +4,9 @@ training, and CSV reporting.
 
 Everything here is a pure function of (inputs, config, seed): all random
 streams derive from ``PipelineConfig.seed``, sweep cells own split
-streams, and report rows are sorted by a deterministic key so the output
-does not depend on worker count or completion order.
+streams, and report rows are built in (face_id, intensity, seed, order)
+order, so the output does not depend on worker count or completion
+order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .diffusion import (
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
-from .identity import _order_attributes, _scores, attribute_embedding, extract_attributes, ffc
+from .identity import _order_attributes, _scores, attribute_embedding, extract_attributes
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream
 
@@ -162,19 +163,28 @@ class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def sorted_rows(self) -> list[ReportRow]:
-        return sorted(self.rows, key=lambda r: (r.face_id, r.intensity, r.seed, r.order))
-
     def to_csv(self, path) -> None:
         """Write the report: a header of ``ReportRow``'s field names, then
-        each sorted row's values (floats by ``repr``). Every value is
+        each row's values (floats by ``repr``), in row order. Every value is
         deterministic, so reports are byte-identical for identical
         (config, seed)."""
         names = [f.name for f in fields(ReportRow)]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(names)
-            w.writerows(map(attrgetter(*names), self.sorted_rows()))
+            w.writerows(map(attrgetter(*names), self.rows))
+
+
+def _report(orders, cells, losses: np.ndarray, ffcs: np.ndarray, **extras) -> ExperimentReport:
+    """The report with ``extras`` and one row per cell and arm, from each
+    arm's (2, len(cells)) ``losses`` and ``ffcs``; with ``orders`` and the
+    (face_id, intensity, seed) ``cells`` sorted, so are the rows."""
+    rows = [
+        ReportRow(face_id, order, intensity, loss, cosine, seed)
+        for (face_id, intensity, seed), cell_losses, cell_ffcs in zip(cells, losses.T.tolist(), ffcs.T.tolist())
+        for order, loss, cosine in zip(orders, cell_losses, cell_ffcs)
+    ]
+    return ExperimentReport(rows, extras)
 
 
 @dataclass(frozen=True)
@@ -280,14 +290,16 @@ def ablate_order(
     orders leave at every intensity from one batch of landmark rows; no
     cell builds a stylized or restored image. All of a face's vectors are
     scored in one call of per-vector dot products, each with the bits of
-    scoring that vector alone. No draw reads the seed, so each score is
-    written once per seed. At most ``min(jobs, len(faces))`` worker
+    scoring that vector alone. At most ``min(jobs, len(faces))`` worker
     processes score the faces, and none when that is 1; each hands back
-    its face's score arrays, from which the rows and ``extras`` are built.
+    its face's score arrays in sweep order, the order in which a failure
+    names its first offending intensity. They are then put in sorted
+    intensity order and, since no draw reads the seed, repeated once per
+    sorted seed: the rows' order, off which ``extras`` is read.
 
-    ``extras`` holds each order's mean loss over the sorted rows,
-    ``mean_loss_ps`` and ``mean_loss_sp``, and ``win_rate``, the fraction
-    of cells where the style-first (PS) loss is <= the reversed (SP) one.
+    ``extras`` holds each order's mean loss, ``mean_loss_ps`` and
+    ``mean_loss_sp``, and ``win_rate``, the fraction of cells where the
+    style-first (PS) loss is <= the reversed (SP) one.
     """
     if not faces:
         raise ConfigError("ablate_order needs a nonempty face grid")
@@ -312,23 +324,16 @@ def ablate_order(
             scores = list(ex.map(_order_face, tasks))
     else:
         scores = [_order_face(task) for task in tasks]
-    report = ExperimentReport()
-    for face_id, (losses, ffcs) in enumerate(scores):
-        for intensity, loss_ps, loss_sp, ffc_ps, ffc_sp in zip(intensities, *losses.tolist(), *ffcs.tolist()):
-            for seed in seeds:
-                report.rows.append(ReportRow(face_id, "PS", intensity, loss_ps, ffc_ps, seed))
-                report.rows.append(ReportRow(face_id, "SP", intensity, loss_sp, ffc_sp, seed))
-    report.rows = report.sorted_rows()
-    # each order's losses in the sorted rows' (face, intensity, seed) order,
-    # so that the means sum them as a mean over those rows would
-    face_losses = np.stack([losses for losses, _ in scores])[:, :, np.argsort(intensities)]
-    ps, sp = (np.repeat(face_losses[:, k], len(seeds), axis=-1).ravel() for k in (0, 1))
-    report.extras = {
-        "mean_loss_ps": float(np.mean(ps)),
-        "mean_loss_sp": float(np.mean(sp)),
-        "win_rate": int(np.sum(ps <= sp)) / ps.size,
-    }
-    return report
+    by_intensity = np.argsort(intensities)
+    seeds = sorted(seeds)
+    cells = [(fid, intensities[i], seed) for fid in range(len(faces)) for i in by_intensity for seed in seeds]
+    # (face, term, order, intensity) -> (term, order, cell): each order's losses and FFCs in row order
+    terms = np.repeat(np.array(scores)[..., by_intensity], len(seeds), axis=-1)
+    losses, ffcs = terms.transpose(1, 2, 0, 3).reshape(2, 2, -1)
+    return _report(("PS", "SP"), cells, losses, ffcs,
+                   mean_loss_ps=float(np.mean(losses[0])),
+                   mean_loss_sp=float(np.mean(losses[1])),
+                   win_rate=int(np.sum(losses[0] <= losses[1])) / len(cells))
 
 
 def _training_batch(latents: np.ndarray, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream):
@@ -471,8 +476,11 @@ def ablate_attention(
     arm then keeps those weights frozen and trains only the zero-started
     identity blocks U_q/U_k with per-face embeddings, so the arms differ
     purely by the learned identity extension. The seeds must be nonempty
-    and distinct, so that no (face, seed) pair is counted twice, and the
-    step counts ``base_steps`` and ``train_steps`` at least 0.
+    and distinct, so that no (face, seed) pair is counted twice, and each
+    a valid config seed; the step counts ``base_steps`` and
+    ``train_steps`` must be at least 0. All of this is checked before any
+    work. The seeds are then sorted, so the report depends only on the
+    seed set.
 
     Both arms are sampled in one batch on the identity model: first the
     baseline's (face, seed) trajectories with a zero identity embedding,
@@ -481,9 +489,12 @@ def ablate_attention(
     object in both arms, which draws once per step for both rows, so the
     arms share their sampling noise by construction and every trajectory
     has the bits of sampling it alone. Each trajectory is decoded alone;
-    its attributes and attention map come from one batched call per run
-    and per arm, with the bits of its own call. Every arm is guided by the
-    unstylized render's latent, so each row's ``intensity`` is 0.0.
+    its attributes come from one batched call, its attention map from one
+    per arm, each with the bits of its own call, and every trajectory's
+    loss and FFC from one ``_scores`` call. Every arm is guided by the
+    unstylized render's latent, so each row's ``intensity`` is 0.0. The
+    rows, mean FFCs, ``paired_se`` and ``id_wins`` are read off those
+    (2, faces * seeds) arrays, in (face, seed) order.
 
     ``extras`` holds each arm's mean FFC and attention mass, the standard
     error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
@@ -503,6 +514,9 @@ def ablate_attention(
     if train_steps < 0 or base_steps < 0:
         raise ConfigError(f"ablate_attention step counts must be >= 0, got train_steps={train_steps} "
                           f"base_steps={base_steps}")
+    for s in seeds:  # every seed's config is validated here, before any render or SGD step
+        replace(cfg, seed=s)
+    seeds = sorted(seeds)
     runtime = _make_runtime(cfg)
     # each face is rendered and encoded once; only its latent and attributes stay alive
     refs, latents = [], []
@@ -546,38 +560,18 @@ def ablate_attention(
         np.clip(decode(z, runtime.codec), 0.0, 1.0, out=img)
     attrs = extract_attributes(imgs).reshape(2, len(items), -1)
     del imgs
+    losses, ffcs = _scores(attrs, refs[fids])
     interests = np.stack([_face_tokens(guide, cfg.latent_tokens, cfg.token_dim) for guide in latents])
-    arms = zip(("BASE", "ID"), attrs, zs.reshape(2, len(items), cfg.latent_tokens, cfg.token_dim),
+    arms = zip(("base", "id"), attrs, ffcs, zs.reshape(2, len(items), cfg.latent_tokens, cfg.token_dim),
                (None, item_idents))
-    report, masses, scores = ExperimentReport(), {}, {}
-    for order, arm_attrs, arm_tokens, arm_idents in arms:
-        for (fid, seed), a in zip(items, arm_attrs):
-            report.rows.append(
-                ReportRow(
-                    face_id=fid, order=order, intensity=0.0,
-                    attr_loss=float(np.sum((a - refs[fid]) ** 2)),
-                    ffc=ffc(a, refs[fid]), seed=seed,
-                )
-            )
+    extras = {}
+    for arm, arm_attrs, arm_ffcs, arm_tokens, arm_idents in arms:
         # the attention map's mass on the face's tokens, averaged over query tokens
         amap = attention_map(arm_tokens, arm_idents, id_model.attention)
-        masses[order] = np.take_along_axis(amap, interests[fids, None, :], axis=-1).sum(axis=-1).mean(axis=-1)
-        scores[order] = _identification(arm_attrs, refs, fids)
-    base_ffc, id_ffc = np.array([r.ffc for r in report.rows]).reshape(2, len(items))
-    diffs = id_ffc - base_ffc
-    report.rows = report.sorted_rows()
-    # each arm's FFCs in the sorted rows' (face, seed) order, for the means
-    sorted_items = np.lexsort((np.array([seed for _, seed in items]), fids))
-    report.extras = {
-        "mean_ffc_id": float(np.mean(id_ffc[sorted_items])),
-        "mean_ffc_base": float(np.mean(base_ffc[sorted_items])),
-        "mean_mass_id": float(np.mean(masses["ID"])),
-        "mean_mass_base": float(np.mean(masses["BASE"])),
-        "paired_se": float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan,
-        "id_wins": int(np.sum(diffs > 0.0)),
-        "ident_rate_id": scores["ID"][0],
-        "ident_rate_base": scores["BASE"][0],
-        "mean_ffc_others_id": scores["ID"][1],
-        "mean_ffc_others_base": scores["BASE"][1],
-    }
-    return report
+        mass = np.take_along_axis(amap, interests[fids, None, :], axis=-1).sum(axis=-1).mean(axis=-1)
+        extras[f"mean_ffc_{arm}"], extras[f"mean_mass_{arm}"] = float(np.mean(arm_ffcs)), float(np.mean(mass))
+        extras[f"ident_rate_{arm}"], extras[f"mean_ffc_others_{arm}"] = _identification(arm_attrs, refs, fids)
+    diffs = ffcs[1] - ffcs[0]
+    extras["paired_se"] = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan
+    extras["id_wins"] = int(np.sum(diffs > 0.0))
+    return _report(("BASE", "ID"), [(fid, 0.0, seed) for fid, seed in items], losses, ffcs, **extras)

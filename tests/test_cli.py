@@ -497,6 +497,14 @@ class TestExecute:
         assert (code, err) == (0, "")
         assert abs(float(out.splitlines()[-1]) - 1.0) <= 1e-15
 
+    def test_ffc_vector_csv_with_no_numeric_cell_rejected(self, tmp_path, capsys):
+        """Two such files are an empty CSV, not two zero vectors."""
+        empty = tmp_path / "empty.csv"
+        empty.write_text(" , \n\n")
+        code, _, err = run(["ffc", str(empty), str(empty)], capsys)
+        assert code == 2
+        assert err.strip() == f"error: {empty}: no numeric cell"
+
     def test_ffc_field_past_the_csv_limit_rejected(self, tmp_path, capsys):
         """A field longer than the csv module's limit (131072 characters)
         is a malformed vector CSV, not a traceback."""

@@ -39,12 +39,12 @@ GOLDENS = [
     (
         "ablate-order --faces 4 --intensities 0.3,0.8 --sweep-seeds 2 --seed 7",
         "order_report.csv",
-        "155c98d67ac778026407683cdca0061eca0ac1fa0c0846c2f193a88befaaa9d7",
+        "34b3fc4b5c71a005a49b5c83ee218bfc22abfd602f9bcf3d20d218c151895a38",
     ),
     (
         "ablate-order --faces 2 --intensities 0.3,0.8 --sweep-seeds 2 --image-size 32 --seed 7",
         "order_report.csv",
-        "167fd60a6b943be536b0fecbbfb6fe5236704728a0c7c49aff9741a980f89123",
+        "f1181de5d2fdcb91901c9f60734304060c876fe51435f05d049fce1a05ceeed7",
     ),
     (
         "diffuse --seed 5 --steps 10 --window 3 --image-size 32",
@@ -79,13 +79,13 @@ GOLDENS = [
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3",
         "attention_report.csv",
-        "502033f198b8482ce373daa1aa8f567ef3e2c889f7097a12b24614c916115aa8",
+        "56523db4407c53a5e266fcc4f86b5c5c01fd6bd20cd1a81b8a584e1b1382b514",
     ),
     (
         "ablate-attention --faces 2 --arm-seeds 2 --train-steps 80 --image-size 32 --seed 3"
         " --latent-tokens 16 --token-dim 8",
         "attention_report.csv",
-        "4db9b8f701049ae9aa69a877166e38dfa484cc43750dd04ce5e50ae55d3ce4fd",
+        "76052cda70b8353aedd45ef04c0397b6b52561c0f9643db3194965bd78bc8f90",
     ),
 ]
 
@@ -140,7 +140,7 @@ ABLATION_EXTRAS = {
     "mean_ffc_base": "0.811594070999067",
     "mean_mass_id": "0.28393349115366984",
     "mean_mass_base": "0.28398723054238767",
-    "paired_se": "8.44168441774207e-06",
+    "paired_se": "8.441684417729704e-06",
     "id_wins": "3",
 }
 # the extras that score identity against chance, which the ablation gained after the six above

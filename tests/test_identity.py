@@ -305,6 +305,12 @@ def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
         assert restored_attr.tobytes() == extract_attributes(project(styled, ref)).tobytes()
 
 
+def _reduced_dot(u, v):
+    """The dot product as numpy's sum of the products: in order below 8
+    elements, pairwise above."""
+    return np.add.reduce(u * v)
+
+
 _vectors = st.integers(1, 256).flatmap(lambda n: st.tuples(
     *[arrays(np.float64, (n,), elements=st.floats(-1.0, 1.0))] * 2
 ))
@@ -313,10 +319,12 @@ _vectors = st.integers(1, 256).flatmap(lambda n: st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(_vectors, st.sampled_from((1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150)))
 def test_ffc_equals_the_norm_formula_bit_for_bit(vectors, scale):
+    """The formula with every dot product taken as numpy's sum of the
+    products, ``np.add.reduce(u * v)``, which involves no BLAS kernel."""
     u, v = (x * scale for x in vectors)
-    norms = np.linalg.norm(u) * np.linalg.norm(v)
+    norms = np.sqrt(_reduced_dot(u, u)) * np.sqrt(_reduced_dot(v, v))
     assume(norms > 0.0)
-    assert np.float64(ffc(u, v)).tobytes() == np.float64(u @ v / norms).tobytes()
+    assert np.float64(ffc(u, v)).tobytes() == np.float64(_reduced_dot(u, v) / norms).tobytes()
 
 
 _stacks = st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -329,14 +337,11 @@ _stacks = st.integers(1, 12).flatmap(lambda n: st.tuples(
 def test_stacked_scores_equal_one_vector_at_a_time_bit_for_bit(stack, broadcast):
     """Each loss and FFC of an (I, 6) stack has the bits of scoring its
     vector alone, against ``ref`` itself or a broadcast view of it (as the
-    order sweep scores its vectors). The scorer takes per-vector dots,
-    which matmul hands to the same BLAS ddot as a 1-D ``u @ v``; one gemv
-    ``attrs @ ref`` would not do: over 20,000 random 6-vectors its results
-    equal the per-vector dots only 61% of the time on OpenBLAS's SkylakeX
-    kernel, 66% on Haswell's and 79% on Sandybridge's."""
+    order sweep scores its vectors), and of the formulas with every dot
+    product an in-order sum of the six products."""
     attrs, ref = stack
     against = np.broadcast_to(ref, attrs.shape) if broadcast else ref
-    if any(float(v @ v) == 0.0 for v in (*attrs, ref)):  # a zero norm, or one that underflows
+    if any(_reduced_dot(v, v) == 0.0 for v in (*attrs, ref)):  # a zero norm, or one that underflows
         with pytest.raises(InputError, match="zero vectors"):
             _scores(attrs, against)
         return
@@ -344,11 +349,11 @@ def test_stacked_scores_equal_one_vector_at_a_time_bit_for_bit(stack, broadcast)
     assert losses.shape == ffcs.shape == (len(attrs),)
     for a, loss, cosine in zip(attrs, losses, ffcs, strict=True):
         d = a - ref
-        assert np.float64(loss).tobytes() == np.float64(float(d @ d)).tobytes()
+        assert np.float64(loss).tobytes() == np.float64(_reduced_dot(d, d)).tobytes()
         assert np.float64(cosine).tobytes() == np.float64(ffc(a, ref)).tobytes()
-        norms = np.linalg.norm(a) * np.linalg.norm(ref)
+        norms = np.sqrt(_reduced_dot(a, a)) * np.sqrt(_reduced_dot(ref, ref))
         if norms > 0.0:  # the norm formula, which two tiny nonzero norms can underflow
-            assert np.float64(cosine).tobytes() == np.float64(a @ ref / norms).tobytes()
+            assert np.float64(cosine).tobytes() == np.float64(_reduced_dot(a, ref) / norms).tobytes()
 
 
 _coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

@@ -36,6 +36,11 @@ def _idents(faces):
     return np.stack([identity.attribute_embedding(p.attributes()) for p in faces])
 
 
+def _row_key(row):
+    """The order report rows are in: (face_id, intensity, seed, order)."""
+    return row.face_id, row.intensity, row.seed, row.order
+
+
 def _weight_bytes(model):
     return {name: w.tobytes() for name, w in model.params().items()}
 
@@ -240,7 +245,7 @@ class TestAblateOrder:
                     cell = replace(cfg, style_intensity=intensity, seed=seed)
                     expected.append(run_style_first(img, cell, face_id=fid)[1])
                     expected.append(run_identity_first(img, cell, face_id=fid)[1])
-        assert report.rows == pl.ExperimentReport(expected).sorted_rows()
+        assert report.rows == sorted(expected, key=_row_key)
 
     def test_per_face_work_once_and_one_landmark_batch_per_face(self, monkeypatch):
         calls = {}
@@ -628,6 +633,28 @@ class TestAblateAttention:
             ablate_attention(face_grid(2, seed=17), cfg, seeds=(0, 0), train_steps=1, base_steps=1)
         assert calls == {"render_face": 0, "_make_runtime": 0}
 
+    def test_every_seed_checked_before_any_sgd_step(self, monkeypatch):
+        """A sampling seed outside the config seed's range is refused as
+        the order sweep refuses one, before either SGD phase."""
+        calls = _count_calls(monkeypatch, pl, "_sgd_train")
+        cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
+        with pytest.raises(ConfigError, match="seed must lie"):
+            ablate_attention(face_grid(2, seed=17), cfg, seeds=(0, 2**130), train_steps=1, base_steps=1)
+        assert calls == {"_sgd_train": 0}
+
+    def test_report_depends_only_on_the_seed_set(self):
+        """The seeds are sorted before sampling, so every row and the
+        ``repr`` of every extra are the same in any seed order, and the rows
+        come out sorted."""
+        cfg = PipelineConfig(seed=18, image_size=32, latent_tokens=16, token_dim=8, steps=20,
+                             composition_window=5)
+        faces = face_grid(3, seed=18)
+        reports = [ablate_attention(faces, cfg, seeds=seeds, train_steps=10, base_steps=10)
+                   for seeds in ((0, 1, 2, 3, 4), (4, 2, 0, 3, 1))]
+        assert reports[0].rows == reports[1].rows == sorted(reports[0].rows, key=_row_key)
+        extras = [{key: repr(value) for key, value in r.extras.items()} for r in reports]
+        assert extras[0] == extras[1]
+
     @pytest.mark.parametrize("steps", [dict(train_steps=-3, base_steps=1), dict(train_steps=1, base_steps=-1)],
                              ids=["train_steps", "base_steps"])
     def test_negative_step_counts_rejected_before_any_work(self, monkeypatch, steps):
@@ -652,15 +679,14 @@ class TestAblateAttention:
 
 
 def test_report_row_sorting_and_csv_schema(tmp_path):
-    report = pl.ExperimentReport(
-        rows=[
-            ReportRow(1, "SP", 0.5, 0.1, 0.9, 0),
-            ReportRow(0, "PS", 0.5, 0.0, 1.0, 0),
-        ]
-    )
+    """The order sweep builds its rows sorted, whatever the order of its
+    intensities and seeds, and ``to_csv`` writes them as they are."""
+    report = ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.8, 0.0, 0.3), seeds=(5, 2))
+    assert report.rows == sorted(report.rows, key=_row_key)
     path = tmp_path / "r.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "face_id,order,intensity,attr_loss,ffc,seed"
     assert lines[0].split(",") == [f.name for f in fields(ReportRow)]
-    assert lines[1:] == ["0,PS,0.5,0.0,1.0,0", "1,SP,0.5,0.1,0.9,0"]
+    assert lines[1:] == [f"{r.face_id},{r.order},{r.intensity!r},{r.attr_loss!r},{r.ffc!r},{r.seed}"
+                         for r in report.rows]
