@@ -352,7 +352,7 @@ def _ablate_order(cmd: Command) -> None:
     _atomic_write(path, report.to_csv)
     e = report.extras
     print(
-        f"ablate-order: cells={len(report.rows) // 2} win_rate={e['win_rate']!r} "
+        f"ablate-order: cells={len(report.cells)} win_rate={e['win_rate']!r} "
         f"mean_loss_ps={e['mean_loss_ps']!r} mean_loss_sp={e['mean_loss_sp']!r} -> {path}"
     )
 

@@ -176,15 +176,26 @@ def train_lora(
 
 
 def save_adapters(path, adapters: dict[str, LoRAAdapter]) -> None:
-    """Flat CSV: one row per factor entry, alpha and rank repeated per row."""
+    """Flat CSV: one row per factor entry, alpha and rank repeated per row,
+    with the bytes ``csv.writer`` writes for those rows (each entry by the
+    ``repr`` of its float). Every target must be one of
+    ``TARGET_MATRICES``, the names ``load_adapters`` reads; none holds a
+    comma, quote or line break, so no field is quoted."""
+    unknown = set(adapters) - set(TARGET_MATRICES)
+    if unknown:
+        raise ConfigError(f"unknown adapter targets {sorted(unknown)}")
+    lines = [",".join(ADAPTER_COLUMNS) + "\r\n"]
+    for t in sorted(adapters):
+        ad = adapters[t]
+        tail = f"{ad.alpha!r},{ad.rank}\r\n"
+        for name, m in (("A", ad.a), ("B", ad.b)):
+            lines += [
+                f"{t},{name},{i},{j},{v!r},{tail}"
+                for i, row in enumerate(m.astype(float, copy=False).tolist())
+                for j, v in enumerate(row)
+            ]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ADAPTER_COLUMNS)
-        for t in sorted(adapters):
-            ad = adapters[t]
-            for name, m in (("A", ad.a), ("B", ad.b)):
-                for (i, j), v in np.ndenumerate(m):
-                    w.writerow([t, name, i, j, repr(float(v)), repr(ad.alpha), ad.rank])
+        fh.write("".join(lines))
 
 
 def load_adapters(path) -> dict[str, LoRAAdapter]:

@@ -4,18 +4,15 @@ training, and CSV reporting.
 
 Everything here is a pure function of (inputs, config, seed): all random
 streams derive from ``PipelineConfig.seed``, sweep cells own split
-streams, and report rows are built in (face_id, intensity, seed, order)
-order, so the output does not depend on worker count or completion
-order.
+streams, and a report keeps its cells in (face_id, intensity, seed) order,
+so the output does not depend on worker count or completion order.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -158,33 +155,58 @@ class ReportRow:
     seed: int
 
 
-@dataclass
+_REPORT_HEADER = ",".join(f.name for f in fields(ReportRow)) + "\r\n"
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    rows: list[ReportRow] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    """A comparison of arms over (face_id, intensity, seed) cells, kept as
+    its score arrays: the arm labels ``orders``, the sorted ``cells``, each
+    arm's score in each cell as the (len(orders), len(cells)) ``losses`` and
+    ``ffcs``, and the figures ``extras`` read from them. ``rows`` is derived
+    on first read and then kept: one ``ReportRow`` per cell and arm, in
+    (cell, arm) order, so sorted as the cells and labels are. Neither the
+    CLI nor ``to_csv`` reads it. Equality is identity, since arrays have no
+    single truth value: compare ``rows`` and ``extras`` for content."""
+
+    orders: tuple[str, ...]
+    cells: list[tuple[int, float, int]]
+    losses: np.ndarray
+    ffcs: np.ndarray
+    extras: dict
+
+    @functools.cached_property
+    def rows(self) -> list[ReportRow]:
+        return [
+            ReportRow(face_id, order, intensity, loss, cosine, seed)
+            for (face_id, intensity, seed), cell_losses, cell_ffcs in zip(
+                self.cells, self.losses.T.tolist(), self.ffcs.T.tolist())
+            for order, loss, cosine in zip(self.orders, cell_losses, cell_ffcs)
+        ]
 
     def to_csv(self, path) -> None:
         """Write the report: a header of ``ReportRow``'s field names, then
-        each row's values (floats by ``repr``), in row order. Every value is
-        deterministic, so reports are byte-identical for identical
-        (config, seed)."""
-        names = [f.name for f in fields(ReportRow)]
+        one line per row, with the bytes ``csv.writer`` writes for ``rows``
+        (floats by ``repr``), built from the arrays without a row. Each
+        distinct float bit pattern of the intensities and scores is
+        formatted once. No label holds a comma, quote or line break, so no
+        field is quoted. Every value is deterministic, so reports are
+        byte-identical for identical (config, seed)."""
+        n = len(self.cells)
+        values = np.concatenate([np.array([cell[1] for cell in self.cells], dtype=float),
+                                 self.losses.ravel(), self.ffcs.ravel()])
+        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse]
+        # (cell, arm, [loss, ffc]) of each score's text
+        scores = text[n:].reshape(2, len(self.orders), n).transpose(2, 1, 0).tolist()
+        lines = [_REPORT_HEADER]
+        lines += [
+            f"{face_id},{order},{intensity},{loss},{cosine},{seed}\r\n"
+            for (face_id, _, seed), intensity, cell in zip(self.cells, text[:n].tolist(), scores)
+            for order, (loss, cosine) in zip(self.orders, cell)
+        ]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names)
-            w.writerows(map(attrgetter(*names), self.rows))
-
-
-def _report(orders, cells, losses: np.ndarray, ffcs: np.ndarray, **extras) -> ExperimentReport:
-    """The report with ``extras`` and one row per cell and arm, from each
-    arm's (2, len(cells)) ``losses`` and ``ffcs``; with ``orders`` and the
-    (face_id, intensity, seed) ``cells`` sorted, so are the rows."""
-    rows = [
-        ReportRow(face_id, order, intensity, loss, cosine, seed)
-        for (face_id, intensity, seed), cell_losses, cell_ffcs in zip(cells, losses.T.tolist(), ffcs.T.tolist())
-        for order, loss, cosine in zip(orders, cell_losses, cell_ffcs)
-    ]
-    return ExperimentReport(rows, extras)
+            fh.write("".join(lines))
 
 
 @dataclass(frozen=True)
@@ -295,7 +317,8 @@ def ablate_order(
     its face's score arrays in sweep order, the order in which a failure
     names its first offending intensity. They are then put in sorted
     intensity order and, since no draw reads the seed, repeated once per
-    sorted seed: the rows' order, off which ``extras`` is read.
+    sorted seed: the cells' order, in which the report keeps them and off
+    which ``extras`` is read.
 
     ``extras`` holds each order's mean loss, ``mean_loss_ps`` and
     ``mean_loss_sp``, and ``win_rate``, the fraction of cells where the
@@ -327,13 +350,14 @@ def ablate_order(
     by_intensity = np.argsort(intensities)
     seeds = sorted(seeds)
     cells = [(fid, intensities[i], seed) for fid in range(len(faces)) for i in by_intensity for seed in seeds]
-    # (face, term, order, intensity) -> (term, order, cell): each order's losses and FFCs in row order
+    # (face, term, order, intensity) -> (term, order, cell): each order's losses and FFCs in cell order
     terms = np.repeat(np.array(scores)[..., by_intensity], len(seeds), axis=-1)
     losses, ffcs = terms.transpose(1, 2, 0, 3).reshape(2, 2, -1)
-    return _report(("PS", "SP"), cells, losses, ffcs,
-                   mean_loss_ps=float(np.mean(losses[0])),
-                   mean_loss_sp=float(np.mean(losses[1])),
-                   win_rate=int(np.sum(losses[0] <= losses[1])) / len(cells))
+    return ExperimentReport(("PS", "SP"), cells, losses, ffcs, {
+        "mean_loss_ps": float(np.mean(losses[0])),
+        "mean_loss_sp": float(np.mean(losses[1])),
+        "win_rate": int(np.sum(losses[0] <= losses[1])) / len(cells),
+    })
 
 
 def _training_batch(latents: np.ndarray, cfg: PipelineConfig, runtime: _Runtime, rng: RngStream):
@@ -492,9 +516,9 @@ def ablate_attention(
     its attributes come from one batched call, its attention map from one
     per arm, each with the bits of its own call, and every trajectory's
     loss and FFC from one ``_scores`` call. Every arm is guided by the
-    unstylized render's latent, so each row's ``intensity`` is 0.0. The
-    rows, mean FFCs, ``paired_se`` and ``id_wins`` are read off those
-    (2, faces * seeds) arrays, in (face, seed) order.
+    unstylized render's latent, so each cell's ``intensity`` is 0.0. The
+    report keeps those (2, faces * seeds) arrays, in (face, seed) order,
+    and its mean FFCs, ``paired_se`` and ``id_wins`` are read off them.
 
     ``extras`` holds each arm's mean FFC and attention mass, the standard
     error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
@@ -574,4 +598,4 @@ def ablate_attention(
     diffs = ffcs[1] - ffcs[0]
     extras["paired_se"] = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan
     extras["id_wins"] = int(np.sum(diffs > 0.0))
-    return _report(("BASE", "ID"), [(fid, 0.0, seed) for fid, seed in items], losses, ffcs, **extras)
+    return ExperimentReport(("BASE", "ID"), [(fid, 0.0, seed) for fid, seed in items], losses, ffcs, extras)

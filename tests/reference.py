@@ -1,7 +1,11 @@
 """Plain references that only the tests read: the per-item loss, the
-per-cell composition orders and the report extras as row walks. Each is
-the direct form of a batched path in the package, which the tests check
-against it bit for bit."""
+per-cell composition orders, the report extras as row walks and the two
+CSV writers as ``csv.writer`` walks. Each is the direct form of a batched
+path in the package, which the tests check against it bit for bit."""
+
+import csv
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -81,3 +85,27 @@ def win_rate(rows: list[ReportRow]) -> float:
         return float("nan")
     wins = sum(1 for c in pairs if c["PS"] <= c["SP"])
     return wins / len(pairs)
+
+
+def report_csv(report, path) -> None:
+    """Write ``report`` as ``csv.writer`` does: a header of ``ReportRow``'s
+    field names, then each of ``report.rows`` (floats by ``repr``)."""
+    names = [f.name for f in fields(ReportRow)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(names)
+        w.writerows(map(attrgetter(*names), report.rows))
+
+
+def adapters_csv(path, adapters) -> None:
+    """Write ``adapters`` as ``csv.writer`` does, one row per factor entry
+    with alpha and rank repeated per row (each entry by the ``repr`` of its
+    float)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("target", "factor", "row", "col", "value", "alpha", "rank"))
+        for t in sorted(adapters):
+            ad = adapters[t]
+            for name, m in (("A", ad.a), ("B", ad.b)):
+                for (i, j), v in np.ndenumerate(m):
+                    w.writerow([t, name, i, j, repr(float(v)), repr(ad.alpha), ad.rank])

@@ -24,6 +24,7 @@ from craftfaces.lora import (
     train_lora,
 )
 from craftfaces.numerics import RngStream, finite_diff_grad
+import reference
 from reference import denoise_loss
 
 
@@ -268,16 +269,43 @@ def _adapters(draw):
 @settings(max_examples=60, deadline=None)
 @given(_adapters())
 @example({})  # a header alone loads as no adapters
+@example({
+    "k": LoRAAdapter(a=np.array([[-0.0], [5e-324], [1e16], [2.2250738585072014e-308 / 3]]),
+                     b=np.array([[0.0, -1e16, 0.1]]), alpha=8, rank=1),  # an int alpha, as a JSON config gives
+    "q": LoRAAdapter(a=np.array([[1.0]]), b=np.array([[-5e-324]]), alpha=2.5, rank=1),
+})
 def test_adapter_csv_round_trip_is_bit_exact(adapters):
+    """``save_adapters`` writes the bytes of the ``csv.writer`` walk in
+    ``reference.adapters_csv``, and they load back bit for bit."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "adapters.csv")
+        path, want = os.path.join(tmp, "adapters.csv"), os.path.join(tmp, "reference.csv")
         save_adapters(path, adapters)
+        reference.adapters_csv(want, adapters)
+        with open(path, "rb") as got, open(want, "rb") as ref:
+            assert got.read() == ref.read()
         loaded = load_adapters(path)
     assert set(loaded) == set(adapters)
     for key, ad in adapters.items():
         assert loaded[key].a.tobytes() == ad.a.tobytes() and loaded[key].a.shape == ad.a.shape
         assert loaded[key].b.tobytes() == ad.b.tobytes() and loaded[key].b.shape == ad.b.shape
         assert (loaded[key].alpha, loaded[key].rank) == (ad.alpha, ad.rank)
+
+
+def test_adapter_csv_of_int_and_float32_factors_has_the_reference_bytes(tmp_path):
+    """Each entry is written as the ``repr`` of its value as a float, whatever the factor's dtype."""
+    adapters = {"v": LoRAAdapter(a=np.array([[1], [-2]]), b=np.array([[0.1, 3.0]], dtype=np.float32), alpha=1.0,
+                                 rank=1)}
+    save_adapters(tmp_path / "adapters.csv", adapters)
+    reference.adapters_csv(tmp_path / "reference.csv", adapters)
+    assert (tmp_path / "adapters.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_unknown_target_not_saved(tmp_path):
+    """A target ``load_adapters`` would refuse is refused before any file is written."""
+    adapter = LoRAAdapter(a=np.ones((2, 1)), b=np.ones((1, 2)), alpha=1.0, rank=1)
+    with pytest.raises(ConfigError, match="unknown adapter targets"):
+        save_adapters(tmp_path / "adapters.csv", {"q": adapter, "o": adapter})
+    assert not (tmp_path / "adapters.csv").exists()
 
 
 def _drop_column(lines, name):

@@ -1,18 +1,25 @@
 import concurrent.futures
 import hashlib
+import math
+import os
+import tempfile
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import craftfaces.pipeline as pl
-from craftfaces import facegen, identity
+from craftfaces import cli, facegen, identity
 from craftfaces.diffusion import encode
 from craftfaces.errors import CompositionOrderError, ConfigError, TrainingError
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.lora import _batch
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import (
+    ExperimentReport,
     PipelineConfig,
     ReportRow,
     ablate_attention,
@@ -690,3 +697,67 @@ def test_report_row_sorting_and_csv_schema(tmp_path):
     assert lines[0].split(",") == [f.name for f in fields(ReportRow)]
     assert lines[1:] == [f"{r.face_id},{r.order},{r.intensity!r},{r.attr_loss!r},{r.ffc!r},{r.seed}"
                          for r in report.rows]
+
+
+# signed zeros, a negative NaN, infinities, the smallest subnormal and one
+# more, and a float whose repr switches to an exponent
+_EDGE_FLOATS = (-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3,
+                1e16, 0.1)
+
+
+@st.composite
+def _reports(draw):
+    """A report over up to 8 cells whose scores and intensities come from a
+    pool of at most 5 floats, so that cells repeat them, or from any float."""
+    orders = draw(st.sampled_from((("PS", "SP"), ("BASE", "ID"))))
+    n = draw(st.integers(0, 8))
+    pool = draw(st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(), min_size=1, max_size=5))
+    values = st.sampled_from(pool) | st.floats()
+    scores = draw(arrays(np.float64, (2, len(orders), n), elements=values))
+    cells = [(draw(st.integers(0, 2**20)), draw(values), draw(st.integers(-(2**127), 2**127 - 1)))
+             for _ in range(n)]
+    return ExperimentReport(orders, cells, scores[0], scores[1], {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports())
+@example(ExperimentReport(("PS", "SP"), [], np.empty((2, 0)), np.empty((2, 0)), {}))  # a header alone
+@example(ExperimentReport(  # every edge value as a score, twice, and as an intensity
+    ("BASE", "ID"), [(i, v, 2**127 - i) for i, v in enumerate(_EDGE_FLOATS)],
+    np.array([_EDGE_FLOATS, _EDGE_FLOATS[::-1]]), np.array([_EDGE_FLOATS[::-1], _EDGE_FLOATS]), {}))
+def test_report_csv_has_the_bytes_of_the_csv_writer_walk(report):
+    """``to_csv`` writes the bytes ``reference.report_csv`` writes by
+    passing every row through ``csv.writer``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        report.to_csv(got)
+        reference.report_csv(report, want)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
+
+
+def test_ablate_order_command_builds_no_row(monkeypatch, tmp_path):
+    """The command and ``to_csv`` build no ``ReportRow``; ``rows``, built
+    once on first read, is one row per cell and order, sorted."""
+    built = []
+    monkeypatch.setattr(pl, "ReportRow", lambda *args: built.append(args) or ReportRow(*args))
+    argv = ["ablate-order", "--faces", "2", "--intensities", "0.8,0.0,0.3", "--sweep-seeds", "2", "--seed", "9",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.8, 0.0, 0.3), seeds=(9, 10))
+    report.to_csv(tmp_path / "again.csv")
+    assert built == []
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "order_report.csv").read_bytes()
+    rows = report.rows
+    assert report.rows is rows and len(built) == len(rows) == 2 * 3 * 2 * 2
+    eager = [ReportRow(fid, order, intensity, float(report.losses[a, c]), float(report.ffcs[a, c]), seed)
+             for c, (fid, intensity, seed) in enumerate(report.cells) for a, order in enumerate(report.orders)]
+    assert rows == eager == sorted(eager, key=_row_key)
+
+
+def test_reports_compare_by_identity():
+    """A report holds arrays, so ``==`` compares identity and never the
+    arrays elementwise; content is compared through ``rows`` and ``extras``."""
+    a, b = (ablate_order(face_grid(1, seed=3), PipelineConfig(seed=3), sweeps=(0.5,), seeds=(3,)) for _ in range(2))
+    assert a == a and a != b
+    assert a.rows == b.rows and a.extras == b.extras
