@@ -29,6 +29,7 @@ attributes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -132,28 +133,33 @@ def _band_index(height: int) -> list[int]:
     return [rows[name] for name in ATTRIBUTE_NAMES]
 
 
-def _splat(row: np.ndarray, u: float) -> None:
-    """Deposit unit intensity across the two pixels bracketing position ``u``."""
-    x0 = int(np.floor(u))
+def _landmark_splats(attrs: np.ndarray, w: int) -> np.ndarray:
+    """The landmark band rows ``draw_landmarks`` draws at each attribute
+    vector of ``attrs`` ((..., 6)), as a (..., 6, W) stack in
+    ``ATTRIBUTE_NAMES`` order: the splat layout. A splat at position ``u``
+    places ``1 - frac`` at pixel ``floor(u)`` and ``frac`` at the next one,
+    so the row's intensity centroid is ``u``. The eye row's two splats lie
+    apart, so no pixel gets two and each write is the sum into a zeroed row."""
+    a = np.asarray(attrs, dtype=np.float64)
+    flat = a.reshape(-1, len(ATTRIBUTE_NAMES))
+    half = (EYE_OFFSET + EYE_SPAN * flat[:, :1]) * w
+    # the left and the right eye on the eye row, then one splat on each other band
+    u = np.concatenate([0.5 * w - half, 0.5 * w + half, (X_MARGIN + X_SPAN * flat[:, 1:]) * w], axis=1)
+    x0 = np.floor(u)
     frac = u - x0
-    row[x0] += 1.0 - frac
-    if frac > 0.0:
-        row[x0 + 1] += frac
+    x0 = x0.astype(np.intp)
+    out = np.zeros((len(flat), len(ATTRIBUTE_NAMES), w))
+    vec, band = np.arange(len(flat))[:, None], np.array([0, 0, 1, 2, 3, 4, 5])
+    out[vec, band, x0] = 1.0 - frac
+    out[vec, band, x0 + 1] = frac
+    return out.reshape(*a.shape[:-1], len(ATTRIBUTE_NAMES), w)
 
 
 def draw_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
     """Clear the landmark bands of a geometry plane and re-splat them at
     the given attribute values (in place)."""
     h, w = geometry.shape
-    rows = _band_rows(h)
-    a = {name: float(v) for name, v in zip(ATTRIBUTE_NAMES, attrs)}
-    for name, r in rows.items():
-        geometry[r, :] = 0.0
-    half = (EYE_OFFSET + EYE_SPAN * a["eye_spacing"]) * w
-    _splat(geometry[rows["eye_spacing"]], 0.5 * w - half)
-    _splat(geometry[rows["eye_spacing"]], 0.5 * w + half)
-    for name in SINGLE_SPLAT_BANDS:
-        _splat(geometry[rows[name]], (X_MARGIN + X_SPAN * a[name]) * w)
+    geometry[_band_index(h)] = _landmark_splats(attrs, w)
 
 
 def _decorate(geometry: np.ndarray, p: FaceParams, dist: np.ndarray, radius: float) -> None:
@@ -182,6 +188,18 @@ def _decorate(geometry: np.ndarray, p: FaceParams, dist: np.ndarray, radius: flo
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _centre_distances(size: int) -> np.ndarray:
+    """Each pixel's distance from the face centre (0.54 size, 0.5 size) of a
+    size x size image: one read-only grid per size, built on that size's
+    first render and shared by the later ones while it is among the last
+    eight sizes rendered."""
+    yy, xx = np.arange(size, dtype=np.float64)[:, None], np.arange(size, dtype=np.float64)
+    dist = np.hypot(yy - 0.54 * size, xx - 0.5 * size)
+    dist.flags.writeable = False
+    return dist
+
+
 def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     """Deterministic (2, size, size) face image; landmark rows encode the
     attributes exactly."""
@@ -189,10 +207,8 @@ def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     if size < MIN_SIZE:
         raise ConfigError(f"size {size} below minimum {MIN_SIZE}")
     h = w = int(size)
-    yy, xx = np.arange(h, dtype=np.float64)[:, None], np.arange(w, dtype=np.float64)
-    cy, cx = 0.54 * h, 0.5 * w
     radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
-    dist = np.hypot(yy - cy, xx - cx)
+    dist = _centre_distances(h)
     out = np.empty((2, h, w), dtype=np.float64)
     geometry, chroma = out
     geometry.fill(0.0)
@@ -324,32 +340,50 @@ def _stylize(img: np.ndarray, op: StyleOp, units: np.ndarray) -> np.ndarray:
     intensity, given its jitter units ``_jitter_units(img)``."""
     i = op.intensity
     geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
-    bands, rows = _landmark_rows(img, [i], units)
-    geometry[rows] = bands[0]
+    geometry[_band_index(img.shape[1])] = _landmark_rows(_jitter_tracks(img), [i], units)[0]
     boosted = np.clip(img[1] + i * _laplacian(img[1]), 0.0, 1.0)
     chroma_out = (1.0 - i) * boosted + i * _quantize(boosted)
     return np.stack([geometry, chroma_out])
 
 
-def _landmark_rows(img: np.ndarray, intensities, units: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _jitter_tracks(img: np.ndarray) -> np.ndarray:
+    """The geometry rows under the ``JITTER_TRACKS`` of a (2, H, W) image, as
+    a (7, W) copy: the eye row twice, for the left and the right eye's
+    track, then each other band's row."""
+    rows = _band_index(img.shape[1])
+    return img[0, [rows[0], *rows]]
+
+
+def _landmark_rows(tracks: np.ndarray, intensities, units: np.ndarray) -> np.ndarray:
     """The landmark band rows of ``_stylize``'s geometry plane at each
-    intensity, as an (I, 6, W) stack in ``ATTRIBUTE_NAMES`` order, and their
-    row indices: the warp blend of the seven jitter tracks, the eye halves
-    zeroed, one ``_shift_tracks`` over all (intensity, track) rows, and the
-    two eye tracks merged back into the eye row."""
-    h, w = img.shape[1:]
-    rows = _band_index(h)
-    g = img[0, [rows[0], *rows]]  # the eye row twice: the left and the right eye's track
+    intensity, as an (I, 6, W) stack in ``ATTRIBUTE_NAMES`` order, from the
+    image's ``_jitter_tracks`` and jitter units: the warp blend of the seven
+    tracks, the eye halves zeroed, one ``_shift_tracks`` over all
+    (intensity, track) rows, and the two eye tracks merged back into the
+    eye row."""
+    w = tracks.shape[-1]
     i = np.asarray(intensities, dtype=np.float64)[:, None]
-    tracks = (1.0 - i[..., None]) * g
-    tracks += i[..., None] * _smooth_warp(g)
+    blend = (1.0 - i[..., None]) * tracks
+    blend += i[..., None] * _smooth_warp(tracks)
     mid = w // 2
-    tracks[:, 0, mid:] = 0.0  # the left eye's half of the eye row
-    tracks[:, 1, :mid] = 0.0  # the right eye's half
-    shifted = _shift_tracks(tracks.reshape(-1, w), (i * units).reshape(-1)).reshape(tracks.shape)
+    blend[:, 0, mid:] = 0.0  # the left eye's half of the eye row
+    blend[:, 1, :mid] = 0.0  # the right eye's half
+    shifted = _shift_tracks(blend.reshape(-1, w), (i * units).reshape(-1)).reshape(blend.shape)
     bands = shifted[:, 1:]
     bands[:, 0] += shifted[:, 0]
-    return bands, rows
+    return bands
+
+
+def _face_bands(p: FaceParams, size: int, intensities) -> np.ndarray:
+    """The landmark band rows of ``render_face(p, size)`` and then of its
+    ``graffiti_stylize`` output at each of ``intensities``, as a
+    (1 + I, 6, W) stack. The render is read for its jitter units and its
+    seven tracks and dropped before the stylized rows are built, so no
+    image of the face outlives this read."""
+    img = render_face(p, size)
+    units, tracks = _jitter_units(img), _jitter_tracks(img)
+    del img
+    return np.concatenate([tracks[None, 1:], _landmark_rows(tracks, intensities, units)])
 
 
 def embed_prompt(text: str, dim: int = 8) -> np.ndarray:

@@ -12,11 +12,13 @@ restored attributes exact.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ExtractionError, InputError, ProjectionError
 from .facegen import (
-    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, _band_index, _jitter_units, _landmark_rows,
+    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, _band_index, _face_bands, _landmark_splats,
     draw_landmarks,
 )
 from .numerics import tensor
@@ -132,34 +134,41 @@ def _already_there(current: np.ndarray | None, target: np.ndarray):
     return current is not None and np.abs(current - target).max(axis=-1) <= _ALREADY_THERE_TOL
 
 
-def _redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarray:
-    """The attributes of any image of ``shape`` that ``project`` redraws
-    onto ``target``. A redraw clears and rewrites every landmark row that
-    extraction reads, so they depend on nothing else; they are measured
-    here on a blank geometry plane."""
-    plane = np.zeros(shape[-2:])
-    draw_landmarks(plane, target)
-    return _band_attributes(plane[_band_index(shape[-2])])
+def _face_attributes(params, size: int, intensities) -> np.ndarray:
+    """The order sweep's read of one face: the (1 + I, 6) attributes of
+    ``render_face(params, size)`` and then of its ``graffiti_stylize``
+    output at each of ``intensities``, from one band read of
+    ``facegen._face_bands``. Each vector has the bits of
+    ``extract_attributes`` of that image, and no stylized image is built."""
+    return _band_attributes(_face_bands(params, size, intensities))
 
 
-def _order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The attributes both composition orders leave on the face ``img`` at
-    each of ``intensities``, without building a stylized or restored image:
-    the face's own ``ref``, the (I, 6) attributes ``styled`` of each
-    ``graffiti_stylize`` output (the reversed order's, whose restore is a
-    bitwise no-op) and the (I, 6) attributes ``restored`` of projecting
-    each onto ``ref``. One band read gives ``ref`` and every ``styled``
-    vector, from the render's band rows stacked on one batch of stylized
-    ones; a restore that redraws leaves ``_redrawn_attributes``, one that
-    finds ``ref`` already there leaves the stylized image's. The redraw is
-    drawn at ``ref``, so it takes a second read. Each vector has the bits
-    of ``extract_attributes`` of that image."""
-    img = tensor(img)
-    bands, rows = _landmark_rows(img, intensities, _jitter_units(img))
-    attrs = _band_attributes(np.concatenate([img[None, 0, rows], bands]))
-    ref, styled = attrs[0], attrs[1:]
-    restored = np.where(_already_there(styled, ref)[:, None], styled, _redrawn_attributes(img.shape, ref))
-    return ref, styled, restored
+def _restored_attributes(refs: np.ndarray, styled: np.ndarray, width: int) -> np.ndarray:
+    """The (F, I, 6) attributes of projecting each stylized image, with
+    attributes ``styled`` ((F, I, 6)) and width ``width``, onto its face's
+    ``refs`` ((F, 6)), without building an image. A restore that finds its
+    ``ref`` already there leaves the stylized attributes. One that redraws
+    rewrites every landmark row extraction reads, so it leaves the
+    attributes of its face's redraw alone: every face's redraw is splatted
+    into one zeroed block and read at once. Each vector has the bits of
+    ``extract_attributes(project(styled_image, ref))``."""
+    redrawn = _band_attributes(_landmark_splats(refs, width))
+    return np.where(_already_there(styled, refs[:, None])[..., None], styled, redrawn[:, None])
+
+
+def _sweep_attributes(faces, size: int, intensities, map_faces=map) -> tuple[np.ndarray, ...]:
+    """The attributes both composition orders leave on each of ``faces``
+    rendered at ``size``, at each of ``intensities``: the (F, 6) ``refs``,
+    the (F, I, 6) ``styled`` attributes of each ``graffiti_stylize`` output
+    (the reversed order's, whose restore is a bitwise no-op) and the
+    (F, I, 6) ``restored`` ones of projecting each onto its face's ref.
+    ``map_faces`` runs ``_face_attributes`` over the faces, in order (a
+    process pool's ``map`` runs it in workers); the restore then runs once
+    for all of them."""
+    attrs = np.array(list(map_faces(functools.partial(_face_attributes, size=size, intensities=intensities),
+                                    faces)))
+    refs, styled = attrs[:, 0], attrs[:, 1:]
+    return refs, styled, _restored_attributes(refs, styled, size)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .diffusion import (
 from .attention import ExtendedAttentionWeights, attention_map
 from .errors import CompositionOrderError, ConfigError, TrainingError
 from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
-from .identity import _order_attributes, _scores, attribute_embedding, extract_attributes
+from .identity import _scores, _sweep_attributes, attribute_embedding, extract_attributes
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream
 
@@ -274,25 +274,6 @@ def face_attention_map(img: np.ndarray, cfg: PipelineConfig, with_identity: bool
     return attention_map(tokens, ident, runtime.model.attention)
 
 
-def _order_face(args) -> tuple[np.ndarray, np.ndarray]:
-    """One face's scores: the (2, I) losses and FFCs of the PS, then the SP
-    order at each intensity, from the attributes ``_order_attributes`` says
-    they leave, every vector scored in one ``_scores`` call. A style-first
-    loss above the reversed order's raises CompositionOrderError."""
-    face_id, params, image_size, seeds, intensities = args
-    ref, styled, restored = _order_attributes(render_face(params, image_size), intensities)
-    losses, ffcs = _scores(np.stack([restored, styled]), ref)
-    lost = losses[0] > losses[1]
-    if lost.any():
-        i = int(np.argmax(lost))  # the first intensity where style-first lost
-        raise CompositionOrderError(
-            "style-then-project lost to the reversed order: "
-            f"face_id={face_id} intensity={intensities[i]} seeds={seeds} "
-            f"loss_ps={float(losses[0, i])!r} loss_sp={float(losses[1, i])!r} params={params}"
-        )
-    return losses, ffcs
-
-
 def ablate_order(
     faces: list[FaceParams],
     cfg: PipelineConfig,
@@ -308,17 +289,20 @@ def ablate_order(
     Intensities and seeds must be nonempty and distinct, so that no two
     cells are the same.
 
-    Per face, ``identity._order_attributes`` gives the attributes both
-    orders leave at every intensity from one batch of landmark rows; no
-    cell builds a stylized or restored image. All of a face's vectors are
-    scored in one call of per-vector dot products, each with the bits of
-    scoring that vector alone. At most ``min(jobs, len(faces))`` worker
-    processes score the faces, and none when that is 1; each hands back
-    its face's score arrays in sweep order, the order in which a failure
-    names its first offending intensity. They are then put in sorted
-    intensity order and, since no draw reads the seed, repeated once per
-    sorted seed: the cells' order, in which the report keeps them and off
-    which ``extras`` is read.
+    Each face is read once, by ``identity._face_attributes``: its render
+    is hashed for the jitter units and its seven landmark tracks kept, then
+    dropped, and one band read gives the attributes of the render and of
+    its stylize at every intensity; no cell builds a stylized or restored
+    image. At most ``min(jobs, len(faces))`` worker processes read the
+    faces, and none when that is 1; each hands back its face's (1 + I, 6)
+    attributes. The rest runs once for all faces: every style-first
+    restore (``identity._restored_attributes``), then one scoring call over
+    the (F, 2, I) PS and SP vectors, each with the bits of scoring that
+    vector alone. Faces are then scanned in order, intensities in sweep
+    order, and the first where style-first lost names the failure. The
+    scores are then put in sorted intensity order and, since no draw reads
+    the seed, repeated once per sorted seed: the cells' order, in which the
+    report keeps them and off which ``extras`` is read.
 
     ``extras`` holds each order's mean loss, ``mean_loss_ps`` and
     ``mean_loss_sp``, and ``win_rate``, the fraction of cells where the
@@ -331,28 +315,39 @@ def ablate_order(
     for name, axis in (("intensities", intensities), ("seeds", seeds)):
         if not axis or len(set(axis)) != len(axis):
             raise ConfigError(f"ablate_order {name} must be nonempty and distinct, got {axis}")
-    # every seed's and every intensity's config is validated here, before any cell is computed
+    # every seed and every intensity is checked here, before any face is rendered
     for s in seeds:
         replace(cfg, seed=s)
     for i in intensities:
-        replace(cfg, style_intensity=i)
-    tasks = [(fid, p, cfg.image_size, seeds, intensities) for fid, p in enumerate(faces)]
-    workers = min(jobs, len(tasks))
+        if not 0.0 <= i <= 1.0:
+            raise ConfigError(f"ablate_order intensity {i} is not a finite value in [0, 1]")
+    workers = min(jobs, len(faces))
     if workers > 1:
         # imported here: the pool's modules (multiprocessing and what it loads) cost
         # every other command's import time, and only a sweep with workers uses them
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            scores = list(ex.map(_order_face, tasks))
+            refs, styled, restored = _sweep_attributes(faces, cfg.image_size, intensities, ex.map)
     else:
-        scores = [_order_face(task) for task in tasks]
+        refs, styled, restored = _sweep_attributes(faces, cfg.image_size, intensities)
+    # (face, order, intensity): the PS, then the SP order's scores of each face
+    losses, ffcs = _scores(np.stack([restored, styled], axis=1), refs[:, None, None])
+    lost = losses[:, 0] > losses[:, 1]
+    if lost.any():
+        f = int(np.argmax(lost.any(axis=1)))  # the first face where style-first lost
+        i = int(np.argmax(lost[f]))  # and its first such intensity, in sweep order
+        raise CompositionOrderError(
+            "style-then-project lost to the reversed order: "
+            f"face_id={f} intensity={intensities[i]} seeds={seeds} "
+            f"loss_ps={float(losses[f, 0, i])!r} loss_sp={float(losses[f, 1, i])!r} params={faces[f]}"
+        )
     by_intensity = np.argsort(intensities)
     seeds = sorted(seeds)
     cells = [(fid, intensities[i], seed) for fid in range(len(faces)) for i in by_intensity for seed in seeds]
-    # (face, term, order, intensity) -> (term, order, cell): each order's losses and FFCs in cell order
-    terms = np.repeat(np.array(scores)[..., by_intensity], len(seeds), axis=-1)
-    losses, ffcs = terms.transpose(1, 2, 0, 3).reshape(2, 2, -1)
+    # (term, face, order, intensity) -> (term, order, cell): each order's losses and FFCs in cell order
+    terms = np.repeat(np.array([losses, ffcs])[..., by_intensity], len(seeds), axis=-1)
+    losses, ffcs = terms.transpose(0, 2, 1, 3).reshape(2, 2, -1)
     return ExperimentReport(("PS", "SP"), cells, losses, ffcs, {
         "mean_loss_ps": float(np.mean(losses[0])),
         "mean_loss_sp": float(np.mean(losses[1])),

@@ -1,7 +1,8 @@
 """Plain references that only the tests read: the per-item loss, the
-per-cell composition orders, the report extras as row walks and the two
-CSV writers as ``csv.writer`` walks. Each is the direct form of a batched
-path in the package, which the tests check against it bit for bit."""
+per-row landmark splats, the per-face and per-cell composition orders, the
+report extras as row walks and the two CSV writers as ``csv.writer``
+walks. Each is the direct form of a batched path in the package, which the
+tests check against it bit for bit."""
 
 import csv
 from dataclasses import fields
@@ -9,8 +10,12 @@ from operator import attrgetter
 
 import numpy as np
 
-from craftfaces.facegen import StyleOp, graffiti_stylize
-from craftfaces.identity import _scores, extract_attributes, project
+from craftfaces.facegen import (
+    ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, SINGLE_SPLAT_BANDS, X_MARGIN, X_SPAN, StyleOp, _band_index, _band_rows,
+    _jitter_tracks, _jitter_units, _landmark_rows, draw_landmarks, graffiti_stylize,
+)
+from craftfaces.identity import _already_there, _band_attributes, _scores, extract_attributes, project
+from craftfaces.numerics import tensor
 from craftfaces.pipeline import PipelineConfig, ReportRow
 
 
@@ -29,6 +34,56 @@ def denoise_loss(model, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> f
         err = item.predict_noise(x_t[i], conds[i]) - eps[i]
         total += float(np.mean(err * err))
     return total / n
+
+
+def _splat(row: np.ndarray, u: float) -> None:
+    """Deposit unit intensity across the two pixels bracketing position ``u``."""
+    x0 = int(np.floor(u))
+    frac = u - x0
+    row[x0] += 1.0 - frac
+    if frac > 0.0:
+        row[x0 + 1] += frac
+
+
+def splat_landmarks(geometry: np.ndarray, attrs: np.ndarray) -> None:
+    """``draw_landmarks`` one row and one splat at a time: clear each band
+    row, then add each splat to its row (in place)."""
+    h, w = geometry.shape
+    rows = _band_rows(h)
+    a = {name: float(v) for name, v in zip(ATTRIBUTE_NAMES, attrs)}
+    for name, r in rows.items():
+        geometry[r, :] = 0.0
+    half = (EYE_OFFSET + EYE_SPAN * a["eye_spacing"]) * w
+    _splat(geometry[rows["eye_spacing"]], 0.5 * w - half)
+    _splat(geometry[rows["eye_spacing"]], 0.5 * w + half)
+    for name in SINGLE_SPLAT_BANDS:
+        _splat(geometry[rows[name]], (X_MARGIN + X_SPAN * a[name]) * w)
+
+
+def redrawn_attributes(shape: tuple[int, ...], target: np.ndarray) -> np.ndarray:
+    """The attributes of any image of ``shape`` that ``project`` redraws
+    onto ``target``. A redraw clears and rewrites every landmark row that
+    extraction reads, so they depend on nothing else; they are measured
+    here on a blank geometry plane."""
+    plane = np.zeros(shape[-2:])
+    draw_landmarks(plane, target)
+    return _band_attributes(plane[_band_index(shape[-2])])
+
+
+def order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The attributes both composition orders leave on the face ``img`` at
+    each of ``intensities``, one face at a time: its ``ref``, the (I, 6)
+    attributes ``styled`` of each ``graffiti_stylize`` output and the
+    (I, 6) attributes ``restored`` of projecting each onto ``ref``. One
+    band read gives ``ref`` and every ``styled`` vector; a restore that
+    redraws leaves ``redrawn_attributes`` of the face, a second read, and
+    one that finds ``ref`` already there leaves the stylized image's."""
+    img = tensor(img)
+    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(img))
+    attrs = _band_attributes(np.concatenate([img[None, 0, _band_index(img.shape[1])], bands]))
+    ref, styled = attrs[0], attrs[1:]
+    restored = np.where(_already_there(styled, ref)[:, None], styled, redrawn_attributes(img.shape, ref))
+    return ref, styled, restored
 
 
 def score_row(order: str, attrs: np.ndarray, ref: np.ndarray, intensity: float, seed: int,

@@ -259,6 +259,17 @@ class TestParse:
         assert "error:" in err and "distinct" in err
         assert not (tmp_path / "order_report.csv").exists()
 
+    @pytest.mark.parametrize("intensities, bad", [("1.5", "1.5"), ("0.5,nan", "nan"), ("0.5,-0.25", "-0.25"),
+                                                  ("0.5,inf", "inf")])
+    def test_intensity_outside_the_unit_interval_rejected(self, intensities, bad, tmp_path, capsys):
+        """The message names the sweep's intensity, not a flag the command
+        does not take."""
+        argv = ["ablate-order", "--faces", "1", "--intensities", intensities, "--out-dir", str(tmp_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: ablate_order intensity {bad} is not a finite value in [0, 1]\n"
+        assert not (tmp_path / "order_report.csv").exists()
+
     @pytest.mark.parametrize("values", [{"steps": "10"}, {"seed": "abc"}, {"image_size": True}])
     def test_config_value_of_wrong_type(self, values, tmp_path, capsys):
         bad = tmp_path / "typed.json"

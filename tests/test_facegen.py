@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from craftfaces import facegen
 from craftfaces.errors import ConfigError, InputError
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES,
@@ -11,8 +12,10 @@ from craftfaces.facegen import (
     StyleOp,
     _SPRAY_PALETTE,
     _band_rows,
+    _centre_distances,
     _quantize,
     _shift_tracks,
+    draw_landmarks,
     embed_prompt,
     face_grid,
     graffiti_stylize,
@@ -22,6 +25,7 @@ from craftfaces.facegen import (
 from craftfaces.identity import attr_loss, extract_attributes
 from craftfaces.numerics import RngStream
 from imaging import chroma_histogram, palette_mass
+from reference import splat_landmarks
 
 BASE = FaceParams(
     eye_spacing=0.3,
@@ -73,6 +77,40 @@ class TestRenderFace:
         with pytest.raises(TypeError):
             rows["eye_size"] = 0
         assert rows["eye_size"] == round(0.22 * 64)
+
+    def test_cached_grid_renders_the_per_call_formula_bytes(self, monkeypatch):
+        """Each size's centre-distance grid is built once, has the bytes of
+        the per-call ``np.hypot`` formula, and renders the same bytes as
+        that formula would, whatever order the sizes come in."""
+
+        def per_call(size):
+            yy, xx = np.arange(size, dtype=np.float64)[:, None], np.arange(size, dtype=np.float64)
+            return np.hypot(yy - 0.54 * size, xx - 0.5 * size)
+
+        sizes = (64, 32, 47, 64, 33, 32, 96, 47)
+        faces = face_grid(len(sizes), seed=3)
+        cached = [render_face(p, size).tobytes() for p, size in zip(faces, sizes)]
+        for size in sizes:
+            assert _centre_distances(size) is _centre_distances(size)
+            assert _centre_distances(size).tobytes() == per_call(size).tobytes()
+        with pytest.raises(ValueError):
+            _centre_distances(64)[0, 0] = 0.0
+        monkeypatch.setattr(facegen, "_centre_distances", per_call)
+        assert [render_face(p, size).tobytes() for p, size in zip(faces, sizes)] == cached
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, (6,), elements=st.floats(0.0, 1.0)), st.sampled_from((32, 33, 47, 64, 96)),
+       st.integers(0, 2**63 - 1))
+def test_draw_landmarks_equals_one_splat_at_a_time(attrs, size, seed):
+    """The splat layout, written as one block over every band, draws the
+    bytes of clearing each band row and adding one splat at a time, on a
+    plane whose band rows hold other values first."""
+    plane = RngStream(seed=seed).uniform((size, size))
+    want = plane.copy()
+    splat_landmarks(want, attrs)
+    draw_landmarks(plane, attrs)
+    assert plane.tobytes() == want.tobytes()
 
 
 def _argmin_quantize(chroma: np.ndarray) -> np.ndarray:

@@ -8,15 +8,14 @@ from hypothesis.extra.numpy import arrays
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp,
-    _band_rows, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
+    _band_rows, _jitter_tracks, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
 )
 from craftfaces.identity import (
     _already_there,
     _attributes_or_none,
     _band_attributes,
-    _order_attributes,
-    _redrawn_attributes,
     _scores,
+    _sweep_attributes,
     attr_loss,
     attribute_embedding,
     extract_attributes,
@@ -26,7 +25,7 @@ from craftfaces.identity import (
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import PipelineConfig
 from imaging import chroma_histogram
-from reference import run_identity_first, run_style_first
+from reference import order_attributes, redrawn_attributes, run_identity_first, run_style_first
 
 FACE = FaceParams(
     eye_spacing=0.35,
@@ -189,7 +188,7 @@ def test_redrawn_attributes_depend_only_on_target_and_shape(params, intensity, s
     for img in (styled, noise):
         assume(not _already_there(_attributes_or_none(img), target))  # project redraws it
     a, b = (extract_attributes(project(img, target)).tobytes() for img in (styled, noise))
-    assert a == b == _redrawn_attributes(styled.shape, target).tobytes()
+    assert a == b == redrawn_attributes(styled.shape, target).tobytes()
 
 
 class TestVerifyComposition:
@@ -286,15 +285,15 @@ def test_extract_equals_per_band_centroids_bit_for_bit(params, intensity, size):
 def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
     """One batch over intensities 0, ``between`` and 1 has, per intensity,
     the band rows of ``graffiti_stylize`` and the attributes that
-    ``extract_attributes`` reads from them; ``_order_attributes`` has the
-    bits of extracting the render, each stylized image and each stylized
-    image projected onto the render's attributes."""
+    ``extract_attributes`` reads from them; ``reference.order_attributes``
+    has the bits of extracting the render, each stylized image and each
+    stylized image projected onto the render's attributes."""
     img = render_face(params, size)
     intensities = [0.0, *between, 1.0]
-    bands, rows = _landmark_rows(img, intensities, _jitter_units(img))
-    assert rows == [_band_rows(size)[name] for name in ATTRIBUTE_NAMES]
+    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(img))
+    rows = [_band_rows(size)[name] for name in ATTRIBUTE_NAMES]
     attrs = _band_attributes(bands)
-    ref, styled_attrs, restored_attrs = _order_attributes(img, intensities)
+    ref, styled_attrs, restored_attrs = order_attributes(img, intensities)
     assert ref.tobytes() == extract_attributes(img).tobytes()
     for intensity, band, attr, styled_attr, restored_attr in zip(
         intensities, bands, attrs, styled_attrs, restored_attrs, strict=True
@@ -303,6 +302,28 @@ def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
         assert band.tobytes() == styled[0, rows].tobytes()
         assert attr.tobytes() == styled_attr.tobytes() == extract_attributes(styled).tobytes()
         assert restored_attr.tobytes() == extract_attributes(project(styled, ref)).tobytes()
+
+
+_face = st.builds(FaceParams, *[_unit] * 6, palette_id=st.integers(0, 7), background=_unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_face, min_size=1, max_size=5),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True), max_size=5,
+             unique=True).flatmap(lambda between: st.permutations([0.0, *between, 1.0])),
+    st.sampled_from((32, 33, 47, 64)),
+)
+def test_sweep_attributes_equal_the_per_face_reference_bit_for_bit(faces, intensities, size):
+    """The order sweep's read of each face and its one restore of every
+    face have the bits of ``reference.order_attributes``, one face at a
+    time, in any intensity order. At intensity 0 each face's restore finds
+    its ``ref`` already there; at 1 it redraws."""
+    refs, styled, restored = _sweep_attributes(faces, size, intensities)
+    assert refs.shape == (len(faces), 6) and styled.shape == restored.shape == (len(faces), len(intensities), 6)
+    for params, got in zip(faces, zip(refs, styled, restored), strict=True):
+        want = order_attributes(render_face(params, size), intensities)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def _reduced_dot(u, v):

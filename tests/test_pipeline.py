@@ -191,24 +191,43 @@ class TestAblateOrder:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
+    @staticmethod
+    def losing(refs, styled, width):
+        """Restores 9, 3 and 3 away from each face's ``ref``, in place of the
+        real ones: ``(ref + 9) - ref`` rounds to exactly 9 for a ``ref`` in
+        [0, 1], and so for 3, so the PS loss is exactly 99.0 at every
+        intensity, over an SP loss of at most 6."""
+        return np.broadcast_to((refs + [9.0, 3.0, 3.0, 0.0, 0.0, 0.0])[:, None], styled.shape)
+
     def test_violation_raises_with_case(self, monkeypatch):
-        real = pl._order_attributes
-
-        def losing(img, intensities):
-            """The real stylized attributes against a dyadic ``ref``, with
-            restores 9, 3 and 3 away from it: a PS loss of exactly 99.0 at
-            every intensity, over an SP loss of at most 6 * 0.5**2."""
-            _, styled, restored = real(img, intensities)
-            ref = np.full(6, 0.5)
-            return ref, styled, np.broadcast_to(ref + [9.0, 3.0, 3.0, 0.0, 0.0, 0.0], restored.shape)
-
-        monkeypatch.setattr(pl, "_order_attributes", losing)
+        monkeypatch.setattr(identity, "_restored_attributes", self.losing)
         cfg = PipelineConfig(seed=9)
         with pytest.raises(CompositionOrderError) as exc:
             ablate_order(face_grid(1, seed=9), cfg, sweeps=(0.5, 0.3), seeds=(9,))
         assert "face_id=0" in str(exc.value)
         assert "intensity=0.5" in str(exc.value)  # the first offending intensity, in sweep order
         assert "loss_ps=99.0" in str(exc.value)
+
+    def test_a_pool_writes_the_bytes_and_the_failure_of_one_process(self, monkeypatch, tmp_path):
+        """A real two-worker pool reads the faces, then the parent restores
+        and scores them: the report bytes and, with every restore losing,
+        the failure text are those of ``jobs=1``."""
+        cfg, faces = PipelineConfig(seed=23), face_grid(3, seed=23)
+        sweeps, seeds = (0.6, 0.0, 1.0, 0.3), (24, 23)
+        reports = []
+        for jobs in (2, 1):
+            path = tmp_path / f"jobs_{jobs}.csv"
+            ablate_order(faces, cfg, sweeps=sweeps, seeds=seeds, jobs=jobs).to_csv(path)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        monkeypatch.setattr(identity, "_restored_attributes", self.losing)
+        failures = []
+        for jobs in (2, 1):
+            with pytest.raises(CompositionOrderError) as exc:
+                ablate_order(faces, cfg, sweeps=sweeps, seeds=seeds, jobs=jobs)
+            failures.append(str(exc.value))
+        assert failures[0] == failures[1]
+        assert "face_id=0 intensity=0.6 seeds=(24, 23) loss_ps=99.0" in failures[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -224,8 +243,8 @@ class TestAblateOrder:
 
     def test_every_seed_checked_before_any_cell(self, monkeypatch):
         calls = []
-        real = identity._landmark_rows
-        monkeypatch.setattr(identity, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
+        real = facegen._landmark_rows
+        monkeypatch.setattr(facegen, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
         with pytest.raises(ConfigError, match="seed must lie"):
             ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5,),
                          seeds=(2**127 - 1, 2**127))
@@ -233,9 +252,9 @@ class TestAblateOrder:
 
     def test_every_intensity_checked_before_any_cell(self, monkeypatch):
         calls = []
-        real = identity._landmark_rows
-        monkeypatch.setattr(identity, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
-        with pytest.raises(ConfigError, match="style_intensity 1.5 outside"):
+        real = facegen._landmark_rows
+        monkeypatch.setattr(facegen, "_landmark_rows", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(ConfigError, match=r"ablate_order intensity 1.5 is not a finite value in \[0, 1\]"):
             ablate_order(face_grid(2, seed=9), PipelineConfig(seed=9), sweeps=(0.5, 1.5), seeds=(9,))
         assert calls == []
 
@@ -268,7 +287,7 @@ class TestAblateOrder:
 
         for module, name in ((facegen, "image_hash"), (identity, "project"),
                              (identity, "extract_attributes"), (pl, "extract_attributes"),
-                             (identity, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
+                             (facegen, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
                              (identity, "_band_attributes"), (pl, "_scores")):
             count(module, name)  # both modules' extract_attributes feed one count
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.0, 0.5, 0.9), seeds=(21, 22))
@@ -280,10 +299,10 @@ class TestAblateOrder:
             "_landmark_rows": faces,  # every intensity's stylized landmark rows in one batch
             "_stylize": 0,  # no cell builds a stylized image
             "graffiti_stylize": 0,
-            # per face one read of the render's and every stylized band row, and one of the redraw's
-            "_band_attributes": 2 * faces,
-            # per face every SP and PS vector of every intensity in one call, written for both seeds
-            "_scores": faces,
+            # per face one read of the render's and every stylized band row, then one of every redraw
+            "_band_attributes": faces + 1,
+            # every SP and PS vector of every face and intensity in one call, written for both seeds
+            "_scores": 1,
         }
 
     @pytest.mark.parametrize("n_faces, sweeps, seeds, jobs", [
