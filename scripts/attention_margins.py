@@ -9,7 +9,7 @@ the larger, and each arm's identification rate: the share of its 200
 samples whose own face is the nearest of the 8 by attribute distance
 (chance is 12.5%). The last line counts the seeds where the direction
 criterion 8 asserts at seed 3 (margin >= 0) holds. The output is a pure
-function of the source tree; each seed takes about 2 s on one core.
+function of the source tree; each seed takes about 1.6 s on one core.
 
     python scripts/attention_margins.py
 """

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import softmax_rows, tensor
+from .numerics import _softmax_in_place, tensor
 
 __all__ = [
     "AttentionWeights",
@@ -116,10 +116,11 @@ def _check_tokens(tokens: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
 
 def _softmax_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The attention map softmax(Q K^T / sqrt(d)), row by row, for one
-    (n, d) pair or a stack of them."""
+    (n, d) pair or a stack of them: the scores are scaled and normalised in
+    the one array their product allocates."""
     scores = q @ np.swapaxes(k, -1, -2)
     scores /= math.sqrt(q.shape[-1])
-    return softmax_rows(scores)
+    return _softmax_in_place(scores)
 
 
 class _Forward(NamedTuple):

@@ -174,11 +174,18 @@ class DenoiserModel:
         identity = None if self.identity is None else self.attention.identity_terms(self.identity, items)
         return _Terms(cond[..., None, :] @ self.cond_w + self.cond_b, identity)
 
-    def _predict(self, latent: np.ndarray, terms: _Terms) -> np.ndarray:
-        """``predict_noise`` of the tensor ``latent``, given its items' ``terms``."""
-        tokens = latent.reshape(self._items(latent) + (self.n_tokens, self.token_dim)) + terms.shift
-        attended = _forward(tokens, terms.identity, self.attention).out
-        return (attended @ self.head_w + self.head_b).reshape(latent.shape)
+    def _predict(self, tokens: np.ndarray, identity: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+        """The predicted noise, in token shape, of the conditioned tokens
+        ``(..., n_tokens, token_dim)`` that the caller hands over, with their
+        items' identity terms. The tokens, Q and K are released before
+        ``att @ v``, and each of the head's products is written in place."""
+        v, att = _forward(tokens, identity, self.attention)[2:]  # Q and K go with the tuple
+        del tokens
+        out = att @ v
+        del att, v
+        eps = out @ self.head_w
+        eps += self.head_b
+        return eps
 
     def predict_noise(self, latent: np.ndarray, cond: np.ndarray) -> np.ndarray:
         """Predicted noise for one latent, or for each latent of a batch
@@ -187,7 +194,9 @@ class DenoiserModel:
         ``None``, ``(id,)``, shared, or ``(B, id)``."""
         latent = tensor(latent)
         items = self._items(latent)
-        return self._predict(latent, self._terms(self._cond(cond, items), items))
+        terms = self._terms(self._cond(cond, items), items)
+        shape = items + (self.n_tokens, self.token_dim)
+        return self._predict(latent.reshape(shape) + terms.shift, terms.identity).reshape(latent.shape)
 
 
 class _Terms(NamedTuple):
@@ -240,8 +249,12 @@ def _denoise_loss_and_grad(
     err += model.head_b
     err -= np.reshape(eps, err.shape)
     sq = (err * err).reshape(n, -1)
+    size = sq.shape[1]
     # each item's mean (np.mean's bits), accumulated in item order, as the loop over items did
-    total = float(np.add.accumulate(np.add.reduce(sq, axis=1) / sq.shape[1])[-1])
+    total = float(np.add.accumulate(np.add.reduce(sq, axis=1) / size)[-1])
+    del sq
+    if not names:
+        return total / n, {}
 
     def t(a):
         return np.swapaxes(a, -1, -2)
@@ -253,24 +266,34 @@ def _denoise_loss_and_grad(
     def wants(*ws):
         return not names.isdisjoint(ws)
 
-    dy = (2.0 / sq.shape[1]) * err
+    # each temporary is released after its last read
+    dy = err  # dL/dy = (2/N) err, scaled in place: err (2/N) has the same bits
+    dy *= 2.0 / size
+    del err
     g = {}
     if wants("head_w"):
         g["head_w"] = items(t(o) @ dy)
+    del o
     if wants("head_b"):
         g["head_b"] = items(dy.sum(axis=1))
     do = dy @ model.head_w.T
+    del dy
     conds = ("cond_w", "cond_b")  # the conditioning gradients need dq, dk and dv
-    if wants("w_v", *conds):
-        dv = t(att) @ do
+    dv = t(att) @ do if wants("w_v", *conds) else None
+    ds = None
     if wants("w_q", "u_q", "w_k", "u_k", *conds):
         ds = do @ t(v)  # dL/datt, then in place dL/dscores = att * (datt - rowdot)
         ds -= (att * ds).sum(axis=-1, keepdims=True)
         ds *= att
+    del do, att, v
+    dq = dk = None
     if wants("w_q", "u_q", *conds):
-        dq = (ds @ k) * scale
+        dq = ds @ k
+        dq *= scale
     if wants("w_k", "u_k", *conds):
-        dk = (t(ds) @ q) * scale
+        dk = t(ds) @ q
+        dk *= scale
+    del ds, q, k
     if wants("w_q"):
         g["w_q"] = items(t(t_in) @ dq)
     if wants("w_k"):
@@ -284,7 +307,10 @@ def _denoise_loss_and_grad(
         g["u_k"] = (np.zeros_like(p["u_k"]) if ident is None
                     else items(ident[..., :, None] * dk.sum(axis=1)[:, None, :]))
     if wants(*conds):
-        dts = (dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T).sum(axis=1)
+        dts = dq @ p["w_q"].T  # then + dk W_k^T + dv W_v^T, in place
+        dts += dk @ p["w_k"].T
+        dts += dv @ p["w_v"].T
+        dts = dts.sum(axis=1)
         g["cond_w"] = items(cond[..., :, None] * dts[:, None, :])
         g["cond_b"] = items(dts)
     return total / n, {name: g[name] / n for name in p if name in names}
@@ -347,8 +373,11 @@ def _predict_guided(
     if terms is None:
         terms = _guided_terms(model, cond, items)
     b = (items or (1,))[0]
-    rows = x.reshape(b, model.latent_size)
-    both = model._predict(np.concatenate([rows, rows]), terms)
+    shape = (b, model.n_tokens, model.token_dim)
+    # the tokens of [x; x], shifted, from one broadcast sum of x's rows and each branch's shifts;
+    # handed over unnamed, so that ``_predict`` can release them
+    both = model._predict((x.reshape(shape) + terms.shift.reshape(2, b, 1, -1)).reshape(2 * b, *shape[1:]),
+                          terms.identity)
     eps_c, eps_u = both[:b], both[b:]
     out = eps_c - eps_u  # then in place: eps_u + s * (eps_c - eps_u)
     out *= guidance_scale

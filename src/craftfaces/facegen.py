@@ -387,9 +387,15 @@ def _face_bands(p: FaceParams, size: int, intensities) -> np.ndarray:
 
 
 def embed_prompt(text: str, dim: int = 8) -> np.ndarray:
-    """Deterministic unit-norm embedding from a bag of lowercased tokens."""
+    """Deterministic unit-norm embedding from a bag of lowercased tokens.
+    A prompt with no UTF-8 form (say, undecodable command-line bytes, which
+    Python passes on as lone surrogates) raises InputError."""
     if not text or not text.strip():
         raise InputError("prompt must be a nonempty string")
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        raise InputError(f"prompt {text!r} is not valid text: it has no UTF-8 form") from None
     if dim < 1:
         raise ConfigError(f"embedding dim must be >= 1, got {dim}")
     acc = np.zeros(dim, dtype=np.float64)

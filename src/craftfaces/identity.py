@@ -52,6 +52,30 @@ def extract_attributes(img: np.ndarray) -> np.ndarray:
     return _band_attributes(img[..., 0, _band_index(img.shape[-2]), :])
 
 
+def _decoded_bands(zs: np.ndarray, codec) -> np.ndarray:
+    """The landmark band rows of each latent of ``zs`` ((N, z)) decoded by
+    the ``LatentCodec`` ``codec`` of (2, H, W) images and clipped to [0, 1],
+    as an (N, 6, W) stack: the rows of ``np.clip(decode(z, codec), 0, 1)``
+    that ``extract_attributes`` reads, with their bits, and no other row
+    decoded. Channel 0's row r is the contiguous (W, z) slice
+    ``codec.dec[r W : (r + 1) W]``, so each band row is one gemv over its
+    slice, which rounds each entry as the whole decode's gemv does."""
+    _, h, w = codec.image_shape
+    slices = [codec.dec[r * w : (r + 1) * w] for r in _band_index(h)]
+    out = np.empty((len(zs), len(slices), w))
+    for z, bands in zip(zs, out):
+        for rows, band in zip(slices, bands):
+            np.matmul(rows, z, out=band)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _decoded_attributes(zs: np.ndarray, codec) -> np.ndarray:
+    """The (N, 6) attributes of the latents ``zs`` decoded by ``codec`` and
+    clipped to [0, 1], each with the bits of ``extract_attributes`` of that
+    image, from ``_decoded_bands`` alone."""
+    return _band_attributes(_decoded_bands(zs, codec))
+
+
 def _centroids(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The intensity centroid at positions ``xs`` of each row of ``weights``."""
     mass = weights.sum(axis=-1)

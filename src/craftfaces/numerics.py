@@ -128,19 +128,27 @@ class RngStream:
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a matrix or a stack of matrices,
-    stabilized by subtracting each row's max. The max starts from -inf,
-    below which no max falls, so numpy skips the pass that copies out each
-    row's first entry (much of the max's time on short rows). A NaN max,
-    whose payload may differ, is taken again bare: the output has its bits."""
-    m = tensor(m)
+    """Softmax over the last axis of a matrix or a stack of matrices, as a
+    new array: ``_softmax_in_place`` on a C-ordered copy of ``m``, whose
+    bytes are left as they were."""
+    m = np.array(m, dtype=np.float64, order="C")
     if m.ndim < 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {m.shape}")
+    return _softmax_in_place(m)
+
+
+def _softmax_in_place(m: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous float64 stack ``m`` with the softmax of
+    its last axis, stabilized by subtracting each row's max, and return it.
+    The max starts from -inf, below which no max falls, so numpy skips the
+    pass that copies out each row's first entry (much of the max's time on
+    short rows). A NaN max, whose payload may differ, is taken again bare:
+    the output has its bits."""
     mx = m.max(axis=-1, keepdims=True, initial=-np.inf)
-    e = m - (m.max(axis=-1, keepdims=True) if np.isnan(mx).any() else mx)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True, out=mx)  # the row sums overwrite the max, no longer read
-    return e
+    m -= m.max(axis=-1, keepdims=True) if np.isnan(mx).any() else mx
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True, out=mx)  # the row sums overwrite the max, no longer read
+    return m
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:

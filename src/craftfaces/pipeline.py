@@ -29,9 +29,9 @@ from .diffusion import (
     sample,
 )
 from .attention import ExtendedAttentionWeights, attention_map
-from .errors import CompositionOrderError, ConfigError, TrainingError
+from .errors import CompositionOrderError, ConfigError, EvaluationError, TrainingError
 from .facegen import FaceParams, StyleOp, embed_prompt, graffiti_stylize, render_face
-from .identity import _scores, _sweep_attributes, attribute_embedding, extract_attributes
+from .identity import _decoded_attributes, _scores, _sweep_attributes, attribute_embedding, extract_attributes
 from .lora import LoRATrainConfig, train_lora
 from .numerics import RngStream
 
@@ -294,10 +294,11 @@ def ablate_order(
     dropped, and one band read gives the attributes of the render and of
     its stylize at every intensity; no cell builds a stylized or restored
     image. At most ``min(jobs, len(faces))`` worker processes read the
-    faces, and none when that is 1; each hands back its face's (1 + I, 6)
-    attributes. The rest runs once for all faces: every style-first
-    restore (``identity._restored_attributes``), then one scoring call over
-    the (F, 2, I) PS and SP vectors, each with the bits of scoring that
+    faces, and none when that is 1; each takes one contiguous block of
+    faces as one task and hands back each face's (1 + I, 6) attributes.
+    The rest runs once for all faces: every style-first restore
+    (``identity._restored_attributes``), then one scoring call over the
+    (F, 2, I) PS and SP vectors, each with the bits of scoring that
     vector alone. Faces are then scanned in order, intensities in sweep
     order, and the first where style-first lost names the failure. The
     scores are then put in sorted intensity order and, since no draw reads
@@ -328,7 +329,9 @@ def ablate_order(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            refs, styled, restored = _sweep_attributes(faces, cfg.image_size, intensities, ex.map)
+            # one task per worker, a contiguous block of faces each
+            blocks = functools.partial(ex.map, chunksize=math.ceil(len(faces) / workers))
+            refs, styled, restored = _sweep_attributes(faces, cfg.image_size, intensities, blocks)
     else:
         refs, styled, restored = _sweep_attributes(faces, cfg.image_size, intensities)
     # (face, order, intensity): the PS, then the SP order's scores of each face
@@ -507,13 +510,17 @@ def ablate_attention(
     arm's, in (face, seed) order. A (face, seed) pair names one stream
     object in both arms, which draws once per step for both rows, so the
     arms share their sampling noise by construction and every trajectory
-    has the bits of sampling it alone. Each trajectory is decoded alone;
-    its attributes come from one batched call, its attention map from one
-    per arm, each with the bits of its own call, and every trajectory's
-    loss and FFC from one ``_scores`` call. Every arm is guided by the
-    unstylized render's latent, so each cell's ``intensity`` is 0.0. The
-    report keeps those (2, faces * seeds) arrays, in (face, seed) order,
-    and its mean FFCs, ``paired_se`` and ``id_wins`` are read off them.
+    has the bits of sampling it alone. Of each trajectory only the six
+    landmark rows that attribute extraction reads are decoded
+    (``identity._decoded_attributes``), each row one gemv over its slice of
+    the decoder, with the bits of the whole decode's row; its attributes
+    come from one band read of all of them, its attention map from one
+    call per arm, each with the bits of its own call, and every
+    trajectory's loss and FFC from one ``_scores`` call. Every arm is
+    guided by the unstylized render's latent, so each cell's ``intensity``
+    is 0.0. The report keeps those (2, faces * seeds) arrays, in (face,
+    seed) order, and its mean FFCs, ``paired_se`` and ``id_wins`` are read
+    off them.
 
     ``extras`` holds each arm's mean FFC and attention mass, the standard
     error ``paired_se`` of the per-(face, seed) ID - BASE FFC differences
@@ -523,7 +530,10 @@ def ablate_attention(
     nearest of the grid's faces by attribute distance (a tie counts as a
     miss; chance is one over the face count), and ``mean_ffc_others_*``,
     the mean FFC of its samples with every other face (NaN for one face),
-    the FFC that a sample which kept no identity would score.
+    the FFC that a sample which kept no identity would score. Sampled
+    latents whose attribute scores or attention masses are not finite (a
+    guidance scale so large that their attention scores overflow, say)
+    raise EvaluationError, and no report is built.
     """
     if not faces:
         raise ConfigError("ablate_attention needs a nonempty face grid")
@@ -573,21 +583,25 @@ def ablate_attention(
         subject_guidance=cfg.subject_guidance,
         guidance_scale=cfg.guidance_scale,
     )
-    # each trajectory is decoded alone (one gemv, for its bits); the scoring is batched per arm
-    imgs = np.empty((len(zs), *runtime.codec.image_shape))
-    for img, z in zip(imgs, zs):
-        np.clip(decode(z, runtime.codec), 0.0, 1.0, out=img)
-    attrs = extract_attributes(imgs).reshape(2, len(items), -1)
-    del imgs
+    # only the landmark rows of each trajectory are decoded (one gemv a row, for the whole
+    # decode's bits); the scoring is batched per arm
+    attrs = _decoded_attributes(zs, runtime.codec).reshape(2, len(items), -1)
     losses, ffcs = _scores(attrs, refs[fids])
     interests = np.stack([_face_tokens(guide, cfg.latent_tokens, cfg.token_dim) for guide in latents])
-    arms = zip(("base", "id"), attrs, ffcs, zs.reshape(2, len(items), cfg.latent_tokens, cfg.token_dim),
-               (None, item_idents))
+    # each arm's attention map's mass on the face's tokens, averaged over query tokens; a map
+    # whose scores overflow is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = [
+            np.take_along_axis(attention_map(arm_tokens, arm_idents, id_model.attention), interests[fids, None, :],
+                               axis=-1).sum(axis=-1).mean(axis=-1)
+            for arm_tokens, arm_idents in zip(zs.reshape(2, len(items), cfg.latent_tokens, cfg.token_dim),
+                                              (None, item_idents))
+        ]
+    if not all(np.isfinite(a).all() for a in (losses, ffcs, *masses)):
+        raise EvaluationError("sampling gave a non-finite attribute score or attention mass "
+                              f"(guidance scale {cfg.guidance_scale!r})")
     extras = {}
-    for arm, arm_attrs, arm_ffcs, arm_tokens, arm_idents in arms:
-        # the attention map's mass on the face's tokens, averaged over query tokens
-        amap = attention_map(arm_tokens, arm_idents, id_model.attention)
-        mass = np.take_along_axis(amap, interests[fids, None, :], axis=-1).sum(axis=-1).mean(axis=-1)
+    for arm, arm_attrs, arm_ffcs, mass in zip(("base", "id"), attrs, ffcs, masses):
         extras[f"mean_ffc_{arm}"], extras[f"mean_mass_{arm}"] = float(np.mean(arm_ffcs)), float(np.mean(mass))
         extras[f"ident_rate_{arm}"], extras[f"mean_ffc_others_{arm}"] = _identification(arm_attrs, refs, fids)
     diffs = ffcs[1] - ffcs[0]

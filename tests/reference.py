@@ -1,8 +1,9 @@
 """Plain references that only the tests read: the per-item loss, the
 per-row landmark splats, the per-face and per-cell composition orders, the
-report extras as row walks and the two CSV writers as ``csv.writer``
-walks. Each is the direct form of a batched path in the package, which the
-tests check against it bit for bit."""
+whole-image decode of sampled latents, the report extras as row walks and
+the two CSV writers as ``csv.writer`` walks. Each is the direct form of a
+batched path in the package, which the tests check against it bit for
+bit."""
 
 import csv
 from dataclasses import fields
@@ -10,6 +11,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from craftfaces.diffusion import decode
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, SINGLE_SPLAT_BANDS, X_MARGIN, X_SPAN, StyleOp, _band_index, _band_rows,
     _jitter_tracks, _jitter_units, _landmark_rows, draw_landmarks, graffiti_stylize,
@@ -34,6 +36,14 @@ def denoise_loss(model, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> f
         err = item.predict_noise(x_t[i], conds[i]) - eps[i]
         total += float(np.mean(err * err))
     return total / n
+
+
+def decoded_attributes(zs: np.ndarray, codec) -> np.ndarray:
+    """The (N, 6) attributes of the latents ``zs``: each decoded whole by
+    ``decode``, clipped to [0, 1], then one ``extract_attributes`` call over
+    the stack of images. The full decode that
+    ``identity._decoded_attributes`` reads only the landmark rows of."""
+    return extract_attributes(np.stack([np.clip(decode(z, codec), 0.0, 1.0) for z in zs]))
 
 
 def _splat(row: np.ndarray, u: float) -> None:

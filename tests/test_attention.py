@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from craftfaces.attention import (
     AttentionWeights,
     ExtendedAttentionWeights,
     _forward,
+    _softmax_scores,
     attention_map,
     cross_attention,
     identity_self_attention,
     self_attention,
 )
 from craftfaces.errors import ShapeError
-from craftfaces.numerics import RngStream
+from craftfaces.numerics import RngStream, _softmax_in_place, softmax_rows
 
 
 def random_weights(rng, d_model=3, d=3, d_id=4):
@@ -234,3 +240,45 @@ class TestAttentionMap:
         identity_mass = attention_map(tokens, ident, ext)[:, face_cols].sum(axis=1).mean()
         assert identity_mass > baseline_mass
         assert identity_mass > 0.95
+
+
+_SCORE_ENTRIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([np.inf, -np.inf, np.nan, 0.0])
+
+
+class TestInPlaceSoftmax:
+    """The attention path normalises its fresh score array in place; the
+    public ``softmax_rows`` runs the same core on a copy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 6)),
+                  elements=_SCORE_ENTRIES),
+           st.booleans())
+    @example(np.array([[[-np.inf, -np.inf], [np.nan, 1.0]], [[np.inf, 0.0], [np.inf, np.inf]]]), False)
+    def test_softmax_rows_keeps_its_argument_and_equals_the_core(self, m, transposed):
+        """Rows with +-inf and NaN entries included, and a strided argument
+        as well as a contiguous one."""
+        if transposed:
+            m = np.swapaxes(m, -1, -2)
+        before = m.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = softmax_rows(m)
+            core = _softmax_in_place(np.array(m, order="C"))
+        assert m.tobytes() == before
+        assert out.tobytes() == core.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 4), st.data())
+    def test_scores_equal_softmax_rows_of_the_scaled_product(self, b, n, d, data):
+        """``_softmax_scores`` equals ``softmax_rows`` of Q K^T / sqrt(d), the
+        product and the scaling done apart, bit for bit, with +-inf and NaN
+        among the entries of Q and K; neither Q nor K is written."""
+        q = data.draw(arrays(np.float64, (b, n, d), elements=_SCORE_ENTRIES))
+        k = data.draw(arrays(np.float64, (b, n, d), elements=_SCORE_ENTRIES))
+        q_bytes, k_bytes = q.tobytes(), k.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            scores = q @ np.swapaxes(k, -1, -2)
+            scores /= math.sqrt(d)
+            want = softmax_rows(scores)
+            got = _softmax_scores(q, k)
+        assert got.tobytes() == want.tobytes()
+        assert (q.tobytes(), k.tobytes()) == (q_bytes, k_bytes)

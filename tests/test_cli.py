@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +554,32 @@ class TestExecute:
         code, _, err = run(argv, capsys)
         assert code == 2
         assert err.startswith("error:") and "non-finite" in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_overflowing_attention_map_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """At a guidance scale whose one step leaves the latents finite but
+        so large that their attention scores overflow, ``ablate-attention``
+        exits 2 with an ``error:`` line naming the scale, warns of nothing
+        and writes no report."""
+        out_dir = tmp_path / "out"
+        argv = ["ablate-attention", "--faces", "2", "--arm-seeds", "1", "--train-steps", "1", "--image-size", "32",
+                "--steps", "1", "--window", "0", "--guidance-scale", "1e300", "--out-dir", str(out_dir)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "non-finite" in err and "guidance scale 1e+300" in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_prompt_with_no_utf8_form_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """Undecodable argv bytes reach the prompt as a lone surrogate; the
+        prompt is refused with an ``error:`` line, not a traceback."""
+        out_dir = tmp_path / "out"
+        argv = ["diffuse", "--steps", "1", "--window", "0", "--image-size", "32", "--prompt", "\udcff",
+                "--out-dir", str(out_dir)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "prompt" in err
         assert list(out_dir.iterdir()) == []
 
     def test_ablate_order_small(self, tmp_path, capsys):

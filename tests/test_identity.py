@@ -5,15 +5,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from craftfaces.diffusion import decode, make_codec
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp,
-    _band_rows, _jitter_tracks, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
+    _band_index, _band_rows, _jitter_tracks, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
 )
 from craftfaces.identity import (
     _already_there,
     _attributes_or_none,
     _band_attributes,
+    _decoded_attributes,
+    _decoded_bands,
     _scores,
     _sweep_attributes,
     attr_loss,
@@ -25,7 +28,7 @@ from craftfaces.identity import (
 from craftfaces.numerics import RngStream
 from craftfaces.pipeline import PipelineConfig
 from imaging import chroma_histogram
-from reference import order_attributes, redrawn_attributes, run_identity_first, run_style_first
+from reference import decoded_attributes, order_attributes, redrawn_attributes, run_identity_first, run_style_first
 
 FACE = FaceParams(
     eye_spacing=0.35,
@@ -324,6 +327,21 @@ def test_sweep_attributes_equal_the_per_face_reference_bit_for_bit(faces, intens
     for params, got in zip(faces, zip(refs, styled, restored), strict=True):
         want = order_attributes(render_face(params, size), intensities)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("size, z_dim", [(32, 128), (64, 64), (40, 80)])
+def test_decoded_bands_equal_the_rows_of_the_whole_decode_bit_for_bit(size, z_dim):
+    """Each band row, one gemv over its slice of the decoder, has the bytes
+    of the same row of the whole image's decode, clipped; so the attributes
+    read from the bands have the bytes of extracting the decoded images.
+    The latents spread the pixels over about [-3, 3], so the clip acts."""
+    codec = make_codec((2, size, size), z_dim, RngStream(seed=size + z_dim).split("codec"))
+    zs = RngStream(seed=size).normal((12, z_dim)) * np.sqrt(2.0 * size * size / z_dim)
+    bands = _decoded_bands(zs, codec)
+    assert bands.shape == (12, len(ATTRIBUTE_NAMES), size)
+    for z, got in zip(zs, bands):
+        assert got.tobytes() == np.clip(decode(z, codec), 0.0, 1.0)[0, _band_index(size)].tobytes()
+    assert _decoded_attributes(zs, codec).tobytes() == decoded_attributes(zs, codec).tobytes()
 
 
 def _reduced_dot(u, v):

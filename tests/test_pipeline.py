@@ -326,8 +326,9 @@ class TestAblateOrder:
     @pytest.mark.parametrize("n_faces, jobs, workers", [(1, 4, None), (2, 4, 2), (3, 2, 2), (2, 1, None)])
     def test_at_most_one_worker_per_face(self, monkeypatch, n_faces, jobs, workers):
         """``workers`` is the pool size asked for, None where the faces run
-        serially; the fake pool maps in-process, so no process starts."""
-        pools = []
+        serially; the fake pool maps in-process, so no process starts. Each
+        worker gets one task, a contiguous block of faces."""
+        pools, chunks = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -339,13 +340,15 @@ class TestAblateOrder:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         cfg, faces = PipelineConfig(seed=5), face_grid(n_faces, seed=5)
         report = ablate_order(faces, cfg, sweeps=(0.5,), seeds=(5,), jobs=jobs)
         assert pools == ([] if workers is None else [workers])
+        assert chunks == ([] if workers is None else [math.ceil(n_faces / workers)])
         assert report.rows == ablate_order(faces, cfg, sweeps=(0.5,), seeds=(5,)).rows
 
 
@@ -610,8 +613,8 @@ class TestAblateAttention:
         """A sample whose image is its own face's render identifies at 100%
         with FFC 1 against its face; one that is another face's render (the
         next face's, cyclically) identifies at 0%. ``sample`` is replaced by
-        the face latents, shifted by ``shift`` faces, and ``decode`` by the
-        render each latent encodes."""
+        the face latents, shifted by ``shift`` faces, and the decoded
+        attributes by those of the render each latent encodes."""
         cfg = PipelineConfig(seed=20, image_size=32, latent_tokens=16, token_dim=8, steps=10,
                              composition_window=3)
         faces, seeds = face_grid(3, seed=20), (0, 1)
@@ -622,13 +625,29 @@ class TestAblateAttention:
             return np.roll(guide.reshape(2, len(faces), len(seeds), -1), -shift, axis=1).reshape(guide.shape)
 
         monkeypatch.setattr(pl, "sample", shifted_guides)
-        monkeypatch.setattr(pl, "decode", lambda z, codec: renders[z.tobytes()])
+        monkeypatch.setattr(pl, "_decoded_attributes",
+                            lambda zs, codec: identity.extract_attributes(np.stack([renders[z.tobytes()] for z in zs])))
         e = ablate_attention(faces, cfg, seeds=seeds, train_steps=1, base_steps=1).extras
         assert e["ident_rate_id"] == e["ident_rate_base"] == (1.0 if shift == 0 else 0.0)
         if shift == 0:  # against the other faces, each sample scores the grid's own cross-face FFC
             others = [identity.ffc(a.attributes(), b.attributes()) for a in faces for b in faces if a is not b]
             assert e["mean_ffc_id"] == e["mean_ffc_base"] == pytest.approx(1.0, abs=1e-15)
             assert e["mean_ffc_others_id"] == e["mean_ffc_others_base"] == pytest.approx(np.mean(others), abs=1e-9)
+
+    def test_scores_equal_the_whole_decode_reference_bit_for_bit(self, monkeypatch):
+        """Reading only the landmark rows of each sample gives the losses,
+        FFCs and extras of decoding every sample whole and extracting its
+        attributes (``reference.decoded_attributes``), bit for bit, at
+        criterion 8's shape."""
+        cfg = PipelineConfig(seed=22, image_size=32, latent_tokens=16, token_dim=8, steps=20, composition_window=5)
+        faces, kw = face_grid(3, seed=22), dict(seeds=(0, 1), train_steps=4, base_steps=4)
+        bands = ablate_attention(faces, cfg, **kw)
+        monkeypatch.setattr(pl, "_decoded_attributes", reference.decoded_attributes)
+        whole = ablate_attention(faces, cfg, **kw)
+        assert bands.losses.tobytes() == whole.losses.tobytes()
+        assert bands.ffcs.tobytes() == whole.ffcs.tobytes()
+        hexes = [{k: float(v).hex() for k, v in report.extras.items()} for report in (bands, whole)]
+        assert hexes[0] == hexes[1]
 
     def test_one_face_is_always_identified(self):
         cfg = PipelineConfig(seed=18, image_size=32, latent_tokens=16, token_dim=8, steps=10,
