@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,29 +41,52 @@ __all__ = [
 
 BETA_START = 1e-4
 BETA_END = 0.02
-_TRANSPOSE_BLOCK = 64  # rows of the codec's Q factor per block of its transposed copy
+_TRANSPOSE_BLOCK = 64  # rows of a codec's decoder per block of its transposed copy, the encoder
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise variances beta_t plus derived alpha_t and their
-    running products alpha_bar_t. Arrays are 0-indexed; step t uses
-    index t-1."""
+    """Noise variances ``beta`` (1-D; step t at index t - 1) and the
+    per-step coefficients derived from them at construction, each with the
+    bits of its scalar expression: ``alpha`` = 1 - beta, its running
+    product ``alpha_bar``, the roots ``root_alpha``, ``root_beta``,
+    ``root_abar`` and ``root_noise`` = sqrt(1 - alpha_bar), and
+    ``eps_scale`` = beta / root_noise (NaN or inf where root_noise is 0,
+    as when every beta so far is 0: such a step is taken only forward).
+    Only ``beta`` is settable; it is copied, and every array is read-only."""
 
-    T: int
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    T: int = field(init=False)
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
+    root_alpha: np.ndarray = field(init=False)
+    root_beta: np.ndarray = field(init=False)
+    root_abar: np.ndarray = field(init=False)
+    root_noise: np.ndarray = field(init=False)
+    eps_scale: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        beta = np.array(self.beta, dtype=np.float64)
+        if beta.ndim != 1 or beta.size < 1:
+            raise ConfigError(f"schedule needs a nonempty 1-D beta, got shape {beta.shape}")
+        alpha = 1.0 - beta
+        alpha_bar = np.cumprod(alpha)
+        root_noise = np.sqrt(1.0 - alpha_bar)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eps_scale = beta / root_noise
+        for name, a in {"beta": beta, "alpha": alpha, "alpha_bar": alpha_bar, "root_alpha": np.sqrt(alpha),
+                         "root_beta": np.sqrt(beta), "root_abar": np.sqrt(alpha_bar), "root_noise": root_noise,
+                         "eps_scale": eps_scale}.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "T", len(beta))
 
 
 def build_schedule(T: int) -> NoiseSchedule:
     """Linear beta schedule from ``BETA_START`` to ``BETA_END`` over T steps."""
     if T < 1:
         raise ConfigError(f"schedule needs T >= 1, got {T}")
-    beta = np.linspace(BETA_START, BETA_END, T, dtype=np.float64)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return NoiseSchedule(np.linspace(BETA_START, BETA_END, T))
 
 
 def _check_step(t: int, sched: NoiseSchedule):
@@ -77,8 +100,7 @@ def forward_step(
     """One Markov noising step: sqrt(1-beta_t) x + sqrt(beta_t) eps."""
     _check_step(t, sched)
     x_prev = tensor(x_prev)
-    b = sched.beta[t - 1]
-    return np.sqrt(1.0 - b) * x_prev + np.sqrt(b) * rng.normal(x_prev.shape)
+    return sched.root_alpha[t - 1] * x_prev + sched.root_beta[t - 1] * rng.normal(x_prev.shape)
 
 
 def forward_marginal(
@@ -89,8 +111,7 @@ def forward_marginal(
     stream per row of a batch ``x0``."""
     _check_step(t, sched)
     x0 = tensor(x0)
-    ab = sched.alpha_bar[t - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * _normal(rng, x0.shape)
+    return sched.root_abar[t - 1] * x0 + sched.root_noise[t - 1] * _normal(rng, x0.shape)
 
 
 @dataclass(frozen=True)
@@ -105,13 +126,16 @@ class DenoiserModel:
     """
 
     n_tokens: int
-    token_dim: int
     attention: ExtendedAttentionWeights
     head_w: np.ndarray  # (head_dim, token_dim)
     head_b: np.ndarray  # (token_dim,)
     cond_w: np.ndarray  # (cond_dim, token_dim)
     cond_b: np.ndarray  # (token_dim,)
     identity: np.ndarray | None = None
+
+    @property
+    def token_dim(self) -> int:
+        return self.head_w.shape[1]
 
     @property
     def latent_size(self) -> int:
@@ -385,39 +409,21 @@ def _predict_guided(
     return out.reshape(x.shape)
 
 
-class _Coefficients(NamedTuple):
-    """The reverse process's per-step coefficients, indexed t - 1, each with
-    the bits of its scalar expression: ``beta / sqrt(1 - abar)``,
-    ``sqrt(alpha)`` and ``sqrt(beta)`` of the ancestral update, and
-    ``sqrt(abar)`` and ``sqrt(1 - abar)`` of the noised guide."""
-
-    eps_scale: np.ndarray
-    root_alpha: np.ndarray
-    root_beta: np.ndarray
-    root_abar: np.ndarray
-    root_noise: np.ndarray
-
-    @classmethod
-    def of(cls, sched: NoiseSchedule) -> "_Coefficients":
-        root_noise = np.sqrt(1.0 - sched.alpha_bar)
-        return cls(sched.beta / root_noise, np.sqrt(sched.alpha), np.sqrt(sched.beta), np.sqrt(sched.alpha_bar),
-                   root_noise)
-
-
 def _ancestral(
-    x_t: np.ndarray, t: int, eps_hat: np.ndarray, coef: _Coefficients,
+    x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule,
     rng: RngStream | Sequence[RngStream] | _Streams,
 ) -> np.ndarray:
     """``reverse_step``'s update of the tensor ``x_t`` from its predicted
-    noise, (x_t - beta / sqrt(1 - abar) * eps_hat) / sqrt(alpha), plus
-    sqrt(beta) * z for t > 1, as a new array; neither input is written."""
+    noise, (x_t - eps_scale * eps_hat) / root_alpha, plus root_beta * z for
+    t > 1, with the schedule's entries at t - 1, as a new array; neither
+    input is written."""
     i = t - 1
-    mu = coef.eps_scale[i] * eps_hat
+    mu = sched.eps_scale[i] * eps_hat
     np.subtract(x_t, mu, out=mu)
-    mu /= coef.root_alpha[i]
+    mu /= sched.root_alpha[i]
     if t > 1:
         z = _normal(rng, x_t.shape)
-        z *= coef.root_beta[i]
+        z *= sched.root_beta[i]
         mu += z
     return mu
 
@@ -440,7 +446,7 @@ def reverse_step(
     """
     _check_step(t, sched)
     x_t = tensor(x_t)
-    return _ancestral(x_t, t, _predict_guided(model, x_t, cond, guidance_scale), _Coefficients.of(sched), rng)
+    return _ancestral(x_t, t, _predict_guided(model, x_t, cond, guidance_scale), sched, rng)
 
 
 def sample(
@@ -471,13 +477,13 @@ def sample(
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
     With window=0 the guide is never touched.
 
-    What the steps share is computed once per call: the schedule's
-    ``_Coefficients``, the rows' ``_Streams`` and, with guidance, the
-    doubled batch's conditioning and identity terms (``_guided_terms``).
-    The guide blend updates the running latent in place, each step's
-    update is computed in place in its one new latent, and none of a
-    step's temporaries outlives it. The result has the bits of a loop of
-    ``forward_marginal`` and ``reverse_step``.
+    Each step reads its coefficients from the schedule's tables, and what
+    the steps share is computed once per call: the rows' ``_Streams`` and,
+    with guidance, the doubled batch's conditioning and identity terms
+    (``_guided_terms``). The guide blend updates the running latent in
+    place, each step's update is computed in place in its one new latent,
+    and none of a step's temporaries outlives it. The result has the bits
+    of a loop of ``forward_marginal`` and ``reverse_step``.
 
     A result that is not finite (a guidance scale so large that the
     latents overflow, say) raises EvaluationError.
@@ -501,7 +507,6 @@ def sample(
             raise ShapeError(f"guide {np.shape(guide)} does not fit latents {shape}") from None
     if batch:
         rng = _Streams.of(rng, shape[0])
-    coef = _Coefficients.of(sched)
     x = _normal(rng, shape)
     # overflow only ever ends in a non-finite result, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -510,13 +515,13 @@ def sample(
             if window > 0 and t > sched.T - window:
                 # x <- (1 - lambda) x + lambda (sqrt(abar) guide + sqrt(1 - abar) eps), in place
                 noised = _normal(rng, shape)
-                noised *= coef.root_noise[t - 1]
-                noised += coef.root_abar[t - 1] * guide
+                noised *= sched.root_noise[t - 1]
+                noised += sched.root_abar[t - 1] * guide
                 noised *= subject_guidance
                 x *= 1.0 - subject_guidance
                 x += noised
                 del noised
-            x = _ancestral(x, t, _predict_guided(model, x, cond, guidance_scale, terms), coef, rng)
+            x = _ancestral(x, t, _predict_guided(model, x, cond, guidance_scale, terms), sched, rng)
     if not np.isfinite(x).all():
         raise EvaluationError(f"sampling gave a non-finite latent (guidance scale {guidance_scale!r})")
     return x
@@ -524,21 +529,43 @@ def sample(
 
 @dataclass(frozen=True)
 class LatentCodec:
-    """Linear encoder/decoder pair; enc has orthonormal rows and dec is
-    its transpose, so decode(encode(x)) is the orthogonal projection of x
-    onto the row space."""
+    """Linear encoder/decoder pair of images of ``image_shape``: ``dec``
+    (n, z) has orthonormal columns and the encoder ``enc`` is its
+    transpose, so decode(encode(x)) is the orthogonal projection of x onto
+    the column space. Only ``dec`` and ``image_shape`` are settable.
 
-    enc: np.ndarray  # (z, n)
+    ``enc`` is derived at construction as a C-ordered copy of ``dec.T``,
+    so that ``encode`` is one contiguous gemv. It is copied a block of
+    ``_TRANSPOSE_BLOCK`` rows of ``dec`` at a time, because numpy's strided
+    copy of a tall matrix's transpose is cache-hostile: each output row
+    reads one column, a stride of z doubles down all n rows. A block's rows
+    stay in cache while its columns are written. A copy rounds nothing, so
+    the bytes are those of ``dec.T.copy()``. Both arrays are read-only;
+    ``dec`` is kept as a read-only view of the array passed, not a copy."""
+
     dec: np.ndarray  # (n, z)
     image_shape: tuple[int, ...]
+    enc: np.ndarray = field(init=False)  # (z, n)
+
+    def __post_init__(self):
+        dec = np.asarray(self.dec, dtype=np.float64).view()
+        n = math.prod(self.image_shape)
+        if dec.ndim != 2 or dec.shape[0] != n:
+            raise ShapeError(f"decoder {dec.shape} does not fit images {self.image_shape} of {n} pixels")
+        enc = np.empty(dec.shape[::-1])
+        for s in range(0, n, _TRANSPOSE_BLOCK):
+            enc[:, s : s + _TRANSPOSE_BLOCK] = dec[s : s + _TRANSPOSE_BLOCK].T
+        for name, a in (("dec", dec), ("enc", enc)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def z_dim(self) -> int:
-        return self.enc.shape[0]
+        return self.dec.shape[1]
 
     @property
     def n_dim(self) -> int:
-        return self.enc.shape[1]
+        return self.dec.shape[0]
 
 
 def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
@@ -581,15 +608,8 @@ def make_codec(image_shape, z_dim: int, rng: RngStream) -> LatentCodec:
     products, the Gram matrix and Q R⁻¹, use BLAS, whose gemm/syrk bits
     do not depend on its thread count (tests check 1, 2 and 4); the
     z_dim-sized factor and inverse are in-order numpy loops, not LAPACK,
-    so the codec's bytes are the same at any BLAS thread count.
-
-    The encoder is Qᵀ, copied to C order so that ``encode`` is one
-    contiguous gemv. It is copied a block of ``_TRANSPOSE_BLOCK`` rows of Q
-    at a time, because numpy's strided copy of a tall matrix's transpose
-    is cache-hostile: each output row reads one column of Q, a stride of
-    z_dim doubles down all n rows. A block's rows stay in cache while its
-    columns are written. A copy rounds nothing, so the bytes are those of
-    ``q.T.copy()``.
+    so the codec's bytes are the same at any BLAS thread count. Q is the
+    decoder; ``LatentCodec`` derives the encoder Qᵀ from it.
     """
     image_shape = tuple(int(s) for s in image_shape)
     n = int(np.prod(image_shape))
@@ -598,10 +618,7 @@ def make_codec(image_shape, z_dim: int, rng: RngStream) -> LatentCodec:
     q = rng.normal((n, z_dim))
     for _ in range(2):
         q = q @ _inv_upper(_cholesky_upper(q.T @ q))
-    enc = np.empty((z_dim, n))
-    for s in range(0, n, _TRANSPOSE_BLOCK):
-        enc[:, s : s + _TRANSPOSE_BLOCK] = q[s : s + _TRANSPOSE_BLOCK].T
-    return LatentCodec(enc=enc, dec=q, image_shape=image_shape)
+    return LatentCodec(dec=q, image_shape=image_shape)
 
 
 def encode(img: np.ndarray, codec: LatentCodec) -> np.ndarray:
@@ -641,7 +658,6 @@ def make_denoiser(
     )
     return DenoiserModel(
         n_tokens=n_tokens,
-        token_dim=token_dim,
         attention=ext,
         head_w=w((token_dim, token_dim)),
         head_b=np.zeros(token_dim),

@@ -320,19 +320,10 @@ def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _quantize(chroma: np.ndarray) -> np.ndarray:
-    """The ``_SPRAY_PALETTE`` tone nearest each pixel, by a running minimum
-    over the tones; a strict ``<`` keeps the first of tied tones, as
-    ``np.argmin`` does."""
-    nearest = np.full_like(chroma, _SPRAY_PALETTE[0])
-    best = np.abs(chroma - _SPRAY_PALETTE[0])
-    dist = np.empty_like(chroma)
-    closer = np.empty(chroma.shape, dtype=bool)
-    for tone in _SPRAY_PALETTE[1:]:
-        np.abs(np.subtract(chroma, tone, out=dist), out=dist)
-        np.less(dist, best, out=closer)
-        np.copyto(best, dist, where=closer)
-        np.copyto(nearest, tone, where=closer)
-    return nearest
+    """The ``_SPRAY_PALETTE`` tone nearest each pixel; ``np.argmin`` keeps
+    the first of tied tones."""
+    palette = np.array(_SPRAY_PALETTE)
+    return palette[np.argmin(np.abs(chroma[..., None] - palette), axis=-1)]
 
 
 def _stylize(img: np.ndarray, op: StyleOp, units: np.ndarray) -> np.ndarray:

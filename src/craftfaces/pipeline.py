@@ -229,12 +229,14 @@ def _make_runtime(cfg: PipelineConfig) -> _Runtime:
 def _build_runtime(seed: int, image_size: int, latent_tokens: int, token_dim: int, cond_dim: int,
                    steps: int) -> _Runtime:
     """Every array of the runtime is read-only: all its callers share it,
-    so an in-place write raises instead of changing what the others see."""
+    so an in-place write raises instead of changing what the others see.
+    Schedules and codecs are read-only from construction; the weights of
+    the denoiser are frozen here."""
     rng = RngStream(seed=seed)
     codec = make_codec((2, image_size, image_size), latent_tokens * token_dim, rng.split("codec"))
     model = make_denoiser(latent_tokens, token_dim, cond_dim, 6, rng.split("denoiser"))
     sched = build_schedule(steps)
-    for a in (sched.beta, sched.alpha, sched.alpha_bar, codec.enc, codec.dec, *model.params().values()):
+    for a in model.params().values():
         a.flags.writeable = False
     return _Runtime(sched=sched, codec=codec, model=model)
 
@@ -246,13 +248,14 @@ def diffuse(img: np.ndarray, cfg: PipelineConfig, prompt: str, rng: RngStream) -
     stylized latent guiding the first ``cfg.composition_window`` steps;
     returns the decoded image, clipped to [0, 1]. With no window the
     sampler reads no guide, so nothing is stylized."""
+    cond = embed_prompt(prompt, cfg.cond_dim)  # first, so a refused prompt costs no other work
     runtime = _make_runtime(cfg)
     guide = None
     if cfg.composition_window > 0:
         guide = encode(graffiti_stylize(img, StyleOp(intensity=cfg.style_intensity)), runtime.codec)
     z = sample(
         runtime.model.with_identity(attribute_embedding(extract_attributes(img))),
-        embed_prompt(prompt, cfg.cond_dim),
+        cond,
         runtime.sched,
         window=cfg.composition_window,
         guide=guide,
@@ -367,8 +370,7 @@ def _training_batch(latents: np.ndarray, cfg: PipelineConfig, runtime: _Runtime,
         for _ in range(2):
             t = int(rng.integers(1, cfg.steps + 1))
             eps = rng.normal(x0.shape)
-            ab = runtime.sched.alpha_bar[t - 1]
-            x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+            x_t = runtime.sched.root_abar[t - 1] * x0 + runtime.sched.root_noise[t - 1] * eps
             batch.append((x_t, cond, eps))
     return batch
 
@@ -400,9 +402,9 @@ def _sgd_train(
     trained = [name for name in params if name not in identity_blocks] if idents is None else identity_blocks
     params.update({name: params[name].copy() for name in trained})
     trainee = model.with_params(params)  # holds ``params``' arrays, so sees every update
-    # x_t = sqrt(abar) x0 + sqrt(1 - abar) eps, with both roots taken once per call
-    root_abar = np.sqrt(runtime.sched.alpha_bar)[:, None]
-    root_noise = np.sqrt(1.0 - runtime.sched.alpha_bar)[:, None]
+    # x_t = sqrt(abar) x0 + sqrt(1 - abar) eps, both roots the schedule's, as columns
+    root_abar = runtime.sched.root_abar[:, None]
+    root_noise = runtime.sched.root_noise[:, None]
     # overflow only ever ends in a non-finite loss or weight, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
@@ -464,26 +466,6 @@ def _face_tokens(guide: np.ndarray, n_tokens: int, token_dim: int) -> np.ndarray
     return np.sort(np.argsort(-norms)[: max(1, n_tokens // 4)])
 
 
-def _identification(attrs: np.ndarray, refs: np.ndarray, own: np.ndarray) -> tuple[float, float]:
-    """Of samples with attributes ``attrs`` (N, 6), each of the face
-    ``own[i]`` among the faces whose attributes are ``refs`` (F, 6): the
-    fraction whose own face is the nearest reference by squared attribute
-    distance (a tie with another face counts as a miss, so one face alone is
-    always identified), and the mean cosine similarity (FFC) of each sample
-    with every other face (NaN for one face). Chance is 1/F."""
-    rows = np.arange(len(attrs))
-    dist = ((attrs[:, None, :] - refs[None, :, :]) ** 2).sum(axis=-1)
-    own_dist = dist[rows, own]
-    dist[rows, own] = np.inf
-    rate = float(np.mean(own_dist < dist.min(axis=1)))
-    if len(refs) == 1:
-        return rate, math.nan
-    units = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in (attrs, refs)]
-    others = np.ones(dist.shape, dtype=bool)
-    others[rows, own] = False
-    return rate, float(np.mean((units[0] @ units[1].T)[others]))
-
-
 def ablate_attention(
     faces: list[FaceParams],
     cfg: PipelineConfig,
@@ -515,10 +497,11 @@ def ablate_attention(
     (``identity._decoded_attributes``), each row one gemv over its slice of
     the decoder, with the bits of the whole decode's row; its attributes
     come from one band read of all of them, its attention map from one
-    call per arm, each with the bits of its own call, and every
-    trajectory's loss and FFC from one ``_scores`` call. Every arm is
-    guided by the unstylized render's latent, so each cell's ``intensity``
-    is 0.0. The report keeps those (2, faces * seeds) arrays, in (face,
+    call per arm, each with the bits of its own call. One ``_scores`` call
+    scores every trajectory against every face of the grid: its own face
+    gives its loss and FFC, and the others its identification. Every arm
+    is guided by the unstylized render's latent, so each cell's
+    ``intensity`` is 0.0. The report keeps those (2, faces * seeds) arrays, in (face,
     seed) order, and its mean FFCs, ``paired_se`` and ``id_wins`` are read
     off them.
 
@@ -584,9 +567,10 @@ def ablate_attention(
         guidance_scale=cfg.guidance_scale,
     )
     # only the landmark rows of each trajectory are decoded (one gemv a row, for the whole
-    # decode's bits); the scoring is batched per arm
-    attrs = _decoded_attributes(zs, runtime.codec).reshape(2, len(items), -1)
-    losses, ffcs = _scores(attrs, refs[fids])
+    # decode's bits); then (arm, trajectory, face): every trajectory scored against every face
+    dists, cosines = _scores(_decoded_attributes(zs, runtime.codec).reshape(2, len(items), 1, -1), refs)
+    rows = np.arange(len(items))
+    losses, ffcs = dists[:, rows, fids], cosines[:, rows, fids]  # each trajectory's own face
     interests = np.stack([_face_tokens(guide, cfg.latent_tokens, cfg.token_dim) for guide in latents])
     # each arm's attention map's mass on the face's tokens, averaged over query tokens; a map
     # whose scores overflow is refused below, so numpy need not warn of it
@@ -601,9 +585,15 @@ def ablate_attention(
         raise EvaluationError("sampling gave a non-finite attribute score or attention mass "
                               f"(guidance scale {cfg.guidance_scale!r})")
     extras = {}
-    for arm, arm_attrs, arm_ffcs, mass in zip(("base", "id"), attrs, ffcs, masses):
+    others = np.ones(dists.shape[1:], dtype=bool)
+    others[rows, fids] = False
+    # a tie with another face is a miss, so one face alone is always identified
+    nearest_other = np.where(others, dists, np.inf).min(axis=-1)
+    for arm, arm_losses, arm_ffcs, nearest, arm_cosines, mass in zip(
+            ("base", "id"), losses, ffcs, nearest_other, cosines, masses):
         extras[f"mean_ffc_{arm}"], extras[f"mean_mass_{arm}"] = float(np.mean(arm_ffcs)), float(np.mean(mass))
-        extras[f"ident_rate_{arm}"], extras[f"mean_ffc_others_{arm}"] = _identification(arm_attrs, refs, fids)
+        extras[f"ident_rate_{arm}"] = float(np.mean(arm_losses < nearest))
+        extras[f"mean_ffc_others_{arm}"] = float(np.mean(arm_cosines[others])) if len(faces) > 1 else math.nan
     diffs = ffcs[1] - ffcs[0]
     extras["paired_se"] = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else math.nan
     extras["id_wins"] = int(np.sum(diffs > 0.0))

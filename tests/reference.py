@@ -1,11 +1,13 @@
-"""Plain references that only the tests read: the per-item loss, the
-per-row landmark splats, the per-face and per-cell composition orders, the
+"""Plain references that only the tests read: the noise schedule's
+coefficients and the forward and reverse steps as scalar formulas, the
+per-item loss, the per-row landmark splats, the per-face and per-cell composition orders, the
 whole-image decode of sampled latents, the report extras as row walks and
 the two CSV writers as ``csv.writer`` walks. Each is the direct form of a
 batched path in the package, which the tests check against it bit for
 bit."""
 
 import csv
+import math
 from dataclasses import fields
 from operator import attrgetter
 
@@ -19,6 +21,58 @@ from craftfaces.facegen import (
 from craftfaces.identity import _already_there, _band_attributes, _scores, extract_attributes, project
 from craftfaces.numerics import tensor
 from craftfaces.pipeline import PipelineConfig, ReportRow
+
+
+def schedule_entries(beta) -> dict[str, list[float]]:
+    """Every per-step coefficient of the noise variances ``beta``, one step
+    at a time in Python floats: the scalar expressions that
+    ``NoiseSchedule``'s tables are checked against. A step whose
+    1 - alpha_bar rounds to 0 scales eps by 0 / 0 = NaN at beta 0, else by
+    inf, as numpy divides."""
+    out = {name: [] for name in ("alpha", "alpha_bar", "root_alpha", "root_beta", "root_abar", "root_noise",
+                                 "eps_scale")}
+    ab = 1.0
+    for b in map(float, beta):
+        a = 1.0 - b
+        ab *= a
+        noise = math.sqrt(1.0 - ab)
+        eps_scale = b / noise if noise else (math.nan if b == 0.0 else math.inf)
+        for name, v in zip(out, (a, ab, math.sqrt(a), math.sqrt(b), math.sqrt(ab), noise, eps_scale)):
+            out[name].append(v)
+    return out
+
+
+def _alpha_bar(beta, t: int) -> float:
+    ab = 1.0
+    for b in beta[:t]:
+        ab *= 1.0 - float(b)
+    return ab
+
+
+def forward_step(x_prev: np.ndarray, t: int, beta, rng) -> np.ndarray:
+    """sqrt(1 - beta_t) x + sqrt(beta_t) eps, from the scalar beta_t."""
+    b = float(beta[t - 1])
+    return math.sqrt(1.0 - b) * x_prev + math.sqrt(b) * rng.normal(np.shape(x_prev))
+
+
+def forward_marginal(x0: np.ndarray, t: int, beta, rng) -> np.ndarray:
+    """sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, with abar_t a running product."""
+    ab = _alpha_bar(beta, t)
+    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * rng.normal(np.shape(x0))
+
+
+def reverse_step(x_t: np.ndarray, t: int, cond: np.ndarray, model, beta, rng,
+                 guidance_scale: float = 1.0) -> np.ndarray:
+    """(x_t - beta_t / sqrt(1 - abar_t) eps_hat) / sqrt(1 - beta_t), plus
+    sqrt(beta_t) z for t > 1, with eps_hat guided from two
+    ``predict_noise`` calls, the second on a zero condition."""
+    b, ab = float(beta[t - 1]), _alpha_bar(beta, t)
+    eps = model.predict_noise(x_t, cond)
+    if guidance_scale != 1.0:
+        eps_u = model.predict_noise(x_t, np.zeros(model.cond_dim))
+        eps = eps_u + guidance_scale * (eps - eps_u)
+    mu = (x_t - b / math.sqrt(1.0 - ab) * eps) / math.sqrt(1.0 - b)
+    return mu + math.sqrt(b) * rng.normal(np.shape(x_t)) if t > 1 else mu
 
 
 def denoise_loss(model, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> float:

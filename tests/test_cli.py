@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import craftfaces
+import craftfaces.pipeline as pl
 from craftfaces.cli import (
     _CONFIG_FLAGS, MAX_ARM_SEEDS, MAX_ATTENTION_SCORES, MAX_FACES, MAX_INTENSITIES, MAX_JOBS, MAX_ORDER_CELLS,
     MAX_SWEEP_SEEDS, MAX_TRAIN_STEPS, Command, _atomic_write, _build_parser, main, parse,
@@ -581,6 +582,32 @@ class TestExecute:
         assert code == 2
         assert err.startswith("error:") and "prompt" in err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("prompt", ["", "\udcff"], ids=["empty", "no-utf8"])
+    def test_refused_prompt_exits_2_before_any_runtime_or_stylize(self, prompt, tmp_path, capsys, monkeypatch):
+        """``diffuse`` embeds its prompt before it builds the runtime or
+        stylizes the face, so a refused prompt costs neither. The runtime
+        cache is cleared first, so a codec left by another test hides no
+        build."""
+        pl._build_runtime.cache_clear()
+        calls = dict.fromkeys(("make_codec", "graffiti_stylize"), 0)
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(pl, name, counted(name, getattr(pl, name)))
+        out_dir = tmp_path / "out"
+        argv = ["diffuse", "--steps", "2", "--window", "1", "--image-size", "32", "--prompt", prompt,
+                "--out-dir", str(out_dir)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "prompt" in err
+        assert not list(out_dir.glob("*.ppm"))
+        assert calls == {"make_codec": 0, "graffiti_stylize": 0}
 
     def test_ablate_order_small(self, tmp_path, capsys):
         code, out, _ = run(

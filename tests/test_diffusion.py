@@ -1,15 +1,20 @@
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import craftfaces
 from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.diffusion import (
     DenoiserModel,
+    LatentCodec,
     NoiseSchedule,
     _cholesky_upper,
     _denoise_loss_and_grad,
@@ -27,19 +32,32 @@ from craftfaces.diffusion import (
 from craftfaces.errors import ConfigError, EvaluationError, ShapeError, StepError
 from craftfaces.facegen import face_grid, render_face
 from craftfaces.numerics import RngStream, finite_diff_grad, softmax_rows
-from reference import denoise_loss
+import reference
+from reference import denoise_loss, schedule_entries
 
 
 def linear_schedule(T, beta_start, beta_end):
     """A linear schedule between other betas than build_schedule's, built directly."""
-    beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(np.linspace(beta_start, beta_end, T))
 
 
 def noiseless_schedule(T=1):
     """beta = 0 limit; unreachable through build_schedule, injected directly."""
     return linear_schedule(T, 0.0, 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# noise variances of 1 to 200 steps in [0, 0.999], all-zero vectors among them
+BETAS = st.one_of(
+    st.lists(st.floats(0.0, 0.999), min_size=1, max_size=200),
+    st.integers(1, 200).map(lambda steps: [0.0] * steps),
+)
 
 
 def zero_model(n_tokens=4, token_dim=2, cond_dim=3):
@@ -50,7 +68,6 @@ def zero_model(n_tokens=4, token_dim=2, cond_dim=3):
     )
     return DenoiserModel(
         n_tokens=n_tokens,
-        token_dim=token_dim,
         attention=ExtendedAttentionWeights(
             base=base, u_q=np.zeros((6, token_dim)), u_k=np.zeros((6, token_dim))
         ),
@@ -130,6 +147,35 @@ class TestSchedule:
     def test_bounds_validation(self):
         with pytest.raises(ConfigError):
             build_schedule(0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(beta=BETAS)
+    def test_every_entry_is_its_scalar_expression(self, beta):
+        """Each table entry has the bits of its scalar expression at that
+        step, every array is read-only, and the caller's beta is copied,
+        not frozen. A zero beta builds without a warning (pytest turns
+        RuntimeWarnings into errors)."""
+        given_beta = np.array(beta)
+        sched = NoiseSchedule(given_beta)
+        entries = schedule_entries(beta)
+        assert sched.T == len(beta)
+        assert sched.beta.tobytes() == given_beta.tobytes()
+        for name, values in entries.items():
+            assert same_bits(getattr(sched, name), values), name
+        for name in ("beta", *entries):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sched, name)[...] = 0.0
+        given_beta[...] = 0.5
+        assert sched.beta.tobytes() == np.array(beta).tobytes()
+
+    def test_only_beta_is_settable(self):
+        beta = np.linspace(0.1, 0.2, 3)
+        for derived in ({"T": 3}, {"alpha": 1.0 - beta}):
+            with pytest.raises(TypeError):
+                NoiseSchedule(beta, **derived)
+        for bad in (np.zeros((2, 2)), []):
+            with pytest.raises(ConfigError, match="nonempty 1-D beta"):
+                NoiseSchedule(bad)
 
 
 class TestForwardStep:
@@ -261,6 +307,38 @@ class TestReverseStep:
     def test_step_validation(self):
         with pytest.raises(StepError):
             reverse_step(np.ones(8), 0, np.zeros(3), zero_model(), build_schedule(4), RngStream(seed=15))
+
+
+class TestScalarReference:
+    """The forward and reverse steps read the schedule's tables; each
+    equals the scalar formula of ``reference`` from beta alone, bit for
+    bit, at every step of two schedules."""
+
+    SCHEDULES = {"build": build_schedule(100), "steep": linear_schedule(7, 0.05, 0.3)}
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_forward_step_and_marginal(self, name):
+        sched = self.SCHEDULES[name]
+        x = RngStream(seed=40).normal((3, 8))
+        for t in range(1, sched.T + 1):
+            for step, ref in ((forward_step, reference.forward_step),
+                              (forward_marginal, reference.forward_marginal)):
+                out = step(x, t, sched, RngStream(seed=41).split(t))
+                want = ref(x, t, sched.beta, RngStream(seed=41).split(t))
+                assert out.tobytes() == want.tobytes(), (step.__name__, t)
+
+    @pytest.mark.parametrize("guidance_scale", [1.0, 7.5])
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_reverse_step(self, name, guidance_scale):
+        sched = self.SCHEDULES[name]
+        rng = RngStream(seed=42)
+        model = make_denoiser(4, 2, 3, 6, rng.split("model")).with_identity(rng.normal((6,)))
+        x, cond = rng.normal((8,)), rng.normal((3,))
+        for t in range(1, sched.T + 1):
+            out = reverse_step(x, t, cond, model, sched, RngStream(seed=43).split(t), guidance_scale)
+            want = reference.reverse_step(x, t, cond, model, sched.beta, RngStream(seed=43).split(t),
+                                          guidance_scale)
+            assert out.tobytes() == want.tobytes(), t
 
 
 class TestSample:
@@ -412,6 +490,30 @@ class TestCodec:
         q_lapack, r_lapack = np.linalg.qr(a)
         assert np.max(np.abs(q - q_lapack * np.sign(np.diag(r_lapack)))) <= 1e-13
 
+    @pytest.mark.parametrize("shape, z", [((2, 5, 7), 9), ((1, 3, 3), 4), ((2, 9, 9), 5)])
+    def test_encoder_is_the_transposed_decoder(self, shape, z):
+        """``enc`` is derived from ``dec`` with the bytes of ``dec.T.copy()``
+        when n is not a multiple of the transpose block, and both arrays are
+        read-only; the decoder passed in stays writeable."""
+        n = math.prod(shape)
+        assert n % 64
+        dec = RngStream(seed=30).normal((n, z))
+        for codec in (LatentCodec(dec, shape), make_codec(shape, z, RngStream(seed=31))):
+            assert codec.enc.tobytes() == codec.dec.T.copy().tobytes()
+            assert (codec.z_dim, codec.n_dim) == (z, n)
+            for a in (codec.enc, codec.dec):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+        assert LatentCodec(dec, shape).dec.tobytes() == dec.tobytes()
+        dec[0, 0] = 1.0
+
+    def test_only_the_decoder_is_settable(self):
+        dec = np.eye(8)[:, :2]
+        with pytest.raises(TypeError):
+            LatentCodec(dec, (2, 2, 2), enc=dec.T.copy())
+        with pytest.raises(ShapeError, match="does not fit"):
+            LatentCodec(dec, (2, 2, 3))
+
     def test_cholesky_zero_pivot_raises(self):
         gram = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # pivot 1 is 1 - 1 = 0
         with pytest.raises(EvaluationError, match="pivot 1"):
@@ -430,6 +532,12 @@ class TestDenoiserModel:
         assert model.predict_noise(latent, np.zeros(3)).shape == latent.shape
         latent2 = latent.reshape(4, 2)
         assert model.predict_noise(latent2, np.zeros(3)).shape == (4, 2)
+
+    def test_token_dim_is_read_from_the_weights(self):
+        model = make_denoiser(4, 3, 5, 6, RngStream(seed=33))
+        assert (model.token_dim, model.latent_size) == (3, 12)
+        with pytest.raises(TypeError):
+            replace(model, token_dim=3)
 
     def test_size_mismatch(self):
         model = zero_model()
