@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionWeights:
     """Projection maps W_q, W_k, W_v, all with head dimension d columns.
 
@@ -63,7 +63,7 @@ class _IdentityTerms(NamedTuple):
     k: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedAttentionWeights:
     """Base weights plus identity-block columns U_q, U_k (d_id x d)."""
 

@@ -44,7 +44,7 @@ BETA_END = 0.02
 _TRANSPOSE_BLOCK = 64  # rows of a codec's decoder per block of its transposed copy, the encoder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Noise variances ``beta`` (1-D; step t at index t - 1) and the
     per-step coefficients derived from them at construction, each with the
@@ -114,7 +114,7 @@ def forward_marginal(
     return sched.root_abar[t - 1] * x0 + sched.root_noise[t - 1] * _normal(rng, x0.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenoiserModel:
     """Toy noise predictor: token reshape + one attention block + affine head.
 
@@ -527,7 +527,7 @@ def sample(
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentCodec:
     """Linear encoder/decoder pair of images of ``image_shape``: ``dec``
     (n, z) has orthonormal columns and the encoder ``enc`` is its

@@ -87,7 +87,8 @@ class FaceParams:
     def attributes(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in ATTRIBUTE_NAMES], dtype=np.float64)
 
-    def validate(self) -> "FaceParams":
+    def validate(self, size: int = MIN_SIZE) -> "FaceParams":
+        """Raise ConfigError unless every field is in range and the face can be drawn at ``size``."""
         for n in ATTRIBUTE_NAMES:
             v = getattr(self, n)
             if not 0.0 <= v <= 1.0:
@@ -96,6 +97,8 @@ class FaceParams:
             raise ConfigError(f"background {self.background} outside [0, 1]")
         if self.palette_id < 0:
             raise ConfigError(f"palette_id must be >= 0, got {self.palette_id}")
+        if size < MIN_SIZE:
+            raise ConfigError(f"size {size} below minimum {MIN_SIZE}")
         return self
 
 
@@ -203,9 +206,7 @@ def _centre_distances(size: int) -> np.ndarray:
 def render_face(p: FaceParams, size: int = 64) -> np.ndarray:
     """Deterministic (2, size, size) face image; landmark rows encode the
     attributes exactly."""
-    p.validate()
-    if size < MIN_SIZE:
-        raise ConfigError(f"size {size} below minimum {MIN_SIZE}")
+    p.validate(size)
     h = w = int(size)
     radius = (0.16 + 0.20 * p.face_radius) * min(h, w)
     dist = _centre_distances(h)
@@ -263,14 +264,15 @@ JITTER_MIN_PX = 0.4
 JITTER_MAX_PX = 1.6
 
 
-def _jitter_units(img: np.ndarray) -> np.ndarray:
+def _jitter_units(bands: np.ndarray) -> np.ndarray:
     """Per-landmark shift units in pixels, one per ``JITTER_TRACKS`` entry,
-    seeded by the image content so stylization is a pure function of
-    (image, op). Magnitudes stay in [JITTER_MIN_PX, JITTER_MAX_PX] so jitter
-    dominates the small centroid drift the intensity warp induces; the two
-    eye tracks get opposite signs so the eye-spacing drift never collapses
-    to zero."""
-    js = RngStream(seed=image_hash(img)).split("landmark-jitter")
+    seeded by ``image_hash`` of an image's (6, W) landmark band rows
+    ``bands``: stylization is a pure function of (image, op), and images
+    that differ only off those rows share their jitter. Magnitudes stay in
+    [JITTER_MIN_PX, JITTER_MAX_PX] so jitter dominates the small centroid
+    drift the intensity warp induces; the two eye tracks get opposite signs
+    so the eye-spacing drift never collapses to zero."""
+    js = RngStream(seed=image_hash(bands)).split("landmark-jitter")
     mags = js.uniform((len(JITTER_TRACKS),), JITTER_MIN_PX, JITTER_MAX_PX)
     signs = np.where(js.uniform((len(JITTER_TRACKS),)) < 0.5, -1.0, 1.0)
     units = mags * signs
@@ -283,15 +285,15 @@ def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
     quantization, geometry contrast warp, and intensity-scaled landmark
     jitter.
 
-    Output depends only on (img, op): the jitter stream is derived from
-    the image content to keep repeated applications reproducible.
+    Output depends only on (img, op): the jitter stream is keyed on the
+    image's landmark band rows to keep repeated applications reproducible.
     """
     img = tensor(img)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ConfigError(f"expected a (2, H, W) image, got shape {img.shape}")
     if op.intensity == 0.0:
         return img.copy()
-    return _stylize(img, op, _jitter_units(img))
+    return _stylize(img, op, _jitter_units(img[0, _band_index(img.shape[1])]))
 
 
 def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -368,13 +370,12 @@ def _landmark_rows(tracks: np.ndarray, intensities, units: np.ndarray) -> np.nda
 def _face_bands(p: FaceParams, size: int, intensities) -> np.ndarray:
     """The landmark band rows of ``render_face(p, size)`` and then of its
     ``graffiti_stylize`` output at each of ``intensities``, as a
-    (1 + I, 6, W) stack. The render is read for its jitter units and its
-    seven tracks and dropped before the stylized rows are built, so no
-    image of the face outlives this read."""
-    img = render_face(p, size)
-    units, tracks = _jitter_units(img), _jitter_tracks(img)
-    del img
-    return np.concatenate([tracks[None, 1:], _landmark_rows(tracks, intensities, units)])
+    (1 + I, 6, W) stack, with no face rendered: the render draws its band
+    rows last, as the splats of ``p``'s attributes, so those splats with the
+    eye row twice are its ``_jitter_tracks`` and key its jitter units."""
+    p.validate(size)
+    tracks = _landmark_splats(p.attributes(), size)[[0, 0, 1, 2, 3, 4, 5]]
+    return np.concatenate([tracks[None, 1:], _landmark_rows(tracks, intensities, _jitter_units(tracks[1:]))])
 
 
 def embed_prompt(text: str, dim: int = 8) -> np.ndarray:

@@ -163,7 +163,7 @@ def _face_attributes(params, size: int, intensities) -> np.ndarray:
     ``render_face(params, size)`` and then of its ``graffiti_stylize``
     output at each of ``intensities``, from one band read of
     ``facegen._face_bands``. Each vector has the bits of
-    ``extract_attributes`` of that image, and no stylized image is built."""
+    ``extract_attributes`` of that image, though no image is built."""
     return _band_attributes(_face_bands(params, size, intensities))
 
 

@@ -35,7 +35,7 @@ TARGET_MATRICES = ("q", "k", "v")
 ADAPTER_COLUMNS = ("target", "factor", "row", "col", "value", "alpha", "rank")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoRAAdapter:
     a: np.ndarray  # (d, r)
     b: np.ndarray  # (r, k)

@@ -209,7 +209,7 @@ class ExperimentReport:
             fh.write("".join(lines))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Runtime:
     sched: NoiseSchedule
     codec: LatentCodec
@@ -292,11 +292,10 @@ def ablate_order(
     Intensities and seeds must be nonempty and distinct, so that no two
     cells are the same.
 
-    Each face is read once, by ``identity._face_attributes``: its render
-    is hashed for the jitter units and its seven landmark tracks kept, then
-    dropped, and one band read gives the attributes of the render and of
-    its stylize at every intensity; no cell builds a stylized or restored
-    image. At most ``min(jobs, len(faces))`` worker processes read the
+    Each face is read once, from its attributes alone, by
+    ``identity._face_attributes``: one band read gives the attributes of
+    its render and of its stylize at every intensity, and no image is
+    built. At most ``min(jobs, len(faces))`` worker processes read the
     faces, and none when that is 1; each takes one contiguous block of
     faces as one task and hands back each face's (1 + I, 6) attributes.
     The rest runs once for all faces: every style-first restore
@@ -319,7 +318,7 @@ def ablate_order(
     for name, axis in (("intensities", intensities), ("seeds", seeds)):
         if not axis or len(set(axis)) != len(axis):
             raise ConfigError(f"ablate_order {name} must be nonempty and distinct, got {axis}")
-    # every seed and every intensity is checked here, before any face is rendered
+    # every seed and every intensity is checked here, before any face is read
     for s in seeds:
         replace(cfg, seed=s)
     for i in intensities:

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureExtractor:
     """Fixed affine maps (weights, biases) applied channel-wise with tanh."""
 

@@ -143,8 +143,9 @@ def order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndarr
     redraws leaves ``redrawn_attributes`` of the face, a second read, and
     one that finds ``ref`` already there leaves the stylized image's."""
     img = tensor(img)
-    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(img))
-    attrs = _band_attributes(np.concatenate([img[None, 0, _band_index(img.shape[1])], bands]))
+    rows = img[0, _band_index(img.shape[1])]
+    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(rows))
+    attrs = _band_attributes(np.concatenate([rows[None], bands]))
     ref, styled = attrs[0], attrs[1:]
     restored = np.where(_already_there(styled, ref)[:, None], styled, redrawn_attributes(img.shape, ref))
     return ref, styled, restored

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,12 @@ from craftfaces.facegen import (
     FaceParams,
     StyleOp,
     _SPRAY_PALETTE,
+    _band_index,
     _band_rows,
     _centre_distances,
+    _face_bands,
+    _jitter_tracks,
+    _jitter_units,
     _quantize,
     _shift_tracks,
     draw_landmarks,
@@ -212,6 +219,69 @@ class TestGraffitiStylize:
     def test_intensity_validation(self):
         with pytest.raises(ConfigError):
             StyleOp(intensity=1.5)
+
+
+_face = st.builds(FaceParams, *[st.floats(0.0, 1.0)] * 6, palette_id=st.integers(0, 7),
+                  background=st.floats(0.0, 1.0))
+_sizes = st.sampled_from((32, 33, 47, 64))
+
+
+class TestJitterKey:
+    """The stylizer's jitter stream is keyed on the geometry band rows alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_face, _sizes, st.integers(0, 2**63 - 1), st.floats(0.05, 1.0))
+    def test_images_sharing_band_rows_share_the_jitter(self, params, size, seed, intensity):
+        """An image whose every pixel off the geometry band rows (chroma,
+        decoration, background) is redrawn at random gets the face's jitter
+        units and the face's stylized band rows."""
+        img = render_face(params, size)
+        rows = _band_index(size)
+        other = RngStream(seed=seed).uniform(img.shape)
+        other[0, rows] = img[0, rows]
+        assert _jitter_units(other[0, rows]).tobytes() == _jitter_units(img[0, rows]).tobytes()
+        op = StyleOp(intensity=intensity)
+        assert graffiti_stylize(other, op)[0, rows].tobytes() == graffiti_stylize(img, op)[0, rows].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_face, _sizes, st.integers(0, len(ATTRIBUTE_NAMES) - 1), st.integers(0, 63))
+    def test_one_band_row_value_changes_the_units(self, params, size, band, x):
+        bands = render_face(params, size)[0, _band_index(size)]
+        moved = bands.copy()
+        moved[band, x % size] = np.nextafter(moved[band, x % size], 2.0)
+        assert _jitter_units(moved).tobytes() != _jitter_units(bands).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_face, _sizes)
+    def test_sweep_tracks_equal_the_render_s_bit_for_bit(self, params, size):
+        """The order sweep's read of a face, which renders nothing, batches
+        the tracks and units of its render, and reads its band rows."""
+        seen, real = [], facegen._landmark_rows
+
+        def spy(tracks, intensities, units):
+            seen.append((tracks.copy(), units.copy()))
+            return real(tracks, intensities, units)
+
+        with mock.patch.object(facegen, "_landmark_rows", spy):
+            bands = _face_bands(params, size, (0.5, 1.0))
+        img = render_face(params, size)
+        rows = _band_index(size)
+        [(tracks, units)] = seen
+        assert tracks.tobytes() == _jitter_tracks(img).tobytes()
+        assert units.tobytes() == _jitter_units(img[0, rows]).tobytes()
+        assert bands[0].tobytes() == img[0, rows].tobytes()
+
+    @pytest.mark.parametrize("params, size", [
+        (FaceParams(eye_spacing=1.2), 64), (FaceParams(background=-0.1), 64), (FaceParams(palette_id=-1), 64),
+        (BASE, 16), (BASE, 31),
+    ])
+    def test_sweep_read_rejects_what_render_face_rejects(self, params, size, monkeypatch):
+        """With the error of ``render_face``, before any landmark is drawn."""
+        with pytest.raises(ConfigError) as rendered:
+            render_face(params, size)
+        monkeypatch.setattr(facegen, "_landmark_splats", lambda *a: pytest.fail("drew landmarks"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(rendered.value))}$"):
+            _face_bands(params, size, (0.5,))
 
 
 class TestEmbedPrompt:

@@ -39,22 +39,22 @@ GOLDENS = [
     (
         "ablate-order --faces 4 --intensities 0.3,0.8 --sweep-seeds 2 --seed 7",
         "order_report.csv",
-        "34b3fc4b5c71a005a49b5c83ee218bfc22abfd602f9bcf3d20d218c151895a38",
+        "09a1b363251c45516d15000849bfa735183985a768096d508457d6e956477fc7",
     ),
     (
         "ablate-order --faces 2 --intensities 0.3,0.8 --sweep-seeds 2 --image-size 32 --seed 7",
         "order_report.csv",
-        "f1181de5d2fdcb91901c9f60734304060c876fe51435f05d049fce1a05ceeed7",
+        "cd699dca86c6c62d08346db28f131ff47027bf634ec684f0336c8d9a384b6848",
     ),
     (
         "diffuse --seed 5 --steps 10 --window 3 --image-size 32",
         "face_0_diffused.ppm",
-        "ee54f0d107924ebe12c0855959591fba0c5e28786fe361ffc8578b2b7e0994f5",
+        "2e871ee842b96cf1972a762788276256d9b9a139f5f0c812a7b421775a9322c2",
     ),
     (
         "diffuse --seed 7",
         "face_0_diffused.ppm",
-        "78ec428ba43c3f1aec2a6ffdfcd3fddc36ec6ef4aab17ae55383aa9ae350fe90",
+        "f776ae2e37a9da2d5d2178745a03888cb97ea8d8a7b31b26476239193fdb883c",
     ),
     (
         "train --lora --seed 7",
@@ -100,16 +100,16 @@ FACE_GOLDENS = [
     ),
     (
         "stylize --seed 7 --face-id 3",
-        {"face_3_styled.ppm": "1f6786dbeaa28f2d79fc2eb8065f216b37079185605f7b8e342bfba507954d6c"},
+        {"face_3_styled.ppm": "7549fef61b11b535275dedf81b88b05284eef517a13c53a38e37d65007aeb354"},
     ),
 ]
 
-ORACLE_DIGEST = "726d59528ab58e35a01765bd98527d461dd07c1ac1578f9d3cefac1b0433f1d0"
+ORACLE_DIGEST = "b99b7e39f56dc6b2ca16491d2647f237b6f8d40f30cbe3dc5d3ad222ab2aa851"
 
 # odd widths, and eye halves whose width is not a multiple of 8, are where a
 # vectorized reduction could group a sum differently from a per-row one
 ORACLE_SIZES = (32, 33, 40, 47, 96)
-MULTI_SIZE_ORACLE_DIGEST = "768b2d2b18bd548f45b29158d5f80f9aeaef880c2600a47d79dd9c91f6c0d0c6"
+MULTI_SIZE_ORACLE_DIGEST = "09176c116f8b07895e511fd93470a346cbf6144ba4421032bf6f7c475460f878"
 
 
 # run_style_first's output image at a small shape: (label, config keys, digest);

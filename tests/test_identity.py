@@ -293,8 +293,8 @@ def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
     stylized image projected onto the render's attributes."""
     img = render_face(params, size)
     intensities = [0.0, *between, 1.0]
-    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(img))
     rows = [_band_rows(size)[name] for name in ATTRIBUTE_NAMES]
+    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(img[0, rows]))
     attrs = _band_attributes(bands)
     ref, styled_attrs, restored_attrs = order_attributes(img, intensities)
     assert ref.tobytes() == extract_attributes(img).tobytes()

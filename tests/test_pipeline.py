@@ -285,7 +285,7 @@ class TestAblateOrder:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((facegen, "image_hash"), (identity, "project"),
+        for module, name in ((facegen, "render_face"), (facegen, "image_hash"), (identity, "project"),
                              (identity, "extract_attributes"), (pl, "extract_attributes"),
                              (facegen, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
                              (identity, "_band_attributes"), (pl, "_scores")):
@@ -293,6 +293,7 @@ class TestAblateOrder:
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.0, 0.5, 0.9), seeds=(21, 22))
         faces = 3
         assert calls == {
+            "render_face": 0,  # each face is read from its attributes
             "image_hash": faces,  # the jitter units
             "project": 0,  # each cell scores its restore without building it
             "extract_attributes": 0,  # every attribute vector comes from a band read
