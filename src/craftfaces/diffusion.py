@@ -111,7 +111,7 @@ def forward_marginal(
     stream per row of a batch ``x0``."""
     _check_step(t, sched)
     x0 = tensor(x0)
-    return sched.root_abar[t - 1] * x0 + sched.root_noise[t - 1] * _normal(rng, x0.shape)
+    return sched.root_abar[t - 1] * x0 + sched.root_noise[t - 1] * _Streams.of(rng, x0.shape).normal(x0.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,38 +169,38 @@ class DenoiserModel:
             head_w=p["head_w"], head_b=p["head_b"], cond_w=p["cond_w"], cond_b=p["cond_b"],
         )
 
-    def _items(self, latent: np.ndarray) -> tuple[int, ...]:
-        """``()`` for one latent, which may have any shape of
-        ``latent_size`` entries, or ``(B,)`` for a batch ``(B, latent_size)``."""
+    def _batch(self, latent: np.ndarray) -> int:
+        """The item count of ``latent``: 1 for one latent, which may have any
+        shape of ``latent_size`` entries, or B for a batch ``(B, latent_size)``."""
         if latent.size == self.latent_size:
-            return ()
+            return 1
         if latent.ndim == 2 and latent.shape[1] == self.latent_size:
-            return latent.shape[:1]
+            return latent.shape[0]
         raise ShapeError(
             f"latent {latent.shape} is neither {self.latent_size} entries "
             f"nor a batch (B, {self.latent_size})"
         )
 
-    def _cond(self, cond: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
-        """``cond`` as ``(cond_dim,)``, shared by every item, or ``items + (cond_dim,)``."""
+    def _cond(self, cond: np.ndarray, b: int) -> np.ndarray:
+        """``cond`` as ``(cond_dim,)``, shared by all ``b`` items, or ``(b, cond_dim)``."""
         cond = tensor(cond)
         if cond.size == self.cond_dim:
             return cond.reshape(-1)
-        if cond.shape != items + (self.cond_dim,):
-            raise ShapeError(f"cond {cond.shape} vs cond dim {self.cond_dim} and {items} items")
+        if cond.shape != (b, self.cond_dim):
+            raise ShapeError(f"cond {cond.shape} vs cond dim {self.cond_dim} and {b} items")
         return cond
 
-    def _terms(self, cond: np.ndarray, items: tuple[int, ...]) -> _Terms:
+    def _terms(self, cond: np.ndarray, b: int) -> _Terms:
         """The terms of ``cond``, as ``_cond`` returns it, and of the model's
-        identity for ``items``. Each cond row is projected as its own
-        ``(1, cond_dim)`` product, because ``(B, cond_dim) @ cond_w`` is one
-        GEMM that rounds differently from B row products."""
-        identity = None if self.identity is None else self.attention.identity_terms(self.identity, items)
+        identity for a batch of ``b`` items. Each cond row is projected as
+        its own ``(1, cond_dim)`` product, because ``(B, cond_dim) @ cond_w``
+        is one GEMM that rounds differently from B row products."""
+        identity = None if self.identity is None else self.attention.identity_terms(self.identity, (b,))
         return _Terms(cond[..., None, :] @ self.cond_w + self.cond_b, identity)
 
     def _predict(self, tokens: np.ndarray, identity: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
         """The predicted noise, in token shape, of the conditioned tokens
-        ``(..., n_tokens, token_dim)`` that the caller hands over, with their
+        ``(B, n_tokens, token_dim)`` that the caller hands over, with their
         items' identity terms. The tokens, Q and K are released before
         ``att @ v``, and each of the head's products is written in place."""
         v, att = _forward(tokens, identity, self.attention)[2:]  # Q and K go with the tuple
@@ -217,9 +217,9 @@ class DenoiserModel:
         ``(cond_dim,)``, shared, or ``(B, cond_dim)``; the identity is
         ``None``, ``(id,)``, shared, or ``(B, id)``."""
         latent = tensor(latent)
-        items = self._items(latent)
-        terms = self._terms(self._cond(cond, items), items)
-        shape = items + (self.n_tokens, self.token_dim)
+        b = self._batch(latent)
+        terms = self._terms(self._cond(cond, b), b)
+        shape = (b, self.n_tokens, self.token_dim)
         return self._predict(latent.reshape(shape) + terms.shift, terms.identity).reshape(latent.shape)
 
 
@@ -227,7 +227,7 @@ class _Terms(NamedTuple):
     """What a prediction adds to the tokens of its items, which stays fixed
     while only the latents change: the conditioning shift
     ``cond @ cond_w + cond_b`` (``(1, token_dim)``, shared, or
-    ``items + (1, token_dim)``) and the identity's ``_IdentityTerms``, or
+    ``(B, 1, token_dim)``) and the identity's ``_IdentityTerms``, or
     None without an identity. ``sample`` computes them once per call."""
 
     shift: np.ndarray
@@ -262,10 +262,10 @@ def _denoise_loss_and_grad(
     scale = 1.0 / math.sqrt(model.attention.base.head_dim)
     x_t = tensor(x_t)
     n = len(x_t)
-    cond = model._cond(cond, (n,))
+    cond = model._cond(cond, n)
     ident = None if model.identity is None else tensor(model.identity)
 
-    terms = model._terms(cond, (n,))
+    terms = model._terms(cond, n)
     t_in = x_t.reshape(n, model.n_tokens, model.token_dim) + terms.shift
     q, k, v, att = _forward(t_in, terms.identity, model.attention)
     o = att @ v
@@ -341,62 +341,60 @@ def _denoise_loss_and_grad(
 
 
 class _Streams(NamedTuple):
-    """The streams ``rng`` of a batch's rows as ``_normal`` draws from them,
-    which ``sample`` builds once per call: each distinct stream object once,
-    in the order the rows first name it, and each row's index among them."""
+    """The streams ``rng`` of a batch's rows, which ``sample`` builds once
+    per call: each distinct stream object once, in the order the rows first
+    name it, and each row's index among them."""
 
     distinct: list[RngStream]
     rows: np.ndarray
 
     @classmethod
-    def of(cls, rng: Sequence[RngStream], n: int) -> "_Streams":
-        if len(rng) != n:
-            raise ShapeError(f"{len(rng)} streams for a batch of {n}")
+    def of(cls, rng: RngStream | Sequence[RngStream] | _Streams, shape) -> RngStream | _Streams:
+        """The noise source of latents of ``shape``: a stream, or a
+        ``_Streams``, as it is; a sequence of streams, one per row, as its
+        ``_Streams``."""
+        if isinstance(rng, (RngStream, _Streams)):
+            return rng
+        if len(rng) != shape[0]:
+            raise ShapeError(f"{len(rng)} streams for a batch of {shape[0]}")
         index = {}
         rows = [index.setdefault(id(r), len(index)) for r in rng]
         return cls(list({id(r): r for r in rng}.values()), np.array(rows, dtype=np.intp))
 
-
-def _normal(rng: RngStream | Sequence[RngStream] | _Streams, shape) -> np.ndarray:
-    """Standard normals of ``shape``: one draw from a single stream, or,
-    from a sequence of streams (or its ``_Streams``), one draw of
-    ``shape[1:]`` per row, which is the draw the row's stream makes in its
-    own single-trajectory call. A stream object named at several rows draws
-    once, and each of those rows gets that draw."""
-    if isinstance(rng, RngStream):
-        return rng.normal(shape)
-    if not isinstance(rng, _Streams):
-        rng = _Streams.of(rng, shape[0])
-    return np.array([r.normal(shape[1:]) for r in rng.distinct]).reshape((-1, *shape[1:]))[rng.rows]
+    def normal(self, shape) -> np.ndarray:
+        """Standard normals of ``shape``, one draw of ``shape[1:]`` per row:
+        the draw the row's stream makes in its own single-trajectory call.
+        A stream object named at several rows draws once, and each of those
+        rows gets that draw."""
+        return np.array([r.normal(shape[1:]) for r in self.distinct]).reshape((-1, *shape[1:]))[self.rows]
 
 
-def _guided_terms(model: DenoiserModel, cond: np.ndarray, items: tuple[int, ...]) -> _Terms:
+def _guided_terms(model: DenoiserModel, cond: np.ndarray, b: int) -> _Terms:
     """The ``_Terms`` of the doubled batch that ``_predict_guided`` runs for
-    ``items``: ``[cond; 0]``, and a per-item identity once per branch."""
-    b = (items or (1,))[0]
+    ``b`` items: ``[cond; 0]``, and a per-item identity once per branch."""
     conds = np.zeros((2 * b, model.cond_dim))
-    conds[:b] = model._cond(cond, (b,))
+    conds[:b] = model._cond(cond, b)
     if np.ndim(model.identity) == 2:
         model = model.with_identity(np.concatenate([model.identity, model.identity]))
-    return model._terms(conds, (2 * b,))
+    return model._terms(conds, 2 * b)
 
 
 def _predict_guided(
     model: DenoiserModel, x: np.ndarray, cond: np.ndarray, guidance_scale: float,
     terms: _Terms | None = None,
 ) -> np.ndarray:
-    """Classifier-free guidance, eps_u + s * (eps_c - eps_u), with both
-    branches in one prediction on ``[x; x]`` and ``[cond; 0]`` (Ho &
-    Salimans, arXiv 2207.12598), whose ``_guided_terms`` a caller that
-    reuses them passes as ``terms``. Every item is its own product, so each
-    branch has the bits of a call of its own. At scale 1 it is the model's
-    own ``predict_noise`` call, so any object with one can be sampled."""
+    """Classifier-free guidance, eps_u + s * (eps_c - eps_u), for the batch
+    ``x`` ((B, latent_size)), with both branches in one prediction on
+    ``[x; x]`` and ``[cond; 0]`` (Ho & Salimans, arXiv 2207.12598), whose
+    ``_guided_terms`` a caller that reuses them passes as ``terms``. Every
+    item is its own product, so each branch has the bits of a call of its
+    own. At scale 1 it is the model's own ``predict_noise`` call on ``x`` as
+    it is, so any object with one can be sampled."""
     if guidance_scale == 1.0:
         return model.predict_noise(x, cond)
-    items = model._items(x)
+    b = len(x)
     if terms is None:
-        terms = _guided_terms(model, cond, items)
-    b = (items or (1,))[0]
+        terms = _guided_terms(model, cond, b)
     shape = (b, model.n_tokens, model.token_dim)
     # the tokens of [x; x], shifted, from one broadcast sum of x's rows and each branch's shifts;
     # handed over unnamed, so that ``_predict`` can release them
@@ -410,19 +408,18 @@ def _predict_guided(
 
 
 def _ancestral(
-    x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule,
-    rng: RngStream | Sequence[RngStream] | _Streams,
+    x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule, rng: RngStream | _Streams,
 ) -> np.ndarray:
     """``reverse_step``'s update of the tensor ``x_t`` from its predicted
     noise, (x_t - eps_scale * eps_hat) / root_alpha, plus root_beta * z for
-    t > 1, with the schedule's entries at t - 1, as a new array; neither
-    input is written."""
+    t > 1 with z drawn from ``rng``, with the schedule's entries at t - 1,
+    as a new array; neither input is written."""
     i = t - 1
     mu = sched.eps_scale[i] * eps_hat
     np.subtract(x_t, mu, out=mu)
     mu /= sched.root_alpha[i]
     if t > 1:
-        z = _normal(rng, x_t.shape)
+        z = rng.normal(x_t.shape)
         z *= sched.root_beta[i]
         mu += z
     return mu
@@ -442,11 +439,15 @@ def reverse_step(
     mu = (x_t - beta_t / sqrt(1-abar_t) * eps_hat) / sqrt(alpha_t), plus
     sqrt(beta_t) * z for t > 1; the final step is deterministic. ``x_t`` is
     one latent, with one RngStream ``rng``, or a batch ``(B, latent_size)``
-    with a sequence of B streams (see ``sample``).
+    with a sequence of B streams (see ``sample``). At guidance scale 1 the
+    model's ``predict_noise`` gets ``x_t`` as it is given; with guidance, one
+    latent is a batch of one.
     """
     _check_step(t, sched)
     x_t = tensor(x_t)
-    return _ancestral(x_t, t, _predict_guided(model, x_t, cond, guidance_scale), sched, rng)
+    x = x_t if guidance_scale == 1.0 else x_t.reshape(model._batch(x_t), model.latent_size)
+    eps_hat = _predict_guided(model, x, cond, guidance_scale).reshape(x_t.shape)
+    return _ancestral(x_t, t, eps_hat, sched, _Streams.of(rng, x_t.shape))
 
 
 def sample(
@@ -471,7 +472,9 @@ def sample(
     gets that draw, so each such row has the bits of a single call with a
     fresh copy of the stream. A batch takes ``guide`` as
     ``(latent_size,)``, shared, or ``(B, latent_size)``, and the model's
-    identity as ``predict_noise`` does.
+    identity as ``predict_noise`` does. One latent is sampled as a batch of
+    one and returned as ``(latent_size,)``; at guidance scale 1 the model's
+    ``predict_noise`` is handed that ``(1, latent_size)`` batch.
 
     During the first ``window`` steps the running latent is blended with
     the noised guide: x <- (1-lambda) x + lambda * forward_marginal(guide, t).
@@ -499,22 +502,21 @@ def sample(
         rng = list(rng)
         if np.ndim(model.identity) == 2 and len(model.identity) != len(rng):
             raise ShapeError(f"identity batch of {len(model.identity)} for {len(rng)} streams")
-    shape = ((len(rng),) if batch else ()) + (model.latent_size,)
+    shape = (len(rng) if batch else 1, model.latent_size)
     if window > 0:
         try:
             guide = tensor(np.broadcast_to(guide, shape))
         except ValueError:
             raise ShapeError(f"guide {np.shape(guide)} does not fit latents {shape}") from None
-    if batch:
-        rng = _Streams.of(rng, shape[0])
-    x = _normal(rng, shape)
+    rng = _Streams.of(rng, shape)
+    x = rng.normal(shape)
     # overflow only ever ends in a non-finite result, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = None if guidance_scale == 1.0 else _guided_terms(model, cond, shape[:-1])
+        terms = None if guidance_scale == 1.0 else _guided_terms(model, cond, shape[0])
         for t in range(sched.T, 0, -1):
             if window > 0 and t > sched.T - window:
                 # x <- (1 - lambda) x + lambda (sqrt(abar) guide + sqrt(1 - abar) eps), in place
-                noised = _normal(rng, shape)
+                noised = rng.normal(shape)
                 noised *= sched.root_noise[t - 1]
                 noised += sched.root_abar[t - 1] * guide
                 noised *= subject_guidance
@@ -524,7 +526,7 @@ def sample(
             x = _ancestral(x, t, _predict_guided(model, x, cond, guidance_scale, terms), sched, rng)
     if not np.isfinite(x).all():
         raise EvaluationError(f"sampling gave a non-finite latent (guidance scale {guidance_scale!r})")
-    return x
+    return x if batch else x[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,6 +113,9 @@ BAND_FRACTIONS = (
 )
 # the bands holding one splat each, at x = (X_MARGIN + X_SPAN a) W: all but the eye row
 SINGLE_SPLAT_BANDS = ATTRIBUTE_NAMES[1:]
+# the seven landmark tracks, each as the index of its band in ``ATTRIBUTE_NAMES``: the eye row twice,
+# for its left and its right eye, then each single-splat band; the stylizer shifts each track on its own
+JITTER_TRACKS = (0, 0, 1, 2, 3, 4, 5)
 X_MARGIN = 0.15
 X_SPAN = 0.70
 EYE_OFFSET = 0.12
@@ -152,7 +155,7 @@ def _landmark_splats(attrs: np.ndarray, w: int) -> np.ndarray:
     frac = u - x0
     x0 = x0.astype(np.intp)
     out = np.zeros((len(flat), len(ATTRIBUTE_NAMES), w))
-    vec, band = np.arange(len(flat))[:, None], np.array([0, 0, 1, 2, 3, 4, 5])
+    vec, band = np.arange(len(flat))[:, None], list(JITTER_TRACKS)
     out[vec, band, x0] = 1.0 - frac
     out[vec, band, x0 + 1] = frac
     return out.reshape(*a.shape[:-1], len(ATTRIBUTE_NAMES), w)
@@ -259,7 +262,6 @@ def _laplacian(c: np.ndarray) -> np.ndarray:
     )
 
 
-JITTER_TRACKS = ("eye_left", "eye_right", *SINGLE_SPLAT_BANDS)
 JITTER_MIN_PX = 0.4
 JITTER_MAX_PX = 1.6
 
@@ -291,9 +293,16 @@ def graffiti_stylize(img: np.ndarray, op: StyleOp) -> np.ndarray:
     img = tensor(img)
     if img.ndim != 3 or img.shape[0] != 2:
         raise ConfigError(f"expected a (2, H, W) image, got shape {img.shape}")
-    if op.intensity == 0.0:
+    i = op.intensity
+    if i == 0.0:
         return img.copy()
-    return _stylize(img, op, _jitter_units(img[0, _band_index(img.shape[1])]))
+    rows = _band_index(img.shape[1])
+    bands = img[0, rows]
+    geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
+    geometry[rows] = _landmark_rows(bands, [i], _jitter_units(bands))[0]
+    boosted = np.clip(img[1] + i * _laplacian(img[1]), 0.0, 1.0)
+    chroma_out = (1.0 - i) * boosted + i * _quantize(boosted)
+    return np.stack([geometry, chroma_out])
 
 
 def _shift_tracks(tracks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -328,54 +337,38 @@ def _quantize(chroma: np.ndarray) -> np.ndarray:
     return palette[np.argmin(np.abs(chroma[..., None] - palette), axis=-1)]
 
 
-def _stylize(img: np.ndarray, op: StyleOp, units: np.ndarray) -> np.ndarray:
-    """``graffiti_stylize`` of a (2, H, W) float64 image at a nonzero
-    intensity, given its jitter units ``_jitter_units(img)``."""
-    i = op.intensity
-    geometry = (1.0 - i) * img[0] + i * _smooth_warp(img[0])
-    geometry[_band_index(img.shape[1])] = _landmark_rows(_jitter_tracks(img), [i], units)[0]
-    boosted = np.clip(img[1] + i * _laplacian(img[1]), 0.0, 1.0)
-    chroma_out = (1.0 - i) * boosted + i * _quantize(boosted)
-    return np.stack([geometry, chroma_out])
-
-
-def _jitter_tracks(img: np.ndarray) -> np.ndarray:
-    """The geometry rows under the ``JITTER_TRACKS`` of a (2, H, W) image, as
-    a (7, W) copy: the eye row twice, for the left and the right eye's
-    track, then each other band's row."""
-    rows = _band_index(img.shape[1])
-    return img[0, [rows[0], *rows]]
-
-
-def _landmark_rows(tracks: np.ndarray, intensities, units: np.ndarray) -> np.ndarray:
-    """The landmark band rows of ``_stylize``'s geometry plane at each
-    intensity, as an (I, 6, W) stack in ``ATTRIBUTE_NAMES`` order, from the
-    image's ``_jitter_tracks`` and jitter units: the warp blend of the seven
-    tracks, the eye halves zeroed, one ``_shift_tracks`` over all
-    (intensity, track) rows, and the two eye tracks merged back into the
-    eye row."""
+def _landmark_rows(bands: np.ndarray, intensities, units: np.ndarray) -> np.ndarray:
+    """The landmark band rows of ``graffiti_stylize``'s geometry plane at
+    each intensity, as an (I, 6, W) stack in ``ATTRIBUTE_NAMES`` order, from
+    the image's (6, W) band rows ``bands`` and their ``_jitter_units``: the
+    bands split into their ``JITTER_TRACKS`` (the eye row once per eye), the
+    warp blend of the seven tracks, the eye halves zeroed, one
+    ``_shift_tracks`` over all (intensity, track) rows, and the two eye
+    tracks merged back into the eye row."""
+    tracks = bands[list(JITTER_TRACKS)]
     w = tracks.shape[-1]
     i = np.asarray(intensities, dtype=np.float64)[:, None]
     blend = (1.0 - i[..., None]) * tracks
     blend += i[..., None] * _smooth_warp(tracks)
+    del tracks  # dropped before the shift allocates, which keeps the peak memory down
     mid = w // 2
     blend[:, 0, mid:] = 0.0  # the left eye's half of the eye row
     blend[:, 1, :mid] = 0.0  # the right eye's half
     shifted = _shift_tracks(blend.reshape(-1, w), (i * units).reshape(-1)).reshape(blend.shape)
-    bands = shifted[:, 1:]
-    bands[:, 0] += shifted[:, 0]
-    return bands
+    out = shifted[:, 1:]
+    out[:, 0] += shifted[:, 0]
+    return out
 
 
 def _face_bands(p: FaceParams, size: int, intensities) -> np.ndarray:
     """The landmark band rows of ``render_face(p, size)`` and then of its
     ``graffiti_stylize`` output at each of ``intensities``, as a
     (1 + I, 6, W) stack, with no face rendered: the render draws its band
-    rows last, as the splats of ``p``'s attributes, so those splats with the
-    eye row twice are its ``_jitter_tracks`` and key its jitter units."""
+    rows last, as the splats of ``p``'s attributes, so those splats are its
+    band rows, which key its jitter units and feed ``_landmark_rows``."""
     p.validate(size)
-    tracks = _landmark_splats(p.attributes(), size)[[0, 0, 1, 2, 3, 4, 5]]
-    return np.concatenate([tracks[None, 1:], _landmark_rows(tracks, intensities, _jitter_units(tracks[1:]))])
+    bands = _landmark_splats(p.attributes(), size)
+    return np.concatenate([bands[None], _landmark_rows(bands, intensities, _jitter_units(bands))])
 
 
 def embed_prompt(text: str, dim: int = 8) -> np.ndarray:

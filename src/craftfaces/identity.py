@@ -161,9 +161,10 @@ def _already_there(current: np.ndarray | None, target: np.ndarray):
 def _face_attributes(params, size: int, intensities) -> np.ndarray:
     """The order sweep's read of one face: the (1 + I, 6) attributes of
     ``render_face(params, size)`` and then of its ``graffiti_stylize``
-    output at each of ``intensities``, from one band read of
-    ``facegen._face_bands``. Each vector has the bits of
-    ``extract_attributes`` of that image, though no image is built."""
+    output at each of ``intensities``, from one band read of the band rows
+    ``facegen._face_bands`` splats from ``params`` and stylizes in one
+    batch. Each vector has the bits of ``extract_attributes`` of that
+    image, though no image is built."""
     return _band_attributes(_face_bands(params, size, intensities))
 
 

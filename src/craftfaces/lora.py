@@ -153,13 +153,13 @@ def train_lora(
     backward pass through the merged model, chained onto A and B.
     Factors that stop being finite raise TrainingError.
     """
+    if not data:
+        raise ConfigError("train_lora: no training data")
     base = model.attention.base
     adapters = {
         t: _init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
         for t in TARGET_MATRICES
     }
-    if not data:
-        raise ConfigError("train_lora: no training data")
 
     batch = _batch(data)
     # overflow only ever ends in non-finite factors, which are checked below

@@ -16,7 +16,7 @@ import numpy as np
 from craftfaces.diffusion import decode
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, SINGLE_SPLAT_BANDS, X_MARGIN, X_SPAN, StyleOp, _band_index, _band_rows,
-    _jitter_tracks, _jitter_units, _landmark_rows, draw_landmarks, graffiti_stylize,
+    _jitter_units, _landmark_rows, draw_landmarks, graffiti_stylize,
 )
 from craftfaces.identity import _already_there, _band_attributes, _scores, extract_attributes, project
 from craftfaces.numerics import tensor
@@ -144,7 +144,7 @@ def order_attributes(img: np.ndarray, intensities) -> tuple[np.ndarray, np.ndarr
     one that finds ``ref`` already there leaves the stylized image's."""
     img = tensor(img)
     rows = img[0, _band_index(img.shape[1])]
-    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(rows))
+    bands = _landmark_rows(rows, intensities, _jitter_units(rows))
     attrs = _band_attributes(np.concatenate([rows[None], bands]))
     ref, styled = attrs[0], attrs[1:]
     restored = np.where(_already_there(styled, ref)[:, None], styled, redrawn_attributes(img.shape, ref))

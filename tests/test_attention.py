@@ -59,6 +59,9 @@ class TestSelfAttention:
         w = random_weights(RngStream(seed=4)).base
         with pytest.raises(ShapeError):
             self_attention(np.ones((2, 5)), w)
+        for w_k, w_v in ((np.ones((3, 2)), w.w_v), (w.w_k, np.ones((3, 4)))):
+            with pytest.raises(ShapeError, match="must share head dim"):
+                AttentionWeights(w_q=w.w_q, w_k=w_k, w_v=w_v)
 
 
 class TestIdentitySelfAttention:
@@ -123,6 +126,10 @@ class TestIdentitySelfAttention:
         w = random_weights(RngStream(seed=8))
         with pytest.raises(ShapeError):
             identity_self_attention(np.ones((2, 3)), np.ones(3), w)
+        with pytest.raises(ShapeError, match="must share head dim 3"):
+            ExtendedAttentionWeights(base=w.base, u_q=np.ones((4, 2)), u_k=w.u_k)
+        with pytest.raises(ShapeError, match="must share id dim"):
+            ExtendedAttentionWeights(base=w.base, u_q=w.u_q, u_k=np.ones((5, 3)))
 
 
 class TestBatchedForward:

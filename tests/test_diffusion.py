@@ -16,9 +16,9 @@ from craftfaces.diffusion import (
     DenoiserModel,
     LatentCodec,
     NoiseSchedule,
+    _Streams,
     _cholesky_upper,
     _denoise_loss_and_grad,
-    _normal,
     build_schedule,
     decode,
     encode,
@@ -364,11 +364,14 @@ class TestSample:
             sample(self.model, np.zeros(3), self.sched, window=3, rng=RngStream(seed=19))
 
     def test_window_beyond_steps_rejected(self):
+        """So is a negative window."""
         with pytest.raises(ConfigError):
             sample(
                 self.model, np.zeros(3), self.sched,
                 window=21, guide=np.zeros(8), rng=RngStream(seed=20),
             )
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            sample(self.model, np.zeros(3), self.sched, window=-1, guide=np.zeros(8), rng=RngStream(seed=20))
 
     def test_default_window_fraction(self):
         sched = build_schedule(100)
@@ -747,7 +750,7 @@ class TestBatch:
             got = sample(model, cond, sched, window=3, guide=guide, rng=streams(), subject_guidance=0.9,
                          guidance_scale=guidance)
             rng = streams()
-            x = _normal(rng, guide.shape)
+            x = _Streams.of(rng, guide.shape).normal(guide.shape)
             for t in range(sched.T, 0, -1):
                 if t > sched.T - 3:
                     x = (1.0 - 0.9) * x + 0.9 * forward_marginal(guide, t, sched, rng)

@@ -18,7 +18,6 @@ from craftfaces.facegen import (
     _band_rows,
     _centre_distances,
     _face_bands,
-    _jitter_tracks,
     _jitter_units,
     _quantize,
     _shift_tracks,
@@ -220,6 +219,16 @@ class TestGraffitiStylize:
         with pytest.raises(ConfigError):
             StyleOp(intensity=1.5)
 
+    @pytest.mark.parametrize("shape", [(32, 32), (3, 32, 32), (1, 2, 32, 32)])
+    def test_non_image_rejected(self, shape, tmp_path):
+        """By the stylizer and by the PPM writer, before anything is written."""
+        with pytest.raises(ConfigError, match=r"expected a \(2, H, W\) image"):
+            graffiti_stylize(np.zeros(shape), StyleOp(intensity=0.5))
+        path = tmp_path / "face.ppm"
+        with pytest.raises(ConfigError, match=r"expected a \(2, H, W\) image"):
+            write_ppm(path, np.zeros(shape))
+        assert not path.exists()
+
 
 _face = st.builds(FaceParams, *[st.floats(0.0, 1.0)] * 6, palette_id=st.integers(0, 7),
                   background=st.floats(0.0, 1.0))
@@ -255,19 +264,19 @@ class TestJitterKey:
     @given(_face, _sizes)
     def test_sweep_tracks_equal_the_render_s_bit_for_bit(self, params, size):
         """The order sweep's read of a face, which renders nothing, batches
-        the tracks and units of its render, and reads its band rows."""
+        the band rows and units of its render, and reads its band rows."""
         seen, real = [], facegen._landmark_rows
 
-        def spy(tracks, intensities, units):
-            seen.append((tracks.copy(), units.copy()))
-            return real(tracks, intensities, units)
+        def spy(bands, intensities, units):
+            seen.append((bands.copy(), units.copy()))
+            return real(bands, intensities, units)
 
         with mock.patch.object(facegen, "_landmark_rows", spy):
             bands = _face_bands(params, size, (0.5, 1.0))
         img = render_face(params, size)
         rows = _band_index(size)
-        [(tracks, units)] = seen
-        assert tracks.tobytes() == _jitter_tracks(img).tobytes()
+        [(rows_read, units)] = seen
+        assert rows_read.tobytes() == img[0, rows].tobytes()
         assert units.tobytes() == _jitter_units(img[0, rows]).tobytes()
         assert bands[0].tobytes() == img[0, rows].tobytes()
 
@@ -299,6 +308,10 @@ class TestEmbedPrompt:
     def test_empty_prompt_rejected(self):
         with pytest.raises(InputError):
             embed_prompt("   ")
+
+    def test_nonpositive_dim_rejected(self):
+        with pytest.raises(ConfigError, match="embedding dim must be >= 1, got 0"):
+            embed_prompt("singer", dim=0)
 
     def test_injective_on_corpus(self):
         vecs = np.array([embed_prompt(f"prompt variant {i}", dim=8) for i in range(1000)])

@@ -9,7 +9,7 @@ from craftfaces.diffusion import decode, make_codec
 from craftfaces.errors import ExtractionError, InputError, ProjectionError
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, X_MARGIN, X_SPAN, FaceParams, StyleOp,
-    _band_index, _band_rows, _jitter_tracks, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
+    _band_index, _band_rows, _jitter_units, _landmark_rows, face_grid, graffiti_stylize, render_face,
 )
 from craftfaces.identity import (
     _already_there,
@@ -123,9 +123,29 @@ class TestProject:
         assert np.max(np.abs(extract_attributes(fixed) - FACE.attributes())) <= 1e-9
 
     def test_unreachable_target_rejected(self):
+        """As are a target of the wrong length and an image of the wrong shape."""
         img = render_face(FACE, 64)
         with pytest.raises(ProjectionError):
             project(img, np.array([0.5, 0.5, 0.5, 0.5, 0.5, 1.2]))
+        with pytest.raises(ProjectionError, match="must have 6 components, got 5"):
+            project(img, np.full(5, 0.5))
+        with pytest.raises(ProjectionError, match=r"expected a \(2, H, W\) image"):
+            project(img[0], FACE.attributes())
+
+    def test_image_with_an_empty_band_is_redrawn(self):
+        """An image whose attributes cannot be read (a landmark band with no
+        mass) gets every band redrawn at the target, and keeps every other
+        row's bytes."""
+        img = graffiti_stylize(render_face(FACE, 64), StyleOp(intensity=0.7))
+        rows = _band_index(64)
+        img[0, rows[2]] = 0.0
+        assert _attributes_or_none(img) is None
+        target = face_grid(1, seed=5)[0].attributes()
+        out = project(img, target)
+        assert np.max(np.abs(extract_attributes(out) - target)) <= 1e-9
+        others = [r for r in range(64) if r not in rows]
+        assert out[0, others].tobytes() == img[0, others].tobytes()
+        assert out[1].tobytes() == img[1].tobytes()
 
     def test_restores_target_on_arbitrary_images(self):
         from craftfaces.numerics import RngStream
@@ -294,7 +314,7 @@ def test_landmark_batch_equals_each_stylize_bit_for_bit(params, between, size):
     img = render_face(params, size)
     intensities = [0.0, *between, 1.0]
     rows = [_band_rows(size)[name] for name in ATTRIBUTE_NAMES]
-    bands = _landmark_rows(_jitter_tracks(img), intensities, _jitter_units(img[0, rows]))
+    bands = _landmark_rows(img[0, rows], intensities, _jitter_units(img[0, rows]))
     attrs = _band_attributes(bands)
     ref, styled_attrs, restored_attrs = order_attributes(img, intensities)
     assert ref.tobytes() == extract_attributes(img).tobytes()

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from craftfaces import lora
 from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.diffusion import make_denoiser
 from craftfaces.errors import ConfigError, InputError, ShapeError, TrainingError
@@ -88,6 +89,8 @@ class TestMerge:
     def test_invariants(self):
         with pytest.raises(ConfigError):
             LoRAAdapter(a=np.ones((2, 3)), b=np.ones((3, 2)), alpha=1.0, rank=3)
+        with pytest.raises(ShapeError, match="disagree with rank 2"):
+            LoRAAdapter(a=np.ones((4, 2)), b=np.ones((3, 4)), alpha=1.0, rank=2)
         for alpha in (0.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):
                 LoRAAdapter(a=np.ones((4, 2)), b=np.ones((2, 4)), alpha=alpha, rank=2)
@@ -180,10 +183,14 @@ class TestTrainLora:
         assert model.attention.base.w_k.tobytes() == before["k"]
         assert model.attention.base.w_v.tobytes() == before["v"]
 
-    def test_empty_data_with_steps_rejected(self):
+    def test_empty_data_with_steps_rejected(self, monkeypatch):
+        """Before any adapter is drawn."""
         model, _ = toy_linear_task(2)
-        with pytest.raises(ConfigError):
+        calls = []
+        monkeypatch.setattr(lora, "_init_adapter", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="no training data"):
             train_lora(model, [], LoRATrainConfig(rank=2, steps=5), RngStream(seed=2))
+        assert calls == []
 
     def test_divergence_raises(self):
         model, data = toy_linear_task(2)
@@ -229,6 +236,8 @@ class TestTrainLora:
             LoRATrainConfig(steps=-1)
         with pytest.raises(ConfigError):
             LoRATrainConfig(lr=0.0)
+        with pytest.raises(ConfigError, match="rank must be >= 1, got 0"):
+            LoRATrainConfig(rank=0)
 
 
 def test_adapter_csv_round_trip(tmp_path):

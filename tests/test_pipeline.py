@@ -97,6 +97,13 @@ class TestPipelineConfig:
             PipelineConfig(style_intensity=-0.1)
         with pytest.raises(ConfigError):
             PipelineConfig(guidance_scale=0.0)
+        with pytest.raises(ConfigError, match="lora_alpha must be > 0"):
+            PipelineConfig(lora_alpha=0.0)
+        with pytest.raises(ConfigError, match="image_size must be >= 32, got 31"):
+            PipelineConfig(image_size=31)
+        for dims in ({"latent_tokens": 0}, {"token_dim": 0}, {"cond_dim": 0}):
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                PipelineConfig(**dims)
 
 
 class TestRunStyleFirst:
@@ -287,9 +294,9 @@ class TestAblateOrder:
 
         for module, name in ((facegen, "render_face"), (facegen, "image_hash"), (identity, "project"),
                              (identity, "extract_attributes"), (pl, "extract_attributes"),
-                             (facegen, "_landmark_rows"), (facegen, "_stylize"), (pl, "graffiti_stylize"),
+                             (facegen, "_landmark_rows"), (facegen, "graffiti_stylize"), (pl, "graffiti_stylize"),
                              (identity, "_band_attributes"), (pl, "_scores")):
-            count(module, name)  # both modules' extract_attributes feed one count
+            count(module, name)  # both modules' extract_attributes, and graffiti_stylize, feed one count
         ablate_order(face_grid(3, seed=21), PipelineConfig(seed=21), sweeps=(0.0, 0.5, 0.9), seeds=(21, 22))
         faces = 3
         assert calls == {
@@ -298,8 +305,7 @@ class TestAblateOrder:
             "project": 0,  # each cell scores its restore without building it
             "extract_attributes": 0,  # every attribute vector comes from a band read
             "_landmark_rows": faces,  # every intensity's stylized landmark rows in one batch
-            "_stylize": 0,  # no cell builds a stylized image
-            "graffiti_stylize": 0,
+            "graffiti_stylize": 0,  # no cell builds a stylized image
             # per face one read of the render's and every stylized band row, then one of every redraw
             "_band_attributes": faces + 1,
             # every SP and PS vector of every face and intensity in one call, written for both seeds
@@ -440,11 +446,14 @@ class TestTrainToyDenoiser:
         assert model.attention.base.w_q.tobytes() == base_bytes
 
     def test_divergence_raises(self):
+        """A huge rate makes the loss overflow a few steps in; an infinite
+        one makes the weights non-finite on the first step."""
         cfg = PipelineConfig(seed=13)
         runtime = _make_runtime(cfg)
-        with pytest.raises(TrainingError):
-            pl._sgd_train(runtime.model, _latents(face_grid(2, seed=13), cfg, runtime), None, cfg, runtime,
-                          RngStream(seed=13), 60, 1e18)
+        latents = _latents(face_grid(2, seed=13), cfg, runtime)
+        for lr, what in ((1e18, "loss"), (math.inf, "parameters")):
+            with pytest.raises(TrainingError, match=f"{what} became non-finite"):
+                pl._sgd_train(runtime.model, latents, None, cfg, runtime, RngStream(seed=13), 60, lr)
 
     def test_training_keeps_the_callers_weights(self, monkeypatch):
         """Both SGD phases, and full-mode ``train_toy_denoiser``, update
@@ -666,9 +675,12 @@ class TestAblateAttention:
         assert counts == {"render_face": 3, "encode": 3}
 
     def test_no_seeds_rejected(self):
+        """As is an empty face grid."""
         cfg = PipelineConfig(seed=17, image_size=32, latent_tokens=16, token_dim=8)
         with pytest.raises(ConfigError):
             ablate_attention(face_grid(1, seed=17), cfg, seeds=(), train_steps=1, base_steps=1)
+        with pytest.raises(ConfigError, match="nonempty face grid"):
+            ablate_attention([], cfg, seeds=(0,), train_steps=1, base_steps=1)
 
     def test_duplicate_seeds_rejected_before_any_work(self, monkeypatch):
         """A repeated seed would make every (face, seed) pair of it count

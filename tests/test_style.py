@@ -97,6 +97,14 @@ class TestContentLoss:
         with pytest.raises(ConfigError):
             content_loss(np.ones((1, 2)), np.ones((1, 2)), hand_extractor(), layer=5)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 1, 2, 2), "expected a 2-D or 3-D image"),
+        ((2, 2, 2), "image has 2 channels, extractor expects 1"),
+    ])
+    def test_image_shape_rejected(self, shape, message):
+        with pytest.raises(ShapeError, match=message):
+            content_loss(np.ones(shape), np.ones(shape), hand_extractor(), layer=1)
+
 
 class TestTotalLoss:
     def test_style_weight_zero(self):
