@@ -234,6 +234,27 @@ class _Terms(NamedTuple):
     identity: tuple[np.ndarray, np.ndarray] | None
 
 
+def _condition(
+    model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
+    """The latents ``x_t`` (``(B, latent_size)``) ready for the forward of
+    ``_conditioned_loss_and_grad``: their tokens ``(B, n_tokens,
+    token_dim)`` shifted by the conditioning, the identity terms of their
+    items and ``cond`` as ``_cond`` returns it, whose rows the
+    conditioning gradients read. None of it reads the base q/k/v weights,
+    so a caller that trains only those conditions its batch once."""
+    x_t = tensor(x_t)
+    n = len(x_t)
+    cond = model._cond(cond, n)
+    terms = model._terms(cond, n)
+    return x_t.reshape(n, model.n_tokens, model.token_dim) + terms.shift, terms.identity, cond
+
+
+def _item_sum(per_item: np.ndarray) -> np.ndarray:
+    """0.0 + each item in turn, as the loop over items did."""
+    return np.add.reduce(per_item, axis=0, initial=0.0)
+
+
 def _denoise_loss_and_grad(
     model: DenoiserModel, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray,
     names: Iterable[str] | None = None,
@@ -242,7 +263,16 @@ def _denoise_loss_and_grad(
     against the noise ``eps`` (both ``(B, latent_size)``), with ``cond``
     and the model's identity as in ``predict_noise``, and its exact
     gradient for each weight in ``names`` (default: every weight; none
-    for the loss alone), keyed and ordered as in ``DenoiserModel.params``,
+    for the loss alone), keyed and ordered as in ``DenoiserModel.params``:
+    ``_conditioned_loss_and_grad`` of the batch as ``_condition`` builds it."""
+    return _conditioned_loss_and_grad(model, *_condition(model, x_t, cond), eps, names)
+
+
+def _conditioned_loss_and_grad(
+    model: DenoiserModel, tokens: np.ndarray, identity: tuple[np.ndarray, np.ndarray] | None,
+    cond: np.ndarray, eps: np.ndarray, names: Iterable[str] | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """``_denoise_loss_and_grad`` of a batch that ``_condition`` built,
     by hand-rolled backprop through the attention block of
     ``predict_noise``. The forward is ``attention._forward``, the one
     ``predict_noise`` samples with, so training fits the same function.
@@ -260,14 +290,10 @@ def _denoise_loss_and_grad(
     p = model.params()
     names = set(p if names is None else names)
     scale = 1.0 / math.sqrt(model.attention.base.head_dim)
-    x_t = tensor(x_t)
-    n = len(x_t)
-    cond = model._cond(cond, n)
+    n = len(tokens)
     ident = None if model.identity is None else tensor(model.identity)
 
-    terms = model._terms(cond, n)
-    t_in = x_t.reshape(n, model.n_tokens, model.token_dim) + terms.shift
-    q, k, v, att = _forward(t_in, terms.identity, model.attention)
+    q, k, v, att = _forward(tokens, identity, model.attention)
     o = att @ v
     err = o @ model.head_w  # y = o W + b, then y - eps, in place
     err += model.head_b
@@ -280,63 +306,54 @@ def _denoise_loss_and_grad(
     if not names:
         return total / n, {}
 
-    def t(a):
-        return np.swapaxes(a, -1, -2)
-
-    def items(per_item):
-        # 0.0 + each item in turn, as the loop over items did
-        return np.add.reduce(per_item, axis=0, initial=0.0)
-
-    def wants(*ws):
-        return not names.isdisjoint(ws)
-
+    want_conds = not names.isdisjoint(("cond_w", "cond_b"))  # these need dq, dk and dv
     # each temporary is released after its last read
     dy = err  # dL/dy = (2/N) err, scaled in place: err (2/N) has the same bits
     dy *= 2.0 / size
     del err
     g = {}
-    if wants("head_w"):
-        g["head_w"] = items(t(o) @ dy)
+    if "head_w" in names:
+        g["head_w"] = _item_sum(o.swapaxes(-1, -2) @ dy)
     del o
-    if wants("head_b"):
-        g["head_b"] = items(dy.sum(axis=1))
+    if "head_b" in names:
+        g["head_b"] = _item_sum(dy.sum(axis=1))
     do = dy @ model.head_w.T
     del dy
-    conds = ("cond_w", "cond_b")  # the conditioning gradients need dq, dk and dv
-    dv = t(att) @ do if wants("w_v", *conds) else None
+    dv = att.swapaxes(-1, -2) @ do if want_conds or "w_v" in names else None
     ds = None
-    if wants("w_q", "u_q", "w_k", "u_k", *conds):
-        ds = do @ t(v)  # dL/datt, then in place dL/dscores = att * (datt - rowdot)
+    if want_conds or not names.isdisjoint(("w_q", "u_q", "w_k", "u_k")):
+        ds = do @ v.swapaxes(-1, -2)  # dL/datt, then in place dL/dscores = att * (datt - rowdot)
         ds -= (att * ds).sum(axis=-1, keepdims=True)
         ds *= att
     del do, att, v
     dq = dk = None
-    if wants("w_q", "u_q", *conds):
+    if want_conds or not names.isdisjoint(("w_q", "u_q")):
         dq = ds @ k
         dq *= scale
-    if wants("w_k", "u_k", *conds):
-        dk = t(ds) @ q
+    if want_conds or not names.isdisjoint(("w_k", "u_k")):
+        dk = ds.swapaxes(-1, -2) @ q
         dk *= scale
     del ds, q, k
-    if wants("w_q"):
-        g["w_q"] = items(t(t_in) @ dq)
-    if wants("w_k"):
-        g["w_k"] = items(t(t_in) @ dk)
-    if wants("w_v"):
-        g["w_v"] = items(t(t_in) @ dv)
-    if wants("u_q"):
+    tokens_t = tokens.swapaxes(-1, -2)
+    if "w_q" in names:
+        g["w_q"] = _item_sum(tokens_t @ dq)
+    if "w_k" in names:
+        g["w_k"] = _item_sum(tokens_t @ dk)
+    if "w_v" in names:
+        g["w_v"] = _item_sum(tokens_t @ dv)
+    if "u_q" in names:
         g["u_q"] = (np.zeros_like(p["u_q"]) if ident is None
-                    else items(ident[..., :, None] * dq.sum(axis=1)[:, None, :]))
-    if wants("u_k"):
+                    else _item_sum(ident[..., :, None] * dq.sum(axis=1)[:, None, :]))
+    if "u_k" in names:
         g["u_k"] = (np.zeros_like(p["u_k"]) if ident is None
-                    else items(ident[..., :, None] * dk.sum(axis=1)[:, None, :]))
-    if wants(*conds):
+                    else _item_sum(ident[..., :, None] * dk.sum(axis=1)[:, None, :]))
+    if want_conds:
         dts = dq @ p["w_q"].T  # then + dk W_k^T + dv W_v^T, in place
         dts += dk @ p["w_k"].T
         dts += dv @ p["w_v"].T
         dts = dts.sum(axis=1)
-        g["cond_w"] = items(cond[..., :, None] * dts[:, None, :])
-        g["cond_b"] = items(dts)
+        g["cond_w"] = _item_sum(cond[..., :, None] * dts[:, None, :])
+        g["cond_b"] = _item_sum(dts)
     return total / n, {name: g[name] / n for name in p if name in names}
 
 

@@ -12,12 +12,12 @@ gives the factor gradients alpha * G_W @ B^T and alpha * A^T @ G_W.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionWeights, ExtendedAttentionWeights
-from .diffusion import DenoiserModel, _denoise_loss_and_grad
+from .diffusion import DenoiserModel, _condition, _conditioned_loss_and_grad, _denoise_loss_and_grad
 from .errors import ConfigError, InputError, ShapeError, TrainingError
 from .numerics import RngStream, tensor
 
@@ -108,8 +108,10 @@ class LoRATrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 < self.alpha < float("inf"):
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
 
@@ -125,18 +127,49 @@ def _adapted_loss(model: DenoiserModel, data, adapters: dict[str, LoRAAdapter]) 
     return _denoise_loss_and_grad(merged, *_batch(data), names=())[0]
 
 
+def _stacked_grad(model: DenoiserModel, batch, targets, alpha: float):
+    """The exact gradient of the adapted loss on ``batch`` (``_batch(data)``)
+    as a function of the stacked factors A (T, d, r) and B (T, r, k) of
+    ``targets``, which returns the stacked ``(dA, dB)``. The batch is
+    conditioned once and the merged model built once, over one (T, d, k)
+    buffer; each call merges into it, W0 + alpha * A @ B, runs one
+    backward through the merged model and, with G_W the gradient of each
+    merged matrix, returns alpha * G_W @ B^T and alpha * A^T @ G_W. Each
+    slice has the bits of its target's own 2-D products."""
+    latents, conds, eps = batch
+    inputs = _condition(model, latents, conds)
+    names = ["w_" + t for t in targets]
+    weights = model.params()
+    w0 = np.stack([weights[name] for name in names])
+    w = np.empty_like(w0)
+    weights.update(zip(names, w))
+    merged = model.with_params(weights)
+
+    def grad(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        merged_w = np.matmul(a, b, out=w)
+        merged_w *= alpha
+        merged_w += w0
+        g = _conditioned_loss_and_grad(merged, *inputs, eps, names)[1]
+        g = np.array([g[name] for name in names])
+        da = g @ b.swapaxes(-1, -2)
+        da *= alpha
+        db = a.swapaxes(-1, -2) @ g
+        db *= alpha
+        return da, db
+
+    return grad
+
+
 def _factor_grad(
     model: DenoiserModel, batch, adapters: dict[str, LoRAAdapter]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Exact gradient of the adapted loss as ``{target: (dA, dB)}``: with
-    G_W the gradient of the merged matrix, alpha * G_W @ B^T for A and
-    alpha * A^T @ G_W for B. ``batch`` is ``_batch(data)``."""
-    merged = model.with_attention(apply_to_attention(model.attention, adapters))
-    _, g = _denoise_loss_and_grad(merged, *batch, ["w_" + t for t in adapters])
-    return {
-        t: (ad.alpha * (g["w_" + t] @ ad.b.T), ad.alpha * (ad.a.T @ g["w_" + t]))
-        for t, ad in adapters.items()
-    }
+    """``_stacked_grad`` as ``{target: (dA, dB)}``, for adapters that share
+    one alpha and one shape, as ``train_lora``'s do. ``batch`` is
+    ``_batch(data)``."""
+    ads = list(adapters.values())
+    grad = _stacked_grad(model, batch, list(adapters), ads[0].alpha)
+    da, db = grad(np.array([ad.a for ad in ads]), np.array([ad.b for ad in ads]))
+    return dict(zip(adapters, zip(da, db)))
 
 
 def train_lora(
@@ -149,30 +182,35 @@ def train_lora(
     adapter factors only. Base weights are never written.
 
     ``data`` is a list of (latent, cond, target) triples, scored with the
-    model's own identity. Each step takes one exact gradient: the
-    backward pass through the merged model, chained onto A and B.
+    model's own identity. The q, k and v factors train as one stacked
+    pair, A (3, d, r) and B (3, r, k), on a batch conditioned once, since
+    the conditioning and identity terms do not change while only the
+    factors do. Each step takes one exact gradient, ``_stacked_grad``, and
+    updates the factors in place; the adapters are built at the end.
     Factors that stop being finite raise TrainingError.
     """
     if not data:
         raise ConfigError("train_lora: no training data")
     base = model.attention.base
-    adapters = {
-        t: _init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
+    initial = [
+        _init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
         for t in TARGET_MATRICES
-    }
+    ]
+    a = np.array([ad.a for ad in initial])
+    b = np.array([ad.b for ad in initial])
 
-    batch = _batch(data)
+    grad = _stacked_grad(model, _batch(data), TARGET_MATRICES, cfg.alpha)
     # overflow only ever ends in non-finite factors, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.steps):
-            grads = _factor_grad(model, batch, adapters)
-            adapters = {
-                t: replace(ad, a=ad.a - cfg.lr * grads[t][0], b=ad.b - cfg.lr * grads[t][1])
-                for t, ad in adapters.items()
-            }
-            if not all(np.isfinite(ad.a).all() and np.isfinite(ad.b).all() for ad in adapters.values()):
+            da, db = grad(a, b)
+            da *= cfg.lr  # a - lr * dA, in place, has the same bits
+            a -= da
+            db *= cfg.lr
+            b -= db
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
                 raise TrainingError("train_lora: parameters became non-finite")
-    return adapters
+    return {t: LoRAAdapter(a=a_t, b=b_t, alpha=cfg.alpha, rank=cfg.rank) for t, a_t, b_t in zip(TARGET_MATRICES, a, b)}
 
 
 def save_adapters(path, adapters: dict[str, LoRAAdapter]) -> None:

@@ -1,24 +1,26 @@
 """Plain references that only the tests read: the noise schedule's
 coefficients and the forward and reverse steps as scalar formulas, the
-per-item loss, the per-row landmark splats, the per-face and per-cell composition orders, the
-whole-image decode of sampled latents, the report extras as row walks and
-the two CSV writers as ``csv.writer`` walks. Each is the direct form of a
+per-item loss, LoRA training one target at a time, the per-row landmark
+splats, the per-face and per-cell composition orders, the whole-image
+decode of sampled latents, the report extras as row walks and the two CSV
+writers as ``csv.writer`` walks. Each is the direct form of a
 batched path in the package, which the tests check against it bit for
 bit."""
 
 import csv
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from operator import attrgetter
 
 import numpy as np
 
-from craftfaces.diffusion import decode
+from craftfaces.diffusion import _denoise_loss_and_grad, decode
 from craftfaces.facegen import (
     ATTRIBUTE_NAMES, EYE_OFFSET, EYE_SPAN, SINGLE_SPLAT_BANDS, X_MARGIN, X_SPAN, StyleOp, _band_index, _band_rows,
     _jitter_units, _landmark_rows, draw_landmarks, graffiti_stylize,
 )
 from craftfaces.identity import _already_there, _band_attributes, _scores, extract_attributes, project
+from craftfaces.lora import TARGET_MATRICES, _batch, _init_adapter, apply_to_attention
 from craftfaces.numerics import tensor
 from craftfaces.pipeline import PipelineConfig, ReportRow
 
@@ -90,6 +92,41 @@ def denoise_loss(model, x_t: np.ndarray, cond: np.ndarray, eps: np.ndarray) -> f
         err = item.predict_noise(x_t[i], conds[i]) - eps[i]
         total += float(np.mean(err * err))
     return total / n
+
+
+def factor_grad(model, batch, adapters) -> dict:
+    """The exact gradient of the adapted loss as ``{target: (dA, dB)}``,
+    one target at a time: the adapters merged by ``apply_to_attention``,
+    the whole ``_denoise_loss_and_grad`` of ``batch`` (``_batch(data)``)
+    through the merged model, then alpha * G_W @ B^T and alpha * A^T @ G_W
+    of each target's own G_W. The per-target form that
+    ``lora._stacked_grad`` stacks."""
+    merged = model.with_attention(apply_to_attention(model.attention, adapters))
+    _, g = _denoise_loss_and_grad(merged, *batch, ["w_" + t for t in adapters])
+    return {
+        t: (ad.alpha * (g["w_" + t] @ ad.b.T), ad.alpha * (ad.a.T @ g["w_" + t]))
+        for t, ad in adapters.items()
+    }
+
+
+def train_lora(model, data, cfg, rng) -> dict:
+    """``lora.train_lora`` one target at a time: each adapter drawn by
+    ``_init_adapter`` from ``rng.split(target)``, then per step one
+    ``factor_grad`` and a new adapter per target, ``a - lr * dA`` and
+    ``b - lr * dB``. No finiteness check: the tests compare finite runs."""
+    base = model.attention.base
+    adapters = {
+        t: _init_adapter(*getattr(base, "w_" + t).shape, cfg.rank, cfg.alpha, rng.split(t))
+        for t in TARGET_MATRICES
+    }
+    batch = _batch(data)
+    for _ in range(cfg.steps):
+        grads = factor_grad(model, batch, adapters)
+        adapters = {
+            t: replace(ad, a=ad.a - cfg.lr * grads[t][0], b=ad.b - cfg.lr * grads[t][1])
+            for t, ad in adapters.items()
+        }
+    return adapters
 
 
 def decoded_attributes(zs: np.ndarray, codec) -> np.ndarray:

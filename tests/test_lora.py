@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from craftfaces import lora
+from craftfaces import pipeline as pl
 from craftfaces.attention import AttentionWeights, ExtendedAttentionWeights
 from craftfaces.diffusion import make_denoiser
 from craftfaces.errors import ConfigError, InputError, ShapeError, TrainingError
+from craftfaces.facegen import face_grid
 from craftfaces.lora import (
     LoRAAdapter,
     LoRATrainConfig,
@@ -171,6 +173,37 @@ class TestTrainLora:
             merged = model.with_attention(apply_to_attention(model.attention, adapters))
             assert _adapted_loss(model, data, adapters) == denoise_loss(merged, *_batch(data))
 
+    @pytest.mark.parametrize("case", ["none", "shared", "per-item", "train --lora --token-dim 8"])
+    def test_factors_equal_the_per_target_reference_bit_for_bit(self, case, monkeypatch):
+        """``train_lora`` trains stacked q/k/v factors on a batch
+        conditioned once; its adapters have the bytes of
+        ``reference.train_lora``, the loop of one merge, one backward and
+        one update per target. The toy task at seeds 0-4 with the identity
+        ``case``, ranks 1, 2 and 4 and 0, 1 and 60 steps; and the batch,
+        config and stream that ``train --lora --seed 7 --token-dim 8``
+        hands ``train_lora``, at its default 200 steps."""
+        runs = []
+        if case in ("none", "shared", "per-item"):
+            for seed in range(5):
+                model, data = toy_linear_task(seed)
+                rng = RngStream(seed=seed).split("identity")
+                ident = {"none": None, "shared": rng.normal((6,)), "per-item": rng.normal((len(data), 6))}[case]
+                model = model.with_identity(ident)
+                runs += [(model, data, LoRATrainConfig(rank=rank, steps=steps), RngStream(seed=seed))
+                         for rank in (1, 2, 4) for steps in (0, 1, 60)]
+        else:
+            cfg = pl.PipelineConfig(seed=7, token_dim=8)
+            monkeypatch.setattr(pl, "train_lora", lambda *args: runs.append(args) or train_lora(*args))
+            pl.train_toy_denoiser(face_grid(4, seed=7), cfg, RngStream(seed=7).split("train"), steps=200, lora=True)
+            assert runs[0][2].steps == 200 and runs[0][0].token_dim == 8
+        for model, data, cfg, rng in runs:
+            got, want = train_lora(model, data, cfg, rng), reference.train_lora(model, data, cfg, rng)
+            assert list(got) == list(want) == ["q", "k", "v"]
+            for t in want:
+                assert got[t].a.tobytes() == want[t].a.tobytes() and got[t].a.shape == want[t].a.shape
+                assert got[t].b.tobytes() == want[t].b.tobytes() and got[t].b.shape == want[t].b.shape
+                assert (got[t].alpha, got[t].rank) == (want[t].alpha, want[t].rank)
+
     def test_base_weights_frozen(self):
         model, data = toy_linear_task(1)
         before = {
@@ -234,8 +267,12 @@ class TestTrainLora:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             LoRATrainConfig(steps=-1)
-        with pytest.raises(ConfigError):
-            LoRATrainConfig(lr=0.0)
+        for lr in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+                LoRATrainConfig(lr=lr)
+        for alpha in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ConfigError, match="alpha must be finite and > 0"):
+                LoRATrainConfig(alpha=alpha)
         with pytest.raises(ConfigError, match="rank must be >= 1, got 0"):
             LoRATrainConfig(rank=0)
 
